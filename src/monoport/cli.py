@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 certificate/verification failure, 2 usage or
 config-parse error.  All files are UTF-8 with ``"\\n"`` line endings and
 locale-independent number formatting (fixed-point decimal, significant
 digits set by the config ``precision`` key), so byte-level comparison of
-two runs is meaningful.
+two runs is meaningful for a fixed BLAS thread count: the solver's
+floating-point sums depend on it, which can move the last printed digit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,17 +44,35 @@ TRANSPORT_ERROR_CONSTANT = 5.0
 
 
 def _fmt(value: float, precision: int = 12) -> str:
+    """Fixed-point decimal, never an exponent: the shortest digits that
+    read back as ``value`` if there are at most ``precision`` of them,
+    else ``value`` rounded to ``precision`` significant digits.  ``-0.0``
+    prints as ``"0"`` so output bytes do not depend on sign tricks.
+
+    C's ``%.*g`` always rounds to ``precision`` digits.  Up to 15 digits
+    that rounding already is the shortest form whenever the shortest form
+    fits, so a finite ``%.*g`` result without an exponent is the answer.
+    At 16 and 17 digits it is not (``9738031576.56157`` prints as
+    ``9738031576.561569`` under ``%.16g``), and numpy formats those."""
     v = float(value)
     if v == 0.0:
-        v = 0.0  # normalize -0.0 so output bytes do not depend on sign tricks
+        return "0"
+    if precision <= 15:
+        s = "%.*g" % (precision, v)
+        if "e" not in s and "n" not in s:  # no exponent, nan or inf
+            return s
     return np.format_float_positional(v, precision=precision, unique=True,
                                       fractional=False, trim="-")
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: Union[str, Iterable[str]]) -> None:
+    """Write ``text``, a string or an iterable of string chunks."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
 
 
 def _out_path(args, cfg: Config, key: str) -> Path:
@@ -138,17 +157,18 @@ def cmd_check_bc(args) -> int:
 # ------------------------------------------------------------- simulate
 
 
-def _states_csv(traj, nodes: np.ndarray, precision: int) -> str:
-    rows = ["t,x,comp,re,im"]
+def _states_csv(traj, nodes: np.ndarray, precision: int) -> Iterator[str]:
+    """Yield ``states.csv`` (``t,x,comp,re,im``): the header, then one
+    chunk per state with a row per node and component."""
     n = traj.states.shape[2]
+    prefixes = [f",{_fmt(x, precision)},{c}," for x in nodes for c in range(n)]
+    yield "t,x,comp,re,im\n"
     for t, state in zip(traj.times, traj.states):
         ts = _fmt(t, precision)
-        for j, x in enumerate(nodes):
-            xs = _fmt(x, precision)
-            for c in range(n):
-                z = state[j, c]
-                rows.append(f"{ts},{xs},{c},{_fmt(z.real, precision)},{_fmt(z.imag, precision)}")
-    return "\n".join(rows) + "\n"
+        flat = state.reshape(-1)
+        yield "".join(
+            f"{ts}{prefix}{_fmt(re, precision)},{_fmt(im, precision)}\n"
+            for prefix, re, im in zip(prefixes, flat.real.tolist(), flat.imag.tolist()))
 
 
 def _energy_csv(traj, precision: int) -> str:

@@ -166,6 +166,122 @@ def test_simulate_precision_key_controls_digits(tmp_path):
         assert len(digits) <= 3
 
 
+# ------------------------------------------------------------- number formatting
+
+
+def seed_fmt(value, precision=12):
+    """Reference formatter: numpy's shortest digits cut to ``precision``."""
+    v = float(value)
+    if v == 0.0:
+        v = 0.0
+    return np.format_float_positional(v, precision=precision, unique=True,
+                                      fractional=False, trim="-")
+
+
+def seed_states_csv(traj, nodes, precision):
+    """Reference ``states.csv``: one value at a time, as a single string."""
+    rows = ["t,x,comp,re,im"]
+    n = traj.states.shape[2]
+    for t, state in zip(traj.times, traj.states):
+        ts = seed_fmt(t, precision)
+        for j, x in enumerate(nodes):
+            xs = seed_fmt(x, precision)
+            for c in range(n):
+                z = state[j, c]
+                rows.append(f"{ts},{xs},{c},{seed_fmt(z.real, precision)},"
+                            f"{seed_fmt(z.imag, precision)}")
+    return "\n".join(rows) + "\n"
+
+
+def seed_energy_csv(traj, precision):
+    rows = ["t,E,boundary_dissipation"]
+    for t, e, d in zip(traj.times, traj.energies, traj.boundary_dissipation):
+        rows.append(f"{seed_fmt(t, precision)},{seed_fmt(e, precision)},"
+                    f"{seed_fmt(d, precision)}")
+    return "\n".join(rows) + "\n"
+
+
+def _fmt_cases(precision):
+    rng = np.random.default_rng(20131005 + precision)
+    values = list(10.0 ** rng.uniform(-20, 17, 3000) * rng.choice([-1.0, 1.0], 3000))
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               float("nan"), float("inf"), -float("inf"), 9738031576.56157]
+    for edge in (1e-4, 10.0 ** (precision - 1), 10.0 ** precision):
+        values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
+                   edge - 0.5, edge + 0.5]
+    values += [9.99999999999995e-05, 9.999999999999999e-05]
+    # decimals with precision + 1 digits ending in 5: the rounding ties
+    # (exact in binary for the dyadic ones, nearly exact for the rest)
+    digits = rng.integers(10 ** precision, 10 ** (precision + 1), 200) // 10 * 10 + 5
+    for scale in range(-precision - 4, 2):
+        values += [float(d) * 10.0 ** scale for d in digits[:20]]
+    values += [m / 2.0 ** k for k in range(1, 12) for m in range(1, 2000, 37)]
+    return values
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_fmt_matches_reference_formatter(precision):
+    for v in _fmt_cases(precision):
+        for w in (v, -v):
+            assert cli._fmt(w, precision) == seed_fmt(w, precision), (w, precision)
+
+
+def test_fmt_c_format_differs_at_16_digits():
+    """Why the %g shortcut stops at 15 digits: at 16 it is not the shortest form."""
+    v = 9738031576.56157
+    assert "%.16g" % v == "9738031576.561569"
+    assert cli._fmt(v, 16) == seed_fmt(v, 16) == "9738031576.56157"
+
+
+@pytest.mark.parametrize("precision", [12, 16])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_simulate_csv_bytes_match_reference(tmp_path, monkeypatch, name, precision):
+    import monoport.solver as sol
+
+    text = (CONFIG_DIR / name).read_text(encoding="utf-8")
+    dt = float(re.search(r"^dt\s*=\s*(\S+)", text, flags=re.M).group(1))
+    text, hits = re.subn(r"^T\s*=.*$", f"T = {3 * dt!r}", text, flags=re.M)
+    assert hits == 1
+    if precision != 12:
+        text += f"\n[output]\nprecision = {precision}\n"
+    cfg = write_cfg(tmp_path, text)
+
+    runs = []
+    real_simulate = sol.simulate
+
+    def capture(scenario, ops=None):
+        traj = real_simulate(scenario, ops)
+        runs.append((traj, ops.grid.nodes))
+        return traj
+
+    monkeypatch.setattr(sol, "simulate", capture)
+    cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    ((traj, nodes),) = runs
+    assert len(traj) == 4
+    states = (tmp_path / "states.csv").read_bytes()
+    energy = (tmp_path / "energy.csv").read_bytes()
+    assert states == seed_states_csv(traj, nodes, precision).encode("utf-8")
+    assert energy == seed_energy_csv(traj, precision).encode("utf-8")
+
+
+@pytest.mark.parametrize("precision", [1, 6, 12, 15, 16, 17])
+def test_csv_writers_on_adversarial_trajectory(precision):
+    from monoport.solver import Trajectory
+
+    states = np.array([
+        [[-0.0 + 0.0j, 1e-5 - 1e-5j], [np.nan + 1j * np.inf, 1e12 + 0.5j]],
+        [[9.99999999999995e-05 - 0.0j, -1e17 + 1e-20j],
+         [0.125 + 2.5j, -np.inf + 1j * np.nan]],
+    ])
+    traj = Trajectory(times=np.array([-0.0, 0.1]), states=states,
+                      energies=np.array([1e12, np.nan]),
+                      boundary_dissipation=np.array([-0.0, 1e-5]))
+    nodes = np.array([-1.0, 1.0 / 3.0])
+    assert "".join(cli._states_csv(traj, nodes, precision)) == seed_states_csv(
+        traj, nodes, precision)
+    assert cli._energy_csv(traj, precision) == seed_energy_csv(traj, precision)
+
+
 # ------------------------------------------------------------- verify
 
 
