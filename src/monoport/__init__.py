@@ -17,7 +17,8 @@ The package is organised around five layers:
   skew-selfadjointness tests, constraint extraction and membership tests.
 * :mod:`monoport.solver` — summation-by-parts discretisation, the
   constructive resolvent of the implicitly stepped system, and θ-scheme
-  time integration with exact discrete energy bookkeeping.
+  time integration (one :class:`~monoport.solver.Stepper` per run) with
+  exact discrete energy bookkeeping.
 
 :mod:`monoport.cli` exposes the ``monoport`` command with the
 ``check-bc``, ``simulate``, ``verify`` and ``convergence`` subcommands.
@@ -76,6 +77,7 @@ from monoport.solver import (
     DiscreteOperators,
     Grid,
     Scenario,
+    Stepper,
     Trajectory,
     discretize,
     oracle_transport,
@@ -137,6 +139,7 @@ __all__ = [
     "Trajectory",
     "discretize",
     "resolve_A",
+    "Stepper",
     "step",
     "simulate",
     "oracle_transport",

@@ -309,7 +309,7 @@ def _pairing_study(cfg: Config, phs, basis, levels: int, seed: int):
         u = sum(cu[k][None, :] * np.cos((k + 0.5) * xs / cfg.b)[:, None] for k in range(3))
         v = sum(cv[k][None, :] * np.sin((k + 1) * 0.9 * xs / cfg.b)[:, None] for k in range(3))
         lhs = np.sum(ops.omega[:, None] * (
-            (ops.Dfull @ v.ravel()).reshape(-1, n).conj() * u +
+            (ops.Gfull @ v.ravel()).reshape(-1, n).conj() * u +
             (ops.Gfull @ u.ravel()).reshape(-1, n).conj() * v)).real
         xu = project_bd(basis, "even", xs, u)
         yv = project_bd(basis, "odd", xs, v)

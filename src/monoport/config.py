@@ -101,12 +101,6 @@ def _parse_matrix(text: str, where: str) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
-def _real_matrix_or_complex(mat: np.ndarray) -> np.ndarray:
-    if np.all(mat.imag == 0.0):
-        return mat  # keep complex dtype; emission strips zero imag parts
-    return mat
-
-
 @dataclass(frozen=True)
 class Config:
     """Parsed scenario file; see the module docstring for the grammar."""

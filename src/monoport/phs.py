@@ -179,11 +179,6 @@ class PortHamiltonian:
             return np.stack([_check_density(self.hamiltonian(x), self.n, f" at x={x:g}") for x in xs])
         return np.broadcast_to(self.hamiltonian, (len(xs), self.n, self.n)).copy()
 
-    def coercivity(self, xs: np.ndarray) -> float:
-        """Smallest eigenvalue of the energy density over the given nodes."""
-        samples = self.hamiltonian_grid(xs)
-        return float(min(np.linalg.eigvalsh(s)[0] for s in samples))
-
 
 def eigendecompose(p1: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Eigenvalues (ascending) and a deterministic orthonormal eigenbasis.

@@ -25,12 +25,21 @@ roundoff, not asymptotically):
   ``D_k`` the stage boundary pairing.  Monotone relations containing
   the origin therefore dissipate *every step exactly*, and skew
   relations conserve at ``theta = 1/2``.
+
+A run is one :class:`Stepper`: it checks the boundary condition's
+certificate, factors the resolvent once, and carries the generator
+action and the effort/flow pair from one step to the next.
+``step(w, stepper)`` advances the state by one theta-step and leaves
+that step's boundary pairing in ``stepper.dissipation``;
+:func:`simulate` is the loop ``w = step(w, stepper)``.  A fresh
+``Stepper`` gives the stand-alone one-step map, whose explicit leg is
+computed from the state itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -58,6 +67,7 @@ __all__ = [
     "resolve_A",
     "Scenario",
     "Trajectory",
+    "Stepper",
     "step",
     "simulate",
     "oracle_transport",
@@ -77,27 +87,19 @@ class Grid:
 class DiscreteOperators:
     """Grid realizations of the channel derivatives, plus quadrature.
 
-    ``Gfull`` and ``Dfull`` are the same matrix — the two continuum
-    operators are one differential expression, distinguished only by
-    domain — and ``Gc``/``Dc`` are that matrix composed with the
-    endpoint mask (the discrete compact-support domain).  All act on
-    node-major flattened fields (``n`` components per node).
-
-    ``gnorm_weights`` and ``dnorm_weights`` both equal the
-    summation-by-parts quadrature ``omega``: the graph norms of the two
-    channels share one discrete measure, which is what makes the
-    duality ``<Dc v, u> = -<v, Gfull u>`` exact rather than asymptotic.
+    ``Gfull`` is the summation-by-parts realization of ``P1 d/dx + P0``;
+    ``Dc`` is the same matrix composed with the endpoint mask (the
+    discrete compact-support domain).  Both act on node-major flattened
+    fields (``n`` components per node).  The quadrature ``omega`` is the
+    one measure of both graph norms, which is what makes the duality
+    ``<Dc v, u> = -<v, Gfull u>`` exact rather than asymptotic.
     """
 
     grid: Grid
     phs: PortHamiltonian
     Gfull: sp.csr_matrix
-    Dfull: sp.csr_matrix
-    Gc: sp.csr_matrix
     Dc: sp.csr_matrix
     omega: np.ndarray
-    gnorm_weights: np.ndarray
-    dnorm_weights: np.ndarray
     hgrid: np.ndarray
     hinv: np.ndarray
     identity_density: bool
@@ -116,20 +118,13 @@ class DiscreteOperators:
         w = np.repeat(self.omega, self.phs.n)
         return float(np.sqrt(np.sum(w * np.abs(flat) ** 2)))
 
-    def graph_norm(self, state) -> float:
-        """Discrete ``H^1`` graph norm using the same derivative as the PDE."""
-        w = _as_field(state, self.phs.n)
-        gw = (self.Gfull @ w.ravel()).reshape(w.shape)
-        quad = np.sum(self.omega[:, None] * (np.abs(w) ** 2 + np.abs(gw) ** 2))
-        return float(np.sqrt(quad.real))
-
 
 def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
     """Build the summation-by-parts grid operators on ``m`` cells.
 
     ``m`` must be even (so that 0 is a node and parity splits are exact)
     and at least the stencil width requires; the endpoint mask ``Z``
-    defines ``Gc = Dc = Gfull @ Z``.
+    defines ``Dc = Gfull @ Z``.
     """
     m = int(m)
     if m % 2 != 0:
@@ -156,12 +151,8 @@ def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
         grid=grid,
         phs=phs,
         Gfull=big,
-        Dfull=big,
-        Gc=clipped,
         Dc=clipped,
         omega=omega,
-        gnorm_weights=omega,
-        dnorm_weights=omega,
         hgrid=hgrid,
         hinv=hinv,
         identity_density=phs.hamiltonian is None,
@@ -281,8 +272,7 @@ def _require_certified(bc: BoundaryCondition, allow_uncertified: bool):
     maxi = bc.certificates.get("maximal")
     raise ValueError(
         "boundary condition lacks a maximal-monotonicity certificate "
-        f"(monotone={getattr(mono, 'monotone', '?')}, maximal={getattr(maxi, 'maximal', '?')}); "
-        "pass allow_uncertified=True to run anyway"
+        f"(monotone={getattr(mono, 'monotone', '?')}, maximal={getattr(maxi, 'maximal', '?')})"
     )
 
 
@@ -357,12 +347,10 @@ def resolve_A(ops: DiscreteOperators, phs: PortHamiltonian, bc: BoundaryConditio
 class Scenario:
     """One evolution problem: system, boundary relation, data, scheme.
 
-    ``u0`` is an initial grid field (its node count fixes the grid);
-    ``source`` is ``None``, a callable ``t -> grid field`` evaluated at
-    the stage time ``t_k + theta dt``, or a precollocated array with one
-    row per step.  ``theta`` interpolates between the midpoint rule
-    (1/2, conservative for skew relations) and implicit Euler (1,
-    unconditionally dissipative).
+    ``u0`` is an initial grid field (its node count fixes the grid).
+    ``theta`` interpolates between the midpoint rule (1/2, conservative
+    for skew relations) and implicit Euler (1, unconditionally
+    dissipative).
     """
 
     phs: PortHamiltonian
@@ -371,7 +359,6 @@ class Scenario:
     T: float
     dt: float
     theta: float = 1.0
-    source: Union[None, Callable, np.ndarray] = None
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -447,84 +434,67 @@ def _initial_action(ops: DiscreteOperators, bc: BoundaryCondition, w: np.ndarray
     return action, e0, fhat0
 
 
-def step(state, scenario: Scenario, ops: DiscreteOperators, t: float = 0.0,
-         carry: Optional[dict] = None, cache: Optional[_CoreSolver] = None) -> np.ndarray:
-    """Advance one theta-step; returns the next state.
+class Stepper:
+    """One run of the theta-scheme: the factored resolvent and the chained state.
 
-    ``carry`` (optional dict) threads the chained generator action and
-    trace pair between consecutive steps and receives the step's
-    ``"dissipation"``; without it every call stands alone, computing
-    the explicit leg directly from the state (that *is* the one-step
-    map the isometry property speaks about).  ``cache`` reuses the
-    factorizations across steps — mandatory for long runs, built
-    automatically otherwise.
+    Construction refuses a boundary condition without a maximal
+    monotonicity certificate and factors ``1 + theta dt A`` once.  Each
+    :func:`step` then reuses the factorization, warm-starts the
+    inclusion solve from the previous effort trace, and (for ``theta <
+    1``) takes the explicit leg from the previous step's generator
+    action instead of recomputing it.  ``dissipation`` is the stage
+    boundary pairing ``-Re<e, fhat>`` of the last step.
     """
+
+    def __init__(self, scenario: Scenario, ops: DiscreteOperators):
+        _require_certified(scenario.bc, False)
+        self.scenario = scenario
+        self.ops = ops
+        self.dissipation: Optional[float] = None
+        self._core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt,
+                                 None if ops.identity_density else ops.hinv)
+        self._action: Optional[np.ndarray] = None
+        self._effort: Optional[np.ndarray] = None
+        self._flow_hat: Optional[np.ndarray] = None
+
+
+def step(state, stepper: Stepper) -> np.ndarray:
+    """Advance ``state`` by one theta-step of the stepper's run."""
+    scenario, ops, core = stepper.scenario, stepper.ops, stepper._core
     theta, dt = scenario.theta, scenario.dt
-    mu = theta * dt
     n = scenario.phs.n
     w = _as_field(state, n)
-    if cache is None:
-        cache = _CoreSolver(ops, scenario.bc, mu,
-                            None if ops.identity_density else ops.hinv)
-    if abs(cache.mu - mu) > 1e-14 * mu:
-        raise ValueError("cached solver was factored for a different step size")
 
-    prev_pair = None
     rhs = w.ravel().astype(complex)
     if theta < 1.0:
         if not _is_affine(scenario.bc.port_relation):
             raise ValueError("theta < 1 requires a linear boundary relation")
-        action = carry.get("action") if carry else None
-        if action is None:
+        if stepper._action is None:
             action, e_prev, fhat_prev = _initial_action(ops, scenario.bc, w)
-            prev_pair = (e_prev, fhat_prev)
         else:
-            prev_pair = (carry["effort"], carry["flow_hat"])
+            action, e_prev, fhat_prev = stepper._action, stepper._effort, stepper._flow_hat
         rhs = rhs - (1.0 - theta) * dt * action
 
-    sval = _source_value(scenario, t, dt, theta, n, ops.nnodes, carry)
-    if sval is not None:
-        rhs = rhs + dt * sval.ravel()
-
-    x0 = carry.get("effort") if carry else None
-    p, s, e, fhat = cache.solve(rhs, x0=x0)
+    p, s, e, fhat = core.solve(rhs, x0=stepper._effort)
     w_next = np.einsum("jab,jb->ja", ops.hinv, p.reshape(ops.nnodes, n))
 
     if theta < 1.0:
-        e_stage = theta * e + (1.0 - theta) * prev_pair[0]
-        fhat_stage = theta * fhat + (1.0 - theta) * prev_pair[1]
+        e_stage = theta * e + (1.0 - theta) * e_prev
+        fhat_stage = theta * fhat + (1.0 - theta) * fhat_prev
+        stepper._action = (rhs - w_next.ravel()) / core.mu
     else:
         e_stage, fhat_stage = e, fhat
-    dissipation = -float(np.real(e_stage.conj() @ fhat_stage))
-
-    if carry is not None:
-        carry["action"] = (rhs - w_next.ravel()) / mu
-        carry["effort"] = e
-        carry["flow_hat"] = fhat
-        carry["dissipation"] = dissipation
+    stepper.dissipation = -float(np.real(e_stage.conj() @ fhat_stage))
+    stepper._effort, stepper._flow_hat = e, fhat
     return w_next
-
-
-def _source_value(scenario, t, dt, theta, n, nnodes, carry):
-    src = scenario.source
-    if src is None:
-        return None
-    if callable(src):
-        return _as_field(src(t + theta * dt), n)
-    arr = np.asarray(src)
-    k = int(round(t / dt))
-    if carry is not None and "step_index" in carry:
-        k = carry["step_index"]
-    if k >= arr.shape[0]:
-        raise ValueError("precollocated source has too few rows for this step")
-    return _as_field(arr[k], n)
 
 
 def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Trajectory:
     """Run the theta-scheme to ``T`` and record the energy ledger.
 
     The step count is ``round(T/dt)`` and the step actually used is
-    ``T/nsteps``, so the trajectory always lands exactly on ``T``.
+    ``T/nsteps``, so the trajectory always lands exactly on ``T``.  An
+    uncertified boundary condition raises ``ValueError`` before any step.
     """
     u0 = scenario.u0
     if ops is None:
@@ -533,20 +503,16 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
         raise ValueError("initial state does not match the grid")
     nsteps = max(1, int(round(scenario.T / scenario.dt)))
     dt_eff = scenario.T / nsteps
-    scn = replace(scenario, dt=dt_eff)
-    cache = _CoreSolver(ops, scn.bc, scn.theta * dt_eff,
-                        None if ops.identity_density else ops.hinv)
+    stepper = Stepper(replace(scenario, dt=dt_eff), ops)
 
     w = u0.astype(complex)
     times = [0.0]
     states = [w.copy()]
     energies = [ops.energy(w)]
     dissipation = [0.0]
-    carry: dict = {}
     for k in range(nsteps):
-        carry["step_index"] = k
         try:
-            w = step(w, scn, ops, t=k * dt_eff, carry=carry, cache=cache)
+            w = step(w, stepper)
         except (NonconvergenceError, ValueError, RuntimeError) as exc:
             wrapped = type(exc)(f"step {k} (t = {k * dt_eff:.6g}): {exc}")
             wrapped.residual = getattr(exc, "residual", None)
@@ -554,7 +520,7 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
         times.append((k + 1) * dt_eff)
         states.append(w.copy())
         energies.append(ops.energy(w))
-        dissipation.append(carry["dissipation"])
+        dissipation.append(stepper.dissipation)
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states),

@@ -335,7 +335,7 @@ def _suite_solver(seed: int) -> List[CheckResult]:
         u = np.stack([np.cos(0.7 * xsm), np.cos(1.3 * xsm)], axis=1).astype(complex)
         v = np.stack([np.sin(1.1 * xsm), np.sin(0.6 * xsm)], axis=1).astype(complex)
         lhs = np.sum(opsm.omega[:, None] * (
-            (opsm.Dfull @ v.ravel()).reshape(-1, 2).conj() * u +
+            (opsm.Gfull @ v.ravel()).reshape(-1, 2).conj() * u +
             (opsm.Gfull @ u.ravel()).reshape(-1, 2).conj() * v)).real
         xu = project_bd(basis2, "even", xsm, u)
         yv = project_bd(basis2, "odd", xsm, v)
@@ -360,7 +360,7 @@ def _suite_solver(seed: int) -> List[CheckResult]:
     for j in range(dim):
         wj = np.zeros(dim, dtype=complex)
         wj[j] = 1.0
-        cols.append(sol.step(wj.reshape(33, 2), scn_iso, ops_small).ravel())
+        cols.append(sol.step(wj.reshape(33, 2), sol.Stepper(scn_iso, ops_small)).ravel())
     tmat = np.stack(cols, axis=1)
     wdiag = np.repeat(ops_small.omega, 2)
     dev = np.abs(tmat.conj().T @ (wdiag[:, None] * tmat) - np.diag(wdiag)).max() / wdiag.max()

@@ -225,7 +225,7 @@ def test_criterion_07_pairing_identity_order():
         u = sum(cu[k][None, :] * np.cos((k + 0.5) * xs)[:, None] for k in range(3))
         v = sum(cv[k][None, :] * np.sin((k + 1) * 0.9 * xs)[:, None] for k in range(3))
         lhs = np.sum(ops.omega[:, None] * (
-            (ops.Dfull @ v.ravel()).reshape(-1, 2).conj() * u +
+            (ops.Gfull @ v.ravel()).reshape(-1, 2).conj() * u +
             (ops.Gfull @ u.ravel()).reshape(-1, 2).conj() * v)).real
         xu = project_bd(BASIS2, "even", xs, u)
         yv = project_bd(BASIS2, "odd", xs, v)

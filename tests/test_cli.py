@@ -144,6 +144,14 @@ def test_simulate_oracle_tolerance_override(tmp_path, capsys):
     assert "within tolerance: NO" in out
 
 
+def test_simulate_refuses_uncertified_condition(tmp_path, capsys):
+    code = cli.main(["simulate", "--config", str(CONFIG_DIR / "robin_wrong_sign.cfg"),
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert "maximal-monotonicity certificate" in capsys.readouterr().err
+    assert not (tmp_path / "states.csv").exists()
+
+
 def test_simulate_friction_scenario(tmp_path):
     cfg = write_cfg(tmp_path, FRICTION_SMALL)
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -234,7 +242,8 @@ def test_fmt_c_format_differs_at_16_digits():
 
 
 @pytest.mark.parametrize("precision", [12, 16])
-@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")
+                                        if p.name != "robin_wrong_sign.cfg"))
 def test_simulate_csv_bytes_match_reference(tmp_path, monkeypatch, name, precision):
     import monoport.solver as sol
 

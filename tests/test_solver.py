@@ -8,6 +8,7 @@ from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import LinearGraph, Shifted
 from monoport.solver import (
     Scenario,
+    Stepper,
     discretize,
     oracle_transport,
     resolve_A,
@@ -231,11 +232,58 @@ def test_midpoint_step_is_weighted_isometry(rng):
     for j in range(dim):
         wj = np.zeros(dim, dtype=complex)
         wj[j] = 1.0
-        cols.append(step(wj.reshape(17, 2), scn, ops).ravel())
+        cols.append(step(wj.reshape(17, 2), Stepper(scn, ops)).ravel())
     tmat = np.stack(cols, axis=1)
     wdiag = np.repeat(ops.omega, 2)
     dev = np.abs(tmat.conj().T @ (wdiag[:, None] * tmat) - np.diag(wdiag)).max()
     assert dev / wdiag.max() < 1e-9
+
+
+def test_simulate_refuses_uncertified_condition():
+    """Without the gate this run's energy climbs from 0.222 to 32.1."""
+    ops = discretize(PHS2, 128)
+    xs = ops.grid.nodes
+    bad = bnd.robin_bad(np.array([[1.0, 0.3], [0.3, 0.5]]), BASIS2)
+    u0 = np.stack([np.exp(-8 * xs**2), np.zeros_like(xs)], axis=1)
+    scn = Scenario(phs=PHS2, bc=bad, u0=u0, T=1.0, dt=0.01, theta=1.0)
+    with pytest.raises(ValueError, match="certificate"):
+        simulate(scn, ops)
+    with pytest.raises(ValueError, match="certificate"):
+        Stepper(scn, ops)
+
+
+def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
+    """Friction next to Robin on a coupled ``P1``: every step solves its
+    boundary inclusion by Douglas-Rachford splitting, warm-started from
+    the previous effort, and the energy identity of the module docstring
+    holds per step to roundoff."""
+    import monoport.relations as rels
+
+    phs = PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]])
+    bc = bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0))], bd_basis(phs))
+    ops = discretize(phs, 32)
+    xs = ops.grid.nodes
+    u0 = np.zeros((33, 2))
+    u0[:, 0] = np.exp(-8 * xs**2)
+    theta, dt = 1.0, 0.01
+    warm_starts = []
+    real_dr = rels._douglas_rachford
+
+    def counted(*args):
+        warm_starts.append(args[-1])
+        return real_dr(*args)
+
+    monkeypatch.setattr(rels, "_douglas_rachford", counted)
+    traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=dt, theta=theta), ops)
+    assert len(traj) == 101 and len(warm_starts) == 100
+    assert warm_starts[0] is None and all(x0 is not None for x0 in warm_starts[1:])
+
+    e = traj.energies
+    for k in range(100):
+        a = (traj.states[k + 1] - traj.states[k]) / dt
+        predicted = -dt * traj.boundary_dissipation[k + 1] - (theta - 0.5) * dt**2 * 2 * ops.energy(a)
+        assert abs(e[k + 1] - e[k] - predicted) <= 1e-8 * e[0], k
+    assert dt * traj.boundary_dissipation[1:].sum() > 1e-2
 
 
 def test_transport_pulse_matches_characteristics():
