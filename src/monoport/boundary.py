@@ -349,16 +349,11 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
 
 
 def _part_bounded(rel: Relation) -> bool:
-    """Whether a frictional part provably maps bounded sets to bounded sets."""
-    if isinstance(rel, SeparableProx):
-        return all(p[0] in ("abs", "zero") for p in rel.pieces)
+    """Whether a frictional part provably maps bounded sets to bounded sets
+    (friction always does; a map does when it carries a Lipschitz bound)."""
     if isinstance(rel, MonotoneMap):
         return rel.lipschitz is not None
-    if isinstance(rel, Shifted):
-        return _part_bounded(rel.base)
-    if isinstance(rel, LinearGraph):
-        return True  # finite-dimensional graph; resolvent sampling is exact anyway
-    return False
+    return isinstance(rel, SeparableProx)
 
 
 def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:

@@ -15,15 +15,14 @@ Representations
     the span of finitely many pairs, stored as an orthonormal basis of
     the graph subspace of ``H + H``.
 ``MonotoneMap``
-    a single-valued continuous map given by an evaluator, with optional
-    Lipschitz constant and Jacobian evaluator.
+    a single-valued continuous map given by an evaluator, with an
+    optional Lipschitz constant.
 ``SeparableProx``
-    per-coordinate convex pieces (scaled absolute value, quadratic,
-    interval indicator, zero), each with a closed-form proximal map.
-``Shifted``, ``DirectSum``, ``Transformed``, ``Weighted``
-    combinators: graph translation, block sums, the congruence
-    ``T* B T``, and the reweighting ``{(x, y) : (P x, y) in A}`` for a
-    Hermitian positive-definite ``P``.
+    coordinatewise friction: per-coordinate scaled absolute values,
+    each with a closed-form proximal map (soft thresholding).
+``Shifted``, ``DirectSum``, ``Transformed``
+    combinators: graph translation, block sums, and the congruence
+    ``T* B T`` by an invertible map ``T``.
 
 Post-sets ``A[{x}]`` are described as affine sets, interval products or
 single points; interval descriptions are the real sections of the
@@ -58,7 +57,6 @@ __all__ = [
     "Shifted",
     "DirectSum",
     "Transformed",
-    "Weighted",
     "InverseRelation",
     "post_set",
     "inverse",
@@ -294,20 +292,16 @@ class MonotoneMap(Relation):
         Evaluator ``x -> F(x)``.
     lipschitz:
         Optional Lipschitz constant of ``F`` in the space's norm; enables
-        the fixed-step damped iteration.
-    deriv:
-        Optional Jacobian evaluator ``x -> F'(x)`` (matrix); enables the
-        Newton path.
+        the fixed-step damped iteration.  Without it the step length
+        adapts (halved on a residual increase, grown by 1.2 otherwise).
     """
 
     representation = "MonotoneMap"
 
-    def __init__(self, space, func: Callable, lipschitz: Optional[float] = None,
-                 deriv: Optional[Callable] = None):
+    def __init__(self, space, func: Callable, lipschitz: Optional[float] = None):
         self.space = space
         self.func = func
         self.lipschitz = lipschitz
-        self.deriv = deriv
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=complex)), dtype=complex).reshape(-1)
@@ -327,30 +321,6 @@ class MonotoneMap(Relation):
 
         r = residual(z)
         rnorm = space.norm(r)
-        if self.deriv is not None:
-            # damped Newton with a residual-decrease line search
-            for _ in range(max_iter):
-                if rnorm <= tol * scale:
-                    return z
-                jac = phi + np.atleast_2d(np.asarray(self.deriv(z), dtype=complex))
-                try:
-                    dz = np.linalg.solve(jac, -r)
-                except np.linalg.LinAlgError:
-                    break
-                alpha = 1.0
-                while alpha > 2.0 ** -30:
-                    z_new = z + alpha * dz
-                    r_new = residual(z_new)
-                    rn = space.norm(r_new)
-                    if rn < (1.0 - 1e-4 * alpha) * rnorm:
-                        z, r, rnorm = z_new, r_new, rn
-                        break
-                    alpha *= 0.5
-                else:
-                    break  # no decrease: fall through to the damped iteration
-            if rnorm <= tol * scale:
-                return z
-
         # damped fixed-point iteration z <- z - tau * (phi z + F(z) - g)
         phinorm = float(np.linalg.norm(phi, 2))
         if self.lipschitz is not None:
@@ -382,15 +352,11 @@ class MonotoneMap(Relation):
 
 
 class SeparableProx(Relation):
-    """Per-coordinate convex pieces with closed-form proximal maps.
+    """Coordinatewise friction, with a closed-form proximal map.
 
-    ``pieces`` is one tuple per coordinate:
-
-    - ``("abs", mu)`` — the set-valued derivative of ``mu |x|``, ``mu >= 0``;
-    - ``("quad", alpha)`` — the derivative of ``alpha |x|^2 / 2``, ``alpha >= 0``;
-    - ``("interval", lo, hi)`` — the normal-cone relation of the real
-      interval ``[lo, hi]`` (endpoints may be infinite);
-    - ``("zero",)`` — the zero map.
+    ``pieces`` is one tuple per coordinate, ``("abs", mu)``: the
+    set-valued derivative of ``mu |x|``, ``mu >= 0``, whose proximal map
+    is soft thresholding.
 
     The space weight must be diagonal with positive real entries (the
     pieces are coordinatewise, and only then is the product monotone in
@@ -421,104 +387,44 @@ class SeparableProx(Relation):
 
 
 def _validate_piece(p: tuple):
-    kind = p[0]
-    if kind == "abs":
-        if len(p) != 2 or not (float(p[1]) >= 0.0):
-            raise ValueError(f"abs piece needs a nonnegative scale, got {p!r}")
-    elif kind == "quad":
-        if len(p) != 2 or not (float(p[1]) >= 0.0):
-            raise ValueError(f"quad piece needs a nonnegative curvature, got {p!r}")
-    elif kind == "interval":
-        if len(p) != 3 or not (float(p[1]) <= float(p[2])):
-            raise ValueError(f"interval piece needs lo <= hi, got {p!r}")
-    elif kind == "zero":
-        if len(p) != 1:
-            raise ValueError(f"zero piece takes no parameters, got {p!r}")
-    else:
-        raise ValueError(f"unknown piece kind {kind!r}")
+    if p[0] != "abs":
+        raise ValueError(f"unknown piece kind {p[0]!r}")
+    if len(p) != 2 or not (float(p[1]) >= 0.0):
+        raise ValueError(f"abs piece needs a nonnegative scale, got {p!r}")
 
 
 def _prox_piece(p: tuple, lam: float, v: complex) -> complex:
-    kind = p[0]
-    if kind == "abs":
-        t = lam * p[1]
-        av = abs(v)
-        return 0.0 if av <= t else v * (1.0 - t / av)
-    if kind == "quad":
-        return v / (1.0 + lam * p[1])
-    if kind == "interval":
-        return complex(min(max(v.real, p[1]), p[2]))
-    return v  # zero
+    t = lam * p[1]
+    av = abs(v)
+    return 0.0 if av <= t else v * (1.0 - t / av)
 
 
 def _postset_piece(p: tuple, x: complex):
-    """Post-set of one piece at ``x``: (lo, hi) singleton/interval or None."""
-    kind = p[0]
-    atol = 1e-12
-    if kind == "abs":
-        mu = p[1]
-        if abs(x) <= atol:
-            return (-mu, mu)
-        v = mu * x / abs(x)
-        return (v, v)
-    if kind == "quad":
-        v = p[1] * x
-        return (v, v)
-    if kind == "interval":
-        lo, hi = p[1], p[2]
-        if abs(x.imag) > atol * max(1.0, abs(x)):
-            return None
-        t = x.real
-        if t < lo - atol or t > hi + atol:
-            return None
-        at_lo = abs(t - lo) <= atol * max(1.0, abs(lo))
-        at_hi = abs(t - hi) <= atol * max(1.0, abs(hi))
-        if at_lo and at_hi:
-            return (-np.inf, np.inf)
-        if at_lo:
-            return (-np.inf, 0.0)
-        if at_hi:
-            return (0.0, np.inf)
-        return (0.0, 0.0)
-    return (0.0, 0.0)  # zero
+    """Post-set of one piece at ``x``: (lo, hi) singleton or interval."""
+    mu = p[1]
+    if abs(x) <= 1e-12:
+        return (-mu, mu)
+    v = mu * x / abs(x)
+    return (v, v)
 
 
 def _inverse_postset_piece(p: tuple, w: complex):
-    """Post-set of the INVERSE of one piece at ``w``."""
-    kind = p[0]
+    """Post-set of the INVERSE of one piece at ``w``, or None if empty."""
     atol = 1e-12
-    if kind == "abs":
-        mu = p[1]
-        if mu == 0.0:
-            return (-np.inf, np.inf) if abs(w) <= atol else None
-        if abs(w) < mu - atol * max(1.0, mu):
-            return (0.0, 0.0)
-        if abs(w) > mu + atol * max(1.0, mu):
-            return None
-        # |w| == mu: the post-set is the ray along w
-        if abs(w.imag) > atol * max(1.0, abs(w)):
-            raise ValueError(
-                "inverse post-set on the boundary circle is a ray; only the "
-                "real section is representable as an interval"
-            )
-        return (0.0, np.inf) if w.real > 0 else (-np.inf, 0.0)
-    if kind == "quad":
-        alpha = p[1]
-        if alpha == 0.0:
-            return (-np.inf, np.inf) if abs(w) <= atol else None
-        v = w / alpha
-        return (v, v)
-    if kind == "interval":
-        if abs(w.imag) > atol * max(1.0, abs(w)):
-            return None
-        lo, hi = p[1], p[2]
-        if w.real > atol:
-            return None if not np.isfinite(hi) else (hi, hi)
-        if w.real < -atol:
-            return None if not np.isfinite(lo) else (lo, lo)
-        return (lo, hi)
-    # zero map: inverse at 0 is everything, else empty
-    return (-np.inf, np.inf) if abs(w) <= atol else None
+    mu = p[1]
+    if mu == 0.0:
+        return (-np.inf, np.inf) if abs(w) <= atol else None
+    if abs(w) < mu - atol * max(1.0, mu):
+        return (0.0, 0.0)
+    if abs(w) > mu + atol * max(1.0, mu):
+        return None
+    # |w| == mu: the post-set is the ray along w
+    if abs(w.imag) > atol * max(1.0, abs(w)):
+        raise ValueError(
+            "inverse post-set on the boundary circle is a ray; only the "
+            "real section is representable as an interval"
+        )
+    return (0.0, np.inf) if w.real > 0 else (-np.inf, 0.0)
 
 
 class Shifted(Relation):
@@ -570,7 +476,8 @@ class DirectSum(Relation):
 
 
 class Transformed(Relation):
-    """The congruence ``T* B T = {(x, T* w) : (T x, w) in B}``.
+    """The congruence ``T* B T = {(x, T* w) : (T x, w) in B}`` by an
+    invertible map ``T`` (square, condition number below ``1e12``).
 
     Constructed through :func:`transform`; linear ``B`` never reaches
     this class (its congruence is computed exactly as a ``LinearGraph``).
@@ -578,90 +485,31 @@ class Transformed(Relation):
 
     representation = "Transformed"
 
-    # continuation schedule for the non-invertible-T resolvent path
-    _MU_SCHEDULE = tuple(10.0 ** -k for k in range(1, 9))
-
     def __init__(self, tmap: LinearMap, base: Relation):
         if not isinstance(tmap, LinearMap):
             raise TypeError("transform expects a LinearMap")
         if tmap.target.dim != base.space.dim:
             raise ValueError("map target must match the wrapped relation's space")
+        m = tmap.matrix
+        if m.shape[0] != m.shape[1] or not np.linalg.cond(m) < 1e12:
+            raise ValueError(
+                "the congruence of a nonlinear relation needs an invertible map"
+            )
         self.tmap = tmap
         self.base = base
         self.space = tmap.source
         self.adj_matrix = _map_adjoint(tmap).matrix
-        m = tmap.matrix
-        self._square = m.shape[0] == m.shape[1]
-        self._invertible = False
-        if self._square:
-            cond = np.linalg.cond(m)
-            self._invertible = bool(np.isfinite(cond) and cond < 1e12)
 
     def _resolve(self, lam, y, tol, max_iter, x0):
         t = self.tmap.matrix
         ts = self.adj_matrix
-        if self._invertible:
-            # substitute z = T x: (T T*)^{-1} z / lam + B(z) = T*^{-1} y / lam
-            tts = t @ ts
-            phi = np.linalg.solve(tts, np.eye(tts.shape[0])) / lam
-            g = np.linalg.solve(ts, y) / lam
-            z0 = None if x0 is None else t @ np.asarray(x0)
-            z, w = solve_inclusion(phi, self.base, g, tol=tol, max_iter=max_iter, x0=z0)
-            return np.linalg.solve(t, z), ts @ w
-        # continuation in the regularization parameter with warm starts:
-        # solve x + lam T* B_mu(T x) = y for decreasing mu, accepting when
-        # the wrapped graph's residual mu * |B_mu(Tx)| is small enough
-        space = self.space
-        scale = max(1.0, float(np.linalg.norm(y)))
-        x = np.array(y, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
-        last = np.inf
-        for mu in self._MU_SCHEDULE:
-            def fmu(v, _mu=mu):
-                jz, _ = self.base._resolve(_mu, t @ v, tol, max_iter, None)
-                return ts @ ((t @ v - jz) / _mu)
-
-            fm = MonotoneMap(space, fmu)
-            x = fm._solve_perturbed(np.eye(space.dim) / lam, y / lam, tol, max_iter, x)
-            jz, w = self.base._resolve(mu, t @ x, tol, max_iter, None)
-            last = float(self.base.space.norm(t @ x - jz))
-            if last <= tol * scale:
-                return x, ts @ w
-        raise NonconvergenceError(
-            f"continuation exhausted its schedule (graph residual {last:.3e})",
-            residual=last,
-        )
-
-
-class Weighted(Relation):
-    """Reweighted relation ``{(x, y) : (P x, y) in base}`` on the space
-    whose inner product is ``<x|y>_P = <P x|y>``.
-
-    ``P`` must be selfadjoint and positive definite with respect to the
-    base space's inner product.
-    """
-
-    representation = "Weighted"
-
-    def __init__(self, base: Relation, p):
-        w = base.space.weight
-        p = np.atleast_2d(np.asarray(p, dtype=complex))
-        if p.shape != (base.space.dim,) * 2:
-            raise ValueError("weight matrix must be square of the space dimension")
-        dev = np.linalg.norm(p.conj().T @ w - w @ p)
-        if dev > 1e-12 * max(1.0, np.linalg.norm(w @ p)):
-            raise ValueError("P must be selfadjoint in the base space")
-        self.base = base
-        self.p = p
-        # the InnerProductSpace constructor is the positivity check
-        self.space = InnerProductSpace(base.space.dim, p.conj().T @ w)
-
-    def _resolve(self, lam, y, tol, max_iter, x0):
-        # x + lam A_P(x) = y  <=>  P^{-1} z / lam + A(z) = y / lam,  z = P x
-        pinv = np.linalg.solve(self.p, np.eye(self.p.shape[0]))
-        z0 = None if x0 is None else self.p @ np.asarray(x0)
-        z, w = solve_inclusion(pinv / lam, self.base, y / lam, tol=tol,
-                               max_iter=max_iter, x0=z0)
-        return pinv @ z, w
+        # substitute z = T x: (T T*)^{-1} z / lam + B(z) = T*^{-1} y / lam
+        tts = t @ ts
+        phi = np.linalg.solve(tts, np.eye(tts.shape[0])) / lam
+        g = np.linalg.solve(ts, y) / lam
+        z0 = None if x0 is None else t @ np.asarray(x0)
+        z, w = solve_inclusion(phi, self.base, g, tol=tol, max_iter=max_iter, x0=z0)
+        return np.linalg.solve(t, z), ts @ w
 
 
 class InverseRelation(Relation):
@@ -691,8 +539,8 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, tol: Optional
 
     This is the primitive behind every resolvent in the module
     (``phi = I / lam`` recovers ``(1 + lam A)^{-1}`` at ``g = y / lam``)
-    and behind the weighted/transformed wrappers, which contribute
-    non-scalar ``phi``.
+    and behind the congruence wrapper, which contributes a non-scalar
+    ``phi``.
 
     Returns ``(z, w)`` with ``w in rel(z)`` (exactly, for closed-form
     representations; to the iteration tolerance otherwise) and
@@ -701,7 +549,7 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, tol: Optional
     Dispatch: scalar ``phi`` reduces to the wrapped resolvent; linear
     graphs are solved directly; diagonal ``phi`` against coordinatewise
     pieces is solved per coordinate; block ``phi`` against a direct sum
-    recurses; a single-valued map uses the damped/Newton solver; the
+    recurses; a single-valued map uses the damped solver; the
     general case runs Douglas–Rachford splitting between the affine part
     and the relation.
     """
@@ -877,14 +725,9 @@ def post_set(rel: Relation, x) -> object:
         return PointSet(points=(rel(x),))
     if isinstance(rel, SeparableProx):
         x = rel.space.check_vector(x)
-        los, his = [], []
-        for p, xk in zip(rel.pieces, x):
-            got = _postset_piece(p, xk)
-            if got is None:
-                return EMPTY
-            los.append(got[0])
-            his.append(got[1])
-        return IntervalProduct(lo=np.asarray(los, dtype=complex), hi=np.asarray(his, dtype=complex))
+        got = [_postset_piece(p, xk) for p, xk in zip(rel.pieces, x)]
+        return IntervalProduct(lo=np.asarray([g[0] for g in got], dtype=complex),
+                               hi=np.asarray([g[1] for g in got], dtype=complex))
     if isinstance(rel, InverseRelation) and isinstance(rel.base, SeparableProx):
         x = rel.space.check_vector(x)
         los, his = [], []
@@ -985,31 +828,22 @@ def adjoint_relation(rel: Relation) -> Relation:
 
 def scale_add(lam: complex, rel_a: Relation, rel_b: Relation) -> Relation:
     """The combination ``lam A + B = {(x, lam y + z) : (x,y) in A, (x,z) in B}``
-    on the intersection of the domains.
-
-    Supported pairings: two linear graphs (solved by intersecting the
-    domain parametrizations) or two single-valued maps.
+    of two linear graphs on the intersection of their domains, computed
+    exactly by intersecting the domain parametrizations.
     """
     if rel_a.space.dim != rel_b.space.dim:
         raise ValueError("relations must live on the same space")
-    if isinstance(rel_a, LinearGraph) and isinstance(rel_b, LinearGraph):
-        null = _nullspace(np.hstack([rel_a.zx, -rel_b.zx]))
-        ka = rel_a.graph_dim
-        a_part, b_part = null[:ka], null[ka:]
-        zx = rel_a.zx @ a_part
-        zy = lam * (rel_a.zy @ a_part) + rel_b.zy @ b_part
-        return LinearGraph(rel_a.space, zx, zy)
-    if isinstance(rel_a, MonotoneMap) and isinstance(rel_b, MonotoneMap):
-        lip = None
-        if rel_a.lipschitz is not None and rel_b.lipschitz is not None:
-            lip = abs(lam) * rel_a.lipschitz + rel_b.lipschitz
-        return MonotoneMap(rel_a.space,
-                           lambda v: lam * rel_a(v) + rel_b(v),
-                           lipschitz=lip)
-    raise ValueError(
-        "scale_add supports two linear graphs or two single-valued maps, got "
-        f"{rel_a.representation!r} and {rel_b.representation!r}"
-    )
+    if not (isinstance(rel_a, LinearGraph) and isinstance(rel_b, LinearGraph)):
+        raise ValueError(
+            "scale_add supports two linear graphs, got "
+            f"{rel_a.representation!r} and {rel_b.representation!r}"
+        )
+    null = _nullspace(np.hstack([rel_a.zx, -rel_b.zx]))
+    ka = rel_a.graph_dim
+    a_part, b_part = null[:ka], null[ka:]
+    zx = rel_a.zx @ a_part
+    zy = lam * (rel_a.zy @ a_part) + rel_b.zy @ b_part
+    return LinearGraph(rel_a.space, zx, zy)
 
 
 def direct_sum(relations: Sequence[Relation]) -> DirectSum:
@@ -1024,9 +858,9 @@ def transform(tmap, rel: Relation) -> Relation:
     as a new ``LinearGraph`` (the domain condition ``T x in dom B`` is
     pulled back by a null-space computation; a shifted graph whose
     translated domain misses the range of ``T`` is empty, which is an
-    error).  Other representations are wrapped lazily; their resolvent
-    uses an exact substitution when ``T`` is square and well conditioned
-    and a regularized continuation otherwise.
+    error).  Other representations are wrapped lazily in
+    :class:`Transformed`, which needs ``T`` square and well conditioned;
+    its resolvent substitutes ``z = T x`` exactly.
     """
     if not isinstance(tmap, LinearMap):
         raise TypeError("transform expects a LinearMap")
@@ -1096,10 +930,7 @@ def _sample_one(rel: Relation, rng, scale):
     if isinstance(rel, InverseRelation):
         x, y = _sample_one(rel.base, rng, scale)
         return y, x
-    if isinstance(rel, Weighted):
-        z, y = _sample_one(rel.base, rng, scale)
-        return np.linalg.solve(rel.p, z), y
-    if isinstance(rel, Transformed) and rel._invertible:
+    if isinstance(rel, Transformed):
         z, w = _sample_one(rel.base, rng, scale)
         return np.linalg.solve(rel.tmap.matrix, z), rel.adj_matrix @ w
     raise ValueError(f"cannot sample graph points of {rel.representation!r}")
@@ -1138,9 +969,7 @@ def graph_residual(rel: Relation, x, y) -> float:
                                  for p, xk, yk in zip(rel.parts, xs, ys))))
     if isinstance(rel, InverseRelation):
         return graph_residual(rel.base, y, x)
-    if isinstance(rel, Weighted):
-        return graph_residual(rel.base, rel.p @ x, y)
-    if isinstance(rel, Transformed) and rel._invertible:
+    if isinstance(rel, Transformed):
         t = rel.tmap.matrix
         return graph_residual(rel.base, t @ x, np.linalg.solve(rel.adj_matrix, y))
     raise ValueError(f"no graph residual available for {rel.representation!r}")
@@ -1187,11 +1016,6 @@ def _monotone_dispatch(rel, trials, seed) -> Certificate:
         cert = _monotone_dispatch(rel.base, trials, seed)
         return _lift_certificate(cert, "inverse-invariant: " + cert.method,
                                  lambda pair: (pair[1], pair[0]))
-    if isinstance(rel, Weighted):
-        cert = _monotone_dispatch(rel.base, trials, seed)
-        pinv = np.linalg.solve(rel.p, np.eye(rel.p.shape[0]))
-        return _lift_certificate(cert, "weight-invariant: " + cert.method,
-                                 lambda pair: (pinv @ pair[0], pair[1]))
     if isinstance(rel, Transformed):
         cert = _monotone_dispatch(rel.base, trials, seed)
         if cert.monotone == "yes":
@@ -1337,11 +1161,7 @@ def _maximal_dispatch(rel, trials, seed) -> Certificate:
         cert = _maximal_dispatch(rel.base, trials, seed)
         cert.method = "inverse-invariant: " + cert.method
         return cert
-    if isinstance(rel, Weighted):
-        cert = _maximal_dispatch(rel.base, trials, seed)
-        cert.method = "weight-invariant: " + cert.method
-        return cert
-    if isinstance(rel, Transformed) and rel._invertible:
+    if isinstance(rel, Transformed):
         cert = _maximal_dispatch(rel.base, trials, seed)
         cert.method = "congruence by an invertible map: " + cert.method
         return cert

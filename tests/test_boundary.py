@@ -142,13 +142,17 @@ def test_robin_zero_matches_neumann(basis2):
     assert gap < 1e-12
 
 
-def test_robin_bad_produces_reverifiable_witness(rng, basis2):
+@pytest.mark.parametrize("value", [0.0, 0.3])
+def test_robin_bad_produces_reverifiable_witness(rng, basis2, value):
+    # a nonzero value makes the port relation a Shifted graph, whose
+    # certificate lifts the linear witness by the shift
     mmat = np.array([[1.0, 0.3], [0.3, 0.5]])
-    bc = robin_bad(mmat, basis2)
+    bc = robin_bad(mmat, basis2, value=value)
     cert = bc.certificates["monotone"]
     assert cert.monotone == "no"
     assert not bc.is_maximal_monotone
     (x1, y1), (x2, y2) = cert.witness["pair_a"], cert.witness["pair_b"]
+    assert np.allclose(x2, 0.0) and np.allclose(y2, -value)
     # the witness pairs genuinely lie on the port relation ...
     assert graph_residual(bc.port_relation, x1, y1) < 1e-10
     assert graph_residual(bc.port_relation, x2, y2) < 1e-10

@@ -330,6 +330,17 @@ def test_transform_scaled_sign_relation_by_cases():
     assert resolvent(got, 1.0, [3.0]) == pytest.approx([1.0], abs=1e-8)
 
 
+def test_transform_of_nonlinear_relation_needs_invertible_map():
+    """A linear graph is transported exactly by any map; a nonlinear
+    relation only by a square, well-conditioned one."""
+    embed = LinearMap(C1, InnerProductSpace(2), np.array([[1.0], [1.0]]))
+    with pytest.raises(ValueError, match="invertible"):
+        transform(embed, direct_sum([sign_relation(), sign_relation()]))
+    singular = LinearMap(InnerProductSpace(2), InnerProductSpace(2), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="invertible"):
+        transform(singular, direct_sum([sign_relation(), sign_relation()]))
+
+
 def test_transform_preserves_monotonicity(rng):
     space3 = InnerProductSpace(3, rand_spd(rng, 3))
     rel = LinearGraph.from_matrix(InnerProductSpace(2), rand_monotone_matrix(rng, 2))
@@ -391,18 +402,21 @@ def test_check_maximal_detects_rank_deficiency():
 
 
 def test_check_maximal_closed_form_path_on_prox():
-    rel = SeparableProx(InnerProductSpace(2), [("abs", 0.5), ("quad", 1.0)])
+    rel = SeparableProx(InnerProductSpace(2), [("abs", 0.5), ("abs", 1.0)])
     cert = check_maximal(rel)
     assert cert.maximal == "yes"
     assert "closed-form" in cert.method
 
 
-def test_check_maximal_sampled_path_on_map():
+@pytest.mark.parametrize("lipschitz", [1.2, None])
+def test_check_maximal_sampled_path_on_map(lipschitz):
+    # without a Lipschitz bound the damped iteration adapts its step length
     rel = MonotoneMap(InnerProductSpace(2),
-                      lambda x: x + 0.2 * np.tanh(np.real(x)), lipschitz=1.2)
+                      lambda x: x + 0.2 * np.tanh(np.real(x)), lipschitz=lipschitz)
     cert = check_maximal(rel, trials=25, seed=4)
     assert cert.maximal == "yes"
     assert "sampl" in cert.method or "resolvent" in cert.method
+    assert cert.witness["max_residual"] < 1e-6
 
 
 # ---------------------------------------------------------------- inclusion

@@ -286,6 +286,41 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
     assert dt * traj.boundary_dissipation[1:].sum() > 1e-2
 
 
+@pytest.mark.parametrize("p1, make_bc, theta", [
+    # Shifted branch on every step (and principal_section through Shifted
+    # at step 0); the Robin value supplies energy, so dissipation is negative
+    ([[1.0, 0.7], [0.7, 1.5]], lambda basis: bnd.robin(np.eye(2), basis, value=0.3), 0.5),
+    # block-diagonal DirectSum branch: phi is diagonal when P1 is
+    ([[1.0, 0.0], [0.0, 2.0]],
+     lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0))], basis), 1.0),
+], ids=["shifted-coupled", "direct-sum-diagonal"])
+def test_non_scalar_fast_paths_skip_splitting_and_keep_ledger(monkeypatch, p1, make_bc, theta):
+    import monoport.relations as rels
+
+    phs = PortHamiltonian(n=2, b=1.0, p1=p1)
+    bc = make_bc(bd_basis(phs))
+    ops = discretize(phs, 32)
+    u0 = np.zeros((33, 2))
+    u0[:, 0] = np.exp(-8 * ops.grid.nodes**2)
+    dt = 0.01
+    dr_calls = []
+    real_dr = rels._douglas_rachford
+
+    def counted(*args):
+        dr_calls.append(args)
+        return real_dr(*args)
+
+    monkeypatch.setattr(rels, "_douglas_rachford", counted)
+    traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=dt, theta=theta), ops)
+    assert len(traj) == 101 and dr_calls == []
+
+    e = traj.energies
+    for k in range(100):
+        a = (traj.states[k + 1] - traj.states[k]) / dt
+        predicted = -dt * traj.boundary_dissipation[k + 1] - (theta - 0.5) * dt**2 * 2 * ops.energy(a)
+        assert abs(e[k + 1] - e[k] - predicted) <= 1e-12 * e[0], k
+
+
 def test_transport_pulse_matches_characteristics():
     m = 128
     ops = discretize(PHS1, m)
