@@ -33,6 +33,7 @@ from . import relations
 from .phs import BoundaryDataBasis, project_bd
 from .relations import (
     Certificate,
+    DirectSum,
     LinearGraph,
     MonotoneMap,
     Relation,
@@ -350,7 +351,13 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
 
 def _part_bounded(rel: Relation) -> bool:
     """Whether a frictional part provably maps bounded sets to bounded sets
-    (friction always does; a map does when it carries a Lipschitz bound)."""
+    (friction always does; a map does when it carries a Lipschitz bound;
+    a translate does when its base does; a direct sum does when each of
+    its parts is affine or bounded)."""
+    if isinstance(rel, DirectSum):
+        return all(p.affine or _part_bounded(p) for p in rel.parts)
+    if isinstance(rel, Shifted):
+        return _part_bounded(rel.base)
     if isinstance(rel, MonotoneMap):
         return rel.lipschitz is not None
     return isinstance(rel, SeparableProx)
@@ -410,7 +417,7 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
             if mono.monotone == "no":
                 raise ValueError("multiport parts must be monotone relations")
             rel = spec
-            if not isinstance(rel, (LinearGraph, Shifted)):
+            if not rel.affine:
                 sampled_needed = True
                 if not _part_bounded(rel):
                     unbounded = True
@@ -543,7 +550,7 @@ def _graph_norm(basis: BoundaryDataBasis, xs: np.ndarray, field_: np.ndarray) ->
     return float(np.sqrt(np.sum(w[:, None] * (np.abs(arr) ** 2 + np.abs(gu) ** 2)).real))
 
 
-def membership(bc: BoundaryCondition, u, v, tol: float = MEMBERSHIP_TOL):
+def membership(bc: BoundaryCondition, u, v):
     """Test whether a field pair satisfies the boundary relation.
 
     Projects ``u`` onto the even trace channel and ``v`` onto the odd
@@ -555,10 +562,10 @@ def membership(bc: BoundaryCondition, u, v, tol: float = MEMBERSHIP_TOL):
     Returns
     -------
     member, residual:
-        ``member`` is ``residual <= tol * scale`` with ``scale`` the
-        larger of 1 and the fields' discrete graph norms (the projection
-        is quadrature-limited, so the test is relative for large
-        fields).
+        ``member`` is ``residual <= MEMBERSHIP_TOL * scale`` with
+        ``scale`` the larger of 1 and the fields' discrete graph norms
+        (the projection is quadrature-limited, so the test is relative
+        for large fields).
     """
     basis = bc.basis
     u = np.asarray(u, dtype=complex)
@@ -567,4 +574,4 @@ def membership(bc: BoundaryCondition, u, v, tol: float = MEMBERSHIP_TOL):
     y_c = project_bd(basis, "odd", xs, v)
     residual = graph_residual(bc.h, x_c, y_c)
     scale = max(1.0, _graph_norm(basis, xs, u), _graph_norm(basis, xs, v))
-    return bool(residual <= tol * scale), float(residual)
+    return bool(residual <= MEMBERSHIP_TOL * scale), float(residual)

@@ -290,8 +290,6 @@ class BoundaryDataBasis:
         Same for the odd channel.  The derivative swaps the two
         hyperbolic profiles, so the integrand — and hence the matrix —
         coincides with ``gram_G``; both are kept for interface symmetry.
-    quad_panels:
-        Number of Simpson panels used for the Gram quadrature.
     """
 
     lambdas: np.ndarray
@@ -302,7 +300,6 @@ class BoundaryDataBasis:
     Qmat: np.ndarray
     gram_G: np.ndarray
     gram_D: np.ndarray
-    quad_panels: int
 
     @property
     def n(self) -> int:
@@ -313,21 +310,14 @@ class BoundaryDataBasis:
 
         Returns an ``(n, N)`` array whose row ``i`` is
         ``cosh(x / lambda_i) exp(-b / |lambda_i|)`` for the even channel
-        (``side in {"even", "G"}``) or the matching normalized ``sinh``
-        for the odd channel (``side in {"odd", "D"}``).
+        (``side == "even"``) or the matching normalized ``sinh`` for the
+        odd channel (``side == "odd"``).
         """
+        if side not in ("even", "odd"):
+            raise ValueError(f"side must be 'even' or 'odd', got {side!r}")
         xs = np.asarray(xs, dtype=float)
         cosh_part, sinh_part = _scaled_profile_pair(self.lambdas, self.b, xs)
-        return cosh_part if _even_side(side) else sinh_part
-
-
-def _even_side(side: str) -> bool:
-    key = str(side).lower()
-    if key in ("even", "g"):
-        return True
-    if key in ("odd", "d"):
-        return False
-    raise ValueError(f"side must be 'even'/'G' or 'odd'/'D', got {side!r}")
+        return cosh_part if side == "even" else sinh_part
 
 
 def _scaled_profile_pair(lambdas: np.ndarray, b: float, xs: np.ndarray):
@@ -381,15 +371,17 @@ def _simpson_weights(panels: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def bd_basis(phs: PortHamiltonian, quad_panels: Optional[int] = None) -> BoundaryDataBasis:
+def bd_basis(phs: PortHamiltonian) -> BoundaryDataBasis:
     """Construct the normalized boundary-data basis of a system.
 
     The eigen-structure of the transport matrix fixes the hyperbolic
     profiles; ``S``, its square root, and ``Qmat`` come from closed
     forms, while the channel Gram matrices are computed by composite
     Simpson quadrature (the independent closed forms back the
-    :func:`ddot_matrix` certificate).  ``quad_panels`` overrides the
-    automatic panel count, mostly for tests.
+    :func:`ddot_matrix` certificate).  The panel count resolves the
+    smallest characteristic length ``|lambda|`` at
+    ``_QUAD_RESOLUTION``, clamped to ``[_QUAD_MIN_PANELS,
+    _QUAD_MAX_PANELS]`` and rounded up to an even number.
     """
     lam, u = eigendecompose(phs.p1)
     b = phs.b
@@ -400,14 +392,11 @@ def bd_basis(phs: PortHamiltonian, quad_panels: Optional[int] = None) -> Boundar
     cosh_at_b = (1.0 + np.exp(-2.0 * sig)) / 2.0
     qmat = np.sqrt(2.0) * (u * cosh_at_b)
 
-    if quad_panels is None:
-        lam_min = float(np.abs(lam).min())
-        quad_panels = int(np.ceil(2.0 * b / (_QUAD_RESOLUTION * lam_min)))
-        quad_panels = min(max(quad_panels, _QUAD_MIN_PANELS), _QUAD_MAX_PANELS)
-    if quad_panels % 2:
-        quad_panels += 1
-    xs = np.linspace(-b, b, quad_panels + 1)
-    w = _simpson_weights(quad_panels, xs[1] - xs[0])
+    panels = int(np.ceil(2.0 * b / (_QUAD_RESOLUTION * float(np.abs(lam).min()))))
+    panels = min(max(panels, _QUAD_MIN_PANELS), _QUAD_MAX_PANELS)
+    panels += panels % 2
+    xs = np.linspace(-b, b, panels + 1)
+    w = _simpson_weights(panels, xs[1] - xs[0])
     cosh_part, sinh_part = _scaled_profile_pair(lam, b, xs)
     integrals = (cosh_part * w) @ cosh_part.T + (sinh_part * w) @ sinh_part.T
     gram = (u.conj().T @ u) * integrals
@@ -422,7 +411,6 @@ def bd_basis(phs: PortHamiltonian, quad_panels: Optional[int] = None) -> Boundar
         Qmat=qmat,
         gram_G=gram,
         gram_D=gram.copy(),
-        quad_panels=quad_panels,
     )
 
 
@@ -522,7 +510,7 @@ def project_bd(basis: BoundaryDataBasis, side: str, xs: np.ndarray, u: np.ndarra
     basis:
         Trace basis from :func:`bd_basis`.
     side:
-        ``"even"``/``"G"`` for the cosh channel, ``"odd"``/``"D"`` for sinh.
+        ``"even"`` for the cosh channel, ``"odd"`` for sinh.
     xs:
         Uniform symmetric grid spanning ``[-b, b]`` with an even number
         of cells (at least 8).

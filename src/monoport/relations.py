@@ -24,6 +24,11 @@ Representations
     combinators: graph translation, block sums, and the congruence
     ``T* B T`` by an invertible map ``T``.
 
+An affine relation has one form, a ``LinearGraph`` or a ``Shifted``
+over one (:attr:`Relation.affine`); :func:`direct_sum` and
+:func:`transform` keep it, so ``DirectSum`` and ``Transformed`` always
+hold a non-affine part.
+
 Post-sets ``A[{x}]`` are described as affine sets, interval products or
 single points; interval descriptions are the real sections of the
 complex picture (documented on :func:`post_set`).
@@ -183,28 +188,28 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _random_vector(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+def _random_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-def _orthonormal_columns(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span (rank-revealing, via SVD)."""
     if m.size == 0:
         return m.reshape(m.shape[0], 0)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return m[:, :0]
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > 1e-12 * s[0]))
     return u[:, :rank]
 
 
-def _nullspace(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def _nullspace(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of ``m`` (columns)."""
     if m.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1e-300)))
+    rank = int(np.sum(s > 1e-12 * max(smax, 1e-300)))
     return vh[rank:].conj().T
 
 
@@ -222,15 +227,19 @@ def _lstsq(m: np.ndarray, b: np.ndarray):
 
 
 class Relation:
-    """Base class; concrete relations implement ``_resolve``."""
+    """Base class; concrete relations implement ``_resolve(lam, y, x0)``,
+    the pair ``(x, w)`` with ``x + lam w = y``, warm-started from ``x0``.
+
+    :attr:`affine` is true exactly for a ``LinearGraph`` and a
+    ``Shifted`` over one: one linear solve, exact certificates, and the
+    explicit leg of a ``theta < 1`` step.
+    """
 
     space: InnerProductSpace
-    representation = "abstract"
+    affine = False
 
-    def _resolve(self, lam, y, tol, max_iter, x0):
-        raise NotImplementedError(
-            f"resolvent not implemented for representation {self.representation!r}"
-        )
+    def _resolve(self, lam, y, x0):
+        raise NotImplementedError(f"resolvent not implemented for {type(self).__name__!r}")
 
 
 class LinearGraph(Relation):
@@ -241,7 +250,7 @@ class LinearGraph(Relation):
     and ``zy`` row blocks.
     """
 
-    representation = "LinearGraph"
+    affine = True
 
     def __init__(self, space: InnerProductSpace, zx, zy):
         zx = np.atleast_2d(np.asarray(zx, dtype=complex))
@@ -269,10 +278,14 @@ class LinearGraph(Relation):
     def stacked(self) -> np.ndarray:
         return np.vstack([self.zx, self.zy])
 
-    def _resolve(self, lam, y, tol, max_iter, x0):
-        c, res = _lstsq(self.zx + lam * self.zy, y)
-        scale = max(1.0, float(np.linalg.norm(y)))
-        if res > tol * scale:
+    def _resolve(self, lam, y, x0):
+        return self._solve(self.zx + lam * self.zy, y)
+
+    def _solve(self, m, rhs):
+        """The graph pair ``(zx c, zy c)`` with ``m c = rhs``; a residual
+        above :data:`TOL_LINEAR` (relative) raises."""
+        c, res = _lstsq(m, rhs)
+        if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(rhs))):
             raise NonconvergenceError(
                 f"linear resolvent system is inconsistent (residual {res:.3e}); "
                 "the relation is not maximal on this right-hand side",
@@ -296,8 +309,6 @@ class MonotoneMap(Relation):
         adapts (halved on a residual increase, grown by 1.2 otherwise).
     """
 
-    representation = "MonotoneMap"
-
     def __init__(self, space, func: Callable, lipschitz: Optional[float] = None):
         self.space = space
         self.func = func
@@ -306,11 +317,11 @@ class MonotoneMap(Relation):
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=complex)), dtype=complex).reshape(-1)
 
-    def _resolve(self, lam, y, tol, max_iter, x0):
-        x = self._solve_perturbed(np.eye(self.space.dim) / lam, y / lam, tol, max_iter, x0)
+    def _resolve(self, lam, y, x0):
+        x = self._solve_perturbed(np.eye(self.space.dim) / lam, y / lam, x0)
         return x, (y - x) / lam
 
-    def _solve_perturbed(self, phi, g, tol, max_iter, x0):
+    def _solve_perturbed(self, phi, g, x0):
         """Solve ``phi x + F(x) = g`` (phi Hermitian positive w.r.t. the space)."""
         space = self.space
         scale = max(1.0, float(np.linalg.norm(g)))
@@ -329,8 +340,8 @@ class MonotoneMap(Relation):
         else:
             tau = min(1.0, 1.0 / max(phinorm, 1e-30))
             adaptive = True
-        for _ in range(max_iter):
-            if rnorm <= tol * scale:
+        for _ in range(MAX_ITER):
+            if rnorm <= TOL_ITERATIVE * scale:
                 return z
             z_new = z - tau * r
             r_new = residual(z_new)
@@ -346,7 +357,7 @@ class MonotoneMap(Relation):
             if adaptive:
                 tau = min(tau * 1.2, 1.0)
         raise NonconvergenceError(
-            f"damped iteration did not reach tol={tol:.1e} in {max_iter} steps",
+            f"damped iteration did not reach tol={TOL_ITERATIVE:.1e} in {MAX_ITER} steps",
             residual=rnorm,
         )
 
@@ -362,8 +373,6 @@ class SeparableProx(Relation):
     pieces are coordinatewise, and only then is the product monotone in
     the weighted inner product for free).
     """
-
-    representation = "SeparableProx"
 
     def __init__(self, space: InnerProductSpace, pieces: Sequence[tuple]):
         w = space.weight
@@ -381,7 +390,7 @@ class SeparableProx(Relation):
         v = np.asarray(v, dtype=complex).reshape(-1)
         return np.array([_prox_piece(p, lam, vk) for p, vk in zip(self.pieces, v)])
 
-    def _resolve(self, lam, y, tol, max_iter, x0):
+    def _resolve(self, lam, y, x0):
         x = self.prox(lam, y)
         return x, (y - x) / lam
 
@@ -428,26 +437,34 @@ def _inverse_postset_piece(p: tuple, w: complex):
 
 
 class Shifted(Relation):
-    """Graph translation ``base + {(x0, y0)}``."""
-
-    representation = "Shifted"
+    """Graph translation ``base + {(x0, y0)}``; affine when ``base`` is a
+    ``LinearGraph``."""
 
     def __init__(self, base: Relation, x0, y0):
         self.base = base
         self.space = base.space
+        self.affine = isinstance(base, LinearGraph)
         self.x0 = base.space.check_vector(x0)
         self.y0 = base.space.check_vector(y0)
 
-    def _resolve(self, lam, y, tol, max_iter, x0):
+    def _resolve(self, lam, y, x0):
         warm = None if x0 is None else np.asarray(x0) - self.x0
-        xb, yb = self.base._resolve(lam, y - self.x0 - lam * self.y0, tol, max_iter, warm)
+        xb, yb = self.base._resolve(lam, y - self.x0 - lam * self.y0, warm)
         return self.x0 + xb, self.y0 + yb
 
 
-class DirectSum(Relation):
-    """Block relation on the orthogonal sum of the component spaces."""
+def _sum_space(parts: Sequence[Relation]) -> InnerProductSpace:
+    """The orthogonal sum of the parts' spaces (block-diagonal weight)."""
+    weight = sla.block_diag(*[p.space.weight for p in parts])
+    return InnerProductSpace(weight.shape[0], weight)
 
-    representation = "DirectSum"
+
+class DirectSum(Relation):
+    """Block relation on the orthogonal sum of the component spaces.
+
+    Built by :func:`direct_sum` only when some part is not affine; a sum
+    of affine parts is one ``LinearGraph`` (possibly shifted).
+    """
 
     def __init__(self, parts: Sequence[Relation]):
         parts = tuple(parts)
@@ -457,19 +474,18 @@ class DirectSum(Relation):
         dims = [p.space.dim for p in parts]
         offsets = np.concatenate([[0], np.cumsum(dims)])
         self.slices = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
-        weight = sla.block_diag(*[p.space.weight for p in parts])
-        self.space = InnerProductSpace(int(offsets[-1]), weight)
+        self.space = _sum_space(parts)
 
     def split(self, v: np.ndarray):
         v = self.space.check_vector(v)
         return [v[s] for s in self.slices]
 
-    def _resolve(self, lam, y, tol, max_iter, x0):
+    def _resolve(self, lam, y, x0):
         ys = self.split(y)
         x0s = [None] * len(self.parts) if x0 is None else self.split(x0)
         xs, ws = [], []
         for part, yk, x0k in zip(self.parts, ys, x0s):
-            xk, wk = part._resolve(lam, yk, tol, max_iter, x0k)
+            xk, wk = part._resolve(lam, yk, x0k)
             xs.append(xk)
             ws.append(wk)
         return np.concatenate(xs), np.concatenate(ws)
@@ -479,17 +495,11 @@ class Transformed(Relation):
     """The congruence ``T* B T = {(x, T* w) : (T x, w) in B}`` by an
     invertible map ``T`` (square, condition number below ``1e12``).
 
-    Constructed through :func:`transform`; linear ``B`` never reaches
+    Constructed through :func:`transform`; affine ``B`` never reaches
     this class (its congruence is computed exactly as a ``LinearGraph``).
     """
 
-    representation = "Transformed"
-
     def __init__(self, tmap: LinearMap, base: Relation):
-        if not isinstance(tmap, LinearMap):
-            raise TypeError("transform expects a LinearMap")
-        if tmap.target.dim != base.space.dim:
-            raise ValueError("map target must match the wrapped relation's space")
         m = tmap.matrix
         if m.shape[0] != m.shape[1] or not np.linalg.cond(m) < 1e12:
             raise ValueError(
@@ -500,7 +510,7 @@ class Transformed(Relation):
         self.space = tmap.source
         self.adj_matrix = _map_adjoint(tmap).matrix
 
-    def _resolve(self, lam, y, tol, max_iter, x0):
+    def _resolve(self, lam, y, x0):
         t = self.tmap.matrix
         ts = self.adj_matrix
         # substitute z = T x: (T T*)^{-1} z / lam + B(z) = T*^{-1} y / lam
@@ -508,7 +518,7 @@ class Transformed(Relation):
         phi = np.linalg.solve(tts, np.eye(tts.shape[0])) / lam
         g = np.linalg.solve(ts, y) / lam
         z0 = None if x0 is None else t @ np.asarray(x0)
-        z, w = solve_inclusion(phi, self.base, g, tol=tol, max_iter=max_iter, x0=z0)
+        z, w = solve_inclusion(phi, self.base, g, x0=z0)
         return np.linalg.solve(t, z), ts @ w
 
 
@@ -516,15 +526,13 @@ class InverseRelation(Relation):
     """Lazy inverse ``{(y, x) : (x, y) in base}`` for representations
     without a direct swapped form."""
 
-    representation = "InverseRelation"
-
     def __init__(self, base: Relation):
         self.base = base
         self.space = base.space
 
-    def _resolve(self, lam, y, tol, max_iter, x0):
+    def _resolve(self, lam, y, x0):
         # (1 + lam A^{-1})^{-1}(y) = y - lam (1 + A / lam)^{-1}(y / lam)
-        u, _ = self.base._resolve(1.0 / lam, y / lam, tol, max_iter, None)
+        u, _ = self.base._resolve(1.0 / lam, y / lam, None)
         return y - lam * u, u
 
 
@@ -533,25 +541,25 @@ class InverseRelation(Relation):
 # ---------------------------------------------------------------------------
 
 
-def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, tol: Optional[float] = None,
-                    max_iter: int = MAX_ITER, x0=None):
+def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
     """Solve ``phi z + rel(z) ∋ g`` for a Hermitian positive ``phi``.
 
-    This is the primitive behind every resolvent in the module
-    (``phi = I / lam`` recovers ``(1 + lam A)^{-1}`` at ``g = y / lam``)
-    and behind the congruence wrapper, which contributes a non-scalar
-    ``phi``.
+    This is the primitive behind the boundary step of the solver, and
+    behind the congruence wrapper, which contributes a non-scalar
+    ``phi``; ``x0`` warm-starts the iterative paths.
 
     Returns ``(z, w)`` with ``w in rel(z)`` (exactly, for closed-form
-    representations; to the iteration tolerance otherwise) and
-    ``phi z + w - g`` small.
+    representations; to :data:`TOL_ITERATIVE` otherwise) and
+    ``phi z + w - g`` small.  A linear system whose residual exceeds
+    :data:`TOL_LINEAR` (relative) raises :class:`NonconvergenceError`.
 
     Dispatch: scalar ``phi`` reduces to the wrapped resolvent; linear
-    graphs are solved directly; diagonal ``phi`` against coordinatewise
-    pieces is solved per coordinate; block ``phi`` against a direct sum
-    recurses; a single-valued map uses the damped solver; the
-    general case runs Douglas–Rachford splitting between the affine part
-    and the relation.
+    graphs (every affine relation, shifted or not) are solved by one
+    least-squares solve; diagonal ``phi`` against coordinatewise pieces
+    is solved per coordinate; block ``phi`` against a direct sum
+    recurses; a single-valued map uses the damped solver; the general
+    case runs Douglas–Rachford splitting between the affine part and the
+    relation.
     """
     space = rel.space
     g = space.check_vector(g)
@@ -559,30 +567,20 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, tol: Optional
     d = space.dim
     if phi.shape != (d, d):
         raise ValueError(f"phi must be {d}x{d}")
-    if tol is None:
-        tol = TOL_ITERATIVE
 
     # scalar phi -> plain resolvent
     diag = np.diag(phi)
     scalar_dev = np.linalg.norm(phi - diag[0].real * np.eye(d))
     if scalar_dev <= 1e-14 * max(1.0, abs(diag[0])) and diag[0].real > 0:
         lam = 1.0 / diag[0].real
-        z, w = rel._resolve(lam, lam * g, tol, max_iter, x0)
+        z, w = rel._resolve(lam, lam * g, x0)
         return z, g - phi @ z
 
     if isinstance(rel, LinearGraph):
-        c, res = _lstsq(phi @ rel.zx + rel.zy, g)
-        scale = max(1.0, float(np.linalg.norm(g)))
-        if res > max(tol, TOL_LINEAR) * scale:
-            raise NonconvergenceError(
-                f"linear inclusion system is inconsistent (residual {res:.3e})",
-                residual=res,
-            )
-        return rel.zx @ c, rel.zy @ c
+        return rel._solve(phi @ rel.zx + rel.zy, g)
 
     if isinstance(rel, Shifted):
         z, w = solve_inclusion(phi, rel.base, g - phi @ rel.x0 - rel.y0,
-                               tol=tol, max_iter=max_iter,
                                x0=None if x0 is None else np.asarray(x0) - rel.x0)
         return rel.x0 + z, rel.y0 + w
 
@@ -606,20 +604,19 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, tol: Optional
             zs, ws = [], []
             x0s = [None] * len(rel.parts) if x0 is None else rel.split(x0)
             for part, s, x0k in zip(rel.parts, rel.slices, x0s):
-                zk, wk = solve_inclusion(phi[s, s], part, g[s], tol=tol,
-                                         max_iter=max_iter, x0=x0k)
+                zk, wk = solve_inclusion(phi[s, s], part, g[s], x0=x0k)
                 zs.append(zk)
                 ws.append(wk)
             return np.concatenate(zs), np.concatenate(ws)
 
     if isinstance(rel, MonotoneMap):
-        z = rel._solve_perturbed(phi, g, tol, max_iter, x0)
+        z = rel._solve_perturbed(phi, g, x0)
         return z, g - phi @ z
 
-    return _douglas_rachford(phi, rel, g, tol, max_iter, x0)
+    return _douglas_rachford(phi, rel, g, x0)
 
 
-def _douglas_rachford(phi, rel, g, tol, max_iter, x0):
+def _douglas_rachford(phi, rel, g, x0):
     """Splitting between the affine part ``z -> phi z - g`` and ``rel``."""
     space = rel.space
     d = space.dim
@@ -641,17 +638,17 @@ def _douglas_rachford(phi, rel, g, tol, max_iter, x0):
         s = np.zeros(d, dtype=complex)
 
     best = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         z1 = sla.lu_solve(lu, s + gamma * g)
-        z2, w2val = rel._resolve(gamma, 2.0 * z1 - s, tol, max_iter, None)
+        z2, w2val = rel._resolve(gamma, 2.0 * z1 - s, None)
         res = float(space.norm(phi @ z2 + w2val - g))
         if best is None or res < best[0]:
             best = (res, z2, w2val)
-        if res <= tol * scale:
+        if res <= TOL_ITERATIVE * scale:
             return z2, w2val
         s = s + z2 - z1
     raise NonconvergenceError(
-        f"splitting iteration did not reach tol={tol:.1e} in {max_iter} steps "
+        f"splitting iteration did not reach tol={TOL_ITERATIVE:.1e} in {MAX_ITER} steps "
         f"(best residual {best[0]:.3e})",
         residual=best[0],
     )
@@ -662,44 +659,32 @@ def _douglas_rachford(phi, rel, g, tol, max_iter, x0):
 # ---------------------------------------------------------------------------
 
 
-def resolvent(rel: Relation, lam: float, y, tol: Optional[float] = None,
-              max_iter: int = MAX_ITER, x0=None) -> np.ndarray:
+def resolvent(rel: Relation, lam: float, y) -> np.ndarray:
     """Evaluate ``x = (1 + lam A)^{-1} y``: the unique ``x`` with
     ``(x, (y - x)/lam)`` in the relation.
 
-    ``lam`` must be positive.  Nonconvergence raises
-    :class:`NonconvergenceError` carrying the last residual.
+    ``lam`` must be positive.  Linear systems are checked for
+    consistency to :data:`TOL_LINEAR`, iterations run to
+    :data:`TOL_ITERATIVE` within :data:`MAX_ITER` steps; a failure
+    raises :class:`NonconvergenceError` carrying the last residual.
     """
-    x, _ = resolvent_value(rel, lam, y, tol=tol, max_iter=max_iter, x0=x0)
+    x, _ = resolvent_value(rel, lam, y)
     return x
 
 
-def resolvent_value(rel: Relation, lam: float, y, tol: Optional[float] = None,
-                    max_iter: int = MAX_ITER, x0=None):
+def resolvent_value(rel: Relation, lam: float, y):
     """Like :func:`resolvent` but returns the graph pair ``(x, w)`` with
-    ``w`` the relation value at ``x`` (so ``x + lam w = y`` up to tol)."""
+    ``w`` the relation value at ``x`` (so ``x + lam w = y`` up to the
+    same tolerances)."""
     if not lam > 0:
         raise ValueError("resolvent parameter must be positive")
     y = rel.space.check_vector(y)
-    if tol is None:
-        tol = TOL_LINEAR if _is_direct(rel) else TOL_ITERATIVE
-    return rel._resolve(float(lam), y, tol, int(max_iter), x0)
+    return rel._resolve(float(lam), y, None)
 
 
-def _is_direct(rel: Relation) -> bool:
-    if isinstance(rel, (LinearGraph, SeparableProx)):
-        return True
-    if isinstance(rel, (Shifted, InverseRelation)):
-        return _is_direct(rel.base)
-    if isinstance(rel, DirectSum):
-        return all(_is_direct(p) for p in rel.parts)
-    return False
-
-
-def yosida(rel: Relation, lam: float, x, tol: Optional[float] = None,
-           max_iter: int = MAX_ITER) -> np.ndarray:
+def yosida(rel: Relation, lam: float, x) -> np.ndarray:
     """The single-valued regularization ``lam^{-1} (x - (1 + lam A)^{-1} x)``."""
-    jx = resolvent(rel, lam, x, tol=tol, max_iter=max_iter)
+    jx = resolvent(rel, lam, x)
     return (np.asarray(x, dtype=complex) - jx) / lam
 
 
@@ -741,7 +726,7 @@ def post_set(rel: Relation, x) -> object:
     if isinstance(rel, Shifted):
         inner_desc = post_set(rel.base, np.asarray(x, dtype=complex) - rel.x0)
         return _shift_description(inner_desc, rel.y0)
-    raise ValueError(f"post-set enumeration is not supported for representation {rel.representation!r}")
+    raise ValueError(f"post-set enumeration is not supported for representation {type(rel).__name__!r}")
 
 
 def _shift_description(desc, y0):
@@ -817,7 +802,7 @@ def adjoint_relation(rel: Relation) -> Relation:
     """
     if not isinstance(rel, LinearGraph):
         raise ValueError(
-            f"adjoint requires a linear relation, got {rel.representation!r}"
+            f"adjoint requires a linear relation, got {type(rel).__name__!r}"
         )
     d = rel.space.dim
     w2 = sla.block_diag(rel.space.weight, rel.space.weight)
@@ -836,7 +821,7 @@ def scale_add(lam: complex, rel_a: Relation, rel_b: Relation) -> Relation:
     if not (isinstance(rel_a, LinearGraph) and isinstance(rel_b, LinearGraph)):
         raise ValueError(
             "scale_add supports two linear graphs, got "
-            f"{rel_a.representation!r} and {rel_b.representation!r}"
+            f"{type(rel_a).__name__!r} and {type(rel_b).__name__!r}"
         )
     null = _nullspace(np.hstack([rel_a.zx, -rel_b.zx]))
     ka = rel_a.graph_dim
@@ -846,48 +831,68 @@ def scale_add(lam: complex, rel_a: Relation, rel_b: Relation) -> Relation:
     return LinearGraph(rel_a.space, zx, zy)
 
 
-def direct_sum(relations: Sequence[Relation]) -> DirectSum:
-    """Block relation of the parts on the orthogonal sum space."""
-    return DirectSum(relations)
+def _affine_form(rel: Relation):
+    """``(graph, x0, y0)`` of an affine relation: its ``LinearGraph`` and
+    the offsets of its shift (zero when unshifted)."""
+    if isinstance(rel, Shifted):
+        return rel.base, rel.x0, rel.y0
+    zero = np.zeros(rel.space.dim, dtype=complex)
+    return rel, zero, zero
+
+
+def direct_sum(relations: Sequence[Relation]) -> Relation:
+    """Block relation of the parts on the orthogonal sum space.
+
+    When every part is affine the sum is one ``LinearGraph`` with
+    block-diagonal ``zx``/``zy`` on the block-weighted sum space,
+    wrapped in ``Shifted`` (offsets concatenated) if any part is
+    shifted.  Any other mix is a lazy :class:`DirectSum`.
+    """
+    parts = tuple(relations)
+    if not (parts and all(p.affine for p in parts)):
+        return DirectSum(parts)
+    bases, x0s, y0s = zip(*[_affine_form(p) for p in parts])
+    graph = LinearGraph(_sum_space(parts), sla.block_diag(*[b.zx for b in bases]),
+                        sla.block_diag(*[b.zy for b in bases]))
+    if not any(isinstance(p, Shifted) for p in parts):
+        return graph
+    return Shifted(graph, np.concatenate(x0s), np.concatenate(y0s))
 
 
 def transform(tmap, rel: Relation) -> Relation:
     """The congruence ``T* B T = {(x, T* w) : (T x, w) in B}``.
 
-    For a (possibly shifted) linear graph the result is computed exactly
-    as a new ``LinearGraph`` (the domain condition ``T x in dom B`` is
-    pulled back by a null-space computation; a shifted graph whose
-    translated domain misses the range of ``T`` is empty, which is an
-    error).  Other representations are wrapped lazily in
-    :class:`Transformed`, which needs ``T`` square and well conditioned;
-    its resolvent substitutes ``z = T x`` exactly.
+    For an affine ``B`` the result is computed exactly, for any map: the
+    domain condition ``T x in dom B`` is pulled back by a null-space
+    computation, giving a ``LinearGraph``; a shift adds a particular
+    solution, giving a ``Shifted`` one (a shifted graph whose translated
+    domain misses the range of ``T`` is empty, which is an error).
+    Other representations are wrapped lazily in :class:`Transformed`,
+    which needs ``T`` square and well conditioned; its resolvent
+    substitutes ``z = T x`` exactly.
     """
     if not isinstance(tmap, LinearMap):
         raise TypeError("transform expects a LinearMap")
     if tmap.target.dim != rel.space.dim:
         raise ValueError("map target must match the relation's space")
-    if isinstance(rel, LinearGraph):
-        null = _nullspace(np.hstack([tmap.matrix, -rel.zx]))
-        dx = tmap.source.dim
-        x_part, c_part = null[:dx], null[dx:]
-        adj = _map_adjoint(tmap).matrix
-        return LinearGraph(tmap.source, x_part, adj @ (rel.zy @ c_part))
-    if isinstance(rel, Shifted) and isinstance(rel.base, LinearGraph):
-        # solve T x - x0 = Zx c: particular solution + homogeneous family
-        base = rel.base
-        dx = tmap.source.dim
-        sys = np.hstack([tmap.matrix, -base.zx])
-        part, res = _lstsq(sys, rel.x0)
-        if res > 1e-10 * max(1.0, float(np.linalg.norm(rel.x0))):
-            raise ValueError(
-                "transform produced an empty relation: the map's range "
-                "misses the (translated) domain"
-            )
-        null = _nullspace(sys)
-        adj = _map_adjoint(tmap).matrix
-        lin = LinearGraph(tmap.source, null[:dx], adj @ (base.zy @ null[dx:]))
-        return Shifted(lin, part[:dx], adj @ (rel.y0 + base.zy @ part[dx:]))
-    return Transformed(tmap, rel)
+    if not rel.affine:
+        return Transformed(tmap, rel)
+    base, x0, y0 = _affine_form(rel)
+    dx = tmap.source.dim
+    sys = np.hstack([tmap.matrix, -base.zx])
+    null = _nullspace(sys)
+    adj = _map_adjoint(tmap).matrix
+    lin = LinearGraph(tmap.source, null[:dx], adj @ (base.zy @ null[dx:]))
+    if not isinstance(rel, Shifted):
+        return lin
+    # solve T x - x0 = Zx c: particular solution + homogeneous family
+    part, res = _lstsq(sys, x0)
+    if res > 1e-10 * max(1.0, float(np.linalg.norm(x0))):
+        raise ValueError(
+            "transform produced an empty relation: the map's range "
+            "misses the (translated) domain"
+        )
+    return Shifted(lin, part[:dx], adj @ (y0 + base.zy @ part[dx:]))
 
 
 # ---------------------------------------------------------------------------
@@ -895,45 +900,41 @@ def transform(tmap, rel: Relation) -> Relation:
 # ---------------------------------------------------------------------------
 
 
-def sample_graph_points(rel: Relation, count: int, rng: np.random.Generator,
-                        scale: float = 1.0):
+def sample_graph_points(rel: Relation, count: int, rng: np.random.Generator):
     """Draw ``count`` members ``(x, y)`` of the relation.
 
     Linear graphs take random combinations of the basis; single-valued
     maps evaluate at random points; coordinatewise pieces generate pairs
     through their proximal identity; combinators recurse.
     """
-    out = []
-    for _ in range(count):
-        out.append(_sample_one(rel, rng, scale))
-    return out
+    return [_sample_one(rel, rng) for _ in range(count)]
 
 
-def _sample_one(rel: Relation, rng, scale):
+def _sample_one(rel: Relation, rng):
     if isinstance(rel, LinearGraph):
-        c = _random_vector(rng, rel.graph_dim, scale)
+        c = _random_vector(rng, rel.graph_dim)
         return rel.zx @ c, rel.zy @ c
     if isinstance(rel, MonotoneMap):
-        x = _random_vector(rng, rel.space.dim, scale)
+        x = _random_vector(rng, rel.space.dim)
         return x, rel(x)
     if isinstance(rel, SeparableProx):
-        r = _random_vector(rng, rel.space.dim, scale)
+        r = _random_vector(rng, rel.space.dim)
         x = rel.prox(1.0, r)
         return x, r - x
     if isinstance(rel, Shifted):
-        x, y = _sample_one(rel.base, rng, scale)
+        x, y = _sample_one(rel.base, rng)
         return x + rel.x0, y + rel.y0
     if isinstance(rel, DirectSum):
-        pairs = [_sample_one(p, rng, scale) for p in rel.parts]
+        pairs = [_sample_one(p, rng) for p in rel.parts]
         return (np.concatenate([p[0] for p in pairs]),
                 np.concatenate([p[1] for p in pairs]))
     if isinstance(rel, InverseRelation):
-        x, y = _sample_one(rel.base, rng, scale)
+        x, y = _sample_one(rel.base, rng)
         return y, x
     if isinstance(rel, Transformed):
-        z, w = _sample_one(rel.base, rng, scale)
+        z, w = _sample_one(rel.base, rng)
         return np.linalg.solve(rel.tmap.matrix, z), rel.adj_matrix @ w
-    raise ValueError(f"cannot sample graph points of {rel.representation!r}")
+    raise ValueError(f"cannot sample graph points of {type(rel).__name__!r}")
 
 
 def graph_residual(rel: Relation, x, y) -> float:
@@ -972,7 +973,7 @@ def graph_residual(rel: Relation, x, y) -> float:
     if isinstance(rel, Transformed):
         t = rel.tmap.matrix
         return graph_residual(rel.base, t @ x, np.linalg.solve(rel.adj_matrix, y))
-    raise ValueError(f"no graph residual available for {rel.representation!r}")
+    raise ValueError(f"no graph residual available for {type(rel).__name__!r}")
 
 
 # ---------------------------------------------------------------------------

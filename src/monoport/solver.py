@@ -48,15 +48,7 @@ import scipy.sparse.linalg as spla
 
 from .boundary import BoundaryCondition
 from .phs import PortHamiltonian, _as_field
-from .relations import (
-    LinearGraph,
-    NonconvergenceError,
-    Relation,
-    Shifted,
-    graph_residual,
-    principal_section,
-    solve_inclusion,
-)
+from .relations import NonconvergenceError, graph_residual, principal_section, solve_inclusion
 from .sbp import MIN_CELLS, sbp42
 
 __all__ = [
@@ -310,8 +302,7 @@ class ResolveResult:
 
 
 def resolve_A(ops: DiscreteOperators, phs: PortHamiltonian, bc: BoundaryCondition,
-              mu: float, rhs, allow_uncertified: bool = False,
-              x0: Optional[np.ndarray] = None) -> ResolveResult:
+              mu: float, rhs, allow_uncertified: bool = False) -> ResolveResult:
     """Solve ``(1 + mu A)(u, v) = (f, g)`` for the boundary-coupled pair.
 
     ``rhs = (f, g)`` are the even and odd legs of the right-hand side on
@@ -335,7 +326,7 @@ def resolve_A(ops: DiscreteOperators, phs: PortHamiltonian, bc: BoundaryConditio
         raise ValueError("right-hand side does not match the grid")
     core = _CoreSolver(ops, bc, mu)
     r_flat = (f_leg + g_leg).ravel()
-    p, s, e, fhat = core.solve(r_flat, x0=x0)
+    p, s, e, fhat = core.solve(r_flat)
     res = core.residual(p, s, r_flat, e, fhat)
     pf = p.reshape(ops.nnodes, n)
     u = (pf + pf[::-1]) / 2.0
@@ -392,20 +383,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-
-def _is_affine(rel: Relation) -> bool:
-    if isinstance(rel, LinearGraph):
-        return True
-    if isinstance(rel, Shifted):
-        return _is_affine(rel.base)
-    base = getattr(rel, "base", None)
-    parts = getattr(rel, "parts", None)
-    if parts is not None:
-        return all(_is_affine(p) for p in parts)
-    if base is not None:
-        return _is_affine(base)
-    return False
 
 
 def _initial_action(ops: DiscreteOperators, bc: BoundaryCondition, w: np.ndarray):
@@ -467,7 +444,7 @@ def step(state, stepper: Stepper) -> np.ndarray:
 
     rhs = w.ravel().astype(complex)
     if theta < 1.0:
-        if not _is_affine(scenario.bc.port_relation):
+        if not scenario.bc.port_relation.affine:
             raise ValueError("theta < 1 requires a linear boundary relation")
         if stepper._action is None:
             action, e_prev, fhat_prev = _initial_action(ops, scenario.bc, w)

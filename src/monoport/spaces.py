@@ -106,8 +106,8 @@ class InnerProductSpace:
         y = sla.solve_triangular(self._chol, rhs, lower=True)
         return sla.solve_triangular(self._chol.conj().T, y, lower=False)
 
-    def is_identity_weight(self, tol: float = 1e-14) -> bool:
-        return bool(np.allclose(self.weight, np.eye(self.dim), atol=tol))
+    def is_identity_weight(self) -> bool:
+        return bool(np.allclose(self.weight, np.eye(self.dim), atol=1e-14))
 
 
 @dataclass(frozen=True)

@@ -395,16 +395,10 @@ def _monolithic_resolve(ops, bc, mu, r_flat):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    relation = bc.port_relation
-    n = bc.ports
-    x0 = np.zeros(n, dtype=complex)
-    y0 = np.zeros(n, dtype=complex)
-    base = relation
-    if isinstance(relation, rel.Shifted):
-        x0, y0 = relation.x0, relation.y0
-        base = relation.base
-    if not isinstance(base, rel.LinearGraph):
+    if not bc.port_relation.affine:
         raise ValueError("monolithic route requires a linear boundary relation")
+    n = bc.ports
+    base, x0, y0 = rel._affine_form(bc.port_relation)
     zx, zy = base.zx, base.zy
     k = zx.shape[1]
     nn = ops.nnodes

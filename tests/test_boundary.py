@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import (
     LinearGraph,
     MonotoneMap,
+    SeparableProx,
+    Shifted,
+    direct_sum,
     graph_residual,
     resolvent,
 )
@@ -213,6 +218,24 @@ def test_multiport_unbounded_part_downgrades_maximality(basis2):
         bc = multiport([(0, grower), (1, ("dirichlet", 0.0))], basis2)
     assert bc.certificates["maximal"].maximal == "unknown"
     assert bc.certificates["monotone"].monotone == "yes"
+
+
+@pytest.mark.parametrize("make_part", [
+    lambda: SeparableProx(InnerProductSpace(2), [("abs", 0.5)] * 2),
+    lambda: direct_sum([SeparableProx(InnerProductSpace(1), [("abs", 0.5)])] * 2),
+    lambda: Shifted(SeparableProx(InnerProductSpace(2), [("abs", 0.5)] * 2),
+                    np.zeros(2), np.array([0.1, -0.2])),
+], ids=["two-piece-prox", "direct-sum", "shifted"])
+def test_multiport_bounded_frictional_part_certifies_maximal(make_part):
+    """Two friction ports given as one direct-sum part, or translated,
+    certify like one two-piece ``SeparableProx``: bounded, so sampled
+    maximality is honest and nothing warns."""
+    basis = bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bc = multiport([((0, 1), make_part())], basis)
+    assert bc.certificates["maximal"].maximal == "yes"
+    assert bc.is_maximal_monotone
 
 
 def test_multiport_scalar_robin_validation(basis1):

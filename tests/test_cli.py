@@ -164,6 +164,20 @@ def test_simulate_friction_scenario(tmp_path):
     assert "oracle" not in report
 
 
+def test_linear_multiport_config_runs_at_midpoint(tmp_path, capsys):
+    text = (FRICTION_SMALL.replace("port.0 = friction 0.5", "port.0 = robin 1.0")
+            .replace("theta = 1", "theta = 0.5"))
+    cfg = write_cfg(tmp_path, text)
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "states.csv").exists()
+    capsys.readouterr()
+    assert cli.main(["check-bc", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "maximal: yes (exact:" in out
+    assert "skew-selfadjoint: no" in out
+
+
 def test_simulate_precision_key_controls_digits(tmp_path):
     text = (CONFIG_DIR / "transport.cfg").read_text(encoding="utf-8")
     cfg = write_cfg(tmp_path, text + "\n[output]\nprecision = 3\n")

@@ -303,6 +303,37 @@ def test_direct_sum_of_maximal_graphs_is_maximal(rng):
     assert cert.maximal == "yes"
 
 
+def test_direct_sum_of_affine_parts_is_one_shifted_graph(rng):
+    r1 = LinearGraph.from_matrix(InnerProductSpace(2), rand_monotone_matrix(rng, 2))
+    r2 = Shifted(LinearGraph.from_matrix(C1, [[0.5]]), np.array([0.3 + 0j]), np.array([-1.0 + 0j]))
+    both = direct_sum([r1, r2])
+    assert isinstance(both, Shifted) and isinstance(both.base, LinearGraph)
+    assert both.affine
+    for _ in range(10):
+        lam = float(rng.uniform(0.1, 3.0))
+        y = rand_complex(rng, 3)
+        parts = np.concatenate([resolvent(r1, lam, y[:2]), resolvent(r2, lam, y[2:])])
+        assert np.linalg.norm(resolvent(both, lam, y) - parts) < 1e-12
+
+
+def test_linear_multiport_has_skew_and_constraint_forms():
+    """A multiport of linear ports is a plain linear graph, so the skew
+    test and the constraint form apply to it."""
+    from monoport.boundary import check_skew_selfadjoint, multiport
+    from monoport.phs import PortHamiltonian, bd_basis
+
+    basis = bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]]))
+    lossless = multiport([(1, ("neumann", 0.0)), (0, ("dirichlet", 0.0))], basis)
+    assert check_skew_selfadjoint(lossless).skew == "yes"
+    lossy = multiport([(0, ("robin", 1.0)), (1, ("dirichlet", 0.0))], basis)
+    assert check_skew_selfadjoint(lossy).skew == "no"
+    assert lossy.certificates["maximal"].method.startswith("exact")
+    ce, cf = lossy.constraint()
+    port = lossy.port_relation
+    assert np.linalg.norm(ce @ port.zx - cf @ port.zy) < 1e-12
+    assert np.linalg.matrix_rank(np.hstack([ce, cf])) == 2
+
+
 # ---------------------------------------------------------------- transform
 
 

@@ -321,6 +321,60 @@ def test_non_scalar_fast_paths_skip_splitting_and_keep_ledger(monkeypatch, p1, m
         assert abs(e[k + 1] - e[k] - predicted) <= 1e-12 * e[0], k
 
 
+def _ledger_defects(traj, ops, theta, dt):
+    """Per-step defect of the exact energy identity of the module docstring."""
+    out = []
+    for k in range(len(traj) - 1):
+        a = (traj.states[k + 1] - traj.states[k]) / dt
+        predicted = -dt * traj.boundary_dissipation[k + 1] - (theta - 0.5) * dt**2 * 2 * ops.energy(a)
+        out.append(abs(traj.energies[k + 1] - traj.energies[k] - predicted))
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("parts", [
+    [(0, ("robin", 1.0)), (1, ("dirichlet", 0.0))],
+    [(1, ("dirichlet", 0.0)), (0, ("robin", 1.0))],
+], ids=["port-order", "listed-reversed"])
+def test_midpoint_runs_on_linear_multiport(parts):
+    """A multiport of linear ports is one linear graph, so the explicit
+    leg of the midpoint rule applies to it, in either listing order."""
+    bc = bnd.multiport(parts, BASIS2)
+    assert bc.port_relation.affine
+    ops = discretize(PHS2, 32)
+    u0 = np.zeros((33, 2))
+    u0[:, 0] = np.exp(-8 * ops.grid.nodes**2)
+    dt = 0.01
+    traj = simulate(Scenario(phs=PHS2, bc=bc, u0=u0, T=1.0, dt=dt, theta=0.5), ops)
+    assert len(traj) == 101
+    assert _ledger_defects(traj, ops, 0.5, dt).max() <= 1e-12 * traj.energies[0]
+    assert dt * traj.boundary_dissipation[1:].sum() > 1e-3
+
+
+def test_linear_multiport_on_coupled_p1_takes_one_linear_solve(monkeypatch):
+    """Robin next to Dirichlet on a coupled ``P1``: the boundary response
+    is not block diagonal, and the relation is one linear graph, so no
+    step falls back to Douglas-Rachford splitting."""
+    import monoport.relations as rels
+
+    phs = PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]])
+    bc = bnd.multiport([(0, ("robin", 1.0)), (1, ("dirichlet", 0.0))], bd_basis(phs))
+    ops = discretize(phs, 32)
+    u0 = np.zeros((33, 2))
+    u0[:, 0] = np.exp(-8 * ops.grid.nodes**2)
+    dt = 0.01
+    dr_calls = []
+    real_dr = rels._douglas_rachford
+
+    def counted(*args):
+        dr_calls.append(args)
+        return real_dr(*args)
+
+    monkeypatch.setattr(rels, "_douglas_rachford", counted)
+    traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=dt, theta=1.0), ops)
+    assert len(traj) == 101 and dr_calls == []
+    assert _ledger_defects(traj, ops, 1.0, dt).max() <= 1e-12 * traj.energies[0]
+
+
 def test_transport_pulse_matches_characteristics():
     m = 128
     ops = discretize(PHS1, m)
