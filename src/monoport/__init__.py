@@ -28,7 +28,6 @@ from monoport.spaces import InnerProductSpace, LinearMap, adjoint, inner, projec
 from monoport.relations import (
     Certificate,
     LinearGraph,
-    MonotoneMap,
     NonconvergenceError,
     Relation,
     SeparableProx,
@@ -37,13 +36,10 @@ from monoport.relations import (
     check_monotone,
     direct_sum,
     graph_residual,
-    inverse,
     post_set,
     principal_section,
     resolvent,
     resolvent_value,
-    sample_graph_points,
-    scale_add,
     solve_inclusion,
     transform,
     yosida,
@@ -94,19 +90,15 @@ __all__ = [
     "project",
     "Relation",
     "LinearGraph",
-    "MonotoneMap",
     "SeparableProx",
     "Certificate",
     "resolvent",
     "resolvent_value",
     "yosida",
     "post_set",
-    "inverse",
     "adjoint_relation",
-    "scale_add",
     "graph_residual",
     "solve_inclusion",
-    "sample_graph_points",
     "NonconvergenceError",
     "principal_section",
     "direct_sum",

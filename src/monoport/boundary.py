@@ -15,9 +15,10 @@ maps:
   adjoint calculus (skew-selfadjointness) is natural.
 
 Constructors attach certificates: monotonicity and maximality are
-checked exactly for linear conditions (eigenvalue / rank arguments) and
-by resolvent sampling for frictional multiport conditions.  Failed
-certificates always carry a concrete, re-verifiable witness.
+checked exactly, by eigenvalue / rank arguments for linear conditions
+and componentwise for frictional multiport conditions (friction is a
+subdifferential, hence maximal).  Failed certificates always carry a
+concrete, re-verifiable witness.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from . import relations
 from .phs import BoundaryDataBasis, project_bd
 from .relations import (
     Certificate,
-    DirectSum,
     LinearGraph,
-    MonotoneMap,
     Relation,
     SeparableProx,
     Shifted,
@@ -349,20 +348,6 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
     raise ValueError(f"unknown port kind {kind!r}; expected one of {_PART_KINDS}")
 
 
-def _part_bounded(rel: Relation) -> bool:
-    """Whether a frictional part provably maps bounded sets to bounded sets
-    (friction always does; a map does when it carries a Lipschitz bound;
-    a translate does when its base does; a direct sum does when each of
-    its parts is affine or bounded)."""
-    if isinstance(rel, DirectSum):
-        return all(p.affine or _part_bounded(p) for p in rel.parts)
-    if isinstance(rel, Shifted):
-        return _part_bounded(rel.base)
-    if isinstance(rel, MonotoneMap):
-        return rel.lipschitz is not None
-    return isinstance(rel, SeparableProx)
-
-
 def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
     """Compose per-port boundary behaviors into one condition.
 
@@ -381,18 +366,14 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
 
     The parts are assembled by direct sum and, when the listed order is
     not already the port order, transported back by the (unitary)
-    coordinate permutation.  Monotonicity certificates are exact where
-    every part is exact; maximality of frictional composites is
-    certified by resolvent sampling, which is honest only for bounded
-    frictional relations — an unbounded one downgrades the certificate
-    to ``unknown`` with a warning.
+    coordinate permutation.  Both certificates are exact: each part is
+    certified by its own rule, and direct sums and the permutation carry
+    the verdicts over.
     """
     n = basis.n
     seen: set = set()
     order: list = []
     part_relations: list = []
-    sampled_needed = False
-    unbounded = False
     for ports, spec in parts:
         if np.isscalar(ports):
             idx = (int(ports),)
@@ -416,21 +397,13 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
             mono = check_monotone(spec)
             if mono.monotone == "no":
                 raise ValueError("multiport parts must be monotone relations")
-            rel = spec
-            if not rel.affine:
-                sampled_needed = True
-                if not _part_bounded(rel):
-                    unbounded = True
-            part_relations.append(rel)
+            part_relations.append(spec)
             order.extend(idx)
         else:
             kind = str(spec[0]).lower()
             params = tuple(spec[1:])
             for k in idx:
-                rel = _scalar_part(kind, params)
-                if kind == "friction":
-                    sampled_needed = True
-                part_relations.append(rel)
+                part_relations.append(_scalar_part(kind, params))
                 order.append(k)
     if seen != set(range(n)):
         missing = sorted(set(range(n)) - seen)
@@ -444,19 +417,8 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
         tmap = LinearMap(_port_space(n), _port_space(n), perm)
         port = transform(tmap, summed)
 
-    if unbounded:
-        warnings.warn(
-            "a frictional part is not certifiably bounded; maximality of the "
-            "composite is downgraded to unknown",
-            UserWarning,
-            stacklevel=2,
-        )
     mono = check_monotone(port)
-    if unbounded:
-        maxi = Certificate(maximal="unknown",
-                           method="resolvent sampling skipped: unbounded frictional part")
-    else:
-        maxi = check_maximal(port, force_sampled=sampled_needed)
+    maxi = check_maximal(port)
     return _finalize(basis, port, "Multiport",
                      {"monotone": mono, "maximal": maxi},
                      {"kind": "multiport", "parts": tuple(parts)})

@@ -6,17 +6,16 @@ maximal monotone relations additionally admit an everywhere-defined
 resolvent ``J_lam = (1 + lam A)^{-1}``.  The module is organized around
 that resolvent: every representation knows how to evaluate it, the
 combinators reduce theirs to the wrapped ones, and the certification
-routines reduce monotonicity/maximality questions to linear algebra
-where the representation is linear and to verified sampling otherwise.
+routines decide monotonicity and maximality by exact rules — linear
+algebra for linear graphs, closed forms for friction, and componentwise
+or congruence arguments for the combinators.  No certificate is
+sampled; the sampled cross-check lives in :mod:`.verify`.
 
 Representations
 ---------------
 ``LinearGraph``
     the span of finitely many pairs, stored as an orthonormal basis of
     the graph subspace of ``H + H``.
-``MonotoneMap``
-    a single-valued continuous map given by an evaluator, with an
-    optional Lipschitz constant.
 ``SeparableProx``
     coordinatewise friction: per-coordinate scaled absolute values,
     each with a closed-form proximal map (soft thresholding).
@@ -29,15 +28,15 @@ over one (:attr:`Relation.affine`); :func:`direct_sum` and
 :func:`transform` keep it, so ``DirectSum`` and ``Transformed`` always
 hold a non-affine part.
 
-Post-sets ``A[{x}]`` are described as affine sets, interval products or
-single points; interval descriptions are the real sections of the
-complex picture (documented on :func:`post_set`).
+Post-sets ``A[{x}]`` of affine relations are affine sets
+(:func:`post_set`); :func:`principal_section` also has the closed form
+for friction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -50,23 +49,15 @@ __all__ = [
     "MAX_ITER",
     "NonconvergenceError",
     "AffineSet",
-    "PointSet",
-    "IntervalProduct",
-    "EmptySet",
-    "EMPTY",
     "Certificate",
     "Relation",
     "LinearGraph",
-    "MonotoneMap",
     "SeparableProx",
     "Shifted",
     "DirectSum",
     "Transformed",
-    "InverseRelation",
     "post_set",
-    "inverse",
     "adjoint_relation",
-    "scale_add",
     "resolvent",
     "resolvent_value",
     "yosida",
@@ -76,7 +67,6 @@ __all__ = [
     "check_monotone",
     "check_maximal",
     "graph_residual",
-    "sample_graph_points",
     "solve_inclusion",
 ]
 
@@ -118,37 +108,6 @@ class AffineSet:
         return self.directions.shape[1] == 0
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """A finite set of points (in practice a singleton)."""
-
-    points: tuple
-
-
-@dataclass(frozen=True)
-class IntervalProduct:
-    """Per-coordinate values: either an exact (possibly complex) singleton
-    ``lo_k == hi_k`` or a real interval ``[lo_k, hi_k]`` with endpoints in
-    ``[-inf, inf]``.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
-
-
-class EmptySet:
-    """Sentinel for an empty post-set."""
-
-    def __repr__(self):  # pragma: no cover
-        return "EMPTY"
-
-
-EMPTY = EmptySet()
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -161,9 +120,9 @@ class Certificate:
     Each verdict is ``"yes"``, ``"no"`` or ``"unknown"``.  A ``"no"``
     always carries a concrete, re-verifiable witness in :attr:`witness`
     (a violating pair of graph points for monotonicity, an unreachable
-    right-hand side for maximality, a mismatch direction for skewness);
-    a sampled ``"yes"`` carries its evidence (worst residual observed).
-    :attr:`method` names the check that produced the verdict.
+    right-hand side for maximality, a mismatch direction for skewness).
+    Every ``"yes"`` and ``"no"`` comes from an exact rule;
+    :attr:`method` names it.
     """
 
     monotone: str = "unknown"
@@ -186,10 +145,6 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # small linear-algebra helpers
 # ---------------------------------------------------------------------------
-
-
-def _random_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
@@ -294,74 +249,6 @@ class LinearGraph(Relation):
         return self.zx @ c, self.zy @ c
 
 
-class MonotoneMap(Relation):
-    """A single-valued continuous (intended monotone) map.
-
-    Parameters
-    ----------
-    space:
-        Underlying space.
-    func:
-        Evaluator ``x -> F(x)``.
-    lipschitz:
-        Optional Lipschitz constant of ``F`` in the space's norm; enables
-        the fixed-step damped iteration.  Without it the step length
-        adapts (halved on a residual increase, grown by 1.2 otherwise).
-    """
-
-    def __init__(self, space, func: Callable, lipschitz: Optional[float] = None):
-        self.space = space
-        self.func = func
-        self.lipschitz = lipschitz
-
-    def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(x, dtype=complex)), dtype=complex).reshape(-1)
-
-    def _resolve(self, lam, y, x0):
-        x = self._solve_perturbed(np.eye(self.space.dim) / lam, y / lam, x0)
-        return x, (y - x) / lam
-
-    def _solve_perturbed(self, phi, g, x0):
-        """Solve ``phi x + F(x) = g`` (phi Hermitian positive w.r.t. the space)."""
-        space = self.space
-        scale = max(1.0, float(np.linalg.norm(g)))
-        z = np.zeros(space.dim, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
-
-        def residual(v):
-            return phi @ v + self(v) - g
-
-        r = residual(z)
-        rnorm = space.norm(r)
-        # damped fixed-point iteration z <- z - tau * (phi z + F(z) - g)
-        phinorm = float(np.linalg.norm(phi, 2))
-        if self.lipschitz is not None:
-            tau = 1.0 / (1.0 + phinorm + self.lipschitz) ** 2
-            adaptive = False
-        else:
-            tau = min(1.0, 1.0 / max(phinorm, 1e-30))
-            adaptive = True
-        for _ in range(MAX_ITER):
-            if rnorm <= TOL_ITERATIVE * scale:
-                return z
-            z_new = z - tau * r
-            r_new = residual(z_new)
-            rn = space.norm(r_new)
-            if adaptive and rn >= rnorm:
-                tau *= 0.5
-                if tau < 1e-16:
-                    raise NonconvergenceError(
-                        "damped iteration stalled (step size underflow)", residual=rnorm
-                    )
-                continue
-            z, r, rnorm = z_new, r_new, rn
-            if adaptive:
-                tau = min(tau * 1.2, 1.0)
-        raise NonconvergenceError(
-            f"damped iteration did not reach tol={TOL_ITERATIVE:.1e} in {MAX_ITER} steps",
-            residual=rnorm,
-        )
-
-
 class SeparableProx(Relation):
     """Coordinatewise friction, with a closed-form proximal map.
 
@@ -406,34 +293,6 @@ def _prox_piece(p: tuple, lam: float, v: complex) -> complex:
     t = lam * p[1]
     av = abs(v)
     return 0.0 if av <= t else v * (1.0 - t / av)
-
-
-def _postset_piece(p: tuple, x: complex):
-    """Post-set of one piece at ``x``: (lo, hi) singleton or interval."""
-    mu = p[1]
-    if abs(x) <= 1e-12:
-        return (-mu, mu)
-    v = mu * x / abs(x)
-    return (v, v)
-
-
-def _inverse_postset_piece(p: tuple, w: complex):
-    """Post-set of the INVERSE of one piece at ``w``, or None if empty."""
-    atol = 1e-12
-    mu = p[1]
-    if mu == 0.0:
-        return (-np.inf, np.inf) if abs(w) <= atol else None
-    if abs(w) < mu - atol * max(1.0, mu):
-        return (0.0, 0.0)
-    if abs(w) > mu + atol * max(1.0, mu):
-        return None
-    # |w| == mu: the post-set is the ray along w
-    if abs(w.imag) > atol * max(1.0, abs(w)):
-        raise ValueError(
-            "inverse post-set on the boundary circle is a ray; only the "
-            "real section is representable as an interval"
-        )
-    return (0.0, np.inf) if w.real > 0 else (-np.inf, 0.0)
 
 
 class Shifted(Relation):
@@ -522,20 +381,6 @@ class Transformed(Relation):
         return np.linalg.solve(t, z), ts @ w
 
 
-class InverseRelation(Relation):
-    """Lazy inverse ``{(y, x) : (x, y) in base}`` for representations
-    without a direct swapped form."""
-
-    def __init__(self, base: Relation):
-        self.base = base
-        self.space = base.space
-
-    def _resolve(self, lam, y, x0):
-        # (1 + lam A^{-1})^{-1}(y) = y - lam (1 + A / lam)^{-1}(y / lam)
-        u, _ = self.base._resolve(1.0 / lam, y / lam, None)
-        return y - lam * u, u
-
-
 # ---------------------------------------------------------------------------
 # the inclusion-solver primitive
 # ---------------------------------------------------------------------------
@@ -557,9 +402,8 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
     graphs (every affine relation, shifted or not) are solved by one
     least-squares solve; diagonal ``phi`` against coordinatewise pieces
     is solved per coordinate; block ``phi`` against a direct sum
-    recurses; a single-valued map uses the damped solver; the general
-    case runs Douglas–Rachford splitting between the affine part and the
-    relation.
+    recurses; the general case runs Douglas–Rachford splitting between
+    the affine part and the relation.
     """
     space = rel.space
     g = space.check_vector(g)
@@ -608,10 +452,6 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
                 zs.append(zk)
                 ws.append(wk)
             return np.concatenate(zs), np.concatenate(ws)
-
-    if isinstance(rel, MonotoneMap):
-        z = rel._solve_perturbed(phi, g, x0)
-        return z, g - phi @ z
 
     return _douglas_rachford(phi, rel, g, x0)
 
@@ -688,109 +528,47 @@ def yosida(rel: Relation, lam: float, x) -> np.ndarray:
     return (np.asarray(x, dtype=complex) - jx) / lam
 
 
-def post_set(rel: Relation, x) -> object:
-    """Describe ``A[{x}] = {y : (x, y) in A}``.
+def post_set(rel: Relation, x) -> Optional[AffineSet]:
+    """Describe ``A[{x}] = {y : (x, y) in A}`` for an affine relation.
 
-    Returns an :class:`AffineSet` for linear graphs, a :class:`PointSet`
-    for single-valued maps, an :class:`IntervalProduct` for
-    coordinatewise pieces, or :data:`EMPTY`.  Interval descriptions are
-    real sections: at a kink of the complex modulus the full post-set is
-    a disk, of which the interval is the real slice.
+    Returns an :class:`AffineSet`, or ``None`` when ``x`` is outside the
+    domain.  Other representations raise ``ValueError``.
     """
-    if isinstance(rel, LinearGraph):
-        x = rel.space.check_vector(x)
-        c, res = _lstsq(rel.zx, x)
-        if res > 1e-10 * max(1.0, float(np.linalg.norm(x))):
-            return EMPTY
-        base = rel.zy @ c
-        null = _nullspace(rel.zx)
-        dirs = _orthonormal_columns(rel.zy @ null) if null.shape[1] else np.zeros((rel.space.dim, 0), dtype=complex)
-        return AffineSet(base=base, directions=dirs)
-    if isinstance(rel, MonotoneMap):
-        return PointSet(points=(rel(x),))
-    if isinstance(rel, SeparableProx):
-        x = rel.space.check_vector(x)
-        got = [_postset_piece(p, xk) for p, xk in zip(rel.pieces, x)]
-        return IntervalProduct(lo=np.asarray([g[0] for g in got], dtype=complex),
-                               hi=np.asarray([g[1] for g in got], dtype=complex))
-    if isinstance(rel, InverseRelation) and isinstance(rel.base, SeparableProx):
-        x = rel.space.check_vector(x)
-        los, his = [], []
-        for p, wk in zip(rel.base.pieces, x):
-            got = _inverse_postset_piece(p, wk)
-            if got is None:
-                return EMPTY
-            los.append(got[0])
-            his.append(got[1])
-        return IntervalProduct(lo=np.asarray(los, dtype=complex), hi=np.asarray(his, dtype=complex))
     if isinstance(rel, Shifted):
-        inner_desc = post_set(rel.base, np.asarray(x, dtype=complex) - rel.x0)
-        return _shift_description(inner_desc, rel.y0)
-    raise ValueError(f"post-set enumeration is not supported for representation {type(rel).__name__!r}")
-
-
-def _shift_description(desc, y0):
-    if desc is EMPTY:
-        return EMPTY
-    if isinstance(desc, AffineSet):
-        return AffineSet(base=desc.base + y0, directions=desc.directions)
-    if isinstance(desc, PointSet):
-        return PointSet(points=tuple(p + y0 for p in desc.points))
-    if isinstance(desc, IntervalProduct):
-        # only exact singletons can absorb a complex shift; interval pieces
-        # shift along the real axis
-        return IntervalProduct(lo=desc.lo + y0, hi=desc.hi + y0)
-    raise TypeError(f"unknown description {type(desc).__name__}")
+        desc = post_set(rel.base, np.asarray(x, dtype=complex) - rel.x0)
+        return None if desc is None else AffineSet(base=desc.base + rel.y0, directions=desc.directions)
+    if not isinstance(rel, LinearGraph):
+        raise ValueError(f"post-set enumeration is not supported for representation {type(rel).__name__!r}")
+    x = rel.space.check_vector(x)
+    c, res = _lstsq(rel.zx, x)
+    if res > 1e-10 * max(1.0, float(np.linalg.norm(x))):
+        return None
+    base = rel.zy @ c
+    null = _nullspace(rel.zx)
+    dirs = _orthonormal_columns(rel.zy @ null) if null.shape[1] else np.zeros((rel.space.dim, 0), dtype=complex)
+    return AffineSet(base=base, directions=dirs)
 
 
 def principal_section(rel: Relation, x) -> np.ndarray:
     """Least-norm element of the post-set at ``x`` in the weighted norm.
 
-    Errors on an empty post-set, and on unbounded interval descriptions
-    (those occur at boundary-of-domain points, where no finite section is
-    certified).
+    Affine relations take the least-norm point of :func:`post_set`, and
+    raise ``ValueError`` outside the domain.  Friction has the closed
+    form ``mu x / |x|`` per coordinate, and ``0`` at the kink
+    ``|x| <= 1e-12``, where the post-set is the disk of radius ``mu``.
     """
+    if isinstance(rel, SeparableProx):
+        x = rel.space.check_vector(x)
+        return np.array([0.0 if abs(xk) <= 1e-12 else p[1] * xk / abs(xk)
+                         for p, xk in zip(rel.pieces, x)], dtype=complex)
     desc = post_set(rel, x)
-    space = rel.space
-    if desc is EMPTY:
+    if desc is None:
         raise ValueError("empty post-set: the point is outside the relation's domain")
-    if isinstance(desc, PointSet):
-        norms = [space.norm(p) for p in desc.points]
-        return np.asarray(desc.points[int(np.argmin(norms))], dtype=complex)
-    if isinstance(desc, AffineSet):
-        if desc.is_point:
-            return desc.base
-        lh = space._chol.conj().T
-        t, _ = _lstsq(lh @ desc.directions, -(lh @ desc.base))
-        return desc.base + desc.directions @ t
-    if isinstance(desc, IntervalProduct):
-        if not desc.is_bounded():
-            raise ValueError(
-                "post-set is unbounded (boundary-of-domain point): "
-                "no principal section is defined here"
-            )
-        out = np.empty(space.dim, dtype=complex)
-        for k in range(space.dim):
-            lo, hi = desc.lo[k], desc.hi[k]
-            if lo == hi:
-                out[k] = lo
-            else:
-                out[k] = complex(min(max(0.0, lo.real), hi.real))
-        return out
-    raise TypeError(f"unknown description {type(desc).__name__}")
-
-
-def inverse(rel: Relation) -> Relation:
-    """The inverse relation ``{(y, x) : (x, y) in A}``."""
-    if isinstance(rel, LinearGraph):
-        return LinearGraph(rel.space, rel.zy, rel.zx)
-    if isinstance(rel, Shifted):
-        return Shifted(inverse(rel.base), rel.y0, rel.x0)
-    if isinstance(rel, DirectSum):
-        return DirectSum([inverse(p) for p in rel.parts])
-    if isinstance(rel, InverseRelation):
-        return rel.base
-    return InverseRelation(rel)
+    if desc.is_point:
+        return desc.base
+    lh = rel.space._chol.conj().T
+    t, _ = _lstsq(lh @ desc.directions, -(lh @ desc.base))
+    return desc.base + desc.directions @ t
 
 
 def adjoint_relation(rel: Relation) -> Relation:
@@ -809,26 +587,6 @@ def adjoint_relation(rel: Relation) -> Relation:
     flipped = np.vstack([-rel.zy, rel.zx])
     comp = _nullspace(flipped.conj().T @ w2)
     return LinearGraph(rel.space, comp[:d], comp[d:])
-
-
-def scale_add(lam: complex, rel_a: Relation, rel_b: Relation) -> Relation:
-    """The combination ``lam A + B = {(x, lam y + z) : (x,y) in A, (x,z) in B}``
-    of two linear graphs on the intersection of their domains, computed
-    exactly by intersecting the domain parametrizations.
-    """
-    if rel_a.space.dim != rel_b.space.dim:
-        raise ValueError("relations must live on the same space")
-    if not (isinstance(rel_a, LinearGraph) and isinstance(rel_b, LinearGraph)):
-        raise ValueError(
-            "scale_add supports two linear graphs, got "
-            f"{type(rel_a).__name__!r} and {type(rel_b).__name__!r}"
-        )
-    null = _nullspace(np.hstack([rel_a.zx, -rel_b.zx]))
-    ka = rel_a.graph_dim
-    a_part, b_part = null[:ka], null[ka:]
-    zx = rel_a.zx @ a_part
-    zy = lam * (rel_a.zy @ a_part) + rel_b.zy @ b_part
-    return LinearGraph(rel_a.space, zx, zy)
 
 
 def _affine_form(rel: Relation):
@@ -895,55 +653,13 @@ def transform(tmap, rel: Relation) -> Relation:
     return Shifted(lin, part[:dx], adj @ (y0 + base.zy @ part[dx:]))
 
 
-# ---------------------------------------------------------------------------
-# graph sampling and residuals
-# ---------------------------------------------------------------------------
-
-
-def sample_graph_points(rel: Relation, count: int, rng: np.random.Generator):
-    """Draw ``count`` members ``(x, y)`` of the relation.
-
-    Linear graphs take random combinations of the basis; single-valued
-    maps evaluate at random points; coordinatewise pieces generate pairs
-    through their proximal identity; combinators recurse.
-    """
-    return [_sample_one(rel, rng) for _ in range(count)]
-
-
-def _sample_one(rel: Relation, rng):
-    if isinstance(rel, LinearGraph):
-        c = _random_vector(rng, rel.graph_dim)
-        return rel.zx @ c, rel.zy @ c
-    if isinstance(rel, MonotoneMap):
-        x = _random_vector(rng, rel.space.dim)
-        return x, rel(x)
-    if isinstance(rel, SeparableProx):
-        r = _random_vector(rng, rel.space.dim)
-        x = rel.prox(1.0, r)
-        return x, r - x
-    if isinstance(rel, Shifted):
-        x, y = _sample_one(rel.base, rng)
-        return x + rel.x0, y + rel.y0
-    if isinstance(rel, DirectSum):
-        pairs = [_sample_one(p, rng) for p in rel.parts]
-        return (np.concatenate([p[0] for p in pairs]),
-                np.concatenate([p[1] for p in pairs]))
-    if isinstance(rel, InverseRelation):
-        x, y = _sample_one(rel.base, rng)
-        return y, x
-    if isinstance(rel, Transformed):
-        z, w = _sample_one(rel.base, rng)
-        return np.linalg.solve(rel.tmap.matrix, z), rel.adj_matrix @ w
-    raise ValueError(f"cannot sample graph points of {type(rel).__name__!r}")
-
-
 def graph_residual(rel: Relation, x, y) -> float:
     """A residual that vanishes exactly when ``(x, y)`` belongs to the
     relation, and is comparable to the distance from the graph.
 
     Linear graphs measure the orthogonal distance to the graph subspace;
     coordinatewise pieces use the proximal identity ``x = prox(x + y)``;
-    single-valued maps compare ``y`` against the evaluator.
+    combinators recurse.
     """
     space = rel.space
     x = space.check_vector(x)
@@ -960,16 +676,12 @@ def graph_residual(rel: Relation, x, y) -> float:
         # the proximal identity: (x, y) is in the graph iff x = prox_1(x + y)
         xp = rel.prox(1.0, x + y)
         return float(np.sqrt(2.0) * space.norm(x - xp))
-    if isinstance(rel, MonotoneMap):
-        return float(space.norm(y - rel(x)))
     if isinstance(rel, Shifted):
         return graph_residual(rel.base, x - rel.x0, y - rel.y0)
     if isinstance(rel, DirectSum):
         xs, ys = rel.split(x), rel.split(y)
         return float(np.sqrt(sum(graph_residual(p, xk, yk) ** 2
                                  for p, xk, yk in zip(rel.parts, xs, ys))))
-    if isinstance(rel, InverseRelation):
-        return graph_residual(rel.base, y, x)
     if isinstance(rel, Transformed):
         t = rel.tmap.matrix
         return graph_residual(rel.base, t @ x, np.linalg.solve(rel.adj_matrix, y))
@@ -981,31 +693,33 @@ def graph_residual(rel: Relation, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_monotone(rel: Relation, trials: int = 200, seed: int = 0) -> Certificate:
+def check_monotone(rel: Relation) -> Certificate:
     """Certify ``Re<u - x | v - y> >= 0`` over the relation.
 
     Exact for linear graphs (smallest eigenvalue of the symmetrized
-    pairing restricted to the graph subspace), for coordinatewise convex
-    pieces (subdifferentials by construction) and, componentwise, for
-    combinators of those; sampled falsification otherwise.  A ``"no"``
-    carries the violating pair of graph points.
+    pairing restricted to the graph subspace) and for coordinatewise
+    convex pieces (subdifferentials by construction); translations,
+    direct sums and congruences by an invertible map carry the verdict
+    of their parts over.  A ``"no"`` carries the violating pair of graph
+    points, mapped into the relation's own coordinates.  A representation
+    with no exact rule gets ``"unknown"``.
     """
-    return _monotone_dispatch(rel, trials, seed)
+    return _monotone_dispatch(rel)
 
 
-def _monotone_dispatch(rel, trials, seed) -> Certificate:
+def _monotone_dispatch(rel) -> Certificate:
     if isinstance(rel, LinearGraph):
         return _monotone_linear(rel)
     if isinstance(rel, SeparableProx):
         return Certificate(monotone="yes", method="closed-form: coordinatewise convex pieces")
     if isinstance(rel, Shifted):
-        cert = _monotone_dispatch(rel.base, trials, seed)
+        cert = _monotone_dispatch(rel.base)
         return _lift_certificate(cert, "translation-invariant: " + cert.method,
                                  lambda pair: (pair[0] + rel.x0, pair[1] + rel.y0))
     if isinstance(rel, DirectSum):
         worst = None
         for idx, part in enumerate(rel.parts):
-            cert = _monotone_dispatch(part, trials, seed + idx)
+            cert = _monotone_dispatch(part)
             if cert.monotone == "no":
                 return _embed_sum_witness(rel, idx, cert)
             if cert.monotone == "unknown":
@@ -1013,17 +727,13 @@ def _monotone_dispatch(rel, trials, seed) -> Certificate:
         if worst is not None:
             return Certificate(monotone="unknown", method="componentwise: " + worst.method)
         return Certificate(monotone="yes", method="componentwise over direct summands")
-    if isinstance(rel, InverseRelation):
-        cert = _monotone_dispatch(rel.base, trials, seed)
-        return _lift_certificate(cert, "inverse-invariant: " + cert.method,
-                                 lambda pair: (pair[1], pair[0]))
     if isinstance(rel, Transformed):
-        cert = _monotone_dispatch(rel.base, trials, seed)
-        if cert.monotone == "yes":
-            return Certificate(monotone="yes",
-                               method="congruence preserves monotonicity: " + cert.method)
-        return _monotone_sampled(rel, trials, seed)
-    return _monotone_sampled(rel, trials, seed)
+        # (z, w) in B  <->  (T^{-1} z, T* w) in T* B T, with the same pairing
+        cert = _monotone_dispatch(rel.base)
+        return _lift_certificate(cert, "congruence preserves monotonicity: " + cert.method,
+                                 lambda pair: (np.linalg.solve(rel.tmap.matrix, pair[0]),
+                                               rel.adj_matrix @ pair[1]))
+    return Certificate(monotone="unknown", method=f"no exact rule for {type(rel).__name__}")
 
 
 def _lift_certificate(cert: Certificate, method: str, pair_map) -> Certificate:
@@ -1081,72 +791,44 @@ def _monotone_linear(rel: LinearGraph) -> Certificate:
     )
 
 
-def _monotone_sampled(rel: Relation, trials: int, seed: int) -> Certificate:
-    rng = np.random.default_rng(seed)
-    w = rel.space.weight
-    try:
-        pairs = sample_graph_points(rel, 2 * trials, rng)
-    except (ValueError, NonconvergenceError) as exc:
-        return Certificate(monotone="unknown", method=f"sampling unavailable ({exc})")
-    worst = np.inf
-    for (x1, y1), (x2, y2) in zip(pairs[::2], pairs[1::2]):
-        dx, dy = x1 - x2, y1 - y2
-        v = float(np.real(dx.conj() @ (w @ dy)))
-        ref = max(1.0, float(np.linalg.norm(dx)) * float(np.linalg.norm(dy)))
-        worst = min(worst, v / ref)
-        if v < -1e-10 * ref:
-            return Certificate(
-                monotone="no",
-                method=f"sampled: violating pair among {trials} random graph pairs",
-                witness={"pair_a": (x1, y1), "pair_b": (x2, y2), "value": v},
-            )
-    return Certificate(monotone="yes",
-                       method=f"sampled: {trials} random graph pairs",
-                       witness={"worst_normalized_pairing": worst})
-
-
-def check_maximal(rel: Relation, trials: int = 50, seed: int = 0,
-                  force_sampled: bool = False) -> Certificate:
+def check_maximal(rel: Relation) -> Certificate:
     """Certify maximal monotonicity.
 
     Monotonicity is certified first; a failure there is decisive and its
     witness is returned.  On the maximality side, linear graphs get the
     exact surjectivity test (the forward-plus-backward block of the graph
-    basis must have full rank), combinators recurse, and everything else
-    is probed by resolvent sampling at random right-hand sides — sampling
-    can return ``"yes"`` (with the worst residual as evidence) or
-    ``"unknown"``, never ``"no"``.
+    basis must have full rank); friction is a subdifferential of a convex
+    function, hence maximal (Minty); translations, direct sums and
+    congruences by an invertible map carry the verdict of their parts
+    over.  A representation with no exact rule gets ``"unknown"``.
     """
-    mono = check_monotone(rel, trials=trials, seed=seed)
+    mono = check_monotone(rel)
     if mono.monotone == "no":
         return Certificate(monotone="no", maximal="no",
                            method="not monotone; " + mono.method,
                            witness=mono.witness)
     if mono.monotone == "unknown":
         return Certificate(monotone="unknown", maximal="unknown", method=mono.method)
-    if force_sampled:
-        cert = _maximal_sampled(rel, trials, seed)
-    else:
-        cert = _maximal_dispatch(rel, trials, seed)
+    cert = _maximal_dispatch(rel)
     cert.monotone = "yes"
     return cert
 
 
-def _maximal_dispatch(rel, trials, seed) -> Certificate:
+def _maximal_dispatch(rel) -> Certificate:
     if isinstance(rel, LinearGraph):
         return _maximal_linear(rel)
     if isinstance(rel, SeparableProx):
         return Certificate(maximal="yes",
                            method="closed-form: every coordinate piece has a full-domain proximal map")
     if isinstance(rel, Shifted):
-        cert = _maximal_dispatch(rel.base, trials, seed)
+        cert = _maximal_dispatch(rel.base)
         cert.method = "translation-invariant: " + cert.method
         if cert.witness is not None and "rhs" in cert.witness:
             cert.witness = dict(cert.witness, rhs=cert.witness["rhs"] + rel.x0 + rel.y0)
         return cert
     if isinstance(rel, DirectSum):
         for idx, part in enumerate(rel.parts):
-            cert = _maximal_dispatch(part, trials, seed + idx)
+            cert = _maximal_dispatch(part)
             if cert.maximal == "no":
                 rhs = np.zeros(rel.space.dim, dtype=complex)
                 if cert.witness is not None and "rhs" in cert.witness:
@@ -1158,15 +840,11 @@ def _maximal_dispatch(rel, trials, seed) -> Certificate:
                 return Certificate(maximal="unknown",
                                    method=f"componentwise (summand {idx}): {cert.method}")
         return Certificate(maximal="yes", method="componentwise over direct summands")
-    if isinstance(rel, InverseRelation):
-        cert = _maximal_dispatch(rel.base, trials, seed)
-        cert.method = "inverse-invariant: " + cert.method
-        return cert
     if isinstance(rel, Transformed):
-        cert = _maximal_dispatch(rel.base, trials, seed)
+        cert = _maximal_dispatch(rel.base)
         cert.method = "congruence by an invertible map: " + cert.method
         return cert
-    return _maximal_sampled(rel, trials, seed)
+    return Certificate(maximal="unknown", method=f"no exact rule for {type(rel).__name__}")
 
 
 def _maximal_linear(rel: LinearGraph) -> Certificate:
@@ -1187,26 +865,3 @@ def _maximal_linear(rel: LinearGraph) -> Certificate:
         method="exact: forward-plus-backward block is rank deficient",
         witness={"rhs": witness_rhs, "rank": rank, "dim": d},
     )
-
-
-def _maximal_sampled(rel: Relation, trials: int, seed: int) -> Certificate:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        y = _random_vector(rng, rel.space.dim)
-        try:
-            x, w = resolvent_value(rel, 1.0, y)
-        except NonconvergenceError as exc:
-            return Certificate(
-                maximal="unknown",
-                method=f"resolvent sampling: nonconvergence at a random right-hand side ({exc})",
-                witness={"rhs": y, "residual": exc.residual},
-            )
-        try:
-            res = graph_residual(rel, x, w)
-        except ValueError:
-            res = float(rel.space.norm(x + w - y))
-        worst = max(worst, res)
-    return Certificate(maximal="yes",
-                       method=f"resolvent sampling at {trials} right-hand sides",
-                       witness={"max_residual": worst})

@@ -23,7 +23,7 @@ import numpy as np
 from . import boundary as bnd
 from . import relations as rel
 from .phs import PortHamiltonian, bd_basis, ddot_matrix, flow_effort, gdot_matrix, project_bd
-from .spaces import InnerProductSpace
+from .spaces import InnerProductSpace, LinearMap
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suites", "format_report"]
 
@@ -148,6 +148,38 @@ def _suite_relation(seed: int) -> List[CheckResult]:
                                 rel.resolvent(r2, lam, y[n1:])])
         worst = max(worst, float(np.linalg.norm(joint - split)))
     out.append(CheckResult("relation", "direct sum resolvent splits", float(worst), 1e-10))
+
+    # Certificates are structural; this is the sampled evidence that they
+    # are right.  A port permutation keeps the resolvent direct, while the
+    # one non-unitary congruence runs Douglas-Rachford (about ten times
+    # slower per sample).  Splitting stops at TOL_ITERATIVE in the
+    # substituted coordinates, and mapping back by T* (norm up to 2) can
+    # grow x + w - y past it, hence the bound 1e-7.
+    worst = 0.0
+    for k in range(5):
+        non_unitary = k == 4
+        n = int(rng.integers(2, 5))
+        parts = [bnd._scalar_part("friction", (float(rng.uniform(0.1, 2.0)),))]
+        for _ in range(n - 1):
+            kind = ("friction", "robin", "dirichlet")[int(rng.integers(3))]
+            value = float(rng.normal()) if rng.uniform() < 0.5 else 0.0
+            params = {"friction": (float(rng.uniform(0.1, 2.0)),),
+                      "robin": (float(rng.uniform(0.0, 2.0)), value),
+                      "dirichlet": (value,)}[kind]
+            parts.append(bnd._scalar_part(kind, params))
+        tmat = np.eye(n)[rng.permutation(n)]
+        if non_unitary:
+            tmat = tmat @ (_random_unitary(rng, n) * rng.uniform(0.5, 2.0, size=n))
+        space = InnerProductSpace(n)
+        r = rel.transform(LinearMap(space, space, tmat), rel.direct_sum(parts))
+        if rel.check_maximal(r).maximal != "yes":
+            worst = max(worst, 1.0)
+        for _ in range(2 if non_unitary else 4):
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            x, w = rel.resolvent_value(r, 1.0, y)
+            worst = max(worst, float(np.linalg.norm(x + w - y)), rel.graph_residual(r, x, w))
+    out.append(CheckResult("relation", "structural maximality agrees with sampled resolvents",
+                           float(worst), 1e-7))
     return out
 
 

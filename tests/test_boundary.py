@@ -19,7 +19,6 @@ from monoport.boundary import (
 from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import (
     LinearGraph,
-    MonotoneMap,
     SeparableProx,
     Shifted,
     direct_sum,
@@ -202,22 +201,13 @@ def test_multiport_partition_errors(basis2):
     with pytest.raises(ValueError, match="not covered"):
         multiport([(0, ("dirichlet", 0.0))], basis2)
     with pytest.raises(ValueError, match="dimension"):
-        multiport([((0, 1), MonotoneMap(InnerProductSpace(1), lambda x: x,
-                                        lipschitz=1.0))], basis2)
+        multiport([((0, 1), SeparableProx(InnerProductSpace(1), [("abs", 0.5)]))], basis2)
 
 
 def test_multiport_rejects_nonmonotone_part(basis2):
     sink = LinearGraph.from_matrix(InnerProductSpace(1), [[-1.0]])
     with pytest.raises(ValueError, match="monotone"):
         multiport([(0, sink), (1, ("dirichlet", 0.0))], basis2)
-
-
-def test_multiport_unbounded_part_downgrades_maximality(basis2):
-    grower = MonotoneMap(InnerProductSpace(1), lambda x: 2.0 * x, lipschitz=None)
-    with pytest.warns(UserWarning, match="not certifiably bounded"):
-        bc = multiport([(0, grower), (1, ("dirichlet", 0.0))], basis2)
-    assert bc.certificates["maximal"].maximal == "unknown"
-    assert bc.certificates["monotone"].monotone == "yes"
 
 
 @pytest.mark.parametrize("make_part", [
@@ -228,13 +218,15 @@ def test_multiport_unbounded_part_downgrades_maximality(basis2):
 ], ids=["two-piece-prox", "direct-sum", "shifted"])
 def test_multiport_bounded_frictional_part_certifies_maximal(make_part):
     """Two friction ports given as one direct-sum part, or translated,
-    certify like one two-piece ``SeparableProx``: bounded, so sampled
-    maximality is honest and nothing warns."""
+    certify exactly like one two-piece ``SeparableProx``, and nothing
+    warns."""
     basis = bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bc = multiport([((0, 1), make_part())], basis)
-    assert bc.certificates["maximal"].maximal == "yes"
+    cert = bc.certificates["maximal"]
+    assert cert.maximal == "yes"
+    assert "sampl" not in cert.method
     assert bc.is_maximal_monotone
 
 

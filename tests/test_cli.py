@@ -65,6 +65,17 @@ def test_check_bc_wrong_sign_fails_with_witness(tmp_path, capsys):
     assert "(negative pairing)" in out
 
 
+@pytest.mark.parametrize("cfg", [
+    CONFIG_DIR / "friction.cfg",
+    CONFIG_DIR.parent / "perfbench" / "configs" / "friction_dr.cfg",
+], ids=["friction", "friction_dr"])
+def test_check_bc_friction_config_certifies_exactly(tmp_path, capsys, cfg):
+    code = cli.main(["check-bc", "--config", str(cfg), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "maximal: yes (componentwise over direct summands)" in out
+
+
 def test_check_bc_missing_file_is_usage_error(tmp_path, capsys):
     code = cli.main(["check-bc", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

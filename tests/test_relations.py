@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoport.relations import (
-    EMPTY,
     AffineSet,
     Certificate,
-    IntervalProduct,
     LinearGraph,
-    MonotoneMap,
     NonconvergenceError,
-    PointSet,
+    Relation,
     SeparableProx,
     Shifted,
     adjoint_relation,
@@ -19,13 +16,10 @@ from monoport.relations import (
     check_monotone,
     direct_sum,
     graph_residual,
-    inverse,
     post_set,
     principal_section,
     resolvent,
     resolvent_value,
-    sample_graph_points,
-    scale_add,
     solve_inclusion,
     transform,
     yosida,
@@ -65,51 +59,7 @@ def test_post_set_vertical_line():
     at_zero = post_set(rel, [0.0])
     assert isinstance(at_zero, AffineSet) and not at_zero.is_point
     assert at_zero.directions.shape == (1, 1)
-    assert post_set(rel, [1.0]) is EMPTY
-
-
-def test_post_set_sign_relation_at_kink():
-    desc = post_set(sign_relation(), [0.0])
-    assert isinstance(desc, IntervalProduct)
-    assert desc.lo[0] == pytest.approx(-1.0)
-    assert desc.hi[0] == pytest.approx(1.0)
-    away = post_set(sign_relation(), [2.0])
-    assert away.lo[0] == away.hi[0] == pytest.approx(1.0)
-
-
-def test_post_set_single_valued_map():
-    f = MonotoneMap(C1, lambda x: 3.0 * x, lipschitz=3.0)
-    desc = post_set(f, [2.0])
-    assert isinstance(desc, PointSet)
-    assert desc.points[0] == pytest.approx([6.0])
-
-
-# ---------------------------------------------------------------- inverse
-
-
-def test_inverse_is_involution(rng):
-    rel = LinearGraph.from_matrix(InnerProductSpace(3), rand_complex(rng, 3, 3))
-    back = inverse(inverse(rel))
-    gap = np.linalg.norm(back.stacked - rel.stacked @ (rel.stacked.conj().T @ back.stacked))
-    assert gap < 1e-12
-
-
-def test_inverse_of_doubling_graph():
-    rel = LinearGraph.from_matrix(C1, [[2.0]])
-    inv = inverse(rel)
-    desc = post_set(inv, [1.0])
-    assert desc.base == pytest.approx([0.5])
-
-
-def test_inverse_of_sign_relation_by_cases():
-    inv = inverse(sign_relation())
-    inside = post_set(inv, [0.5])
-    assert isinstance(inside, IntervalProduct)
-    assert inside.lo[0] == inside.hi[0] == pytest.approx(0.0)
-    edge = post_set(inv, [1.0])
-    assert edge.lo[0] == pytest.approx(0.0)
-    assert np.isinf(edge.hi[0].real)
-    assert post_set(inv, [2.0]) is EMPTY
+    assert post_set(rel, [1.0]) is None
 
 
 # ---------------------------------------------------------------- adjoint
@@ -140,32 +90,6 @@ def test_adjoint_dimension_count(rng):
                           rand_complex(rng, dim, k), rand_complex(rng, dim, k))
         adj = adjoint_relation(rel)
         assert rel.graph_dim + adj.graph_dim == 2 * dim
-
-
-# ---------------------------------------------------------------- scale_add
-
-
-def test_scale_add_with_zero_map_is_identity_of_addition(rng):
-    space = InnerProductSpace(2)
-    rel = LinearGraph.from_matrix(space, rand_complex(rng, 2, 2))
-    zero = LinearGraph.from_matrix(space, np.zeros((2, 2)))
-    got = scale_add(1.0, rel, zero)
-    gap = np.linalg.norm(got.stacked - rel.stacked @ (rel.stacked.conj().T @ got.stacked))
-    assert gap < 1e-12
-
-
-def test_scale_add_identity_plus_identity():
-    got = scale_add(1.0, identity_relation(), identity_relation())
-    desc = post_set(got, [3.0])
-    assert desc.base == pytest.approx([6.0])
-
-
-def test_scale_add_intersects_domains():
-    got = scale_add(2.0, dirichlet_relation(), identity_relation())
-    # domain {0}: the sum is again the vertical relation over x = 0
-    assert post_set(got, [1.0]) is EMPTY
-    at_zero = post_set(got, [0.0])
-    assert isinstance(at_zero, AffineSet) and not at_zero.is_point
 
 
 # ---------------------------------------------------------------- resolvent
@@ -267,12 +191,6 @@ def test_principal_section_affine_set(rng):
 def test_principal_section_outside_domain_raises():
     with pytest.raises(ValueError):
         principal_section(dirichlet_relation(), [1.0])
-
-
-def test_principal_section_unbounded_interval_raises():
-    inv = inverse(sign_relation())
-    with pytest.raises(ValueError):
-        principal_section(inv, [1.0])  # post-set [0, inf)
 
 
 # ---------------------------------------------------------------- direct sum
@@ -432,22 +350,43 @@ def test_check_maximal_detects_rank_deficiency():
     assert check_maximal(rel).maximal == "no"
 
 
+def test_check_monotone_lifts_witness_through_congruence(rng):
+    """A non-monotone summand under an invertible congruence is refuted
+    exactly: the base witness is mapped by (z, w) -> (T^-1 z, T* w)."""
+    base = direct_sum([LinearGraph.from_matrix(C1, [[-1.0]]), SeparableProx(C1, [("abs", 0.5)])])
+    space = InnerProductSpace(2)
+    rel = transform(LinearMap(space, space, rand_complex(rng, 2, 2) + 2.0 * np.eye(2)), base)
+    cert = check_monotone(rel)
+    assert cert.monotone == "no"
+    assert "congruence" in cert.method
+    (x1, y1), (x2, y2) = cert.witness["pair_a"], cert.witness["pair_b"]
+    assert graph_residual(rel, x1, y1) < 1e-10
+    assert graph_residual(rel, x2, y2) < 1e-10
+    pairing = np.real(np.conj(x1 - x2) @ (y1 - y2))
+    assert pairing < 0
+    assert cert.witness["value"] == pytest.approx(pairing)
+    assert check_maximal(rel).maximal == "no"
+
+
+def test_relation_without_exact_rule_certifies_unknown():
+    class Opaque(Relation):
+        space = C1
+
+    cert = check_maximal(Opaque())
+    assert cert.monotone == cert.maximal == "unknown"
+    assert "sampl" not in cert.method
+
+
+def test_post_set_refuses_nonaffine_relation():
+    with pytest.raises(ValueError, match="SeparableProx"):
+        post_set(sign_relation(), [0.0])
+
+
 def test_check_maximal_closed_form_path_on_prox():
     rel = SeparableProx(InnerProductSpace(2), [("abs", 0.5), ("abs", 1.0)])
     cert = check_maximal(rel)
     assert cert.maximal == "yes"
     assert "closed-form" in cert.method
-
-
-@pytest.mark.parametrize("lipschitz", [1.2, None])
-def test_check_maximal_sampled_path_on_map(lipschitz):
-    # without a Lipschitz bound the damped iteration adapts its step length
-    rel = MonotoneMap(InnerProductSpace(2),
-                      lambda x: x + 0.2 * np.tanh(np.real(x)), lipschitz=lipschitz)
-    cert = check_maximal(rel, trials=25, seed=4)
-    assert cert.maximal == "yes"
-    assert "sampl" in cert.method or "resolvent" in cert.method
-    assert cert.witness["max_residual"] < 1e-6
 
 
 # ---------------------------------------------------------------- inclusion
@@ -479,15 +418,7 @@ def test_solve_inclusion_requires_square_phi():
         solve_inclusion(np.ones((2, 1)), sign_relation(), np.array([1.0]))
 
 
-# ---------------------------------------------------------------- sampling
-
-
-def test_sample_graph_points_lie_on_graph(rng):
-    for rel in (LinearGraph.from_matrix(InnerProductSpace(2), rand_monotone_matrix(rng, 2)),
-                sign_relation(),
-                Shifted(sign_relation(), np.array([1.0 + 0j]), np.array([0.5 + 0j]))):
-        for x, y in sample_graph_points(rel, 20, rng):
-            assert graph_residual(rel, x, y) < 1e-10
+# ------------------------------------------------------- certificate record
 
 
 def test_certificate_dataclass_defaults():
