@@ -36,6 +36,7 @@ for friction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -339,6 +340,26 @@ class DirectSum(Relation):
         v = self.space.check_vector(v)
         return [v[s] for s in self.slices]
 
+    @cached_property
+    def _affine_split(self):
+        """``(a, f, graph, xa, ya, rest)``: the coordinates ``a`` of the
+        affine parts and ``f`` of the others, the affine parts as one
+        relation in the :func:`_affine_form` ``(graph, xa, ya)``, and the
+        others as one relation; ``None`` when no part, or every part, is
+        affine."""
+        is_affine = [p.affine for p in self.parts]
+        if all(is_affine) or not any(is_affine):
+            return None
+
+        def coords(flag):
+            return np.concatenate([np.arange(s.start, s.stop)
+                                   for s, aff in zip(self.slices, is_affine) if aff == flag])
+
+        rest = [p for p in self.parts if not p.affine]
+        return (coords(True), coords(False),
+                *_affine_form(direct_sum([p for p in self.parts if p.affine])),
+                rest[0] if len(rest) == 1 else DirectSum(rest))
+
     def _resolve(self, lam, y, x0):
         ys = self.split(y)
         x0s = [None] * len(self.parts) if x0 is None else self.split(x0)
@@ -402,8 +423,13 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
     graphs (every affine relation, shifted or not) are solved by one
     least-squares solve; diagonal ``phi`` against coordinatewise pieces
     is solved per coordinate; block ``phi`` against a direct sum
-    recurses; the general case runs Douglas–Rachford splitting between
-    the affine part and the relation.
+    recurses; any other ``phi`` against a direct sum of affine and
+    non-affine parts eliminates the affine coordinates by one Schur
+    complement and recurses on the rest (:func:`_schur_reduce`), so one
+    friction port next to linear ports has a closed form.  That answer
+    is kept only if it passes the residual test of Douglas–Rachford
+    splitting; otherwise, and in the general case, splitting runs
+    between the affine part ``z -> phi z - g`` and the relation.
     """
     space = rel.space
     g = space.check_vector(g)
@@ -452,8 +478,55 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
                 zs.append(zk)
                 ws.append(wk)
             return np.concatenate(zs), np.concatenate(ws)
+        if rel._affine_split is not None:
+            out = _schur_reduce(phi, rel, g, x0)
+            # the residual test of _douglas_rachford: M near singular can
+            # make the elimination return a wrong pair without raising
+            if out is not None and space.norm(phi @ out[0] + out[1] - g) \
+                    <= TOL_ITERATIVE * max(1.0, float(np.linalg.norm(g))):
+                return out
 
     return _douglas_rachford(phi, rel, g, x0)
+
+
+def _schur_reduce(phi, rel, g, x0):
+    """Eliminate the affine coordinates of a direct sum exactly.
+
+    With the affine parts written as ``(xa + zx c, ya + zy c)`` and
+    ``M = phi_aa zx + zy``, the rows ``a`` give
+    ``c = M^{-1}(h - phi_af z_f)`` with ``h = g_a - phi_aa xa - ya``;
+    the rows ``f`` leave ``phi' z_f + B(z_f) ∋ g'`` with the Schur
+    complement ``phi' = phi_ff - phi_fa zx M^{-1} phi_af``, solved by
+    recursion.  Returns ``None`` when ``M`` is not square or singular,
+    or when the recursion does not converge; the caller tests the
+    residual of the pair it returns.
+    """
+    a, f, graph, xa, ya, rest = rel._affine_split
+    k = a.size
+    order = np.concatenate([a, f])
+    q = phi[np.ix_(order, order)]
+    phi_aa, phi_af, phi_fa, phi_ff = q[:k, :k], q[:k, k:], q[k:, :k], q[k:, k:]
+    m = phi_aa @ graph.zx + graph.zy
+    if m.shape[0] != m.shape[1]:
+        return None
+    try:
+        sol = np.linalg.solve(m, np.column_stack([g[a] - phi_aa @ xa - ya, phi_af]))
+    except np.linalg.LinAlgError:
+        return None
+    c_h, c_f = sol[:, 0], sol[:, 1:]
+    phi_fa_zx = phi_fa @ graph.zx
+    try:
+        z_f, w_f = solve_inclusion(phi_ff - phi_fa_zx @ c_f, rest,
+                                   g[f] - phi_fa @ xa - phi_fa_zx @ c_h,
+                                   x0=None if x0 is None else np.asarray(x0)[f])
+    except NonconvergenceError:
+        return None
+    c = c_h - c_f @ z_f
+    z = np.empty(rel.space.dim, dtype=complex)
+    w = np.empty(rel.space.dim, dtype=complex)
+    z[a], z[f] = xa + graph.zx @ c, z_f
+    w[a], w[f] = ya + graph.zy @ c, w_f
+    return z, w
 
 
 def _douglas_rachford(phi, rel, g, x0):

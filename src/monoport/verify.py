@@ -80,6 +80,15 @@ def _random_monotone_matrix(rng, n):
     return herm + (skew - skew.conj().T) / 2.0
 
 
+def _random_port(rng, kind):
+    """One scalar port of ``kind``; half of the linear ones are shifted."""
+    value = float(rng.normal()) if rng.uniform() < 0.5 else 0.0
+    params = {"friction": (float(rng.uniform(0.1, 2.0)),),
+              "robin": (float(rng.uniform(0.0, 2.0)), value),
+              "dirichlet": (value,)}[kind]
+    return bnd._scalar_part(kind, params)
+
+
 # ---------------------------------------------------------------- relation
 
 
@@ -151,8 +160,9 @@ def _suite_relation(seed: int) -> List[CheckResult]:
 
     # Certificates are structural; this is the sampled evidence that they
     # are right.  A port permutation keeps the resolvent direct, while the
-    # one non-unitary congruence runs Douglas-Rachford (about ten times
-    # slower per sample).  Splitting stops at TOL_ITERATIVE in the
+    # one non-unitary congruence couples the ports: its linear ports are
+    # eliminated exactly, and two or more friction ports then run
+    # Douglas-Rachford.  Splitting stops at TOL_ITERATIVE in the
     # substituted coordinates, and mapping back by T* (norm up to 2) can
     # grow x + w - y past it, hence the bound 1e-7.
     worst = 0.0
@@ -161,12 +171,7 @@ def _suite_relation(seed: int) -> List[CheckResult]:
         n = int(rng.integers(2, 5))
         parts = [bnd._scalar_part("friction", (float(rng.uniform(0.1, 2.0)),))]
         for _ in range(n - 1):
-            kind = ("friction", "robin", "dirichlet")[int(rng.integers(3))]
-            value = float(rng.normal()) if rng.uniform() < 0.5 else 0.0
-            params = {"friction": (float(rng.uniform(0.1, 2.0)),),
-                      "robin": (float(rng.uniform(0.0, 2.0)), value),
-                      "dirichlet": (value,)}[kind]
-            parts.append(bnd._scalar_part(kind, params))
+            parts.append(_random_port(rng, ("friction", "robin", "dirichlet")[int(rng.integers(3))]))
         tmat = np.eye(n)[rng.permutation(n)]
         if non_unitary:
             tmat = tmat @ (_random_unitary(rng, n) * rng.uniform(0.5, 2.0, size=n))
@@ -414,7 +419,37 @@ def _suite_solver(seed: int) -> List[CheckResult]:
         errs.append(np.abs(trajm.states[-1][:, 0] - oracle).max())
     t_orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     out.append(CheckResult("solver", "transport convergence order", float(t_orders.min()), 0.9, kind="min"))
+
+    # Against a coupled phi, solve_inclusion eliminates the linear ports of
+    # a direct sum exactly.  The elimination is measured before the
+    # residual test that guards it in solve_inclusion (which would hand a
+    # wrong answer to splitting); splitting the whole sum must agree with
+    # it to the splitting tolerance.
+    worst = 0.0
+    for k in (1, 2):
+        phi, r, g = _random_schur_instance(rng, k)
+        z_dr, w_dr = rel._douglas_rachford(phi, r, g, None)
+        pair = rel._schur_reduce(phi, r, g, None)
+        if pair is None:
+            worst = np.inf
+            continue
+        worst = max(worst, float(np.linalg.norm(pair[0] - z_dr)), float(np.linalg.norm(pair[1] - w_dr)))
+    out.append(CheckResult("solver", "Schur reduction agrees with splitting", worst, 1e-7))
     return out
+
+
+def _random_schur_instance(rng, k):
+    """A coupled Hermitian positive ``phi``, a right-hand side, and a
+    direct sum of ``k`` friction ports and one or two linear ports
+    (Robin or Dirichlet, half of them shifted) in random order."""
+    kinds = ["friction"] * k
+    kinds += [("robin", "dirichlet")[int(rng.integers(2))] for _ in range(int(rng.integers(1, 3)))]
+    parts = [_random_port(rng, kinds[idx]) for idx in rng.permutation(len(kinds))]
+    n = len(parts)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    phi = z @ z.conj().T / n + 0.5 * np.eye(n)
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return phi, rel.direct_sum(parts), g
 
 
 def _monolithic_resolve(ops, bc, mu, r_flat):

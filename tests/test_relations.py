@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoport.relations import (
+    TOL_ITERATIVE,
     AffineSet,
     Certificate,
+    DirectSum,
     LinearGraph,
     NonconvergenceError,
     Relation,
@@ -411,6 +413,76 @@ def test_solve_inclusion_linear_relation(rng):
         z, w = solve_inclusion(phi, rel, g)
         assert np.linalg.norm(phi @ z + w - g) < 1e-8
         assert graph_residual(rel, z, w) < 1e-8
+
+
+def _count_splitting(monkeypatch):
+    """Record the dimension of every Douglas-Rachford call."""
+    import monoport.relations as rels
+
+    calls = []
+    real = rels._douglas_rachford
+
+    def counted(phi, rel, g, x0):
+        calls.append(rel.space.dim)
+        return real(phi, rel, g, x0)
+
+    monkeypatch.setattr(rels, "_douglas_rachford", counted)
+    return calls, real
+
+
+def test_solve_inclusion_schur_falls_back_on_singular_affine_block(monkeypatch):
+    """``M = phi_aa zx + zy`` vanishes up to roundoff: the eliminated answer
+    misses the residual test, and splitting solves the whole sum."""
+    calls, _ = _count_splitting(monkeypatch)
+    rel = DirectSum([sign_relation(0.5), LinearGraph.from_matrix(C1, [[-2.0]])])
+    phi = np.array([[1.0, 0.3], [0.3, 2.0]])
+    g = np.array([1.0, 0.5])
+    z, w = solve_inclusion(phi, rel, g)
+    assert calls[-1] == 2
+    assert np.linalg.norm(phi @ z + w - g) <= TOL_ITERATIVE * np.linalg.norm(g)
+    assert z == pytest.approx([5.0 / 3.0, -35.0 / 9.0], abs=1e-6)
+
+
+def _random_port_sum(rng, k):
+    """``k`` friction ports and one or two linear ports (Robin or
+    Dirichlet, some shifted), in random order."""
+    parts = [SeparableProx(C1, [("abs", float(rng.uniform(0.1, 2.0)))]) for _ in range(k)]
+    for _ in range(int(rng.integers(1, 3))):
+        if rng.uniform() < 0.5:
+            base = LinearGraph.from_matrix(C1, [[float(rng.uniform(0.0, 2.0))]])
+        else:
+            base = dirichlet_relation()
+        shifted = rng.uniform() < 0.5
+        parts.append(Shifted(base, rand_complex(rng, 1), rand_complex(rng, 1)) if shifted else base)
+    return direct_sum([parts[i] for i in rng.permutation(len(parts))])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_solve_inclusion_schur_reduction_agrees_with_splitting(monkeypatch, rng, k):
+    """Against a coupled phi the linear ports are eliminated exactly; one
+    friction port is then solved in closed form, two by splitting on
+    just those two coordinates (and, when that answer misses the
+    residual test of the whole sum, by splitting the whole sum)."""
+    import monoport.relations as rels
+
+    calls, real_dr = _count_splitting(monkeypatch)
+    for _ in range(10):
+        rel = _random_port_sum(rng, k)
+        n = rel.space.dim
+        phi = rand_spd(rng, n, shift=0.5)
+        g = rand_complex(rng, n)
+        calls.clear()
+        z, w = solve_inclusion(phi, rel, g)
+        if k == 1:
+            assert calls == [] and np.linalg.norm(phi @ z + w - g) <= 1e-12
+        else:
+            assert calls[0] == 2
+        z_dr, w_dr = real_dr(phi, rel, g, None)
+        # the elimination itself, before the residual test that guards it
+        z_s, w_s = rels._schur_reduce(phi, rel, g, None)
+        for zz, ww in ((z, w), (z_s, w_s)):
+            assert np.linalg.norm(zz - z_dr) <= 1e-7 and np.linalg.norm(ww - w_dr) <= 1e-7
+            assert graph_residual(rel, zz, ww) <= 1e-8
 
 
 def test_solve_inclusion_requires_square_phi():

@@ -253,14 +253,15 @@ def test_simulate_refuses_uncertified_condition():
 
 
 def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
-    """Friction next to Robin on a coupled ``P1``: every step solves its
-    boundary inclusion by Douglas-Rachford splitting, warm-started from
-    the previous effort, and the energy identity of the module docstring
-    holds per step to roundoff."""
+    """Two friction ports on a coupled ``P1``: no coordinate is affine, so
+    every step solves its boundary inclusion by Douglas-Rachford
+    splitting, warm-started from the previous effort, and the energy
+    identity of the module docstring holds per step to the splitting
+    tolerance."""
     import monoport.relations as rels
 
     phs = PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]])
-    bc = bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0))], bd_basis(phs))
+    bc = bnd.multiport([(0, ("friction", 0.5)), (1, ("friction", 0.3))], bd_basis(phs))
     ops = discretize(phs, 32)
     xs = ops.grid.nodes
     u0 = np.zeros((33, 2))
@@ -293,7 +294,16 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
     # block-diagonal DirectSum branch: phi is diagonal when P1 is
     ([[1.0, 0.0], [0.0, 2.0]],
      lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0))], basis), 1.0),
-], ids=["shifted-coupled", "direct-sum-diagonal"])
+    # Schur branch: a coupled phi, whose linear port is eliminated exactly,
+    # leaving a scalar friction inclusion in closed form
+    ([[1.0, 0.7], [0.7, 1.5]],
+     lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0))], basis), 1.0),
+    ([[1.0, 0.7], [0.7, 1.5]],
+     lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("dirichlet", 0.0))], basis), 1.0),
+    ([[1.0, 0.7], [0.7, 1.5]],
+     lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0, 0.2))], basis), 1.0),
+], ids=["shifted-coupled", "direct-sum-diagonal", "schur-robin", "schur-dirichlet",
+        "schur-shifted-robin"])
 def test_non_scalar_fast_paths_skip_splitting_and_keep_ledger(monkeypatch, p1, make_bc, theta):
     import monoport.relations as rels
 
