@@ -37,7 +37,6 @@ from .relations import (
     LinearGraph,
     Relation,
     SeparableProx,
-    Shifted,
     check_maximal,
     check_monotone,
     direct_sum,
@@ -134,7 +133,7 @@ class BoundaryCondition:
         form; anything affine or nonlinear raises ``ValueError``.
         """
         rel = self.port_relation
-        if not isinstance(rel, LinearGraph):
+        if not isinstance(rel, LinearGraph) or rel.shifted:
             raise ValueError("constraint emission requires a linear boundary condition")
         stacked = np.vstack([rel.zx, -rel.zy])  # columns span {(e, f)}
         ann = relations._nullspace(stacked.conj().T)
@@ -180,12 +179,6 @@ def _port_datum(value, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"boundary datum must be a scalar or length-{n} vector")
     return arr
-
-
-def _shifted_or_plain(base: LinearGraph, x0: np.ndarray, y0: np.ndarray) -> Relation:
-    if np.linalg.norm(x0) == 0.0 and np.linalg.norm(y0) == 0.0:
-        return base
-    return Shifted(base, x0, y0)
 
 
 def _finalize(basis, port_relation, provenance, certificates, data) -> BoundaryCondition:
@@ -253,8 +246,7 @@ def dirichlet(value, basis: BoundaryDataBasis) -> BoundaryCondition:
     """Pin the effort trace: ``e = value``, flow free."""
     n = basis.n
     pin = _port_datum(value, n)
-    base = LinearGraph(_port_space(n), np.zeros((n, n)), np.eye(n))
-    port = _shifted_or_plain(base, pin, np.zeros(n, dtype=complex))
+    port = LinearGraph(_port_space(n), np.zeros((n, n)), np.eye(n), x0=pin)
     certs = {"monotone": check_monotone(port), "maximal": check_maximal(port)}
     return _finalize(basis, port, "Dirichlet", certs,
                      {"kind": "dirichlet", "value": pin})
@@ -264,8 +256,7 @@ def neumann(value, basis: BoundaryDataBasis) -> BoundaryCondition:
     """Pin the flow trace: ``f = value``, effort free."""
     n = basis.n
     pin = _port_datum(value, n)
-    base = LinearGraph(_port_space(n), np.eye(n), np.zeros((n, n)))
-    port = _shifted_or_plain(base, np.zeros(n, dtype=complex), -pin)
+    port = LinearGraph(_port_space(n), np.eye(n), np.zeros((n, n)), y0=-pin)
     certs = {"monotone": check_monotone(port), "maximal": check_maximal(port)}
     return _finalize(basis, port, "Neumann", certs,
                      {"kind": "neumann", "value": pin})
@@ -292,8 +283,7 @@ def _robin_like(mmat, basis, value, sign: float, provenance: str) -> BoundaryCon
         )
     pin = _port_datum(value, n)
     kmat = sign * (basis.sqrtS @ mmat @ basis.sqrtS)
-    base = LinearGraph.from_matrix(_port_space(n), kmat)
-    port = _shifted_or_plain(base, np.zeros(n, dtype=complex), -pin)
+    port = LinearGraph(_port_space(n), np.eye(n), kmat, y0=-pin)
     certs = {"monotone": check_monotone(port), "maximal": check_maximal(port)}
     return _finalize(basis, port, provenance, certs,
                      {"kind": provenance.lower(), "M": mmat, "value": pin})
@@ -327,12 +317,10 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
     space = _port_space(1)
     if kind == "dirichlet":
         (val,) = params
-        base = LinearGraph(space, np.zeros((1, 1)), np.eye(1))
-        return _shifted_or_plain(base, np.array([complex(val)]), np.zeros(1, dtype=complex))
+        return LinearGraph(space, np.zeros((1, 1)), np.eye(1), x0=[val])
     if kind == "neumann":
         (val,) = params
-        base = LinearGraph(space, np.eye(1), np.zeros((1, 1)))
-        return _shifted_or_plain(base, np.zeros(1, dtype=complex), np.array([-complex(val)]))
+        return LinearGraph(space, np.eye(1), np.zeros((1, 1)), y0=[-complex(val)])
     if kind == "friction":
         (mu,) = params
         if not float(mu) >= 0.0:
@@ -343,8 +331,7 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
         val = params[1] if len(params) > 1 else 0.0
         if not float(np.real(alpha)) >= 0.0 or abs(np.imag(alpha)) > 0:
             raise ValueError("scalar robin coefficient must be real and nonnegative")
-        base = LinearGraph.from_matrix(space, np.array([[float(np.real(alpha))]]))
-        return _shifted_or_plain(base, np.zeros(1, dtype=complex), np.array([-complex(val)]))
+        return LinearGraph(space, np.eye(1), [[float(np.real(alpha))]], y0=[-complex(val)])
     raise ValueError(f"unknown port kind {kind!r}; expected one of {_PART_KINDS}")
 
 
@@ -449,7 +436,7 @@ def check_skew_selfadjoint(bc: BoundaryCondition) -> Certificate:
     conditions only.
     """
     h = bc.h
-    if not isinstance(h, LinearGraph):
+    if not isinstance(h, LinearGraph) or h.shifted:
         raise ValueError("skew-selfadjointness undefined for nonlinear relations")
     adj = relations.adjoint_relation(h)
     neg = LinearGraph(h.space, h.zx, -h.zy)

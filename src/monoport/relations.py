@@ -15,18 +15,19 @@ Representations
 ---------------
 ``LinearGraph``
     the span of finitely many pairs, stored as an orthonormal basis of
-    the graph subspace of ``H + H``.
+    the graph subspace of ``H + H``, translated by an offset pair (zero
+    unless the relation carries inhomogeneous data).
 ``SeparableProx``
     coordinatewise friction: per-coordinate scaled absolute values,
     each with a closed-form proximal map (soft thresholding).
-``Shifted``, ``DirectSum``, ``Transformed``
-    combinators: graph translation, block sums, and the congruence
-    ``T* B T`` by an invertible map ``T``.
+``DirectSum``, ``Transformed``
+    combinators: block sums, and the congruence ``T* B T`` by an
+    invertible map ``T``.
 
-An affine relation has one form, a ``LinearGraph`` or a ``Shifted``
-over one (:attr:`Relation.affine`); :func:`direct_sum` and
-:func:`transform` keep it, so ``DirectSum`` and ``Transformed`` always
-hold a non-affine part.
+An affine relation has one form, a ``LinearGraph``
+(:attr:`Relation.affine`); :func:`direct_sum` and :func:`transform`
+keep it, so ``DirectSum`` and ``Transformed`` always hold a non-affine
+part.
 
 Post-sets ``A[{x}]`` of affine relations are affine sets
 (:func:`post_set`); :func:`principal_section` also has the closed form
@@ -54,7 +55,6 @@ __all__ = [
     "Relation",
     "LinearGraph",
     "SeparableProx",
-    "Shifted",
     "DirectSum",
     "Transformed",
     "post_set",
@@ -186,9 +186,9 @@ class Relation:
     """Base class; concrete relations implement ``_resolve(lam, y, x0)``,
     the pair ``(x, w)`` with ``x + lam w = y``, warm-started from ``x0``.
 
-    :attr:`affine` is true exactly for a ``LinearGraph`` and a
-    ``Shifted`` over one: one linear solve, exact certificates, and the
-    explicit leg of a ``theta < 1`` step.
+    :attr:`affine` is true exactly for a ``LinearGraph``: one linear
+    solve, exact certificates, and the explicit leg of a ``theta < 1``
+    step.
     """
 
     space: InnerProductSpace
@@ -199,16 +199,18 @@ class Relation:
 
 
 class LinearGraph(Relation):
-    """The relation spanned by finitely many pairs ``(x_i, y_i)``.
+    """The affine relation ``{(x0 + zx c, y0 + zy c)}``: the span of
+    finitely many pairs ``(x_i, y_i)``, translated by ``(x0, y0)``.
 
     The graph subspace is stored as an orthonormalized ``2 dim x k``
     basis (dependent input columns are dropped), split into the ``zx``
-    and ``zy`` row blocks.
+    and ``zy`` row blocks.  The offsets default to zero; translation
+    keeps monotonicity and maximality.
     """
 
     affine = True
 
-    def __init__(self, space: InnerProductSpace, zx, zy):
+    def __init__(self, space: InnerProductSpace, zx, zy, x0=None, y0=None):
         zx = np.atleast_2d(np.asarray(zx, dtype=complex))
         zy = np.atleast_2d(np.asarray(zy, dtype=complex))
         if zx.shape[0] != space.dim or zy.shape[0] != space.dim:
@@ -219,6 +221,8 @@ class LinearGraph(Relation):
         self.space = space
         self.zx = z[: space.dim]
         self.zy = z[space.dim:]
+        self.x0 = np.zeros(space.dim, dtype=complex) if x0 is None else space.check_vector(x0)
+        self.y0 = np.zeros(space.dim, dtype=complex) if y0 is None else space.check_vector(y0)
 
     @classmethod
     def from_matrix(cls, space: InnerProductSpace, m) -> "LinearGraph":
@@ -231,15 +235,21 @@ class LinearGraph(Relation):
         return self.zx.shape[1]
 
     @property
+    def shifted(self) -> bool:
+        """Whether the offset pair is nonzero: the relation is affine but
+        not linear."""
+        return bool(np.any(self.x0) or np.any(self.y0))
+
+    @property
     def stacked(self) -> np.ndarray:
         return np.vstack([self.zx, self.zy])
 
     def _resolve(self, lam, y, x0):
-        return self._solve(self.zx + lam * self.zy, y)
+        return self._solve(self.zx + lam * self.zy, y - self.x0 - lam * self.y0)
 
     def _solve(self, m, rhs):
-        """The graph pair ``(zx c, zy c)`` with ``m c = rhs``; a residual
-        above :data:`TOL_LINEAR` (relative) raises."""
+        """The graph pair ``(x0 + zx c, y0 + zy c)`` with ``m c = rhs``; a
+        residual above :data:`TOL_LINEAR` (relative) raises."""
         c, res = _lstsq(m, rhs)
         if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(rhs))):
             raise NonconvergenceError(
@@ -247,7 +257,7 @@ class LinearGraph(Relation):
                 "the relation is not maximal on this right-hand side",
                 residual=res,
             )
-        return self.zx @ c, self.zy @ c
+        return self.x0 + self.zx @ c, self.y0 + self.zy @ c
 
 
 class SeparableProx(Relation):
@@ -296,23 +306,6 @@ def _prox_piece(p: tuple, lam: float, v: complex) -> complex:
     return 0.0 if av <= t else v * (1.0 - t / av)
 
 
-class Shifted(Relation):
-    """Graph translation ``base + {(x0, y0)}``; affine when ``base`` is a
-    ``LinearGraph``."""
-
-    def __init__(self, base: Relation, x0, y0):
-        self.base = base
-        self.space = base.space
-        self.affine = isinstance(base, LinearGraph)
-        self.x0 = base.space.check_vector(x0)
-        self.y0 = base.space.check_vector(y0)
-
-    def _resolve(self, lam, y, x0):
-        warm = None if x0 is None else np.asarray(x0) - self.x0
-        xb, yb = self.base._resolve(lam, y - self.x0 - lam * self.y0, warm)
-        return self.x0 + xb, self.y0 + yb
-
-
 def _sum_space(parts: Sequence[Relation]) -> InnerProductSpace:
     """The orthogonal sum of the parts' spaces (block-diagonal weight)."""
     weight = sla.block_diag(*[p.space.weight for p in parts])
@@ -323,7 +316,7 @@ class DirectSum(Relation):
     """Block relation on the orthogonal sum of the component spaces.
 
     Built by :func:`direct_sum` only when some part is not affine; a sum
-    of affine parts is one ``LinearGraph`` (possibly shifted).
+    of affine parts is one ``LinearGraph``.
     """
 
     def __init__(self, parts: Sequence[Relation]):
@@ -342,11 +335,10 @@ class DirectSum(Relation):
 
     @cached_property
     def _affine_split(self):
-        """``(a, f, graph, xa, ya, rest)``: the coordinates ``a`` of the
-        affine parts and ``f`` of the others, the affine parts as one
-        relation in the :func:`_affine_form` ``(graph, xa, ya)``, and the
-        others as one relation; ``None`` when no part, or every part, is
-        affine."""
+        """``(a, f, graph, rest)``: the coordinates ``a`` of the affine
+        parts and ``f`` of the others, the affine parts as one
+        ``LinearGraph``, and the others as one relation; ``None`` when no
+        part, or every part, is affine."""
         is_affine = [p.affine for p in self.parts]
         if all(is_affine) or not any(is_affine):
             return None
@@ -357,7 +349,7 @@ class DirectSum(Relation):
 
         rest = [p for p in self.parts if not p.affine]
         return (coords(True), coords(False),
-                *_affine_form(direct_sum([p for p in self.parts if p.affine])),
+                direct_sum([p for p in self.parts if p.affine]),
                 rest[0] if len(rest) == 1 else DirectSum(rest))
 
     def _resolve(self, lam, y, x0):
@@ -419,8 +411,8 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
     ``phi z + w - g`` small.  A linear system whose residual exceeds
     :data:`TOL_LINEAR` (relative) raises :class:`NonconvergenceError`.
 
-    Dispatch: scalar ``phi`` reduces to the wrapped resolvent; linear
-    graphs (every affine relation, shifted or not) are solved by one
+    Dispatch: scalar ``phi`` reduces to the wrapped resolvent; a linear
+    graph (every affine relation, offsets included) is solved by one
     least-squares solve; diagonal ``phi`` against coordinatewise pieces
     is solved per coordinate; block ``phi`` against a direct sum
     recurses; any other ``phi`` against a direct sum of affine and
@@ -447,12 +439,7 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
         return z, g - phi @ z
 
     if isinstance(rel, LinearGraph):
-        return rel._solve(phi @ rel.zx + rel.zy, g)
-
-    if isinstance(rel, Shifted):
-        z, w = solve_inclusion(phi, rel.base, g - phi @ rel.x0 - rel.y0,
-                               x0=None if x0 is None else np.asarray(x0) - rel.x0)
-        return rel.x0 + z, rel.y0 + w
+        return rel._solve(phi @ rel.zx + rel.zy, g - phi @ rel.x0 - rel.y0)
 
     offdiag = phi - np.diag(diag)
     if isinstance(rel, SeparableProx) and np.linalg.norm(offdiag) <= 1e-14 * max(1.0, np.linalg.norm(phi)) \
@@ -492,16 +479,16 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
 def _schur_reduce(phi, rel, g, x0):
     """Eliminate the affine coordinates of a direct sum exactly.
 
-    With the affine parts written as ``(xa + zx c, ya + zy c)`` and
+    With the affine parts written as ``(x0 + zx c, y0 + zy c)`` and
     ``M = phi_aa zx + zy``, the rows ``a`` give
-    ``c = M^{-1}(h - phi_af z_f)`` with ``h = g_a - phi_aa xa - ya``;
+    ``c = M^{-1}(h - phi_af z_f)`` with ``h = g_a - phi_aa x0 - y0``;
     the rows ``f`` leave ``phi' z_f + B(z_f) ∋ g'`` with the Schur
     complement ``phi' = phi_ff - phi_fa zx M^{-1} phi_af``, solved by
     recursion.  Returns ``None`` when ``M`` is not square or singular,
     or when the recursion does not converge; the caller tests the
     residual of the pair it returns.
     """
-    a, f, graph, xa, ya, rest = rel._affine_split
+    a, f, graph, rest = rel._affine_split
     k = a.size
     order = np.concatenate([a, f])
     q = phi[np.ix_(order, order)]
@@ -510,22 +497,22 @@ def _schur_reduce(phi, rel, g, x0):
     if m.shape[0] != m.shape[1]:
         return None
     try:
-        sol = np.linalg.solve(m, np.column_stack([g[a] - phi_aa @ xa - ya, phi_af]))
+        sol = np.linalg.solve(m, np.column_stack([g[a] - phi_aa @ graph.x0 - graph.y0, phi_af]))
     except np.linalg.LinAlgError:
         return None
     c_h, c_f = sol[:, 0], sol[:, 1:]
     phi_fa_zx = phi_fa @ graph.zx
     try:
         z_f, w_f = solve_inclusion(phi_ff - phi_fa_zx @ c_f, rest,
-                                   g[f] - phi_fa @ xa - phi_fa_zx @ c_h,
+                                   g[f] - phi_fa @ graph.x0 - phi_fa_zx @ c_h,
                                    x0=None if x0 is None else np.asarray(x0)[f])
     except NonconvergenceError:
         return None
     c = c_h - c_f @ z_f
     z = np.empty(rel.space.dim, dtype=complex)
     w = np.empty(rel.space.dim, dtype=complex)
-    z[a], z[f] = xa + graph.zx @ c, z_f
-    w[a], w[f] = ya + graph.zy @ c, w_f
+    z[a], z[f] = graph.x0 + graph.zx @ c, z_f
+    w[a], w[f] = graph.y0 + graph.zy @ c, w_f
     return z, w
 
 
@@ -607,16 +594,13 @@ def post_set(rel: Relation, x) -> Optional[AffineSet]:
     Returns an :class:`AffineSet`, or ``None`` when ``x`` is outside the
     domain.  Other representations raise ``ValueError``.
     """
-    if isinstance(rel, Shifted):
-        desc = post_set(rel.base, np.asarray(x, dtype=complex) - rel.x0)
-        return None if desc is None else AffineSet(base=desc.base + rel.y0, directions=desc.directions)
     if not isinstance(rel, LinearGraph):
         raise ValueError(f"post-set enumeration is not supported for representation {type(rel).__name__!r}")
-    x = rel.space.check_vector(x)
+    x = rel.space.check_vector(x) - rel.x0
     c, res = _lstsq(rel.zx, x)
-    if res > 1e-10 * max(1.0, float(np.linalg.norm(x))):
+    if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(x))):
         return None
-    base = rel.zy @ c
+    base = rel.zy @ c + rel.y0
     null = _nullspace(rel.zx)
     dirs = _orthonormal_columns(rel.zy @ null) if null.shape[1] else np.zeros((rel.space.dim, 0), dtype=complex)
     return AffineSet(base=base, directions=dirs)
@@ -651,10 +635,8 @@ def adjoint_relation(rel: Relation) -> Relation:
     With identity weights this sends the graph of a matrix ``M`` to the
     graph of ``M^H``.
     """
-    if not isinstance(rel, LinearGraph):
-        raise ValueError(
-            f"adjoint requires a linear relation, got {type(rel).__name__!r}"
-        )
+    if not isinstance(rel, LinearGraph) or rel.shifted:
+        raise ValueError("adjoint requires a linear relation (a LinearGraph without offsets)")
     d = rel.space.dim
     w2 = sla.block_diag(rel.space.weight, rel.space.weight)
     flipped = np.vstack([-rel.zy, rel.zx])
@@ -662,42 +644,31 @@ def adjoint_relation(rel: Relation) -> Relation:
     return LinearGraph(rel.space, comp[:d], comp[d:])
 
 
-def _affine_form(rel: Relation):
-    """``(graph, x0, y0)`` of an affine relation: its ``LinearGraph`` and
-    the offsets of its shift (zero when unshifted)."""
-    if isinstance(rel, Shifted):
-        return rel.base, rel.x0, rel.y0
-    zero = np.zeros(rel.space.dim, dtype=complex)
-    return rel, zero, zero
-
-
 def direct_sum(relations: Sequence[Relation]) -> Relation:
     """Block relation of the parts on the orthogonal sum space.
 
     When every part is affine the sum is one ``LinearGraph`` with
-    block-diagonal ``zx``/``zy`` on the block-weighted sum space,
-    wrapped in ``Shifted`` (offsets concatenated) if any part is
-    shifted.  Any other mix is a lazy :class:`DirectSum`.
+    block-diagonal ``zx``/``zy`` and concatenated offsets on the
+    block-weighted sum space.  Any other mix is a lazy
+    :class:`DirectSum`.
     """
     parts = tuple(relations)
     if not (parts and all(p.affine for p in parts)):
         return DirectSum(parts)
-    bases, x0s, y0s = zip(*[_affine_form(p) for p in parts])
-    graph = LinearGraph(_sum_space(parts), sla.block_diag(*[b.zx for b in bases]),
-                        sla.block_diag(*[b.zy for b in bases]))
-    if not any(isinstance(p, Shifted) for p in parts):
-        return graph
-    return Shifted(graph, np.concatenate(x0s), np.concatenate(y0s))
+    return LinearGraph(_sum_space(parts), sla.block_diag(*[p.zx for p in parts]),
+                       sla.block_diag(*[p.zy for p in parts]),
+                       x0=np.concatenate([p.x0 for p in parts]),
+                       y0=np.concatenate([p.y0 for p in parts]))
 
 
 def transform(tmap, rel: Relation) -> Relation:
     """The congruence ``T* B T = {(x, T* w) : (T x, w) in B}``.
 
-    For an affine ``B`` the result is computed exactly, for any map: the
-    domain condition ``T x in dom B`` is pulled back by a null-space
-    computation, giving a ``LinearGraph``; a shift adds a particular
-    solution, giving a ``Shifted`` one (a shifted graph whose translated
-    domain misses the range of ``T`` is empty, which is an error).
+    For an affine ``B`` the result is computed exactly, for any map, as a
+    ``LinearGraph``: the domain condition ``T x in dom B`` is pulled
+    back by a null-space computation, and the offset by a particular
+    solution (a shifted graph whose translated domain misses the range
+    of ``T`` is empty, which is an error).
     Other representations are wrapped lazily in :class:`Transformed`,
     which needs ``T`` square and well conditioned; its resolvent
     substitutes ``z = T x`` exactly.
@@ -708,22 +679,19 @@ def transform(tmap, rel: Relation) -> Relation:
         raise ValueError("map target must match the relation's space")
     if not rel.affine:
         return Transformed(tmap, rel)
-    base, x0, y0 = _affine_form(rel)
     dx = tmap.source.dim
-    sys = np.hstack([tmap.matrix, -base.zx])
+    sys = np.hstack([tmap.matrix, -rel.zx])
     null = _nullspace(sys)
     adj = _map_adjoint(tmap).matrix
-    lin = LinearGraph(tmap.source, null[:dx], adj @ (base.zy @ null[dx:]))
-    if not isinstance(rel, Shifted):
-        return lin
     # solve T x - x0 = Zx c: particular solution + homogeneous family
-    part, res = _lstsq(sys, x0)
-    if res > 1e-10 * max(1.0, float(np.linalg.norm(x0))):
+    part, res = _lstsq(sys, rel.x0)
+    if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(rel.x0))):
         raise ValueError(
             "transform produced an empty relation: the map's range "
             "misses the (translated) domain"
         )
-    return Shifted(lin, part[:dx], adj @ (y0 + base.zy @ part[dx:]))
+    return LinearGraph(tmap.source, null[:dx], adj @ (rel.zy @ null[dx:]),
+                       x0=part[:dx], y0=adj @ (rel.y0 + rel.zy @ part[dx:]))
 
 
 def graph_residual(rel: Relation, x, y) -> float:
@@ -740,7 +708,7 @@ def graph_residual(rel: Relation, x, y) -> float:
     if isinstance(rel, LinearGraph):
         z = rel.stacked
         w2 = sla.block_diag(space.weight, space.weight)
-        p = np.concatenate([x, y])
+        p = np.concatenate([x - rel.x0, y - rel.y0])
         gram = z.conj().T @ w2 @ z
         c = np.linalg.solve(gram, z.conj().T @ (w2 @ p))
         r = p - z @ c
@@ -749,8 +717,6 @@ def graph_residual(rel: Relation, x, y) -> float:
         # the proximal identity: (x, y) is in the graph iff x = prox_1(x + y)
         xp = rel.prox(1.0, x + y)
         return float(np.sqrt(2.0) * space.norm(x - xp))
-    if isinstance(rel, Shifted):
-        return graph_residual(rel.base, x - rel.x0, y - rel.y0)
     if isinstance(rel, DirectSum):
         xs, ys = rel.split(x), rel.split(y)
         return float(np.sqrt(sum(graph_residual(p, xk, yk) ** 2
@@ -777,22 +743,14 @@ def check_monotone(rel: Relation) -> Certificate:
     points, mapped into the relation's own coordinates.  A representation
     with no exact rule gets ``"unknown"``.
     """
-    return _monotone_dispatch(rel)
-
-
-def _monotone_dispatch(rel) -> Certificate:
     if isinstance(rel, LinearGraph):
         return _monotone_linear(rel)
     if isinstance(rel, SeparableProx):
         return Certificate(monotone="yes", method="closed-form: coordinatewise convex pieces")
-    if isinstance(rel, Shifted):
-        cert = _monotone_dispatch(rel.base)
-        return _lift_certificate(cert, "translation-invariant: " + cert.method,
-                                 lambda pair: (pair[0] + rel.x0, pair[1] + rel.y0))
     if isinstance(rel, DirectSum):
         worst = None
         for idx, part in enumerate(rel.parts):
-            cert = _monotone_dispatch(part)
+            cert = check_monotone(part)
             if cert.monotone == "no":
                 return _embed_sum_witness(rel, idx, cert)
             if cert.monotone == "unknown":
@@ -802,7 +760,7 @@ def _monotone_dispatch(rel) -> Certificate:
         return Certificate(monotone="yes", method="componentwise over direct summands")
     if isinstance(rel, Transformed):
         # (z, w) in B  <->  (T^{-1} z, T* w) in T* B T, with the same pairing
-        cert = _monotone_dispatch(rel.base)
+        cert = check_monotone(rel.base)
         return _lift_certificate(cert, "congruence preserves monotonicity: " + cert.method,
                                  lambda pair: (np.linalg.solve(rel.tmap.matrix, pair[0]),
                                                rel.adj_matrix @ pair[1]))
@@ -842,25 +800,28 @@ def _embed_sum_witness(rel: DirectSum, idx: int, cert: Certificate) -> Certifica
 
 
 def _monotone_linear(rel: LinearGraph) -> Certificate:
+    """The verdict of the linear part; a ``"no"`` witness is the pair
+    ``(x0 + zx c, y0 + zy c)``, ``(x0, y0)`` of graph points."""
     w = rel.space.weight
     b = rel.zx.conj().T @ (w @ rel.zy)
     m = 0.5 * (b + b.conj().T)
+    prefix = "translation-invariant: " if rel.shifted else ""
     if m.shape[0] == 0:
-        return Certificate(monotone="yes", method="exact: empty graph basis")
+        return Certificate(monotone="yes", method=prefix + "exact: empty graph basis")
     vals, vecs = sla.eigh(m)
     scale = max(1.0, float(np.linalg.norm(m)))
+    method = prefix + "exact: eigenvalues of the symmetrized graph pairing"
     if vals[0] >= -1e-10 * scale:
-        return Certificate(monotone="yes",
-                           method="exact: eigenvalues of the symmetrized graph pairing",
+        return Certificate(monotone="yes", method=method,
                            witness={"min_eigenvalue": float(vals[0])})
     c = vecs[:, 0]
-    pair = (rel.zx @ c, rel.zy @ c)
-    zero = np.zeros(rel.space.dim, dtype=complex)
-    value = float(np.real(pair[0].conj() @ (w @ pair[1])))
+    dx, dy = rel.zx @ c, rel.zy @ c
+    value = float(np.real(dx.conj() @ (w @ dy)))
     return Certificate(
         monotone="no",
-        method="exact: eigenvalues of the symmetrized graph pairing",
-        witness={"pair_a": pair, "pair_b": (zero, zero), "value": value},
+        method=method,
+        witness={"pair_a": (dx + rel.x0, dy + rel.y0),
+                 "pair_b": (rel.x0.copy(), rel.y0.copy()), "value": value},
     )
 
 
@@ -893,12 +854,6 @@ def _maximal_dispatch(rel) -> Certificate:
     if isinstance(rel, SeparableProx):
         return Certificate(maximal="yes",
                            method="closed-form: every coordinate piece has a full-domain proximal map")
-    if isinstance(rel, Shifted):
-        cert = _maximal_dispatch(rel.base)
-        cert.method = "translation-invariant: " + cert.method
-        if cert.witness is not None and "rhs" in cert.witness:
-            cert.witness = dict(cert.witness, rhs=cert.witness["rhs"] + rel.x0 + rel.y0)
-        return cert
     if isinstance(rel, DirectSum):
         for idx, part in enumerate(rel.parts):
             cert = _maximal_dispatch(part)
@@ -929,12 +884,14 @@ def _maximal_linear(rel: LinearGraph) -> Certificate:
     else:
         u, s, _ = np.linalg.svd(r)
         rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    prefix = "translation-invariant: " if rel.shifted else ""
     if rank == d:
         return Certificate(maximal="yes",
-                           method="exact: forward-plus-backward block has full rank")
-    witness_rhs = u[:, rank]  # orthogonal to the range: unreachable by 1 + A
+                           method=prefix + "exact: forward-plus-backward block has full rank")
+    # orthogonal to the range, lifted by the offsets: unreachable by 1 + A
+    witness_rhs = u[:, rank] + rel.x0 + rel.y0
     return Certificate(
         maximal="no",
-        method="exact: forward-plus-backward block is rank deficient",
+        method=prefix + "exact: forward-plus-backward block is rank deficient",
         witness={"rhs": witness_rhs, "rank": rank, "dim": d},
     )

@@ -462,11 +462,11 @@ def _monolithic_resolve(ops, bc, mu, r_flat):
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if not bc.port_relation.affine:
+    port = bc.port_relation
+    if not port.affine:
         raise ValueError("monolithic route requires a linear boundary relation")
     n = bc.ports
-    base, x0, y0 = rel._affine_form(bc.port_relation)
-    zx, zy = base.zx, base.zy
+    zx, zy = port.zx, port.zy
     k = zx.shape[1]
     nn = ops.nnodes
     dim = nn * n
@@ -491,7 +491,7 @@ def _monolithic_resolve(ops, bc, mu, r_flat):
     bot = sp.hstack([tr_f.tocsr(), np.sqrt(2.0) * omega_b * sp.identity(n, dtype=complex),
                      sp.csr_matrix(-zy)])
     full = sp.vstack([top, mid, bot]).tocsc()
-    rhs = np.concatenate([r_flat, x0, y0])
+    rhs = np.concatenate([r_flat, port.x0, port.y0])
     return spla.splu(full).solve(rhs)[:dim]
 
 

@@ -20,7 +20,6 @@ from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import (
     LinearGraph,
     SeparableProx,
-    Shifted,
     direct_sum,
     graph_residual,
     resolvent,
@@ -148,8 +147,8 @@ def test_robin_zero_matches_neumann(basis2):
 
 @pytest.mark.parametrize("value", [0.0, 0.3])
 def test_robin_bad_produces_reverifiable_witness(rng, basis2, value):
-    # a nonzero value makes the port relation a Shifted graph, whose
-    # certificate lifts the linear witness by the shift
+    # a nonzero value gives the port relation an offset, and its
+    # certificate lifts the linear witness by it
     mmat = np.array([[1.0, 0.3], [0.3, 0.5]])
     bc = robin_bad(mmat, basis2, value=value)
     cert = bc.certificates["monotone"]
@@ -213,13 +212,10 @@ def test_multiport_rejects_nonmonotone_part(basis2):
 @pytest.mark.parametrize("make_part", [
     lambda: SeparableProx(InnerProductSpace(2), [("abs", 0.5)] * 2),
     lambda: direct_sum([SeparableProx(InnerProductSpace(1), [("abs", 0.5)])] * 2),
-    lambda: Shifted(SeparableProx(InnerProductSpace(2), [("abs", 0.5)] * 2),
-                    np.zeros(2), np.array([0.1, -0.2])),
-], ids=["two-piece-prox", "direct-sum", "shifted"])
+], ids=["two-piece-prox", "direct-sum"])
 def test_multiport_bounded_frictional_part_certifies_maximal(make_part):
-    """Two friction ports given as one direct-sum part, or translated,
-    certify exactly like one two-piece ``SeparableProx``, and nothing
-    warns."""
+    """Two friction ports given as one direct-sum part certify exactly
+    like one two-piece ``SeparableProx``, and nothing warns."""
     basis = bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -12,7 +12,6 @@ from monoport.relations import (
     NonconvergenceError,
     Relation,
     SeparableProx,
-    Shifted,
     adjoint_relation,
     check_maximal,
     check_monotone,
@@ -225,10 +224,10 @@ def test_direct_sum_of_maximal_graphs_is_maximal(rng):
 
 def test_direct_sum_of_affine_parts_is_one_shifted_graph(rng):
     r1 = LinearGraph.from_matrix(InnerProductSpace(2), rand_monotone_matrix(rng, 2))
-    r2 = Shifted(LinearGraph.from_matrix(C1, [[0.5]]), np.array([0.3 + 0j]), np.array([-1.0 + 0j]))
+    r2 = LinearGraph(C1, np.eye(1), [[0.5]], x0=[0.3], y0=[-1.0])
     both = direct_sum([r1, r2])
-    assert isinstance(both, Shifted) and isinstance(both.base, LinearGraph)
-    assert both.affine
+    assert isinstance(both, LinearGraph) and both.affine and both.shifted
+    assert both.x0 == pytest.approx([0.0, 0.0, 0.3]) and both.y0 == pytest.approx([0.0, 0.0, -1.0])
     for _ in range(10):
         lam = float(rng.uniform(0.1, 3.0))
         y = rand_complex(rng, 3)
@@ -449,11 +448,11 @@ def _random_port_sum(rng, k):
     parts = [SeparableProx(C1, [("abs", float(rng.uniform(0.1, 2.0)))]) for _ in range(k)]
     for _ in range(int(rng.integers(1, 3))):
         if rng.uniform() < 0.5:
-            base = LinearGraph.from_matrix(C1, [[float(rng.uniform(0.0, 2.0))]])
+            zx, zy = np.eye(1), [[float(rng.uniform(0.0, 2.0))]]
         else:
-            base = dirichlet_relation()
-        shifted = rng.uniform() < 0.5
-        parts.append(Shifted(base, rand_complex(rng, 1), rand_complex(rng, 1)) if shifted else base)
+            zx, zy = np.zeros((1, 1)), np.ones((1, 1))
+        offsets = (rand_complex(rng, 1), rand_complex(rng, 1)) if rng.uniform() < 0.5 else (None, None)
+        parts.append(LinearGraph(C1, zx, zy, *offsets))
     return direct_sum([parts[i] for i in rng.permutation(len(parts))])
 
 

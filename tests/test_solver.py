@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from monoport import boundary as bnd
 from monoport.phs import PortHamiltonian, bd_basis
-from monoport.relations import LinearGraph, Shifted
+from monoport.relations import LinearGraph, SeparableProx
 from monoport.solver import (
     Scenario,
     Stepper,
@@ -15,6 +15,7 @@ from monoport.solver import (
     simulate,
     step,
 )
+from monoport.spaces import InnerProductSpace
 
 from conftest import rand_contraction, rand_unitary
 
@@ -34,14 +35,8 @@ def assembled_resolve(ops, bc, mu, r_flat):
     """
     relation = bc.port_relation
     n = bc.ports
-    x0 = np.zeros(n, dtype=complex)
-    y0 = np.zeros(n, dtype=complex)
-    base = relation
-    if isinstance(relation, Shifted):
-        x0, y0 = relation.x0, relation.y0
-        base = relation.base
-    assert isinstance(base, LinearGraph)
-    zx, zy = base.zx, base.zy
+    assert isinstance(relation, LinearGraph)
+    zx, zy = relation.zx, relation.zy
     k = zx.shape[1]
     nn = ops.nnodes
     dim = nn * n
@@ -67,7 +62,7 @@ def assembled_resolve(ops, bc, mu, r_flat):
     bot = sp.hstack([tr_f.tocsr(), np.sqrt(2.0) * omega_b * sp.identity(n, dtype=complex),
                      sp.csr_matrix(-zy)])
     full = sp.vstack([top, mid, bot]).tocsc()
-    rhs = np.concatenate([r_flat, x0, y0])
+    rhs = np.concatenate([r_flat, relation.x0, relation.y0])
     return spla.splu(full).solve(rhs)[:dim]
 
 
@@ -288,8 +283,9 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
 
 
 @pytest.mark.parametrize("p1, make_bc, theta", [
-    # Shifted branch on every step (and principal_section through Shifted
-    # at step 0); the Robin value supplies energy, so dissipation is negative
+    # LinearGraph branch with offsets on every step (and principal_section
+    # of a shifted graph at step 0); the Robin value supplies energy, so
+    # dissipation is negative
     ([[1.0, 0.7], [0.7, 1.5]], lambda basis: bnd.robin(np.eye(2), basis, value=0.3), 0.5),
     # block-diagonal DirectSum branch: phi is diagonal when P1 is
     ([[1.0, 0.0], [0.0, 2.0]],
@@ -302,8 +298,13 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
      lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("dirichlet", 0.0))], basis), 1.0),
     ([[1.0, 0.7], [0.7, 1.5]],
      lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0, 0.2))], basis), 1.0),
-], ids=["shifted-coupled", "direct-sum-diagonal", "schur-robin", "schur-dirichlet",
-        "schur-shifted-robin"])
+    # SeparableProx against a diagonal, non-scalar phi: soft thresholding
+    # per coordinate
+    ([[1.0, 0.0], [0.0, 2.0]],
+     lambda basis: bnd.multiport([((0, 1), SeparableProx(InnerProductSpace(2), [("abs", 0.5)] * 2))],
+                                 basis), 1.0),
+], ids=["affine-coupled", "direct-sum-diagonal", "schur-robin", "schur-dirichlet",
+        "schur-shifted-robin", "prox-diagonal"])
 def test_non_scalar_fast_paths_skip_splitting_and_keep_ledger(monkeypatch, p1, make_bc, theta):
     import monoport.relations as rels
 
