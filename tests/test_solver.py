@@ -1,9 +1,13 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from monoport import boundary as bnd
+from monoport.config import HAMILTONIAN_PROFILES, load_config
 from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import LinearGraph, SeparableProx
 from monoport.solver import (
@@ -19,6 +23,7 @@ from monoport.spaces import InnerProductSpace
 
 from conftest import rand_contraction, rand_unitary
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 PHS1 = PortHamiltonian(n=1, b=1.0, p1=[[1.0]])
 BASIS1 = bd_basis(PHS1)
 PHS2 = PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]])
@@ -166,6 +171,28 @@ def test_resolve_matches_assembled_system_shifted():
     res = resolve_A(ops, PHS1, bc, 0.5, (np.cos(xs), np.sin(xs)))
     ref = assembled_resolve(ops, bc, 0.5, (np.cos(xs) + np.sin(xs)).astype(complex))
     assert np.abs((res.u + res.v).ravel() - ref).max() < 1e-8
+
+
+def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system():
+    """On a fine grid the interior lift ``A_ii^{-1} A_ib`` decays below the
+    normal range (16,884 subnormal parts here before flushing), which made
+    every step's ``lift @ beta`` run at subnormal speed.  The flushed lift
+    has none, and the eliminated solve still matches the assembled one."""
+    m, theta, dt = 4096, 0.5, 1e-3
+    ops = discretize(PHS2, m)
+    bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
+    scn = Scenario(phs=PHS2, bc=bc, u0=np.zeros((m + 1, 2)), T=1.0, dt=dt, theta=theta)
+    core = Stepper(scn, ops)._core
+    tiny = np.finfo(float).tiny
+    for part in (core.lift.real, core.lift.imag):
+        assert not np.any((np.abs(part) > 0) & (np.abs(part) < tiny))
+
+    xs = ops.grid.nodes
+    r_flat = np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs),
+                       np.exp(-6 * xs**2) * np.sin(2 * xs)], axis=1).astype(complex).ravel()
+    p = core.solve(r_flat)[0]
+    ref = assembled_resolve(ops, bc, theta * dt, r_flat)
+    assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_resolve_rejects_uncertified_condition():
@@ -330,6 +357,63 @@ def test_non_scalar_fast_paths_skip_splitting_and_keep_ledger(monkeypatch, p1, m
         a = (traj.states[k + 1] - traj.states[k]) / dt
         predicted = -dt * traj.boundary_dissipation[k + 1] - (theta - 0.5) * dt**2 * 2 * ops.energy(a)
         assert abs(e[k + 1] - e[k] - predicted) <= 1e-12 * e[0], k
+
+
+def _h_weighted_energy(ops, w):
+    """``(1/2) sum_j omega_j w_j^H H_j w_j``, restated from the grid density."""
+    hw = np.einsum("jab,jb->ja", ops.hgrid, w)
+    return 0.5 * float(np.sum(ops.omega * np.einsum("ja,ja->j", w.conj(), hw).real))
+
+
+@pytest.mark.parametrize("phs, make_bc, theta, u0", [
+    (PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]],
+                     hamiltonian=np.array([[2.0, 0.3], [0.3, 1.0]])),
+     lambda basis: bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), basis), 0.5,
+     lambda xs: np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs),
+                          np.exp(-6 * xs**2) * np.sin(2 * xs)], axis=1)),
+    (PortHamiltonian(n=1, b=1.0, p1=[[1.0]], hamiltonian=HAMILTONIAN_PROFILES["sine-well"]),
+     lambda basis: bnd.from_V(0.0, basis), 1.0, lambda xs: bump(xs)[:, None]),
+], ids=["wave-constant-density", "transport-sine-well"])
+def test_non_identity_density_keeps_exact_ledger(phs, make_bc, theta, u0):
+    """A Hamiltonian density other than the identity takes the ``H^{-1}``
+    mass block, the ``hinv`` map back to the state and the ``hgrid``
+    weight of the energy; the H-weighted identity holds on every step."""
+    ops = discretize(phs, 64)
+    assert not ops.identity_density
+    xs = ops.grid.nodes
+    dt = 0.01
+    traj = simulate(Scenario(phs=phs, bc=make_bc(bd_basis(phs)), u0=u0(xs),
+                             T=0.5, dt=dt, theta=theta), ops)
+    e = [_h_weighted_energy(ops, w) for w in traj.states]
+    assert np.abs(np.asarray(e) - traj.energies).max() <= 1e-14 * e[0]
+    for k in range(len(traj) - 1):
+        a = (traj.states[k + 1] - traj.states[k]) / dt
+        predicted = -dt * traj.boundary_dissipation[k + 1] - (theta - 0.5) * dt**2 * 2 * _h_weighted_energy(ops, a)
+        assert abs(e[k + 1] - e[k] - predicted) <= 1e-12 * e[0], k
+
+
+def test_identity_density_paths_are_bitwise_and_states_preallocated():
+    """At identity density the energy skips the ``hgrid`` product and
+    agrees bitwise with it.  ``simulate`` writes every state into one
+    array, each one bitwise the step of the one before."""
+    cfg = load_config(CONFIG_DIR / "wave_conservative.cfg")
+    phs = cfg.build_phs()
+    ops = discretize(phs, cfg.m)
+    assert ops.identity_density
+    nsteps = 50
+    scn = Scenario(phs=phs, bc=cfg.build_bc(bd_basis(phs)), u0=cfg.build_u0(ops.grid.nodes),
+                   T=nsteps * cfg.dt, dt=cfg.dt, theta=cfg.theta)
+    traj = simulate(scn, ops)
+
+    states = traj.states
+    assert states.shape == (nsteps + 1, ops.nnodes, phs.n)
+    assert states.flags.c_contiguous and states.flags.owndata
+    for w in states:
+        assert ops.energy(w) == _h_weighted_energy(ops, w)
+
+    stepper = Stepper(replace(scn, dt=scn.T / nsteps), ops)
+    for k in range(nsteps):
+        assert step(states[k], stepper).tobytes() == states[k + 1].tobytes(), k
 
 
 def _ledger_defects(traj, ops, theta, dt):
