@@ -7,7 +7,9 @@ package from this checkout's ``src``:
   ``configs/`` and ``perfbench/configs/``;
 * ``monoport verify all --seed k`` for k = 0..3;
 * the ``state``, ``pairing`` and ``derivative`` convergence studies on
-  ``configs/transport.cfg``;
+  ``configs/transport.cfg``, and the ``state`` study on
+  ``configs/friction.cfg`` (no transport oracle: the finest-grid
+  reference);
 * the three experiment scripts.
 
 Output files go to a temporary directory that is removed afterwards.
@@ -51,6 +53,9 @@ def _cases():
         name = f"convergence/{study}"
         yield name, cli + ["convergence", "--config", str(ROOT / "configs" / "transport.cfg"),
                            "--study", study, "--out", name], 0
+    name = "convergence/friction-state"
+    yield name, cli + ["convergence", "--config", str(ROOT / "configs" / "friction.cfg"),
+                       "--study", "state", "--out", name], 0
     for script in ("bc_gallery", "transport_convergence", "wave_energy_ledger"):
         yield f"scripts/{script}", [sys.executable, str(ROOT / "scripts" / f"{script}.py")], 0
 

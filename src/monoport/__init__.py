@@ -4,7 +4,8 @@ port-Hamiltonian systems.
 The package is organised around five layers:
 
 * :mod:`monoport.spaces` — finite-dimensional complex inner-product spaces
-  with Hermitian positive-definite weights, projections and adjoints.
+  with Hermitian positive-definite weights, and adjoints of maps between
+  them.
 * :mod:`monoport.relations` — a calculus of (possibly multivalued, possibly
   nonlinear) monotone relations: algebra, resolvents, Yosida regularisation,
   and monotonicity/maximality certificates.
@@ -20,11 +21,14 @@ The package is organised around five layers:
   time integration (one :class:`~monoport.solver.Stepper` per run) with
   exact discrete energy bookkeeping.
 
-:mod:`monoport.cli` exposes the ``monoport`` command with the
-``check-bc``, ``simulate``, ``verify`` and ``convergence`` subcommands.
+:mod:`monoport.config` parses a scenario file into a
+:class:`~monoport.config.Config`, which builds the system, the boundary
+condition and the initial data; :mod:`monoport.cli` exposes the
+``monoport`` command with the ``check-bc``, ``simulate``, ``verify`` and
+``convergence`` subcommands.
 """
 
-from monoport.spaces import InnerProductSpace, LinearMap, adjoint, inner, project
+from monoport.spaces import InnerProductSpace, LinearMap, adjoint
 from monoport.relations import (
     Certificate,
     LinearGraph,
@@ -53,7 +57,6 @@ from monoport.phs import (
     even_odd_split,
     flow_effort,
     flow_effort_via_bd,
-    gdot_matrix,
     project_bd,
 )
 from monoport.boundary import (
@@ -68,7 +71,7 @@ from monoport.boundary import (
     robin,
     robin_bad,
 )
-from monoport.config import Config, ConfigError, emit_config, load_config, parse_config
+from monoport.config import Config, ConfigError, load_config, parse_config
 from monoport.solver import (
     DiscreteOperators,
     Grid,
@@ -85,9 +88,7 @@ from monoport.solver import (
 __all__ = [
     "InnerProductSpace",
     "LinearMap",
-    "inner",
     "adjoint",
-    "project",
     "Relation",
     "LinearGraph",
     "SeparableProx",
@@ -111,7 +112,6 @@ __all__ = [
     "even_odd_split",
     "bd_basis",
     "ddot_matrix",
-    "gdot_matrix",
     "flow_effort",
     "flow_effort_via_bd",
     "project_bd",
@@ -139,7 +139,6 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "load_config",
-    "emit_config",
 ]
 
 __version__ = "0.1.0"

@@ -47,7 +47,6 @@ from .sbp import sbp42
 from .spaces import InnerProductSpace, LinearMap
 
 __all__ = [
-    "FLOW_EFFORT",
     "BoundaryCondition",
     "from_V",
     "dirichlet",
@@ -60,9 +59,6 @@ __all__ = [
     "membership",
     "subspace_gap",
 ]
-
-#: Coordinate-convention tag: boundary relations pair effort against flow.
-FLOW_EFFORT = "flow-effort"
 
 #: Maximality threshold on the smallest singular value of the
 #: V-parametrization's closing matrix.
@@ -84,8 +80,6 @@ class BoundaryCondition:
     ----------
     ports:
         Number of boundary ports ``n`` (the trace space is ``C^n``).
-    coords:
-        Coordinate-convention tag; always :data:`FLOW_EFFORT`.
     h:
         The relation in trace-basis coordinates, living on the
         Gram-weighted coefficient space.
@@ -106,11 +100,10 @@ class BoundaryCondition:
         flow/effort coordinates: graph pairs are ``(e, -f)``.
     data:
         Provenance-specific payload (the defining matrices and data),
-        used by reports and config serialization.
+        used by reports.
     """
 
     ports: int
-    coords: str
     h: Relation
     provenance: str
     certificates: dict
@@ -184,7 +177,6 @@ def _port_datum(value, n: int) -> np.ndarray:
 def _finalize(basis, port_relation, provenance, certificates, data) -> BoundaryCondition:
     return BoundaryCondition(
         ports=basis.n,
-        coords=FLOW_EFFORT,
         h=_to_bd(basis, port_relation),
         provenance=provenance,
         certificates=certificates,

@@ -24,10 +24,8 @@ Grammar (documented here because the format is the contract):
 * ``[output]``: file names ``states``, ``energy``, ``report``,
   ``convergence`` and the significant-digit count ``precision``.
 
-Parsing then emitting is the identity on the canonical form: every key
-is materialized (defaults included) in a fixed order with shortest
-round-trip float formatting, so configs diff cleanly and round-trip
-equality is byte equality.
+A parsed :class:`Config` builds the system, the boundary condition and
+the initial data; two configs compare by identity only.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "load_config",
-    "emit_config",
     "HAMILTONIAN_PROFILES",
     "SCENARIO_PRESETS",
 ]
@@ -69,18 +66,6 @@ _DEFAULT_OUTPUTS = {
 }
 
 
-def _fmt_scalar(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return repr(z.real)
-    return repr(z).strip("()")
-
-
-def _fmt_matrix(mat: np.ndarray) -> str:
-    mat = np.atleast_2d(np.asarray(mat))
-    return "; ".join(" ".join(_fmt_scalar(v) for v in row) for row in mat)
-
-
 def _parse_scalar(tok: str, where: str) -> complex:
     try:
         return complex(tok)
@@ -101,7 +86,7 @@ def _parse_matrix(text: str, where: str) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Config:
     """Parsed scenario file; see the module docstring for the grammar."""
 
@@ -166,16 +151,6 @@ class Config:
                 f"available: {', '.join(sorted(SCENARIO_PRESETS))}"
             )
         return builder(self.n, self.b, nodes)
-
-    # ---- equality through canonical text --------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Config):
-            return NotImplemented
-        return emit_config(self) == emit_config(other)
-
-    def __hash__(self):
-        return hash(emit_config(self))
 
 
 # ---- initial-data presets ----------------------------------------------
@@ -352,6 +327,16 @@ def _validate(scenario: str, sections: Dict[str, dict]) -> Config:
                   outputs=outputs, precision=precision)
 
 
+def _parse_value(text: str, n: int) -> np.ndarray:
+    """The ``[bc] value`` vector; a scalar broadcasts to all ``n`` ports."""
+    vec = _parse_matrix(text, "[bc] value").reshape(-1)
+    if vec.shape[0] == 1:
+        vec = np.full(n, vec[0])
+    if vec.shape != (n,):
+        raise ConfigError(f"[bc] value: expected a scalar or {n} entries")
+    return vec
+
+
 def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
     allowed_by_kind = {
         "v-matrix": {"V"},
@@ -368,12 +353,7 @@ def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
             raise ConfigError(f"[bc] V: expected {n}x{n}")
         return {"V": v}
     if kind in ("dirichlet", "neumann"):
-        vec = _parse_matrix(_need(bc, "value", "bc"), "[bc] value").reshape(-1)
-        if vec.shape[0] == 1:
-            vec = np.full(n, vec[0])
-        if vec.shape != (n,):
-            raise ConfigError(f"[bc] value: expected a scalar or {n} entries")
-        return {"value": vec}
+        return {"value": _parse_value(_need(bc, "value", "bc"), n)}
     if kind == "robin":
         mmat = _parse_matrix(_need(bc, "M", "bc"), "[bc] M")
         if mmat.shape != (n, n):
@@ -385,12 +365,7 @@ def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
             if bc["sign"] == "-1":
                 fields["sign"] = -1
         if "value" in bc:
-            vec = _parse_matrix(bc["value"], "[bc] value").reshape(-1)
-            if vec.shape[0] == 1:
-                vec = np.full(n, vec[0])
-            if vec.shape != (n,):
-                raise ConfigError(f"[bc] value: expected a scalar or {n} entries")
-            fields["value"] = vec
+            fields["value"] = _parse_value(bc["value"], n)
         return fields
     if kind == "custom":
         ce = _parse_matrix(_need(bc, "C_e", "bc"), "[bc] C_e")
@@ -434,45 +409,3 @@ def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
         raise ConfigError(f"[bc]: multiport must cover every port; missing {missing}")
     return {"ports": ports}
 
-
-# ---- emission -------------------------------------------------------------
-
-
-def emit_config(cfg: Config) -> str:
-    """Canonical text form: fixed key order, defaults materialized."""
-    lines = [f"scenario = {cfg.scenario}", "", "[phs]",
-             f"n = {cfg.n}", f"b = {repr(cfg.b)}",
-             f"P1 = {_fmt_matrix(cfg.p1)}", f"P0 = {_fmt_matrix(cfg.p0)}"]
-    if isinstance(cfg.hamiltonian, str):
-        lines.append(f"H = {cfg.hamiltonian}")
-    else:
-        lines.append(f"H = {_fmt_matrix(cfg.hamiltonian)}")
-
-    lines += ["", "[bc]", f"kind = {cfg.bc_kind}"]
-    f = cfg.bc_fields
-    if cfg.bc_kind == "v-matrix":
-        lines.append(f"V = {_fmt_matrix(f['V'])}")
-    elif cfg.bc_kind in ("dirichlet", "neumann"):
-        lines.append(f"value = {_fmt_matrix(f['value'])}")
-    elif cfg.bc_kind == "robin":
-        lines.append(f"M = {_fmt_matrix(f['M'])}")
-        if f.get("sign", 1) < 0:
-            lines.append("sign = -1")
-        if "value" in f:
-            lines.append(f"value = {_fmt_matrix(f['value'])}")
-    elif cfg.bc_kind == "custom":
-        lines.append(f"C_e = {_fmt_matrix(f['C_e'])}")
-        lines.append(f"C_f = {_fmt_matrix(f['C_f'])}")
-    else:
-        for idx in sorted(f["ports"]):
-            pkind, args = f["ports"][idx]
-            rendered = " ".join(_fmt_scalar(a) for a in args)
-            lines.append(f"port.{idx} = {pkind} {rendered}".rstrip())
-
-    lines += ["", "[grid]", f"m = {cfg.m}", f"dt = {repr(cfg.dt)}",
-              f"T = {repr(cfg.T)}", f"theta = {repr(cfg.theta)}"]
-    lines += ["", "[output]"]
-    for key in ("states", "energy", "report", "convergence"):
-        lines.append(f"{key} = {cfg.outputs[key]}")
-    lines.append(f"precision = {cfg.precision}")
-    return "\n".join(lines) + "\n"

@@ -40,7 +40,6 @@ __all__ = [
     "eigendecompose",
     "even_odd_split",
     "ddot_matrix",
-    "gdot_matrix",
     "flow_effort",
     "flow_effort_via_bd",
     "project_bd",
@@ -152,11 +151,6 @@ class PortHamiltonian:
         if ham is not None and not callable(ham):
             ham = _check_density(ham, self.n)
         object.__setattr__(self, "hamiltonian", ham)
-
-    @property
-    def constant_hamiltonian(self) -> bool:
-        """Whether the energy density does not depend on ``x``."""
-        return not callable(self.hamiltonian)
 
     def hamiltonian_at(self, x: float) -> np.ndarray:
         """Energy density matrix at position ``x``."""
@@ -285,11 +279,8 @@ class BoundaryDataBasis:
     gram_G:
         Gram matrix of the normalized even-channel basis in the graph
         inner product ``<u, v> + <P1 u', P1 v'>``, by composite Simpson
-        quadrature.
-    gram_D:
-        Same for the odd channel.  The derivative swaps the two
-        hyperbolic profiles, so the integrand — and hence the matrix —
-        coincides with ``gram_G``; both are kept for interface symmetry.
+        quadrature.  The derivative swaps the two hyperbolic profiles,
+        so the odd channel has the same Gram matrix.
     """
 
     lambdas: np.ndarray
@@ -299,7 +290,6 @@ class BoundaryDataBasis:
     sqrtS: np.ndarray
     Qmat: np.ndarray
     gram_G: np.ndarray
-    gram_D: np.ndarray
 
     @property
     def n(self) -> int:
@@ -376,7 +366,7 @@ def bd_basis(phs: PortHamiltonian) -> BoundaryDataBasis:
 
     The eigen-structure of the transport matrix fixes the hyperbolic
     profiles; ``S``, its square root, and ``Qmat`` come from closed
-    forms, while the channel Gram matrices are computed by composite
+    forms, while the channel Gram matrix is computed by composite
     Simpson quadrature (the independent closed forms back the
     :func:`ddot_matrix` certificate).  The panel count resolves the
     smallest characteristic length ``|lambda|`` at
@@ -410,7 +400,6 @@ def bd_basis(phs: PortHamiltonian) -> BoundaryDataBasis:
         sqrtS=sqrt_smat,
         Qmat=qmat,
         gram_G=gram,
-        gram_D=gram.copy(),
     )
 
 
@@ -419,21 +408,14 @@ def ddot_matrix(basis: BoundaryDataBasis) -> "tuple[np.ndarray, float]":
 
     Differentiating an odd-channel basis element and applying the
     transport matrix reproduces exactly the matching even-channel
-    element, so in coefficients the map is the identity.  The matrix is
+    element, so in coefficients the map is the identity; both channels
+    share ``gram_G``, so the even-to-odd map is the same matrix.  It is
     assembled the honest way — closed-form cross inner products against
     the quadrature Gram matrix — and the returned residual
     ``||M - I||_2`` measures how far the two independent routes drift.
     """
     closed = _closed_form_gram(basis)
     mat = np.linalg.solve(basis.gram_G, closed)
-    residual = float(np.linalg.norm(mat - np.eye(basis.n), 2))
-    return mat, residual
-
-
-def gdot_matrix(basis: BoundaryDataBasis) -> "tuple[np.ndarray, float]":
-    """Even-to-odd counterpart of :func:`ddot_matrix`."""
-    closed = _closed_form_gram(basis)
-    mat = np.linalg.solve(basis.gram_D, closed)
     residual = float(np.linalg.norm(mat - np.eye(basis.n), 2))
     return mat, residual
 

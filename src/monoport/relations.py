@@ -381,23 +381,15 @@ class Transformed(Relation):
         self.base = base
         self.space = tmap.source
         self.adj_matrix = _map_adjoint(tmap).matrix
+        self.inv_matrix = np.linalg.inv(m)
 
     def _resolve(self, lam, y, x0):
-        """Solve the substituted inclusion in ``z = T x`` and map back to
-        ``(T^{-1} z, T* w)``.  An iterative base meets
-        :data:`TOL_ITERATIVE` in ``z`` only: the defect ``|x + lam w - y|``
-        of the returned pair is ``lam T*`` applied to the substituted
-        defect, so it can exceed the tolerance by the factor
-        ``lam |T*|``."""
-        t = self.tmap.matrix
-        ts = self.adj_matrix
-        # substitute z = T x: (T T*)^{-1} z / lam + B(z) = T*^{-1} y / lam
-        tts = t @ ts
-        phi = np.linalg.solve(tts, np.eye(tts.shape[0])) / lam
-        g = np.linalg.solve(ts, y) / lam
-        z0 = None if x0 is None else t @ np.asarray(x0)
-        z, w = solve_inclusion(phi, self.base, g, x0=z0)
-        return np.linalg.solve(t, z), ts @ w
+        """:func:`solve_inclusion` at ``phi = 1/lam``, which substitutes
+        ``u = T x``.  An iterative base meets :data:`TOL_ITERATIVE` in
+        ``u`` only: the defect ``|x + lam w - y|`` of the returned pair
+        is ``lam T*`` applied to the substituted defect, so it can exceed
+        the tolerance by the factor ``lam |T*|``."""
+        return solve_inclusion(np.eye(self.space.dim) / lam, self, y / lam, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +401,29 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
     """Solve ``phi z + rel(z) ∋ g`` for a Hermitian positive ``phi``.
 
     This is the primitive behind the boundary step of the solver, and
-    behind the congruence wrapper, which contributes a non-scalar
-    ``phi``; ``x0`` warm-starts the iterative paths.
+    behind every resolvent of a congruence; ``x0`` warm-starts the
+    iterative paths.
 
     Returns ``(z, w)`` with ``w in rel(z)`` (exactly, for closed-form
     representations; to :data:`TOL_ITERATIVE` otherwise) and
     ``phi z + w - g`` small.  A linear system whose residual exceeds
     :data:`TOL_LINEAR` (relative) raises :class:`NonconvergenceError`.
 
-    Dispatch: scalar ``phi`` reduces to the wrapped resolvent; a linear
-    graph (every affine relation, offsets included) is solved by one
-    least-squares solve; diagonal ``phi`` against coordinatewise pieces
-    is solved per coordinate; block ``phi`` against a direct sum
-    recurses; any other ``phi`` against a direct sum of affine and
-    non-affine parts eliminates the affine coordinates by one Schur
-    complement and recurses on the rest (:func:`_schur_reduce`), so one
-    friction port next to linear ports has a closed form.  That answer
-    is kept only if it passes the residual test of Douglas–Rachford
-    splitting; otherwise, and in the general case, splitting runs
-    between the affine part ``z -> phi z - g`` and the relation.
+    Dispatch: a congruence ``T* B T`` substitutes ``u = T z`` and solves
+    ``T*^{-1} phi T^{-1} u + B(u) ∋ T*^{-1} g`` for ``(u, w)``, returning
+    ``(T^{-1} u, T* w)``, so a ``multiport`` listed out of port order
+    takes the path of one listed in order.  Otherwise scalar ``phi``
+    reduces to the wrapped resolvent; a linear graph (every affine
+    relation, offsets included) is solved by one least-squares solve;
+    diagonal ``phi`` against coordinatewise pieces is solved per
+    coordinate; block ``phi`` against a direct sum recurses; any other
+    ``phi`` against a direct sum of affine and non-affine parts
+    eliminates the affine coordinates by one Schur complement and
+    recurses on the rest (:func:`_schur_reduce`), so one friction port
+    next to linear ports has a closed form.  That answer is kept only if
+    it passes the residual test of Douglas–Rachford splitting;
+    otherwise, and in the general case, splitting runs between the
+    affine part ``z -> phi z - g`` and the relation.
     """
     space = rel.space
     g = space.check_vector(g)
@@ -435,6 +431,13 @@ def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
     d = space.dim
     if phi.shape != (d, d):
         raise ValueError(f"phi must be {d}x{d}")
+
+    if isinstance(rel, Transformed):
+        ts = rel.adj_matrix
+        u, w = solve_inclusion(np.linalg.solve(ts, phi @ rel.inv_matrix), rel.base,
+                               np.linalg.solve(ts, g),
+                               x0=None if x0 is None else rel.tmap.matrix @ np.asarray(x0))
+        return rel.inv_matrix @ u, ts @ w
 
     # scalar phi -> plain resolvent
     diag = np.diag(phi)
@@ -680,8 +683,8 @@ def transform(tmap, rel: Relation) -> Relation:
     solution (a shifted graph whose translated domain misses the range
     of ``T`` is empty, which is an error).
     Other representations are wrapped lazily in :class:`Transformed`,
-    which needs ``T`` square and well conditioned; its resolvent
-    substitutes ``z = T x`` exactly.
+    which needs ``T`` square and well conditioned; :func:`solve_inclusion`,
+    and with it the resolvent, substitutes ``u = T x`` exactly.
     """
     if not isinstance(tmap, LinearMap):
         raise TypeError("transform expects a LinearMap")

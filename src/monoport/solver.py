@@ -275,24 +275,12 @@ def _require_certified(bc: BoundaryCondition, allow_uncertified: bool):
     )
 
 
-def _check_same_system(ops: DiscreteOperators, phs: PortHamiltonian):
-    other = ops.phs
-    if phs is other:
-        return
-    same = (phs.n == other.n and phs.b == other.b
-            and np.array_equal(phs.p1, other.p1) and np.array_equal(phs.p0, other.p0))
-    if not same:
-        raise ValueError("discrete operators were built for a different system")
-
-
 @dataclass(frozen=True)
 class ResolveResult:
-    """Output of :func:`resolve_A` — unpacks as the grid pair ``(u, v)``.
+    """Output of :func:`resolve_A`.
 
     ``u`` and ``v`` are the even and odd parity legs of the solved field;
-    ``effort``/``flow_hat`` are the boundary trace pair actually placed
-    on the relation's graph, ``slack`` the boundary truncation unknown,
-    and ``residual`` the worst relative defect over the solved system's
+    ``residual`` is the worst relative defect over the solved system's
     rows (bulk rows in the quadrature norm, relation row as graph
     distance).
     """
@@ -300,18 +288,13 @@ class ResolveResult:
     u: np.ndarray
     v: np.ndarray
     residual: float
-    effort: np.ndarray
-    flow_hat: np.ndarray
-    slack: np.ndarray
-
-    def __iter__(self):
-        return iter((self.u, self.v))
 
 
-def resolve_A(ops: DiscreteOperators, phs: PortHamiltonian, bc: BoundaryCondition,
-              mu: float, rhs, allow_uncertified: bool = False) -> ResolveResult:
+def resolve_A(ops: DiscreteOperators, bc: BoundaryCondition, mu: float, rhs,
+              allow_uncertified: bool = False) -> ResolveResult:
     """Solve ``(1 + mu A)(u, v) = (f, g)`` for the boundary-coupled pair.
 
+    ``A`` is the generator of the system ``ops`` discretizes.
     ``rhs = (f, g)`` are the even and odd legs of the right-hand side on
     the grid; the solver works on their sum (the two legs carry one
     field between them) and splits the solution by parity on the
@@ -323,10 +306,9 @@ def resolve_A(ops: DiscreteOperators, phs: PortHamiltonian, bc: BoundaryConditio
     rejected unless ``allow_uncertified`` is set — falsification runs
     want exactly that switch.
     """
-    _check_same_system(ops, phs)
     _require_certified(bc, allow_uncertified)
     f_leg, g_leg = rhs
-    n = phs.n
+    n = ops.phs.n
     f_leg = _as_field(f_leg, n)
     g_leg = _as_field(g_leg, n)
     if f_leg.shape[0] != ops.nnodes or g_leg.shape[0] != ops.nnodes:
@@ -338,7 +320,7 @@ def resolve_A(ops: DiscreteOperators, phs: PortHamiltonian, bc: BoundaryConditio
     pf = p.reshape(ops.nnodes, n)
     u = (pf + pf[::-1]) / 2.0
     v = (pf - pf[::-1]) / 2.0
-    return ResolveResult(u=u, v=v, residual=res, effort=e, flow_hat=fhat, slack=s)
+    return ResolveResult(u=u, v=v, residual=res)
 
 
 @dataclass(frozen=True)

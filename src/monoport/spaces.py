@@ -22,17 +22,12 @@ import scipy.linalg as sla
 __all__ = [
     "InnerProductSpace",
     "LinearMap",
-    "inner",
     "adjoint",
-    "project",
     "RankDeficientBasis",
 ]
 
 #: Relative tolerance for the Hermitian-deviation check of weights.
 HERMITIAN_RTOL = 1e-12
-
-#: Condition-number threshold above which a projection basis is rejected.
-COND_THRESHOLD = 1e12
 
 
 class RankDeficientBasis(ValueError):
@@ -57,13 +52,11 @@ class InnerProductSpace:
     weight:
         Hermitian positive-definite ``dim x dim`` matrix; defaults to the
         identity.  Positive definiteness is established by a Cholesky
-        factorisation (its failure is the error path) and the smallest
-        eigenvalue is stored in :attr:`cmin`.
+        factorisation (its failure is the error path).
     """
 
     dim: int
     weight: np.ndarray = None  # type: ignore[assignment]
-    cmin: float = field(init=False)
     _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -81,7 +74,6 @@ class InnerProductSpace:
             raise ValueError("weight is not positive definite") from exc
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "cmin", float(sla.eigvalsh(w)[0]))
 
     # -- basic geometry ----------------------------------------------------
 
@@ -127,14 +119,6 @@ class LinearMap:
             )
         object.__setattr__(self, "matrix", m)
 
-    def __call__(self, x) -> np.ndarray:
-        return self.matrix @ self.source.check_vector(x)
-
-
-def inner(space: InnerProductSpace, x, y) -> complex:
-    """Weighted inner product ``x^H · W · y`` (conjugate-linear in ``x``)."""
-    return space.inner(x, y)
-
 
 def adjoint(m: LinearMap) -> LinearMap:
     """The adjoint map ``T*`` with ``<Tx|y>_target = <x|T*y>_source``.
@@ -144,21 +128,3 @@ def adjoint(m: LinearMap) -> LinearMap:
     mat = m.source.solve_weight(m.matrix.conj().T @ m.target.weight)
     return LinearMap(source=m.target, target=m.source, matrix=mat)
 
-
-def project(space: InnerProductSpace, basis, x) -> np.ndarray:
-    """Coefficients of the orthogonal projection of ``x`` onto ``span(basis)``.
-
-    Returns the coefficient vector ``c`` minimising ``||x - sum c_i b_i||``
-    in the weighted norm, computed from the basis Gram system.  A basis
-    whose Gram matrix has condition number above ``1e12`` is rejected.
-    """
-    b = np.column_stack([space.check_vector(v) for v in basis])
-    x = space.check_vector(x)
-    wb = space.weight @ b
-    gram = b.conj().T @ wb
-    gram = 0.5 * (gram + gram.conj().T)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_THRESHOLD:
-        raise RankDeficientBasis(f"projection basis Gram condition number {cond:.3e} exceeds {COND_THRESHOLD:.0e}")
-    rhs = wb.conj().T @ x
-    return np.linalg.solve(gram, rhs)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from monoport.boundary import (
-    FLOW_EFFORT,
     check_skew_selfadjoint,
     dirichlet,
     extract_h,
@@ -52,7 +51,6 @@ def h_slope(bc):
 
 def test_from_v_zero_slope_is_coth(basis1):
     bc = from_V(0.0, basis1)
-    assert bc.coords == FLOW_EFFORT
     assert h_slope(bc) == pytest.approx(COTH1, abs=1e-11)
     assert bc.is_maximal_monotone
 

@@ -10,7 +10,6 @@ from monoport.phs import (
     even_odd_split,
     flow_effort,
     flow_effort_via_bd,
-    gdot_matrix,
     project_bd,
 )
 
@@ -108,17 +107,14 @@ def test_port_hamiltonian_validation():
 
 def test_port_hamiltonian_density_handling(rng):
     free = system([[1.0]])
-    assert free.constant_hamiltonian
     assert np.allclose(free.hamiltonian_at(0.3), np.eye(1))
 
     dens = rand_spd(rng, 2)
     fixed = PortHamiltonian(n=2, b=1.0, p1=P1_SWAP, hamiltonian=dens)
-    assert fixed.constant_hamiltonian
     assert np.allclose(fixed.hamiltonian_at(-0.5), dens)
 
     varying = PortHamiltonian(n=1, b=1.0, p1=[[1.0]],
                               hamiltonian=lambda x: np.array([[2.0 + x]]))
-    assert not varying.constant_hamiltonian
     assert varying.hamiltonian_at(0.5)[0, 0] == pytest.approx(2.5)
     with pytest.raises(ValueError):
         varying.hamiltonian_at(-3.0)  # density loses positivity
@@ -138,7 +134,6 @@ def test_bd_basis_unit_speed_closed_forms():
     assert basis.sqrtS[0, 0] ** 2 == pytest.approx(TANH1, abs=1e-12)
     assert basis.Qmat[0, 0] == pytest.approx(np.sqrt(2.0) * (1 + np.exp(-2)) / 2, abs=1e-12)
     assert basis.gram_G[0, 0] == pytest.approx((1 - np.exp(-4)) / 2, abs=1e-10)
-    assert np.allclose(basis.gram_D, basis.gram_G)
 
 
 def test_bd_basis_sign_of_speed_is_immaterial_for_s():
@@ -190,10 +185,9 @@ def test_channel_isometry_identity(rng):
 def test_derivative_maps_are_identities(rng):
     for p1 in (np.eye(1), P1_SWAP, rand_herm_invertible(rng, 3)):
         basis = bd_basis(system(p1))
-        for fn in (ddot_matrix, gdot_matrix):
-            mat, residual = fn(basis)
-            assert residual <= 1e-10
-            assert np.allclose(mat, np.eye(basis.n), atol=1e-9)
+        mat, residual = ddot_matrix(basis)
+        assert residual <= 1e-10
+        assert np.allclose(mat, np.eye(basis.n), atol=1e-9)
 
 
 def test_profiles_endpoint_normalization():

@@ -3,13 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from monoport import boundary as bnd
 from monoport.config import HAMILTONIAN_PROFILES, load_config
 from monoport.phs import PortHamiltonian, bd_basis
-from monoport.relations import LinearGraph, SeparableProx
+from monoport.relations import SeparableProx
 from monoport.solver import (
     Scenario,
     Stepper,
@@ -20,6 +18,7 @@ from monoport.solver import (
     step,
 )
 from monoport.spaces import InnerProductSpace
+from monoport.verify import _monolithic_resolve
 
 from conftest import rand_contraction, rand_unitary
 
@@ -28,47 +27,6 @@ PHS1 = PortHamiltonian(n=1, b=1.0, p1=[[1.0]])
 BASIS1 = bd_basis(PHS1)
 PHS2 = PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]])
 BASIS2 = bd_basis(PHS2)
-
-
-def assembled_resolve(ops, bc, mu, r_flat):
-    """Reference solve of the constrained step system, assembled whole.
-
-    Test-local oracle: the production solver eliminates the boundary
-    unknowns; this routine instead stacks field, effort-slack, and
-    boundary-parameter unknowns into one sparse system and factors it
-    directly, so the two routes share no code path.
-    """
-    relation = bc.port_relation
-    n = bc.ports
-    assert isinstance(relation, LinearGraph)
-    zx, zy = relation.zx, relation.zy
-    k = zx.shape[1]
-    nn = ops.nnodes
-    dim = nn * n
-    amat = (sp.identity(dim, dtype=complex, format="csr") + mu * ops.Gfull).tocsr()
-    omega_b = float(ops.omega[0])
-    p1 = ops.phs.p1
-
-    e_inj = sp.lil_matrix((dim, n), dtype=complex)
-    tr_e = sp.lil_matrix((n, dim), dtype=complex)
-    tr_f = sp.lil_matrix((n, dim), dtype=complex)
-    for j in range(n):
-        e_inj[j, j] = 1.0
-        e_inj[dim - n + j, j] = 1.0
-        tr_e[j, j] = 1.0 / np.sqrt(2.0)
-        tr_e[j, dim - n + j] = 1.0 / np.sqrt(2.0)
-        for i in range(n):
-            tr_f[j, i] = -p1[j, i] / np.sqrt(2.0)
-            tr_f[j, dim - n + i] = p1[j, i] / np.sqrt(2.0)
-
-    top = sp.hstack([amat, mu * e_inj.tocsr(), sp.csr_matrix((dim, k), dtype=complex)])
-    mid = sp.hstack([tr_e.tocsr(), sp.csr_matrix((n, n), dtype=complex),
-                     sp.csr_matrix(-zx)])
-    bot = sp.hstack([tr_f.tocsr(), np.sqrt(2.0) * omega_b * sp.identity(n, dtype=complex),
-                     sp.csr_matrix(-zy)])
-    full = sp.vstack([top, mid, bot]).tocsc()
-    rhs = np.concatenate([r_flat, relation.x0, relation.y0])
-    return spla.splu(full).solve(rhs)[:dim]
 
 
 def bump(z):
@@ -126,7 +84,7 @@ def test_discretize_rejects_bad_cell_count():
 
 def test_resolve_zero_rhs_gives_zero():
     ops = discretize(PHS1, 64)
-    res = resolve_A(ops, PHS1, bnd.neumann(0.0, BASIS1), 1.0,
+    res = resolve_A(ops, bnd.neumann(0.0, BASIS1), 1.0,
                     (np.zeros(65), np.zeros(65)))
     assert np.abs(res.u).max() == 0.0 and np.abs(res.v).max() == 0.0
     assert res.residual == 0.0
@@ -137,7 +95,7 @@ def test_resolve_hyperbolic_closed_form_convergence():
     for m in (128, 256, 512):
         ops = discretize(PHS1, m)
         xs = ops.grid.nodes
-        res = resolve_A(ops, PHS1, bnd.neumann(0.0, BASIS1), 1.0,
+        res = resolve_A(ops, bnd.neumann(0.0, BASIS1), 1.0,
                         (np.cosh(xs), np.sinh(xs)))
         assert res.residual < 1e-8
         errs.append(np.abs(res.u[:, 0] - np.cosh(xs)).max())
@@ -158,8 +116,8 @@ def test_resolve_matches_assembled_system(rng):
         bnd.from_V(rand_contraction(rng, 2), BASIS2),
     ]
     for bc in conditions:
-        res = resolve_A(ops, PHS2, bc, 0.8, (f, g))
-        ref = assembled_resolve(ops, bc, 0.8, (f + g).ravel())
+        res = resolve_A(ops, bc, 0.8, (f, g))
+        ref = _monolithic_resolve(ops, bc, 0.8, (f + g).ravel())
         gap = np.abs((res.u + res.v).ravel() - ref).max() / max(1.0, np.abs(ref).max())
         assert gap < 1e-8
 
@@ -168,8 +126,8 @@ def test_resolve_matches_assembled_system_shifted():
     ops = discretize(PHS1, 96)
     xs = ops.grid.nodes
     bc = bnd.dirichlet(0.7, BASIS1)
-    res = resolve_A(ops, PHS1, bc, 0.5, (np.cos(xs), np.sin(xs)))
-    ref = assembled_resolve(ops, bc, 0.5, (np.cos(xs) + np.sin(xs)).astype(complex))
+    res = resolve_A(ops, bc, 0.5, (np.cos(xs), np.sin(xs)))
+    ref = _monolithic_resolve(ops, bc, 0.5, (np.cos(xs) + np.sin(xs)).astype(complex))
     assert np.abs((res.u + res.v).ravel() - ref).max() < 1e-8
 
 
@@ -191,7 +149,7 @@ def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system():
     r_flat = np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs),
                        np.exp(-6 * xs**2) * np.sin(2 * xs)], axis=1).astype(complex).ravel()
     p = core.solve(r_flat)[0]
-    ref = assembled_resolve(ops, bc, theta * dt, r_flat)
+    ref = _monolithic_resolve(ops, bc, theta * dt, r_flat)
     assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -200,15 +158,15 @@ def test_resolve_rejects_uncertified_condition():
     bad = bnd.robin_bad(np.eye(2), BASIS2)
     rhs = (np.zeros((33, 2)), np.zeros((33, 2)))
     with pytest.raises(ValueError, match="certificate"):
-        resolve_A(ops, PHS2, bad, 1.0, rhs)
-    res = resolve_A(ops, PHS2, bad, 1.0, rhs, allow_uncertified=True)
+        resolve_A(ops, bad, 1.0, rhs)
+    res = resolve_A(ops, bad, 1.0, rhs, allow_uncertified=True)
     assert np.abs(res.u).max() < 1e-12
 
 
 def test_resolve_validates_rhs_shape():
     ops = discretize(PHS1, 32)
     with pytest.raises(ValueError, match="grid"):
-        resolve_A(ops, PHS1, bnd.neumann(0.0, BASIS1), 1.0,
+        resolve_A(ops, bnd.neumann(0.0, BASIS1), 1.0,
                   (np.zeros(10), np.zeros(10)))
 
 
@@ -330,8 +288,12 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
     ([[1.0, 0.0], [0.0, 2.0]],
      lambda basis: bnd.multiport([((0, 1), SeparableProx(InnerProductSpace(2), [("abs", 0.5)] * 2))],
                                  basis), 1.0),
+    # a congruence: listed out of port order, the ports are permuted back,
+    # and the substitution hands the Schur branch the in-order problem
+    ([[1.0, 0.7], [0.7, 1.5]],
+     lambda basis: bnd.multiport([(1, ("robin", 1.0)), (0, ("friction", 0.5))], basis), 1.0),
 ], ids=["affine-coupled", "direct-sum-diagonal", "schur-robin", "schur-dirichlet",
-        "schur-shifted-robin", "prox-diagonal"])
+        "schur-shifted-robin", "prox-diagonal", "schur-listed-reversed"])
 def test_non_scalar_fast_paths_skip_splitting_and_keep_ledger(monkeypatch, p1, make_bc, theta):
     import monoport.relations as rels
 

@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoport.spaces import (
-    COND_THRESHOLD,
-    InnerProductSpace,
-    LinearMap,
-    RankDeficientBasis,
-    adjoint,
-    inner,
-    project,
-)
+from monoport.spaces import InnerProductSpace, LinearMap, adjoint
 
 from conftest import rand_complex, rand_spd
 
@@ -21,7 +13,6 @@ N_TRIALS = 50
 def test_weight_defaults_to_identity():
     space = InnerProductSpace(3)
     assert space.is_identity_weight()
-    assert space.cmin == pytest.approx(1.0)
     assert space.inner([1, 0, 0], [1, 0, 0]) == pytest.approx(1.0)
 
 
@@ -40,13 +31,6 @@ def test_weight_must_be_positive_definite():
 def test_dim_must_be_positive():
     with pytest.raises(ValueError):
         InnerProductSpace(0)
-
-
-def test_smallest_eigenvalue_is_stored(rng):
-    w = rand_spd(rng, 4)
-    space = InnerProductSpace(4, w)
-    assert space.cmin == pytest.approx(float(np.linalg.eigvalsh(w)[0]), rel=1e-12)
-    assert space.cmin > 0
 
 
 @given(re=st.floats(-5, 5), im=st.floats(-5, 5))
@@ -70,12 +54,6 @@ def test_norm_matches_inner(rng):
     for _ in range(N_TRIALS):
         x = rand_complex(rng, 5)
         assert space.norm(x) == pytest.approx(np.sqrt(space.inner(x, x).real), rel=1e-12)
-
-
-def test_module_level_inner_delegates(rng):
-    space = InnerProductSpace(2, rand_spd(rng, 2))
-    x, y = rand_complex(rng, 2), rand_complex(rng, 2)
-    assert inner(space, x, y) == space.inner(x, y)
 
 
 def test_vector_length_checked():
@@ -102,7 +80,7 @@ def test_adjoint_pairing_identity(rng):
         t = LinearMap(src, tgt, rand_complex(rng, 4, 3))
         ts = adjoint(t)
         x, y = rand_complex(rng, 3), rand_complex(rng, 4)
-        assert tgt.inner(t(x), y) == pytest.approx(src.inner(x, ts(y)), rel=1e-10, abs=1e-10)
+        assert tgt.inner(t.matrix @ x, y) == pytest.approx(src.inner(x, ts.matrix @ y), rel=1e-10, abs=1e-10)
 
 
 def test_adjoint_involution(rng):
@@ -117,34 +95,3 @@ def test_linear_map_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         LinearMap(InnerProductSpace(2), InnerProductSpace(3), np.eye(2))
 
-
-# ---------------------------------------------------------------- projection
-
-
-def test_projection_recovers_exact_coefficients(rng):
-    space = InnerProductSpace(5, rand_spd(rng, 5))
-    basis = [rand_complex(rng, 5) for _ in range(3)]
-    coef = rand_complex(rng, 3)
-    x = sum(c * b for c, b in zip(coef, basis))
-    assert np.allclose(project(space, basis, x), coef, atol=1e-9)
-
-
-def test_projection_residual_is_orthogonal(rng):
-    space = InnerProductSpace(4, rand_spd(rng, 4))
-    basis = [rand_complex(rng, 4) for _ in range(2)]
-    x = rand_complex(rng, 4)
-    c = project(space, basis, x)
-    resid = x - sum(ck * bk for ck, bk in zip(c, basis))
-    for b in basis:
-        assert abs(space.inner(b, resid)) < 1e-10
-
-
-def test_projection_rejects_rank_deficient_basis():
-    space = InnerProductSpace(3)
-    v = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(RankDeficientBasis):
-        project(space, [v, v * (1 + 1e-15)], v)
-
-
-def test_cond_threshold_is_the_advertised_gate():
-    assert COND_THRESHOLD == 1e12
