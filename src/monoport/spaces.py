@@ -31,7 +31,7 @@ HERMITIAN_RTOL = 1e-12
 
 
 class RankDeficientBasis(ValueError):
-    """Raised when a projection basis is numerically rank deficient."""
+    """Raised when a basis Gram matrix is numerically singular."""
 
 
 def _as_matrix(a, dim=None) -> np.ndarray:

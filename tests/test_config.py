@@ -81,6 +81,31 @@ def test_load_config_reads_files(tmp_path):
     assert load_config(path).m == 128
 
 
+def test_parse_materializes_defaults():
+    cfg = parse_config(BASE)
+    assert np.array_equal(cfg.p0, np.zeros((1, 1)))
+    assert cfg.hamiltonian == "identity"
+    assert cfg.precision == 12
+
+
+def test_parse_keeps_wrong_sign_marker():
+    bad = parse_config(variant("kind = v-matrix\nV = 0", "kind = robin\nM = 1\nsign = -1"))
+    assert bad.bc_fields.get("sign") == -1
+    good = parse_config(variant("kind = v-matrix\nV = 0", "kind = robin\nM = 1\nsign = +1"))
+    assert "sign" not in good.bc_fields
+
+
+@pytest.mark.parametrize("bc_text, expected", [
+    ("kind = dirichlet\nvalue = 0.25", [0.25, 0.25]),
+    ("kind = neumann\nvalue = 1 2j", [1, 2j]),
+    ("kind = robin\nM = 1 0; 0 1\nvalue = -0.5", [-0.5, -0.5]),
+])
+def test_bc_value_scalar_broadcasts_to_every_port(bc_text, expected):
+    cfg = parse_config(variant("kind = v-matrix\nV = 0 1; -1 0", bc_text, WAVE))
+    assert cfg.bc_fields["value"].shape == (2,)
+    assert np.array_equal(cfg.bc_fields["value"], np.array(expected, dtype=complex))
+
+
 # -------------------------------------------------------------- errors
 
 
@@ -137,6 +162,25 @@ def test_build_phs_and_bc():
     bc = cfg.build_bc(bd_basis(system))
     assert bc.ports == 2
     assert bc.is_maximal_monotone
+
+
+@pytest.mark.parametrize("text, provenance, maximal, ports", [
+    (BASE, "V-matrix", True, 1),
+    (WAVE, "V-matrix", True, 2),
+    (variant("kind = v-matrix\nV = 0", "kind = dirichlet\nvalue = 0.25"), "Dirichlet", True, 1),
+    (variant("kind = v-matrix\nV = 0", "kind = robin\nM = 1"), "Robin", True, 1),
+    (variant("kind = v-matrix\nV = 0", "kind = robin\nM = 1\nsign = -1"), "RobinBad", False, 1),
+    (variant("kind = v-matrix\nV = 0 1; -1 0",
+             "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0",
+             WAVE), "Multiport", True, 2),
+    (variant("kind = v-matrix\nV = 0", "kind = custom\nC_e = 1\nC_f = 0"), "Extracted", True, 1),
+])
+def test_every_bc_kind_builds_its_certified_condition(text, provenance, maximal, ports):
+    cfg = parse_config(text)
+    bc = cfg.build_bc(bd_basis(cfg.build_phs()))
+    assert bc.provenance == provenance
+    assert bc.is_maximal_monotone is maximal
+    assert bc.ports == ports
 
 
 def test_build_bc_wrong_sign_variant_fails_certification():

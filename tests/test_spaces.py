@@ -56,6 +56,32 @@ def test_norm_matches_inner(rng):
         assert space.norm(x) == pytest.approx(np.sqrt(space.inner(x, x).real), rel=1e-12)
 
 
+def test_check_vector_flattens_to_complex():
+    space = InnerProductSpace(3)
+    x = space.check_vector([[1], [2], [3]])
+    assert x.shape == (3,)
+    assert x.dtype == complex
+    assert np.array_equal(x, [1, 2, 3])
+
+
+def test_weight_is_symmetrised_within_tolerance(rng):
+    w = rand_spd(rng, 3)
+    nudged = w.copy()
+    nudged[0, 1] += 1e-14 * np.linalg.norm(w)
+    space = InnerProductSpace(3, nudged)
+    assert np.array_equal(space.weight, space.weight.conj().T)
+    assert np.allclose(space.weight, w, rtol=0, atol=1e-13 * np.linalg.norm(w))
+
+
+def test_solve_weight_inverts_weight(rng):
+    w = rand_spd(rng, 4)
+    space = InnerProductSpace(4, w)
+    x = rand_complex(rng, 4)
+    assert np.allclose(w @ space.solve_weight(x), x, atol=1e-10)
+    block = rand_complex(rng, 4, 3)
+    assert np.allclose(w @ space.solve_weight(block), block, atol=1e-10)
+
+
 def test_vector_length_checked():
     space = InnerProductSpace(3)
     with pytest.raises(ValueError, match="length 3"):
