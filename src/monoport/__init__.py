@@ -40,6 +40,7 @@ from monoport.relations import (
     check_monotone,
     direct_sum,
     graph_residual,
+    plan_inclusion,
     post_set,
     principal_section,
     resolvent,
@@ -99,6 +100,7 @@ __all__ = [
     "post_set",
     "adjoint_relation",
     "graph_residual",
+    "plan_inclusion",
     "solve_inclusion",
     "NonconvergenceError",
     "principal_section",

@@ -3,13 +3,14 @@
 A relation is a subset of ``H x H``.  Monotonicity means
 ``Re<u - x | v - y> >= 0`` for every two members ``(x, y)``, ``(u, v)``;
 maximal monotone relations additionally admit an everywhere-defined
-resolvent ``J_lam = (1 + lam A)^{-1}``.  The module is organized around
-that resolvent: every representation knows how to evaluate it, the
-combinators reduce theirs to the wrapped ones, and the certification
-routines decide monotonicity and maximality by exact rules — linear
-algebra for linear graphs, closed forms for friction, and componentwise
-or congruence arguments for the combinators.  No certificate is
-sampled; the sampled cross-check lives in :mod:`.verify`.
+resolvent ``J_lam = (1 + lam A)^{-1}``, the case ``phi = 1/lam`` of the
+inclusion ``phi z + A(z) ∋ g`` around which the module is organized:
+:func:`plan_inclusion` reads ``(phi, A)`` once, down through the
+combinators, and :func:`solve_inclusion` applies that plan to each ``g``.
+The certification routines decide monotonicity and maximality by exact
+rules — linear algebra for linear graphs, closed forms for friction, and
+componentwise or congruence arguments for the combinators.  No
+certificate is sampled; the sampled cross-check lives in :mod:`.verify`.
 
 Representations
 ---------------
@@ -37,7 +38,6 @@ for friction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,6 +68,7 @@ __all__ = [
     "check_monotone",
     "check_maximal",
     "graph_residual",
+    "plan_inclusion",
     "solve_inclusion",
 ]
 
@@ -183,8 +184,9 @@ def _lstsq(m: np.ndarray, b: np.ndarray):
 
 
 class Relation:
-    """Base class; concrete relations implement ``_resolve(lam, y, x0)``,
-    the pair ``(x, w)`` with ``x + lam w = y``, warm-started from ``x0``.
+    """Base class of the representations below: a relation on its
+    :attr:`space`.  A representation holds data only; resolvents and
+    inclusions are planned for it by :func:`plan_inclusion`.
 
     :attr:`affine` is true exactly for a ``LinearGraph``: one linear
     solve, exact certificates, and the explicit leg of a ``theta < 1``
@@ -193,9 +195,6 @@ class Relation:
 
     space: InnerProductSpace
     affine = False
-
-    def _resolve(self, lam, y, x0):
-        raise NotImplementedError(f"resolvent not implemented for {type(self).__name__!r}")
 
 
 class LinearGraph(Relation):
@@ -244,21 +243,6 @@ class LinearGraph(Relation):
     def stacked(self) -> np.ndarray:
         return np.vstack([self.zx, self.zy])
 
-    def _resolve(self, lam, y, x0):
-        return self._solve(self.zx + lam * self.zy, y - self.x0 - lam * self.y0)
-
-    def _solve(self, m, rhs):
-        """The graph pair ``(x0 + zx c, y0 + zy c)`` with ``m c = rhs``; a
-        residual above :data:`TOL_LINEAR` (relative) raises."""
-        c, res = _lstsq(m, rhs)
-        if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(rhs))):
-            raise NonconvergenceError(
-                f"linear resolvent system is inconsistent (residual {res:.3e}); "
-                "the relation is not maximal on this right-hand side",
-                residual=res,
-            )
-        return self.x0 + self.zx @ c, self.y0 + self.zy @ c
-
 
 class SeparableProx(Relation):
     """Coordinatewise friction, with a closed-form proximal map.
@@ -280,30 +264,21 @@ class SeparableProx(Relation):
         if len(pieces) != space.dim:
             raise ValueError(f"need {space.dim} pieces, got {len(pieces)}")
         for p in pieces:
-            _validate_piece(p)
+            if p[0] != "abs":
+                raise ValueError(f"unknown piece kind {p[0]!r}")
+            if len(p) != 2 or not (float(p[1]) >= 0.0):
+                raise ValueError(f"abs piece needs a nonnegative scale, got {p!r}")
         self.space = space
         self.pieces = pieces
-
-    def prox(self, lam: float, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        return np.array([_prox_piece(p, lam, vk) for p, vk in zip(self.pieces, v)])
-
-    def _resolve(self, lam, y, x0):
-        x = self.prox(lam, y)
-        return x, (y - x) / lam
+        self.scales = np.array([p[1] for p in pieces], dtype=float)
 
 
-def _validate_piece(p: tuple):
-    if p[0] != "abs":
-        raise ValueError(f"unknown piece kind {p[0]!r}")
-    if len(p) != 2 or not (float(p[1]) >= 0.0):
-        raise ValueError(f"abs piece needs a nonnegative scale, got {p!r}")
-
-
-def _prox_piece(p: tuple, lam: float, v: complex) -> complex:
-    t = lam * p[1]
-    av = abs(v)
-    return 0.0 if av <= t else v * (1.0 - t / av)
+def _soft_threshold(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``v_k (1 - t_k/|v_k|)`` where ``|v_k| > t_k``, and 0 elsewhere: the
+    proximal map of ``sum_k t_k |v_k|``."""
+    a = np.abs(v)
+    on = a > t
+    return np.where(on, v * (1.0 - t / np.where(on, a, 1.0)), 0.0)
 
 
 def _sum_space(parts: Sequence[Relation]) -> InnerProductSpace:
@@ -329,39 +304,6 @@ class DirectSum(Relation):
         self.slices = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
         self.space = _sum_space(parts)
 
-    def split(self, v: np.ndarray):
-        v = self.space.check_vector(v)
-        return [v[s] for s in self.slices]
-
-    @cached_property
-    def _affine_split(self):
-        """``(a, f, graph, rest)``: the coordinates ``a`` of the affine
-        parts and ``f`` of the others, the affine parts as one
-        ``LinearGraph``, and the others as one relation; ``None`` when no
-        part, or every part, is affine."""
-        is_affine = [p.affine for p in self.parts]
-        if all(is_affine) or not any(is_affine):
-            return None
-
-        def coords(flag):
-            return np.concatenate([np.arange(s.start, s.stop)
-                                   for s, aff in zip(self.slices, is_affine) if aff == flag])
-
-        rest = [p for p in self.parts if not p.affine]
-        return (coords(True), coords(False),
-                direct_sum([p for p in self.parts if p.affine]),
-                rest[0] if len(rest) == 1 else DirectSum(rest))
-
-    def _resolve(self, lam, y, x0):
-        ys = self.split(y)
-        x0s = [None] * len(self.parts) if x0 is None else self.split(x0)
-        xs, ws = [], []
-        for part, yk, x0k in zip(self.parts, ys, x0s):
-            xk, wk = part._resolve(lam, yk, x0k)
-            xs.append(xk)
-            ws.append(wk)
-        return np.concatenate(xs), np.concatenate(ws)
-
 
 class Transformed(Relation):
     """The congruence ``T* B T = {(x, T* w) : (T x, w) in B}`` by an
@@ -383,184 +325,244 @@ class Transformed(Relation):
         self.adj_matrix = _map_adjoint(tmap).matrix
         self.inv_matrix = np.linalg.inv(m)
 
-    def _resolve(self, lam, y, x0):
-        """:func:`solve_inclusion` at ``phi = 1/lam``, which substitutes
-        ``u = T x``.  An iterative base meets :data:`TOL_ITERATIVE` in
-        ``u`` only: the defect ``|x + lam w - y|`` of the returned pair
-        is ``lam T*`` applied to the substituted defect, so it can exceed
-        the tolerance by the factor ``lam |T*|``."""
-        return solve_inclusion(np.eye(self.space.dim) / lam, self, y / lam, x0)
-
 
 # ---------------------------------------------------------------------------
 # the inclusion-solver primitive
 # ---------------------------------------------------------------------------
 
 
-def solve_inclusion(phi: np.ndarray, rel: Relation, g: np.ndarray, x0=None):
-    """Solve ``phi z + rel(z) ∋ g`` for a Hermitian positive ``phi``.
+def plan_inclusion(phi: np.ndarray, rel: Relation) -> "_Plan":
+    """Plan ``phi z + rel(z) ∋ g`` for a Hermitian positive ``phi``: the
+    work that depends only on ``(phi, rel)``, done once, for
+    :func:`solve_inclusion` to apply to each ``g``.  The solver plans once
+    per run; a resolvent is the plan at ``phi = 1/lam``.
 
-    This is the primitive behind the boundary step of the solver, and
-    behind every resolvent of a congruence; ``x0`` warm-starts the
-    iterative paths.
-
-    Returns ``(z, w)`` with ``w in rel(z)`` (exactly, for closed-form
-    representations; to :data:`TOL_ITERATIVE` otherwise) and
-    ``phi z + w - g`` small.  A linear system whose residual exceeds
-    :data:`TOL_LINEAR` (relative) raises :class:`NonconvergenceError`.
-
-    Dispatch: a congruence ``T* B T`` substitutes ``u = T z`` and solves
-    ``T*^{-1} phi T^{-1} u + B(u) ∋ T*^{-1} g`` for ``(u, w)``, returning
-    ``(T^{-1} u, T* w)``, so a ``multiport`` listed out of port order
-    takes the path of one listed in order.  Otherwise scalar ``phi``
-    reduces to the wrapped resolvent; a linear graph (every affine
-    relation, offsets included) is solved by one least-squares solve;
-    diagonal ``phi`` against coordinatewise pieces is solved per
-    coordinate; block ``phi`` against a direct sum recurses; any other
-    ``phi`` against a direct sum of affine and non-affine parts
-    eliminates the affine coordinates by one Schur complement and
-    recurses on the rest (:func:`_schur_reduce`), so one friction port
-    next to linear ports has a closed form.  That answer is kept only if
-    it passes the residual test of Douglas–Rachford splitting;
-    otherwise, and in the general case, splitting runs between the
-    affine part ``z -> phi z - g`` and the relation.
+    Dispatch: a congruence ``T* B T`` substitutes ``u = T z`` and plans
+    ``T*^{-1} phi T^{-1} u + B(u) ∋ T*^{-1} g``, so a ``multiport``
+    listed out of port order takes the path of one listed in order.  A
+    linear graph (offsets included) keeps ``M^{-1}``, ``M = phi zx + zy``,
+    checked once against :data:`TOL_LINEAR` (a non-square or singular
+    ``M`` keeps one least-squares solve per call).  Diagonal ``phi``
+    against friction keeps the thresholds; block ``phi`` against a direct
+    sum plans each block.  Any other ``phi`` against a direct sum of
+    affine and non-affine parts eliminates the affine coordinates by one
+    Schur complement and plans the rest, so one friction port next to
+    linear ports has a closed form, kept only if it passes the residual
+    test of Douglas–Rachford splitting.  Otherwise, when that ``M`` is
+    singular, and in the general case, splitting runs between
+    ``z -> phi z - g`` and the relation.
     """
-    space = rel.space
-    g = space.check_vector(g)
     phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    d = space.dim
+    d = rel.space.dim
     if phi.shape != (d, d):
         raise ValueError(f"phi must be {d}x{d}")
-
     if isinstance(rel, Transformed):
-        ts = rel.adj_matrix
-        u, w = solve_inclusion(np.linalg.solve(ts, phi @ rel.inv_matrix), rel.base,
-                               np.linalg.solve(ts, g),
-                               x0=None if x0 is None else rel.tmap.matrix @ np.asarray(x0))
-        return rel.inv_matrix @ u, ts @ w
-
-    # scalar phi -> plain resolvent
-    diag = np.diag(phi)
-    scalar_dev = np.linalg.norm(phi - diag[0].real * np.eye(d))
-    if scalar_dev <= 1e-14 * max(1.0, abs(diag[0])) and diag[0].real > 0:
-        lam = 1.0 / diag[0].real
-        z, w = rel._resolve(lam, lam * g, x0)
-        return z, g - phi @ z
-
+        return _CongruencePlan(phi, rel)
     if isinstance(rel, LinearGraph):
-        return rel._solve(phi @ rel.zx + rel.zy, g - phi @ rel.x0 - rel.y0)
-
-    offdiag = phi - np.diag(diag)
-    if isinstance(rel, SeparableProx) and np.linalg.norm(offdiag) <= 1e-14 * max(1.0, np.linalg.norm(phi)) \
+        return _AffinePlan(phi, rel)
+    size = 1e-14 * max(1.0, np.linalg.norm(phi))
+    diag = np.diag(phi)
+    if isinstance(rel, SeparableProx) and np.linalg.norm(phi - np.diag(diag)) <= size \
             and np.all(diag.real > 0) and np.allclose(diag.imag, 0.0, atol=1e-14):
-        z = np.array([
-            _prox_piece(p, 1.0 / dk.real, gk / dk.real)
-            for p, dk, gk in zip(rel.pieces, diag, g)
-        ])
-        return z, g - phi @ z
-
+        return _ThresholdPlan(phi, rel)
     if isinstance(rel, DirectSum):
-        blocks_ok = all(
-            np.linalg.norm(phi[s1, s2]) <= 1e-14 * max(1.0, np.linalg.norm(phi))
-            for i, s1 in enumerate(rel.slices)
-            for j, s2 in enumerate(rel.slices)
-            if i != j
-        )
-        if blocks_ok:
-            zs, ws = [], []
-            x0s = [None] * len(rel.parts) if x0 is None else rel.split(x0)
-            for part, s, x0k in zip(rel.parts, rel.slices, x0s):
-                zk, wk = solve_inclusion(phi[s, s], part, g[s], x0=x0k)
-                zs.append(zk)
-                ws.append(wk)
-            return np.concatenate(zs), np.concatenate(ws)
-        if rel._affine_split is not None:
-            out = _schur_reduce(phi, rel, g, x0)
-            # the residual test of _douglas_rachford: M near singular can
-            # make the elimination return a wrong pair without raising
-            if out is not None and space.norm(phi @ out[0] + out[1] - g) \
-                    <= TOL_ITERATIVE * max(1.0, float(np.linalg.norm(g))):
-                return out
-
-    return _douglas_rachford(phi, rel, g, x0)
+        if all(np.linalg.norm(phi[s1, s2]) <= size
+               for i, s1 in enumerate(rel.slices) for j, s2 in enumerate(rel.slices) if i != j):
+            return _BlockPlan(phi, rel)
+        flags = np.concatenate([[p.affine] * p.space.dim for p in rel.parts])
+        if flags.any() and not flags.all():
+            a, graph = np.flatnonzero(flags), direct_sum([p for p in rel.parts if p.affine])
+            minv = _inverse(phi[np.ix_(a, a)] @ graph.zx + graph.zy)
+            if minv is not None:
+                return _SchurPlan(phi, rel, a, np.flatnonzero(~flags), graph, minv)
+    return _SplittingPlan(phi, rel)
 
 
-def _schur_reduce(phi, rel, g, x0):
-    """Eliminate the affine coordinates of a direct sum exactly.
+def solve_inclusion(plan: "_Plan", g: np.ndarray, x0=None):
+    """Solve ``phi z + rel(z) ∋ g`` by a plan of :func:`plan_inclusion`,
+    warm-starting the iterative paths from ``x0``.  Returns ``(z, w)``
+    with ``w in rel(z)`` (exactly, for closed-form representations; to
+    :data:`TOL_ITERATIVE` otherwise) and ``phi z + w - g`` small.  A linear
+    system whose residual exceeds :data:`TOL_LINEAR` (relative) raises
+    :class:`NonconvergenceError`."""
+    space = plan.rel.space
+    return plan(space.check_vector(g), None if x0 is None else space.check_vector(x0), None)
+
+
+def _threshold(g: np.ndarray) -> float:
+    """The residual target of the iterative paths for right-hand side ``g``."""
+    return TOL_ITERATIVE * max(1.0, float(np.linalg.norm(g)))
+
+
+def _inverse(m: np.ndarray) -> Optional[np.ndarray]:
+    """``M^{-1}`` if ``M`` is square with ``|M M^{-1} - 1| <= TOL_LINEAR``,
+    so ``M^{-1} rhs`` meets that relative residual for every ``rhs``."""
+    try:
+        minv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:  # not square, or singular
+        return None
+    return minv if np.linalg.norm(m @ minv - np.eye(m.shape[0])) <= TOL_LINEAR else None
+
+
+class _Plan:
+    """A planned ``phi z + rel(z) ∋ g``: ``plan(g, x0, tol)`` is ``(z, w)``, with
+    ``tol`` the iterative paths' residual target (``None``: :func:`_threshold`)."""
+
+    def __init__(self, phi: np.ndarray, rel: Relation):
+        self.phi, self.rel = phi, rel
+
+
+class _AffinePlan(_Plan):
+    """A linear graph: ``(x0 + zx c, y0 + zy c)`` with ``M c = g - phi x0 - y0``."""
+
+    def __init__(self, phi, rel: LinearGraph):
+        super().__init__(phi, rel)
+        self.m, self.shift = phi @ rel.zx + rel.zy, phi @ rel.x0 + rel.y0
+        self.minv = _inverse(self.m)
+
+    def __call__(self, g, x0, tol):
+        rhs = g - self.shift
+        if self.minv is not None:
+            c = self.minv @ rhs
+        else:
+            c, res = _lstsq(self.m, rhs)
+            if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(rhs))):
+                raise NonconvergenceError(
+                    f"linear resolvent system is inconsistent (residual {res:.3e}); "
+                    "the relation is not maximal on this right-hand side", residual=res)
+        return self.rel.x0 + self.rel.zx @ c, self.rel.y0 + self.rel.zy @ c
+
+
+class _ThresholdPlan(_Plan):
+    """Diagonal ``phi`` against friction: ``g_k / phi_kk`` soft-thresholded
+    at ``mu_k / phi_kk``."""
+
+    def __init__(self, phi, rel: SeparableProx):
+        super().__init__(phi, rel)
+        self.inv_diag = 1.0 / np.diag(phi).real
+        self.thresholds = self.inv_diag * rel.scales
+
+    def __call__(self, g, x0, tol):
+        z = _soft_threshold(self.inv_diag * g, self.thresholds)
+        return z, g - self.phi @ z
+
+
+class _BlockPlan(_Plan):
+    """Block-diagonal ``phi`` against a direct sum: one plan per part."""
+
+    def __init__(self, phi, rel: DirectSum):
+        super().__init__(phi, rel)
+        self.blocks = [(s, plan_inclusion(phi[s, s], part)) for part, s in zip(rel.parts, rel.slices)]
+
+    def __call__(self, g, x0, tol):
+        pairs = [plan(g[s], None if x0 is None else x0[s], tol) for s, plan in self.blocks]
+        return np.concatenate([z for z, _ in pairs]), np.concatenate([w for _, w in pairs])
+
+
+class _CongruencePlan(_Plan):
+    """``T* B T``: the plan of ``B`` against ``T*^{-1} phi T^{-1}``, whose
+    ``(u, w)`` maps back to ``(T^{-1} u, T* w)``.  An iterative base meets
+    its target in ``u`` only; the defect in ``z`` is ``T*`` applied to it."""
+
+    def __init__(self, phi, rel: Transformed):
+        super().__init__(phi, rel)
+        self.adj_inv = np.linalg.inv(rel.adj_matrix)
+        self.base = plan_inclusion(np.linalg.solve(rel.adj_matrix, phi @ rel.inv_matrix), rel.base)
+
+    def __call__(self, g, x0, tol):
+        rel = self.rel
+        u, w = self.base(self.adj_inv @ g, None if x0 is None else rel.tmap.matrix @ x0, tol)
+        return rel.inv_matrix @ u, rel.adj_matrix @ w
+
+
+class _SchurPlan(_Plan):
+    """The affine coordinates ``a`` of a direct sum eliminated exactly.
 
     With the affine parts written as ``(x0 + zx c, y0 + zy c)`` and
     ``M = phi_aa zx + zy``, the rows ``a`` give
-    ``c = M^{-1}(h - phi_af z_f)`` with ``h = g_a - phi_aa x0 - y0``;
-    the rows ``f`` leave ``phi' z_f + B(z_f) ∋ g'`` with the Schur
-    complement ``phi' = phi_ff - phi_fa zx M^{-1} phi_af``, solved by
-    recursion.  Returns ``None`` when ``M`` is not square or singular,
-    or when the recursion does not converge; the caller tests the
-    residual of the pair it returns.
+    ``c = M^{-1}(g_a - phi_aa x0 - y0 - phi_af z_f)``, and the rows ``f``
+    leave ``phi' z_f + B(z_f) ∋ g'`` with the Schur complement
+    ``phi' = phi_ff - phi_fa zx M^{-1} phi_af``.  Kept: the plan of that
+    rest, and the maps ``g -> g'`` and ``(g, z_f, w_f) -> (z, w)``.  The
+    rows ``f`` of the whole residual are the reduced one and the rows
+    ``a`` vanish, so the reduced solve runs to the whole sum's target.
     """
-    a, f, graph, rest = rel._affine_split
-    k = a.size
-    order = np.concatenate([a, f])
-    q = phi[np.ix_(order, order)]
-    phi_aa, phi_af, phi_fa, phi_ff = q[:k, :k], q[:k, k:], q[k:, :k], q[k:, k:]
-    m = phi_aa @ graph.zx + graph.zy
-    if m.shape[0] != m.shape[1]:
-        return None
-    try:
-        sol = np.linalg.solve(m, np.column_stack([g[a] - phi_aa @ graph.x0 - graph.y0, phi_af]))
-    except np.linalg.LinAlgError:
-        return None
-    c_h, c_f = sol[:, 0], sol[:, 1:]
-    phi_fa_zx = phi_fa @ graph.zx
-    try:
-        z_f, w_f = solve_inclusion(phi_ff - phi_fa_zx @ c_f, rest,
-                                   g[f] - phi_fa @ graph.x0 - phi_fa_zx @ c_h,
-                                   x0=None if x0 is None else np.asarray(x0)[f])
-    except NonconvergenceError:
-        return None
-    c = c_h - c_f @ z_f
-    z = np.empty(rel.space.dim, dtype=complex)
-    w = np.empty(rel.space.dim, dtype=complex)
-    z[a], z[f] = graph.x0 + graph.zx @ c, z_f
-    w[a], w[f] = graph.y0 + graph.zy @ c, w_f
-    return z, w
+
+    def __init__(self, phi, rel: DirectSum, a, f, graph: LinearGraph, minv: np.ndarray):
+        super().__init__(phi, rel)
+        rest = [p for p in rel.parts if not p.affine]
+        sa, sf = np.eye(rel.space.dim)[a], np.eye(rel.space.dim)[f]
+        phi_fa_zx = phi[np.ix_(f, a)] @ graph.zx
+        # c = c_g g - c_0 - c_f z_f
+        c_g, c_f = minv @ sa, minv @ phi[np.ix_(a, f)]
+        c_0 = minv @ (phi[np.ix_(a, a)] @ graph.x0 + graph.y0)
+        self.f, self.reduce = f, sf - phi_fa_zx @ c_g
+        self.reduce_0 = phi[np.ix_(f, a)] @ graph.x0 - phi_fa_zx @ c_0
+        self.reduced = plan_inclusion(phi[np.ix_(f, f)] - phi_fa_zx @ c_f,
+                                      rest[0] if len(rest) == 1 else DirectSum(rest))
+        za, wa = sa.T @ graph.zx, sa.T @ graph.zy
+        self.lift = np.block([[za @ c_g, sf.T - za @ c_f, np.zeros_like(sf.T)],
+                              [wa @ c_g, -wa @ c_f, sf.T]])
+        self.lift_0 = np.concatenate([sa.T @ (graph.x0 - graph.zx @ c_0), sa.T @ (graph.y0 - graph.zy @ c_0)])
+        self.fallback = _SplittingPlan(phi, rel)
+
+    def eliminate(self, g, x0=None, tol=None):
+        """The pair before the residual test; ``None`` if the reduced solve fails."""
+        try:
+            z_f, w_f = self.reduced(self.reduce @ g - self.reduce_0, None if x0 is None else x0[self.f],
+                                    _threshold(g) if tol is None else tol)
+        except NonconvergenceError:
+            return None
+        zw = self.lift @ np.concatenate([g, z_f, w_f]) + self.lift_0
+        return zw[:g.shape[0]], zw[g.shape[0]:]
+
+    def __call__(self, g, x0, tol):
+        tol = _threshold(g) if tol is None else tol
+        out = self.eliminate(g, x0, tol)
+        # M near singular can make the elimination wrong without raising
+        if out is not None and self.rel.space.norm(self.phi @ out[0] + out[1] - g) <= tol:
+            return out
+        return self.fallback(g, x0, tol)
 
 
-def _douglas_rachford(phi, rel, g, x0):
-    """Splitting between the affine part ``z -> phi z - g`` and ``rel``."""
-    space = rel.space
-    d = space.dim
-    w2 = space.weight
-    # eigenvalue range of phi in the weighted sense sets the step length
-    try:
-        eigs = sla.eigvalsh(w2 @ phi, w2).real
-        m, big = float(eigs.min()), float(eigs.max())
-        gamma = 1.0 / np.sqrt(m * big) if m > 0 else 1.0
-    except sla.LinAlgError:
-        gamma = 1.0
-    lu = sla.lu_factor(np.eye(d) + gamma * phi)
-    scale = max(1.0, float(np.linalg.norm(g)))
+class _SplittingPlan(_Plan):
+    """Douglas–Rachford splitting between ``z -> phi z - g`` and the
+    relation, with the step length ``gamma`` (from the weighted eigenvalue
+    range of ``phi``), the factorization of ``1 + gamma phi`` and the plan
+    of the relation's resolvent at ``gamma`` fixed."""
 
-    if x0 is not None:
-        z0 = np.asarray(x0, dtype=complex)
-        s = z0 - gamma * (g - phi @ z0)
-    else:
-        s = np.zeros(d, dtype=complex)
+    def __init__(self, phi, rel: Relation):
+        super().__init__(phi, rel)
+        d, w2 = rel.space.dim, rel.space.weight
+        try:
+            eigs = sla.eigvalsh(w2 @ phi, w2).real
+            self.gamma = 1.0 / np.sqrt(eigs.min() * eigs.max()) if eigs.min() > 0 else 1.0
+        except sla.LinAlgError:
+            self.gamma = 1.0
+        self.lu = sla.lu_factor(np.eye(d) + self.gamma * phi)
+        self.inner = plan_inclusion(np.eye(d) / self.gamma, rel)
 
-    best = None
+    def __call__(self, g, x0, tol):
+        return _douglas_rachford(self, g, x0, tol)
+
+
+def _douglas_rachford(plan: _SplittingPlan, g, x0, tol):
+    """The iteration of ``plan`` from the warm start ``x0``, run until the
+    residual is at most ``tol`` (:func:`_threshold` of ``g`` if ``None``)."""
+    phi, gamma, space = plan.phi, plan.gamma, plan.rel.space
+    tol = _threshold(g) if tol is None else tol
+    s = np.zeros(space.dim, dtype=complex) if x0 is None else x0 - gamma * (g - phi @ x0)
+    best = np.inf
     for _ in range(MAX_ITER):
-        z1 = sla.lu_solve(lu, s + gamma * g)
-        z2, w2val = rel._resolve(gamma, 2.0 * z1 - s, None)
-        res = float(space.norm(phi @ z2 + w2val - g))
-        if best is None or res < best[0]:
-            best = (res, z2, w2val)
-        if res <= TOL_ITERATIVE * scale:
-            return z2, w2val
+        z1 = sla.lu_solve(plan.lu, s + gamma * g)
+        z2, w2 = plan.inner((2.0 * z1 - s) / gamma, None, None)
+        res = float(space.norm(phi @ z2 + w2 - g))
+        if res <= tol:
+            return z2, w2
+        best = min(best, res)
         s = s + z2 - z1
-    raise NonconvergenceError(
-        f"splitting iteration did not reach tol={TOL_ITERATIVE:.1e} in {MAX_ITER} steps "
-        f"(best residual {best[0]:.3e})",
-        residual=best[0],
-    )
+    raise NonconvergenceError(f"splitting iteration did not reach the residual {tol:.1e} in "
+                              f"{MAX_ITER} steps (best residual {best:.3e})", residual=best)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +578,8 @@ def resolvent(rel: Relation, lam: float, y) -> np.ndarray:
     consistency to :data:`TOL_LINEAR`, iterations run to
     :data:`TOL_ITERATIVE` within :data:`MAX_ITER` steps; a failure
     raises :class:`NonconvergenceError` carrying the last residual.
-    For a :class:`Transformed` relation that tolerance holds only in the
-    substituted coordinates ``z = T x``; the defect ``|x + lam w - y|``
-    is ``lam T*`` applied to the substituted one, and reaches 5.9e-8 for
-    ``|T*| <= 2``.
+    For a :class:`Transformed` relation that tolerance holds in ``z = T x``
+    only; ``|x + lam w - y|`` reaches 5.9e-8 for ``|T*| <= 2``.
     """
     x, _ = resolvent_value(rel, lam, y)
     return x
@@ -588,11 +588,12 @@ def resolvent(rel: Relation, lam: float, y) -> np.ndarray:
 def resolvent_value(rel: Relation, lam: float, y):
     """Like :func:`resolvent` but returns the graph pair ``(x, w)`` with
     ``w`` the relation value at ``x`` (so ``x + lam w = y`` up to the
-    same tolerances)."""
+    same tolerances): the inclusion planned at ``phi = 1/lam``."""
     if not lam > 0:
         raise ValueError("resolvent parameter must be positive")
+    lam = float(lam)
     y = rel.space.check_vector(y)
-    return rel._resolve(float(lam), y, None)
+    return solve_inclusion(plan_inclusion(np.eye(rel.space.dim) / lam, rel), y / lam)
 
 
 def yosida(rel: Relation, lam: float, x) -> np.ndarray:
@@ -683,7 +684,7 @@ def transform(tmap, rel: Relation) -> Relation:
     solution (a shifted graph whose translated domain misses the range
     of ``T`` is empty, which is an error).
     Other representations are wrapped lazily in :class:`Transformed`,
-    which needs ``T`` square and well conditioned; :func:`solve_inclusion`,
+    which needs ``T`` square and well conditioned; :func:`plan_inclusion`,
     and with it the resolvent, substitutes ``u = T x`` exactly.
     """
     if not isinstance(tmap, LinearMap):
@@ -728,12 +729,10 @@ def graph_residual(rel: Relation, x, y) -> float:
         return float(np.sqrt(abs(r.conj() @ (w2 @ r))))
     if isinstance(rel, SeparableProx):
         # the proximal identity: (x, y) is in the graph iff x = prox_1(x + y)
-        xp = rel.prox(1.0, x + y)
-        return float(np.sqrt(2.0) * space.norm(x - xp))
+        return float(np.sqrt(2.0) * space.norm(x - _soft_threshold(x + y, rel.scales)))
     if isinstance(rel, DirectSum):
-        xs, ys = rel.split(x), rel.split(y)
-        return float(np.sqrt(sum(graph_residual(p, xk, yk) ** 2
-                                 for p, xk, yk in zip(rel.parts, xs, ys))))
+        return float(np.sqrt(sum(graph_residual(p, x[s], y[s]) ** 2
+                                 for p, s in zip(rel.parts, rel.slices))))
     if isinstance(rel, Transformed):
         t = rel.tmap.matrix
         return graph_residual(rel.base, t @ x, np.linalg.solve(rel.adj_matrix, y))

@@ -11,7 +11,9 @@ where ``R`` is the boundary relation in flow/effort coordinates and
 bulk.  ``Phi`` inherits a strictly positive Hermitian part from the
 bulk energy estimate, so the inclusion is solvable for every maximal
 monotone ``R`` — solving it *is* the proof of solvability, run
-numerically.
+numerically.  ``Phi`` and ``R`` are fixed for a run, so the inclusion is
+planned once per run (:func:`.relations.plan_inclusion`) and each step
+only applies the plan.
 
 Two exact discrete identities carry the structure (both hold to
 roundoff, not asymptotically):
@@ -27,11 +29,12 @@ roundoff, not asymptotically):
   relations conserve at ``theta = 1/2``.
 
 A run is one :class:`Stepper`: it checks the boundary condition's
-certificate, factors the resolvent once, and carries the generator
-action and the effort/flow pair from one step to the next.
-``step(w, stepper)`` advances the state by one theta-step and leaves
-that step's boundary pairing in ``stepper.dissipation``;
-:func:`simulate` is the loop ``w = step(w, stepper)``.  A fresh
+certificate, factors the resolvent and plans its boundary inclusion
+once, and carries the generator action and the effort/flow pair from
+one step to the next.  ``step(w, stepper)`` advances the state by one
+theta-step and leaves that step's boundary pairing in
+``stepper.dissipation``; :func:`simulate` is the loop
+``w = step(w, stepper)``.  A fresh
 ``Stepper`` gives the stand-alone one-step map, whose explicit leg is
 computed from the state itself.
 """
@@ -48,7 +51,8 @@ import scipy.sparse.linalg as spla
 
 from .boundary import BoundaryCondition
 from .phs import PortHamiltonian, _as_field
-from .relations import NonconvergenceError, graph_residual, principal_section, solve_inclusion
+from .relations import (NonconvergenceError, graph_residual, plan_inclusion, principal_section,
+                        solve_inclusion)
 from .sbp import MIN_CELLS, sbp42
 
 __all__ = [
@@ -170,7 +174,8 @@ class _CoreSolver:
     Interior elimination reduces everything to a dense ``3n x 3n``
     boundary block, from which the effort-to-flow response ``phi`` and
     the affine defect are read off; the remaining ``n``-dimensional
-    inclusion is handed to the relation calculus.
+    inclusion is planned here by the relation calculus, and every
+    :meth:`solve` applies that plan.
     """
 
     def __init__(self, ops: DiscreteOperators, bc: BoundaryCondition, mu: float,
@@ -234,6 +239,7 @@ class _CoreSolver:
                 "boundary response lost positivity (smallest Hermitian eigenvalue "
                 f"{herm_min:.3e}); the elliptic solve is unreliable at this resolution"
             )
+        self._plan = plan_inclusion(self.phi, self.rel)
 
     def solve(self, r_flat: np.ndarray, x0: Optional[np.ndarray] = None):
         n = self.n
@@ -242,7 +248,7 @@ class _CoreSolver:
         rho = r_bnd - self.a_bi @ p_part
         beta_part = sla.lu_solve(self.k_lu, np.concatenate([rho, np.zeros(n, dtype=complex)]))
         fhat0 = self.f_row @ beta_part
-        e, w = solve_inclusion(self.phi, self.rel, -fhat0, x0=x0)
+        e, w = solve_inclusion(self._plan, -fhat0, x0=x0)
         fhat = -w
         beta = beta_part + self.bmat @ e
         p = np.empty(r_flat.shape[0], dtype=complex)

@@ -418,16 +418,17 @@ def _suite_solver(seed: int) -> List[CheckResult]:
     t_orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     out.append(CheckResult("solver", "transport convergence order", float(t_orders.min()), 0.9, kind="min"))
 
-    # Against a coupled phi, solve_inclusion eliminates the linear ports of
-    # a direct sum exactly.  The elimination is measured before the
-    # residual test that guards it in solve_inclusion (which would hand a
-    # wrong answer to splitting); splitting the whole sum must agree with
-    # it to the splitting tolerance.
+    # Against a coupled phi, the inclusion plan eliminates the linear ports
+    # of a direct sum exactly.  The elimination is measured before the
+    # residual test that guards it (which would hand a wrong answer to
+    # splitting); splitting the whole sum must agree with it to the
+    # splitting tolerance.
     worst = 0.0
     for k in (1, 2):
         phi, r, g = _random_schur_instance(rng, k)
-        z_dr, w_dr = rel._douglas_rachford(phi, r, g, None)
-        pair = rel._schur_reduce(phi, r, g, None)
+        plan = rel.plan_inclusion(phi, r)
+        z_dr, w_dr = rel.solve_inclusion(plan.fallback, g)
+        pair = plan.eliminate(g)
         if pair is None:
             worst = np.inf
             continue

@@ -25,3 +25,12 @@ def test_layer_exports_resolve(module):
     mod = importlib.import_module(f"monoport.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_plan_inclusion_is_exported():
+    """The inclusion plan is public next to the solve that applies it."""
+    from monoport import relations
+
+    for mod in (monoport, relations):
+        assert {"plan_inclusion", "solve_inclusion"} <= set(mod.__all__)
+    assert monoport.plan_inclusion is relations.plan_inclusion

@@ -17,6 +17,7 @@ from monoport.relations import (
     check_monotone,
     direct_sum,
     graph_residual,
+    plan_inclusion,
     post_set,
     principal_section,
     resolvent,
@@ -396,10 +397,10 @@ def test_check_maximal_closed_form_path_on_prox():
 def test_solve_inclusion_identity_plus_sign():
     """phi = 1: z + sign(z) forced to contain g is the soft threshold."""
     phi = np.eye(1)
-    z, w = solve_inclusion(phi, sign_relation(), np.array([2.0 + 0j]))
+    z, w = solve_inclusion(plan_inclusion(phi, sign_relation()), np.array([2.0 + 0j]))
     assert z == pytest.approx([1.0])
     assert w == pytest.approx([1.0])
-    z, w = solve_inclusion(phi, sign_relation(), np.array([0.5 + 0j]))
+    z, w = solve_inclusion(plan_inclusion(phi, sign_relation()), np.array([0.5 + 0j]))
     assert z == pytest.approx([0.0], abs=1e-12)
 
 
@@ -409,7 +410,7 @@ def test_solve_inclusion_linear_relation(rng):
         phi = rand_spd(rng, n)
         rel = LinearGraph.from_matrix(InnerProductSpace(n), rand_monotone_matrix(rng, n))
         g = rand_complex(rng, n)
-        z, w = solve_inclusion(phi, rel, g)
+        z, w = solve_inclusion(plan_inclusion(phi, rel), g)
         assert np.linalg.norm(phi @ z + w - g) < 1e-8
         assert graph_residual(rel, z, w) < 1e-8
 
@@ -421,9 +422,9 @@ def _count_splitting(monkeypatch):
     calls = []
     real = rels._douglas_rachford
 
-    def counted(phi, rel, g, x0):
-        calls.append(rel.space.dim)
-        return real(phi, rel, g, x0)
+    def counted(plan, g, x0, tol):
+        calls.append(plan.rel.space.dim)
+        return real(plan, g, x0, tol)
 
     monkeypatch.setattr(rels, "_douglas_rachford", counted)
     return calls, real
@@ -431,13 +432,26 @@ def _count_splitting(monkeypatch):
 
 def test_solve_inclusion_schur_falls_back_on_singular_affine_block(monkeypatch):
     """``M = phi_aa zx + zy`` vanishes up to roundoff: the eliminated answer
-    misses the residual test, and splitting solves the whole sum."""
+    misses the residual test, and splitting solves the whole sum.  The
+    splitting's resolvents are planned once, so its loop runs no
+    least-squares solve."""
+    import monoport.relations as rels
+
     calls, _ = _count_splitting(monkeypatch)
+    lstsq_calls = []
+    real_lstsq = rels._lstsq
+
+    def counted_lstsq(m, b):
+        lstsq_calls.append(m.shape)
+        return real_lstsq(m, b)
+
+    monkeypatch.setattr(rels, "_lstsq", counted_lstsq)
     rel = DirectSum([sign_relation(0.5), LinearGraph.from_matrix(C1, [[-2.0]])])
     phi = np.array([[1.0, 0.3], [0.3, 2.0]])
     g = np.array([1.0, 0.5])
-    z, w = solve_inclusion(phi, rel, g)
+    z, w = solve_inclusion(plan_inclusion(phi, rel), g)
     assert calls[-1] == 2
+    assert lstsq_calls == []
     assert np.linalg.norm(phi @ z + w - g) <= TOL_ITERATIVE * np.linalg.norm(g)
     assert z == pytest.approx([5.0 / 3.0, -35.0 / 9.0], abs=1e-6)
 
@@ -460,10 +474,7 @@ def _random_port_sum(rng, k):
 def test_solve_inclusion_schur_reduction_agrees_with_splitting(monkeypatch, rng, k):
     """Against a coupled phi the linear ports are eliminated exactly; one
     friction port is then solved in closed form, two by splitting on
-    just those two coordinates (and, when that answer misses the
-    residual test of the whole sum, by splitting the whole sum)."""
-    import monoport.relations as rels
-
+    just those two coordinates."""
     calls, real_dr = _count_splitting(monkeypatch)
     for _ in range(10):
         rel = _random_port_sum(rng, k)
@@ -471,22 +482,39 @@ def test_solve_inclusion_schur_reduction_agrees_with_splitting(monkeypatch, rng,
         phi = rand_spd(rng, n, shift=0.5)
         g = rand_complex(rng, n)
         calls.clear()
-        z, w = solve_inclusion(phi, rel, g)
+        plan = plan_inclusion(phi, rel)
+        z, w = solve_inclusion(plan, g)
         if k == 1:
             assert calls == [] and np.linalg.norm(phi @ z + w - g) <= 1e-12
         else:
             assert calls[0] == 2
-        z_dr, w_dr = real_dr(phi, rel, g, None)
+        z_dr, w_dr = real_dr(plan.fallback, g, None, None)
         # the elimination itself, before the residual test that guards it
-        z_s, w_s = rels._schur_reduce(phi, rel, g, None)
+        z_s, w_s = plan.eliminate(g)
         for zz, ww in ((z, w), (z_s, w_s)):
             assert np.linalg.norm(zz - z_dr) <= 1e-7 and np.linalg.norm(ww - w_dr) <= 1e-7
             assert graph_residual(rel, zz, ww) <= 1e-8
 
 
+def test_schur_reduced_splitting_meets_the_whole_sums_residual_target(monkeypatch):
+    """Two friction ports next to linear ports: the reduced splitting runs
+    to the residual target of the whole sum, whose rows ``f`` are the
+    reduced residual and whose rows ``a`` vanish, so its answer passes
+    the residual test and the whole sum is never split."""
+    from monoport.verify import _random_schur_instance
+
+    calls, _ = _count_splitting(monkeypatch)
+    for seed in range(300):
+        phi, rel, g = _random_schur_instance(np.random.default_rng(seed), 2)
+        calls.clear()
+        z, w = solve_inclusion(plan_inclusion(phi, rel), g)
+        assert calls == [2], seed
+        assert np.linalg.norm(phi @ z + w - g) <= TOL_ITERATIVE * max(1.0, np.linalg.norm(g)), seed
+
+
 def test_solve_inclusion_requires_square_phi():
     with pytest.raises(ValueError):
-        solve_inclusion(np.ones((2, 1)), sign_relation(), np.array([1.0]))
+        solve_inclusion(plan_inclusion(np.ones((2, 1)), sign_relation()), np.array([1.0]))
 
 
 # ------------------------------------------------------- certificate record

@@ -250,9 +250,9 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
     warm_starts = []
     real_dr = rels._douglas_rachford
 
-    def counted(*args):
-        warm_starts.append(args[-1])
-        return real_dr(*args)
+    def counted(plan, g, x0, tol):
+        warm_starts.append(x0)
+        return real_dr(plan, g, x0, tol)
 
     monkeypatch.setattr(rels, "_douglas_rachford", counted)
     traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=dt, theta=theta), ops)
@@ -430,6 +430,36 @@ def test_linear_multiport_on_coupled_p1_takes_one_linear_solve(monkeypatch):
     traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=dt, theta=1.0), ops)
     assert len(traj) == 101 and dr_calls == []
     assert _ledger_defects(traj, ops, 1.0, dt).max() <= 1e-12 * traj.energies[0]
+
+
+def test_run_plans_its_inclusion_once_and_solves_it_every_step(monkeypatch):
+    """Friction next to Robin on a coupled ``P1``: the run builds one
+    inclusion plan, and each of its 100 steps applies it through
+    ``solver.solve_inclusion``."""
+    import monoport.solver as solver
+
+    phs = PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]])
+    bc = bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0))], bd_basis(phs))
+    ops = discretize(phs, 32)
+    u0 = np.zeros((33, 2))
+    u0[:, 0] = np.exp(-8 * ops.grid.nodes**2)
+    plans, solves = [], []
+    real_plan, real_solve = solver.plan_inclusion, solver.solve_inclusion
+
+    def counted_plan(phi, rel):
+        plans.append(rel)
+        return real_plan(phi, rel)
+
+    def counted_solve(plan, g, x0=None):
+        solves.append(plan)
+        return real_solve(plan, g, x0)
+
+    monkeypatch.setattr(solver, "plan_inclusion", counted_plan)
+    monkeypatch.setattr(solver, "solve_inclusion", counted_solve)
+    traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=0.01, theta=1.0), ops)
+    assert len(traj) == 101
+    assert len(plans) == 1 and len(solves) == 100
+    assert all(plan is solves[0] for plan in solves)
 
 
 def test_transport_pulse_matches_characteristics():
