@@ -9,8 +9,7 @@ package from this checkout's ``src``:
 * the ``state``, ``pairing`` and ``derivative`` convergence studies on
   ``configs/transport.cfg``, and the ``state`` study on
   ``configs/friction.cfg`` (no transport oracle: the finest-grid
-  reference);
-* the three experiment scripts.
+  reference).
 
 Output files go to a temporary directory that is removed afterwards.
 One ``sha256  name`` line is printed per written file and per captured
@@ -56,8 +55,6 @@ def _cases():
     name = "convergence/friction-state"
     yield name, cli + ["convergence", "--config", str(ROOT / "configs" / "friction.cfg"),
                        "--study", "state", "--out", name], 0
-    for script in ("bc_gallery", "transport_convergence", "wave_energy_ledger"):
-        yield f"scripts/{script}", [sys.executable, str(ROOT / "scripts" / f"{script}.py")], 0
 
 
 def _sha256(data: bytes) -> str:

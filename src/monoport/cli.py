@@ -31,7 +31,7 @@ import numpy as np
 from .config import Config, ConfigError, load_config
 from .phs import bd_basis
 from .relations import NonconvergenceError
-from .verify import format_report, run_suites
+from .verify import _pairing_gap, format_report, run_suites
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -185,6 +185,17 @@ def _transport_oracle_applicable(cfg: Config, phs) -> bool:
             and phs.hamiltonian is None)
 
 
+def _transport_error(cfg: Config, ops, traj) -> float:
+    """Sup-norm distance of the final state from the closed-form
+    characteristics solution of the ``transport`` preset."""
+    from .config import SCENARIO_PRESETS
+    from .solver import oracle_transport
+
+    u0_func = lambda y: SCENARIO_PRESETS["transport"](1, cfg.b, np.atleast_1d(y))[:, 0]
+    oracle = oracle_transport(u0_func, traj.times[-1], ops.grid.nodes, cfg.b)
+    return float(np.abs(traj.states[-1][:, 0] - oracle).max())
+
+
 def cmd_simulate(args) -> int:
     from . import solver as sol
 
@@ -216,11 +227,7 @@ def cmd_simulate(args) -> int:
 
     status = EXIT_OK
     if _transport_oracle_applicable(cfg, phs):
-        from .config import SCENARIO_PRESETS
-
-        u0_func = lambda y: SCENARIO_PRESETS["transport"](1, cfg.b, np.atleast_1d(y))[:, 0]
-        oracle = sol.oracle_transport(u0_func, traj.times[-1], ops.grid.nodes, cfg.b)
-        err = float(np.abs(traj.states[-1][:, 0] - oracle).max())
+        err = _transport_error(cfg, ops, traj)
         dt_eff = traj.times[1] - traj.times[0]
         tol = args.tol if args.tol is not None else (
             TRANSPORT_ERROR_CONSTANT * (ops.grid.h_x + dt_eff))
@@ -275,13 +282,8 @@ def _state_study(cfg: Config, phs, basis, levels: int):
 
     rows = []
     if use_oracle:
-        from .config import SCENARIO_PRESETS
-
-        u0_func = lambda y: SCENARIO_PRESETS["transport"](1, cfg.b, np.atleast_1d(y))[:, 0]
         for i, (ops, traj) in enumerate(trajs):
-            oracle = sol.oracle_transport(u0_func, traj.times[-1], ops.grid.nodes, cfg.b)
-            err = float(np.abs(traj.states[-1][:, 0] - oracle).max())
-            rows.append((ms[i], ops.grid.h_x, cfg.dt / 2 ** i, err))
+            rows.append((ms[i], ops.grid.h_x, cfg.dt / 2 ** i, _transport_error(cfg, ops, traj)))
     else:
         fine_ops, fine_traj = trajs[-1]
         fine = fine_traj.states[-1]
@@ -295,7 +297,6 @@ def _state_study(cfg: Config, phs, basis, levels: int):
 def _pairing_study(cfg: Config, phs, basis, levels: int, seed: int):
     """Gap in the discrete trace-pairing identity on smooth fields."""
     from . import solver as sol
-    from .phs import project_bd
 
     rng = np.random.default_rng(seed)
     n = phs.n
@@ -308,13 +309,7 @@ def _pairing_study(cfg: Config, phs, basis, levels: int, seed: int):
         xs = ops.grid.nodes
         u = sum(cu[k][None, :] * np.cos((k + 0.5) * xs / cfg.b)[:, None] for k in range(3))
         v = sum(cv[k][None, :] * np.sin((k + 1) * 0.9 * xs / cfg.b)[:, None] for k in range(3))
-        lhs = np.sum(ops.omega[:, None] * (
-            (ops.Gfull @ v.ravel()).reshape(-1, n).conj() * u +
-            (ops.Gfull @ u.ravel()).reshape(-1, n).conj() * v)).real
-        xu = project_bd(basis, "even", xs, u)
-        yv = project_bd(basis, "odd", xs, v)
-        rhs = float((xu.conj() @ (basis.gram_G @ yv)).real)
-        rows.append((m, ops.grid.h_x, None, abs(lhs - rhs)))
+        rows.append((m, ops.grid.h_x, None, _pairing_gap(ops, basis, u, v)))
     return rows
 
 
@@ -351,7 +346,7 @@ def cmd_convergence(args) -> int:
 
     prec = cfg.precision
     errs = np.array([r[3] for r in rows])
-    orders = np.log2(errs[:-1] / errs[1:]) if len(errs) > 1 else np.array([])
+    orders = np.log2(errs[:-1] / errs[1:])
 
     csv_rows = ["study,m,h_x,dt,error,order"]
     out_lines = [f"convergence study: {args.study}"]
@@ -373,6 +368,13 @@ def cmd_convergence(args) -> int:
 
 
 # ------------------------------------------------------------- entry point
+
+
+def _levels(text: str) -> int:
+    """``--levels``: an order needs two grids, so fewer is a usage error."""
+    if not text.lstrip("-").isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"needs an integer of at least 2 levels, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -409,8 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory (default: .)")
     p.add_argument("--study", default="state", choices=sorted(_STUDIES),
                    help="which quantity to refine (default: state)")
-    p.add_argument("--levels", type=int, default=3,
-                   help="number of refinement levels m, 2m, 4m, ... (default: 3)")
+    p.add_argument("--levels", type=_levels, default=3,
+                   help="number of refinement levels m, 2m, 4m, ..., at least 2 (default: 3)")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for the pairing study's fields (default: 0)")
     p.set_defaults(func=cmd_convergence)

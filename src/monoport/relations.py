@@ -120,9 +120,12 @@ class Certificate:
     """Verdicts of the certification routines.
 
     Each verdict is ``"yes"``, ``"no"`` or ``"unknown"``.  A ``"no"``
-    always carries a concrete, re-verifiable witness in :attr:`witness`
-    (a violating pair of graph points for monotonicity, an unreachable
-    right-hand side for maximality, a mismatch direction for skewness).
+    carries a concrete, re-verifiable witness in :attr:`witness` (a
+    violating pair of graph points for monotonicity, an unreachable
+    right-hand side for maximality, a mismatch direction for skewness),
+    with one exception: a maximality ``"no"`` carried over by a
+    congruence whose map is not unitary has no right-hand side, and its
+    :attr:`method` says so.
     Every ``"yes"`` and ``"no"`` comes from an exact rule;
     :attr:`method` names it.
     """
@@ -883,6 +886,15 @@ def _maximal_dispatch(rel) -> Certificate:
     if isinstance(rel, Transformed):
         cert = _maximal_dispatch(rel.base)
         cert.method = "congruence by an invertible map: " + cert.method
+        if cert.witness is not None and "rhs" in cert.witness:
+            # x + T* w = T* rhs forces T x + w = rhs only when T* T = 1
+            witness = dict(cert.witness)
+            rhs = witness.pop("rhs")
+            if np.linalg.norm(rel.adj_matrix @ rel.tmap.matrix - np.eye(rel.space.dim)) <= TOL_LINEAR:
+                witness["rhs"] = rel.adj_matrix @ rhs
+            else:
+                cert.method += " (no witness: the map is not unitary)"
+            cert.witness = witness or None
         return cert
     return Certificate(maximal="unknown", method=f"no exact rule for {type(rel).__name__}")
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import boundary as bnd
 from . import relations as rel
+from .config import SCENARIO_PRESETS
 from .phs import PortHamiltonian, bd_basis, ddot_matrix, flow_effort, project_bd
 from .spaces import InnerProductSpace, LinearMap
 
@@ -369,13 +370,7 @@ def _suite_solver(seed: int) -> List[CheckResult]:
         xsm = opsm.grid.nodes
         u = np.stack([np.cos(0.7 * xsm), np.cos(1.3 * xsm)], axis=1).astype(complex)
         v = np.stack([np.sin(1.1 * xsm), np.sin(0.6 * xsm)], axis=1).astype(complex)
-        lhs = np.sum(opsm.omega[:, None] * (
-            (opsm.Gfull @ v.ravel()).reshape(-1, 2).conj() * u +
-            (opsm.Gfull @ u.ravel()).reshape(-1, 2).conj() * v)).real
-        xu = project_bd(basis2, "even", xsm, u)
-        yv = project_bd(basis2, "odd", xsm, v)
-        rhs = (xu.conj() @ (basis2.gram_G @ yv)).real
-        gaps.append(abs(lhs - rhs))
+        gaps.append(_pairing_gap(opsm, basis2, u, v))
     orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
     out.append(CheckResult("solver", "energy pairing identity order", float(orders.min()), 1.5, kind="min"))
 
@@ -402,17 +397,13 @@ def _suite_solver(seed: int) -> List[CheckResult]:
     out.append(CheckResult("solver", "midpoint step is a weighted isometry", float(dev), 1e-9))
 
     bc_t = bnd.from_V(np.zeros((1, 1)), basis1)
+    bump = lambda y: SCENARIO_PRESETS["transport"](1, 1.0, np.atleast_1d(y))[:, 0]
     errs = []
     for m in (128, 256, 512):
         opsm = sol.discretize(phs1, m)
         xsm = opsm.grid.nodes
-        u0m = np.zeros((m + 1, 1), dtype=complex)
-        z = (xsm + 0.35) / 0.6
-        u0m[:, 0] = np.where(np.abs(z) < 1, (1 - np.minimum(z * z, 1.0)) ** 3, 0.0)
-        scn = sol.Scenario(phs=phs1, bc=bc_t, u0=u0m, T=1.0, dt=opsm.grid.h_x, theta=1.0)
+        scn = sol.Scenario(phs=phs1, bc=bc_t, u0=bump(xsm)[:, None], T=1.0, dt=opsm.grid.h_x, theta=1.0)
         trajm = sol.simulate(scn, opsm)
-        bump = lambda y: np.where(np.abs((y + 0.35) / 0.6) < 1,
-                                  (1 - np.minimum(((y + 0.35) / 0.6) ** 2, 1.0)) ** 3, 0.0)
         oracle = sol.oracle_transport(bump, 1.0, xsm, 1.0)
         errs.append(np.abs(trajm.states[-1][:, 0] - oracle).max())
     t_orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -435,6 +426,22 @@ def _suite_solver(seed: int) -> List[CheckResult]:
         worst = max(worst, float(np.linalg.norm(pair[0] - z_dr)), float(np.linalg.norm(pair[1] - w_dr)))
     out.append(CheckResult("solver", "Schur reduction agrees with splitting", worst, 1e-7))
     return out
+
+
+def _pairing_gap(ops, basis, u, v) -> float:
+    """Gap in the discrete trace-pairing identity for the fields ``u``
+    and ``v``: ``Re sum omega (<G v, u> + <G u, v>)`` against
+    ``<x_u, gram_G y_v>``, the even trace of ``u`` paired with the odd
+    trace of ``v``."""
+    n = u.shape[1]
+    xs = ops.grid.nodes
+    lhs = np.sum(ops.omega[:, None] * (
+        (ops.Gfull @ v.ravel()).reshape(-1, n).conj() * u +
+        (ops.Gfull @ u.ravel()).reshape(-1, n).conj() * v)).real
+    xu = project_bd(basis, "even", xs, u)
+    yv = project_bd(basis, "odd", xs, v)
+    rhs = float((xu.conj() @ (basis.gram_G @ yv)).real)
+    return float(abs(lhs - rhs))
 
 
 def _random_schur_instance(rng, k):

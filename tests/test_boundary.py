@@ -189,6 +189,17 @@ def test_multiport_respects_listed_order(basis2):
         [0.5, 0.0], abs=1e-9)
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["in-order", "flipped"])
+def test_multiport_maximality_witness_is_in_port_coordinates(basis2, order):
+    """Friction on port 0 next to the zero graph ``{(0, 0)}`` on port 1 is
+    monotone but not maximal: ``1 + A`` misses ``e_1`` in either listing."""
+    specs = {0: ("friction", 0.5), 1: LinearGraph(InnerProductSpace(1), [[0.0]], [[0.0]])}
+    bc = multiport([(k, specs[k]) for k in order], basis2)
+    cert = bc.certificates["maximal"]
+    assert cert.maximal == "no"
+    assert cert.witness["rhs"] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
 def test_multiport_partition_errors(basis2):
     with pytest.raises(ValueError, match="assigned twice"):
         multiport([(0, ("dirichlet", 0.0)), (0, ("neumann", 0.0)),

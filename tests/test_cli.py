@@ -376,6 +376,17 @@ def test_convergence_state_study(tmp_path, capsys):
     assert order > 0.9
 
 
+@pytest.mark.parametrize("config", ["transport.cfg", "friction.cfg"])
+@pytest.mark.parametrize("levels", ["0", "1", "-2"])
+def test_convergence_needs_two_levels(tmp_path, capsys, config, levels):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["convergence", "--config", str(CONFIG_DIR / config),
+                  "--out", str(tmp_path), "--levels", levels])
+    assert err.value.code == 2
+    assert "at least 2 levels" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_convergence_derivative_study(tmp_path, capsys):
     code = cli.main(["convergence", "--config", str(CONFIG_DIR / "transport.cfg"),
                      "--out", str(tmp_path), "--study", "derivative", "--levels", "3"])

@@ -370,6 +370,17 @@ def test_check_monotone_lifts_witness_through_congruence(rng):
     assert check_maximal(rel).maximal == "no"
 
 
+def test_non_unitary_congruence_reports_no_maximality_witness():
+    """``T* rhs`` is unreachable by ``1 + T* B T`` only when ``T* T = 1``;
+    otherwise the verdict stays and the right-hand side is dropped."""
+    base = direct_sum([SeparableProx(C1, [("abs", 0.5)]), LinearGraph(C1, [[0.0]], [[0.0]])])
+    space = InnerProductSpace(2)
+    cert = check_maximal(transform(LinearMap(space, space, np.diag([2.0, 1.0])), base))
+    assert cert.maximal == "no"
+    assert "not unitary" in cert.method
+    assert cert.witness is None or "rhs" not in cert.witness
+
+
 def test_relation_without_exact_rule_certifies_unknown():
     class Opaque(Relation):
         space = C1
