@@ -28,9 +28,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import Config, ConfigError, load_config
+from . import solver as sol
+from .boundary import check_skew_selfadjoint
+from .config import SCENARIO_PRESETS, Config, ConfigError, load_config
 from .phs import bd_basis
 from .relations import NonconvergenceError
+from .sbp import sbp42
 from .verify import _pairing_gap, format_report, run_suites
 
 EXIT_OK = 0
@@ -102,8 +105,6 @@ def _certificate_lines(bc, cfg: Config) -> List[str]:
             continue
         verdict = getattr(cert, name)
         lines.append(f"{name}: {verdict} ({cert.method})")
-    from .boundary import check_skew_selfadjoint
-
     try:
         skew = check_skew_selfadjoint(bc)
         angle = skew.witness.get("max_angle", 0.0)
@@ -188,17 +189,12 @@ def _transport_oracle_applicable(cfg: Config, phs) -> bool:
 def _transport_error(cfg: Config, ops, traj) -> float:
     """Sup-norm distance of the final state from the closed-form
     characteristics solution of the ``transport`` preset."""
-    from .config import SCENARIO_PRESETS
-    from .solver import oracle_transport
-
     u0_func = lambda y: SCENARIO_PRESETS["transport"](1, cfg.b, np.atleast_1d(y))[:, 0]
-    oracle = oracle_transport(u0_func, traj.times[-1], ops.grid.nodes, cfg.b)
+    oracle = sol.oracle_transport(u0_func, traj.times[-1], ops.grid.nodes, cfg.b)
     return float(np.abs(traj.states[-1][:, 0] - oracle).max())
 
 
 def cmd_simulate(args) -> int:
-    from . import solver as sol
-
     cfg = load_config(args.config)
     phs = cfg.build_phs()
     basis = bd_basis(phs)
@@ -212,25 +208,26 @@ def cmd_simulate(args) -> int:
     _write_text(_out_path(args, cfg, "states"), _states_csv(traj, ops.grid.nodes, prec))
     _write_text(_out_path(args, cfg, "energy"), _energy_csv(traj, prec))
 
+    # simulate takes at least one step, so times[1] exists
+    dt = traj.times[1] - traj.times[0]
     e0, ef = traj.energies[0], traj.energies[-1]
-    max_rise = float(np.diff(traj.energies).max()) if len(traj) > 1 else 0.0
+    max_rise = float(np.diff(traj.energies).max())
     lines = [
         "simulation report",
         f"scenario: {cfg.scenario}",
         f"grid: m = {cfg.m} (h_x = {_fmt(ops.grid.h_x, prec)}), "
-        f"steps = {len(traj) - 1} (dt = {_fmt(traj.times[1] - traj.times[0], prec) if len(traj) > 1 else _fmt(cfg.dt, prec)}), theta = {_fmt(cfg.theta, prec)}",
+        f"steps = {len(traj) - 1} (dt = {_fmt(dt, prec)}), theta = {_fmt(cfg.theta, prec)}",
         f"energy: E(0) = {_fmt(e0, prec)}, E(T) = {_fmt(ef, prec)}",
         f"largest single-step energy increase: {_fmt(max_rise, prec)}",
         f"total boundary dissipation (sum of stage pairings x dt): "
-        f"{_fmt(float(np.sum(traj.boundary_dissipation[1:])) * (traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.0, prec)}",
+        f"{_fmt(float(np.sum(traj.boundary_dissipation[1:])) * dt, prec)}",
     ]
 
     status = EXIT_OK
     if _transport_oracle_applicable(cfg, phs):
         err = _transport_error(cfg, ops, traj)
-        dt_eff = traj.times[1] - traj.times[0]
         tol = args.tol if args.tol is not None else (
-            TRANSPORT_ERROR_CONSTANT * (ops.grid.h_x + dt_eff))
+            TRANSPORT_ERROR_CONSTANT * (ops.grid.h_x + dt))
         ok = err <= tol
         lines += [
             "",
@@ -261,43 +258,37 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------- convergence
 
 
-def _state_study(cfg: Config, phs, basis, levels: int):
+def _state_study(cfg: Config, phs, basis, levels: int, seed: int):
     """L-infinity state error under simultaneous (h, dt) refinement.
 
     Against the closed-form transport oracle when the scenario admits
     one; otherwise against the finest grid, whose nodes contain every
-    coarser grid's nodes."""
-    from . import solver as sol
-
+    coarser grid's nodes.  A level keeps only its error or a copy of
+    its final state, so its trajectory is freed before the next runs."""
     bc = cfg.build_bc(basis)
     use_oracle = _transport_oracle_applicable(cfg, phs)
-    ms = [cfg.m * 2 ** i for i in range(levels)]
-    trajs = []
-    for i, m in enumerate(ms):
+    rows, finals = [], []
+    for i in range(levels):
+        m, dt = cfg.m * 2 ** i, cfg.dt / 2 ** i
         ops = sol.discretize(phs, m)
-        u0 = cfg.build_u0(ops.grid.nodes)
-        scenario = sol.Scenario(phs=phs, bc=bc, u0=u0, T=cfg.T,
-                                dt=cfg.dt / 2 ** i, theta=cfg.theta)
-        trajs.append((ops, sol.simulate(scenario, ops)))
-
-    rows = []
+        scenario = sol.Scenario(phs=phs, bc=bc, u0=cfg.build_u0(ops.grid.nodes), T=cfg.T,
+                                dt=dt, theta=cfg.theta)
+        traj = sol.simulate(scenario, ops)
+        if use_oracle:
+            rows.append((m, ops.grid.h_x, dt, _transport_error(cfg, ops, traj)))
+        else:
+            rows.append((m, ops.grid.h_x, dt))
+            finals.append(traj.states[-1].copy())
+        del traj
     if use_oracle:
-        for i, (ops, traj) in enumerate(trajs):
-            rows.append((ms[i], ops.grid.h_x, cfg.dt / 2 ** i, _transport_error(cfg, ops, traj)))
-    else:
-        fine_ops, fine_traj = trajs[-1]
-        fine = fine_traj.states[-1]
-        for i, (ops, traj) in enumerate(trajs[:-1]):
-            stride = 2 ** (levels - 1 - i)
-            err = float(np.abs(traj.states[-1] - fine[::stride]).max())
-            rows.append((ms[i], ops.grid.h_x, cfg.dt / 2 ** i, err))
-    return rows
+        return rows
+    fine = finals[-1]
+    return [row + (float(np.abs(final - fine[::2 ** (levels - 1 - i)]).max()),)
+            for i, (row, final) in enumerate(zip(rows[:-1], finals))]
 
 
 def _pairing_study(cfg: Config, phs, basis, levels: int, seed: int):
     """Gap in the discrete trace-pairing identity on smooth fields."""
-    from . import solver as sol
-
     rng = np.random.default_rng(seed)
     n = phs.n
     cu = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
@@ -313,10 +304,8 @@ def _pairing_study(cfg: Config, phs, basis, levels: int, seed: int):
     return rows
 
 
-def _derivative_study(cfg: Config, phs, basis, levels: int):
+def _derivative_study(cfg: Config, phs, basis, levels: int, seed: int):
     """L-infinity error of the discrete derivative on a smooth function."""
-    from .sbp import sbp42
-
     rows = []
     for i in range(levels):
         m = cfg.m * 2 ** i
@@ -337,12 +326,7 @@ def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
     phs = cfg.build_phs()
     basis = bd_basis(phs)
-    if args.study == "pairing":
-        rows = _pairing_study(cfg, phs, basis, args.levels, args.seed)
-    elif args.study == "derivative":
-        rows = _derivative_study(cfg, phs, basis, args.levels)
-    else:
-        rows = _state_study(cfg, phs, basis, args.levels)
+    rows = _STUDIES[args.study](cfg, phs, basis, args.levels, args.seed)
 
     prec = cfg.precision
     errs = np.array([r[3] for r in rows])
@@ -377,6 +361,19 @@ def _levels(text: str) -> int:
     return int(text)
 
 
+def _tolerance_scale(text: str) -> float:
+    """``verify --tol``: upper bounds are multiplied by it and lower bounds
+    divided, so 0 divides by zero, a negative value passes every lower
+    bound and ``inf`` every upper bound."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"needs a positive finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monoport",
@@ -401,8 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("relation", "phs", "boundary", "solver", "all"),
                    help="which suite to run (default: all)")
     p.add_argument("--seed", type=int, default=0, help="suite RNG seed (default: 0)")
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="scale every pass threshold; values << 1 tighten the "
+    p.add_argument("--tol", type=_tolerance_scale, default=1.0,
+                   help="scale every pass threshold (positive, finite); values << 1 tighten the "
                         "checks until they fail (falsifiability hook)")
     p.set_defaults(func=cmd_verify)
 

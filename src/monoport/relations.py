@@ -531,8 +531,9 @@ class _SchurPlan(_Plan):
 class _SplittingPlan(_Plan):
     """Douglas–Rachford splitting between ``z -> phi z - g`` and the
     relation, with the step length ``gamma`` (from the weighted eigenvalue
-    range of ``phi``), the factorization of ``1 + gamma phi`` and the plan
-    of the relation's resolvent at ``gamma`` fixed."""
+    range of ``phi``), the inverse of ``1 + gamma phi`` and the plan of the
+    relation's resolvent at ``gamma`` fixed.  ``phi`` is monotone in the
+    space's inner product, so that inverse has norm at most 1 there."""
 
     def __init__(self, phi, rel: Relation):
         super().__init__(phi, rel)
@@ -542,7 +543,7 @@ class _SplittingPlan(_Plan):
             self.gamma = 1.0 / np.sqrt(eigs.min() * eigs.max()) if eigs.min() > 0 else 1.0
         except sla.LinAlgError:
             self.gamma = 1.0
-        self.lu = sla.lu_factor(np.eye(d) + self.gamma * phi)
+        self.inv = np.linalg.inv(np.eye(d) + self.gamma * phi)
         self.inner = plan_inclusion(np.eye(d) / self.gamma, rel)
 
     def __call__(self, g, x0, tol):
@@ -557,7 +558,7 @@ def _douglas_rachford(plan: _SplittingPlan, g, x0, tol):
     s = np.zeros(space.dim, dtype=complex) if x0 is None else x0 - gamma * (g - phi @ x0)
     best = np.inf
     for _ in range(MAX_ITER):
-        z1 = sla.lu_solve(plan.lu, s + gamma * g)
+        z1 = plan.inv @ (s + gamma * g)
         z2, w2 = plan.inner((2.0 * z1 - s) / gamma, None, None)
         res = float(space.norm(phi @ z2 + w2 - g))
         if res <= tol:

@@ -463,7 +463,9 @@ def _monolithic_resolve(ops, bc, mu, r_flat):
 
     This is the brute-force counterpart of the elimination in
     :mod:`.solver` — kept deliberately separate so the two routes can
-    disagree.  Linear (possibly shifted) relations only.
+    disagree.  The bulk rows are ``H^{-1} p + mu (L p + E s) = r``, and the
+    field ``w = H^{-1} p`` is returned flattened.  Linear (possibly
+    shifted) relations only.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -476,7 +478,9 @@ def _monolithic_resolve(ops, bc, mu, r_flat):
     k = zx.shape[1]
     nn = ops.nnodes
     dim = nn * n
-    amat = (sp.identity(dim, dtype=complex, format="csr") + mu * ops.Gfull).tocsr()
+    mass = (sp.identity(dim, dtype=complex, format="csr") if ops.identity_density
+            else sp.block_diag(list(ops.hinv), format="csr", dtype=complex))
+    amat = (mass + mu * ops.Gfull).tocsr()
     omega_b = float(ops.omega[0])
     p1 = ops.phs.p1
 
@@ -498,7 +502,7 @@ def _monolithic_resolve(ops, bc, mu, r_flat):
                      sp.csr_matrix(-zy)])
     full = sp.vstack([top, mid, bot]).tocsc()
     rhs = np.concatenate([r_flat, port.x0, port.y0])
-    return spla.splu(full).solve(rhs)[:dim]
+    return mass @ spla.splu(full).solve(rhs)[:dim]
 
 
 SUITE_NAMES = ("relation", "phs", "boundary", "solver")

@@ -358,6 +358,17 @@ def test_verify_tightened_tolerances_fail(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_tolerance_scale_must_be_positive_and_finite(capsys, tol):
+    """0 divided by zero, -1 passed every lower bound and inf every upper one."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "phs", "--tol", tol])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol: needs a positive finite number" in captured.err
+
+
 # ------------------------------------------------------------- convergence
 
 
@@ -374,6 +385,31 @@ def test_convergence_state_study(tmp_path, capsys):
     assert rows[0][5] == "" and rows[1][5] != ""
     order = float(rows[1][5])
     assert order > 0.9
+
+
+@pytest.mark.parametrize("config", ["transport.cfg", "friction.cfg"])
+def test_state_study_frees_each_level_before_the_next(tmp_path, monkeypatch, capsys, config):
+    """A level keeps only its error or final state: when the next level's
+    ``simulate`` starts, no earlier level's state array is alive."""
+    import weakref
+
+    import monoport.solver as sol
+
+    refs, alive_at_start = [], []
+    real_simulate = sol.simulate
+
+    def tracked(scenario, ops=None):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        traj = real_simulate(scenario, ops)
+        refs.append(weakref.ref(traj.states))
+        return traj
+
+    monkeypatch.setattr(sol, "simulate", tracked)
+    code = cli.main(["convergence", "--config", str(CONFIG_DIR / config),
+                     "--out", str(tmp_path), "--study", "state", "--levels", "3"])
+    capsys.readouterr()
+    assert code == 0
+    assert alive_at_start == [0, 0, 0]
 
 
 @pytest.mark.parametrize("config", ["transport.cfg", "friction.cfg"])
