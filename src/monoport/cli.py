@@ -226,14 +226,16 @@ def cmd_simulate(args) -> int:
     status = EXIT_OK
     if _transport_oracle_applicable(cfg, phs):
         err = _transport_error(cfg, ops, traj)
-        tol = args.tol if args.tol is not None else (
-            TRANSPORT_ERROR_CONSTANT * (ops.grid.h_x + dt))
+        if args.tol is None:
+            tol, label = TRANSPORT_ERROR_CONSTANT * (ops.grid.h_x + dt), "C (h_x + dt)"
+        else:
+            tol, label = args.tol, "(--tol)"
         ok = err <= tol
         lines += [
             "",
             "transport oracle comparison (closed-form characteristics):",
             f"  max |u(T) - oracle| = {_fmt(err, prec)}",
-            f"  tolerance C (h_x + dt) = {_fmt(tol, prec)}",
+            f"  tolerance {label} = {_fmt(tol, prec)}",
             f"  within tolerance: {'yes' if ok else 'NO'}",
         ]
         if not ok:
@@ -361,10 +363,12 @@ def _levels(text: str) -> int:
     return int(text)
 
 
-def _tolerance_scale(text: str) -> float:
-    """``verify --tol``: upper bounds are multiplied by it and lower bounds
-    divided, so 0 divides by zero, a negative value passes every lower
-    bound and ``inf`` every upper bound."""
+def _positive_finite(text: str) -> float:
+    """``--tol`` of ``simulate`` and ``verify``.  ``verify`` multiplies
+    upper bounds by it and divides lower bounds, so 0 divides by zero, a
+    negative value passes every lower bound and ``inf`` every upper
+    bound; ``simulate`` compares the oracle error against it, which
+    ``inf`` or ``nan`` would switch off."""
     try:
         value = float(text)
     except ValueError:
@@ -389,8 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario and write CSV output")
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--out", default=".", help="output directory (default: .)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the oracle-comparison tolerance")
+    p.add_argument("--tol", type=_positive_finite, default=None,
+                   help="override the oracle-comparison tolerance (positive, finite)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the seeded invariant suites")
@@ -398,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("relation", "phs", "boundary", "solver", "all"),
                    help="which suite to run (default: all)")
     p.add_argument("--seed", type=int, default=0, help="suite RNG seed (default: 0)")
-    p.add_argument("--tol", type=_tolerance_scale, default=1.0,
+    p.add_argument("--tol", type=_positive_finite, default=1.0,
                    help="scale every pass threshold (positive, finite); values << 1 tighten the "
                         "checks until they fail (falsifiability hook)")
     p.set_defaults(func=cmd_verify)

@@ -192,8 +192,7 @@ class Relation:
     inclusions are planned for it by :func:`plan_inclusion`.
 
     :attr:`affine` is true exactly for a ``LinearGraph``: one linear
-    solve, exact certificates, and the explicit leg of a ``theta < 1``
-    step.
+    solve and exact certificates.
     """
 
     space: InnerProductSpace

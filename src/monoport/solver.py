@@ -31,14 +31,18 @@ roundoff, not asymptotically):
   relations conserve at ``theta = 1/2``.
 
 A run is one :class:`Stepper`: it checks the boundary condition's
-certificate, factors the resolvent and plans its boundary inclusion
-once, and carries the generator action and the effort/flow pair from
-one step to the next.  ``step(w, stepper)`` advances the state by one
-theta-step and leaves that step's boundary pairing in
+certificate, factors the resolvent ``J = (1 + theta dt A)^{-1}`` and
+plans its boundary inclusion once.  ``step(w, stepper)`` is one
+resolvent evaluation plus an affine extrapolation, the one-leg form of
+the theta-method: ``y = J w`` and ``w_next = (y - (1 - theta) w) /
+theta`` (``y`` itself at ``theta = 1``).  For a linear ``A`` this is
+the two-leg scheme ``J (w - (1 - theta) dt A w)``; for any maximal
+monotone relation it needs no generator action of ``w``, so every
+state is admissible and a fresh ``Stepper`` takes the same step as a
+chained one, which only warm-starts the inclusion from the previous
+effort trace.  The step leaves the pairing of its one solve in
 ``stepper.dissipation``; :func:`simulate` is the loop
-``w = step(w, stepper)``.  A fresh
-``Stepper`` gives the stand-alone one-step map, whose explicit leg is
-computed from the state itself.
+``w = step(w, stepper)``.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ import scipy.sparse.linalg as spla
 
 from .boundary import BoundaryCondition
 from .phs import PortHamiltonian, _as_field
-from .relations import (NonconvergenceError, graph_residual, plan_inclusion, principal_section,
-                        solve_inclusion)
+from .relations import NonconvergenceError, graph_residual, plan_inclusion, solve_inclusion
 from .sbp import MIN_CELLS, sbp42
 
 __all__ = [
@@ -156,15 +159,6 @@ def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
     )
 
 
-def _traces(p_flat: np.ndarray, n: int, p1: np.ndarray):
-    """Effort and flow traces of a flattened grid field."""
-    p_left = p_flat[:n]
-    p_right = p_flat[-n:]
-    e = (p_right + p_left) / np.sqrt(2.0)
-    f = (p1 @ p_left - p1 @ p_right) / np.sqrt(2.0)
-    return e, f
-
-
 class _CoreSolver:
     """Solver for ``M p + mu (L p + E s) = r`` with relation rows, its
     linear algebra built once from the grid operators ``ops``.
@@ -197,7 +191,8 @@ class _CoreSolver:
         self.rel = bc.port_relation
 
         mblk = (sp.identity(nn * n, format="csr", dtype=complex) if ops.identity_density
-                else sp.block_diag(list(ops.hinv), format="csr", dtype=complex))
+                else sp.bsr_matrix((ops.hinv, np.arange(nn), np.arange(nn + 1)),
+                                   shape=(nn * n, nn * n), dtype=complex).tocsr())
         self.amat = amat = (mblk + self.mu * ops.Gfull).tocsr()
 
         # Interior degrees of freedom first (in order), then the two endpoint
@@ -378,85 +373,39 @@ class Trajectory:
         return len(self.times)
 
 
-def _initial_action(ops: DiscreteOperators, bc: BoundaryCondition, w: np.ndarray):
-    """Action ``L p + E s`` of a state, with the relation supplying the flow.
-
-    Needed to start a ``theta < 1`` scheme: the explicit leg applies the
-    generator to the initial state, which is only defined when the
-    state's effort trace lies in the relation's domain.
-    """
-    n = ops.phs.n
-    hw = w if ops.identity_density else np.einsum("jab,jb->ja", ops.hgrid, w)
-    p_flat = hw.ravel()
-    e0, f0 = _traces(p_flat, n, ops.phs.p1)
-    try:
-        fhat0 = -principal_section(bc.port_relation, e0)
-    except ValueError as exc:
-        raise ValueError(
-            "initial state is incompatible with the boundary condition "
-            f"(effort trace outside the relation's domain: {exc})"
-        ) from exc
-    omega_b = float(ops.omega[0])
-    s0 = (f0 - fhat0) / (np.sqrt(2.0) * omega_b)
-    action = ops.Gfull @ p_flat
-    action = np.asarray(action, dtype=complex)
-    action[:n] += s0
-    action[-n:] += s0
-    return action, e0, fhat0
-
-
 class Stepper:
-    """One run of the theta-scheme: the factored resolvent and the chained state.
+    """One run of the theta-scheme: the factored resolvent and the warm start.
 
     Construction refuses a boundary condition without a maximal
     monotonicity certificate and factors ``1 + theta dt A`` once.  Each
-    :func:`step` then reuses the factorization, warm-starts the
-    inclusion solve from the previous effort trace, and (for ``theta <
-    1``) takes the explicit leg from the previous step's generator
-    action instead of recomputing it.  ``dissipation`` is the stage
-    boundary pairing ``-Re<e, fhat>`` of the last step.
+    :func:`step` then reuses the factorization and warm-starts the
+    inclusion solve from the previous step's effort trace.
+    ``dissipation`` is the boundary pairing ``-Re<e, fhat>`` of the last
+    step's resolvent solve.
     """
 
     def __init__(self, scenario: Scenario, ops: DiscreteOperators):
         _require_certified(scenario.bc, False)
         self.scenario = scenario
-        self.ops = ops
         self.dissipation: Optional[float] = None
         self._core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt)
-        self._action: Optional[np.ndarray] = None
         self._effort: Optional[np.ndarray] = None
-        self._flow_hat: Optional[np.ndarray] = None
 
 
 def step(state, stepper: Stepper) -> np.ndarray:
-    """Advance ``state`` by one theta-step of the stepper's run."""
-    scenario, ops, core = stepper.scenario, stepper.ops, stepper._core
-    theta, dt = scenario.theta, scenario.dt
-    n = scenario.phs.n
-    w = _as_field(state, n)
+    """Advance ``state`` by one theta-step of the stepper's run.
 
-    rhs = w.ravel().astype(complex)
-    if theta < 1.0:
-        if not scenario.bc.port_relation.affine:
-            raise ValueError("theta < 1 requires a linear boundary relation")
-        if stepper._action is None:
-            action, e_prev, fhat_prev = _initial_action(ops, scenario.bc, w)
-        else:
-            action, e_prev, fhat_prev = stepper._action, stepper._effort, stepper._flow_hat
-        rhs = rhs - (1.0 - theta) * dt * action
-
-    p, s, e, fhat = core.solve(rhs, x0=stepper._effort)
-    w_next = core.state(p)
-
-    if theta < 1.0:
-        e_stage = theta * e + (1.0 - theta) * e_prev
-        fhat_stage = theta * fhat + (1.0 - theta) * fhat_prev
-        stepper._action = (rhs - w_next.ravel()) / core.mu
-    else:
-        e_stage, fhat_stage = e, fhat
-    stepper.dissipation = -float(np.real(e_stage.conj() @ fhat_stage))
-    stepper._effort, stepper._flow_hat = e, fhat
-    return w_next
+    One resolvent solve ``y = (1 + theta dt A)^{-1} w``, then
+    ``w_next = (y - (1 - theta) w) / theta``; at ``theta = 1`` the
+    step returns ``y`` itself.
+    """
+    core, theta = stepper._core, stepper.scenario.theta
+    w = _as_field(state, stepper.scenario.phs.n)
+    p, _, e, fhat = core.solve(w.ravel().astype(complex), x0=stepper._effort)
+    stepper.dissipation = -float(np.real(e.conj() @ fhat))
+    stepper._effort = e
+    y = core.state(p)
+    return y if theta == 1.0 else (y - (1.0 - theta) * w) / theta
 
 
 def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Trajectory:

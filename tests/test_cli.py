@@ -155,6 +155,29 @@ def test_simulate_oracle_tolerance_override(tmp_path, capsys):
     assert "within tolerance: NO" in out
 
 
+def test_simulate_tolerance_override_is_labelled(tmp_path, capsys):
+    code = cli.main(["simulate", "--config", str(CONFIG_DIR / "transport.cfg"),
+                     "--out", str(tmp_path), "--tol", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "  tolerance (--tol) = 1\n" in out
+    assert "C (h_x + dt)" not in out
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_simulate_tolerance_must_be_positive_and_finite(tmp_path, capsys, tol):
+    """inf and nan switched the oracle check off ("within tolerance: yes"
+    for an error of 0.114); 0 and -1 failed every run."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", str(CONFIG_DIR / "transport.cfg"),
+                  "--out", str(tmp_path), "--tol", tol])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol: needs a positive finite number" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_refuses_uncertified_condition(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(CONFIG_DIR / "robin_wrong_sign.cfg"),
                      "--out", str(tmp_path)])
@@ -173,6 +196,18 @@ def test_simulate_friction_scenario(tmp_path):
     # no oracle block for a non-transport scenario
     report = (tmp_path / "report.txt").read_text(encoding="utf-8")
     assert "oracle" not in report
+
+
+def test_friction_config_runs_at_midpoint(tmp_path, capsys):
+    text = (CONFIG_DIR / "friction.cfg").read_text(encoding="utf-8")
+    assert "theta = 1.0" in text
+    cfg = write_cfg(tmp_path, text.replace("theta = 1.0", "theta = 0.5"))
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    _, rows = read_rows(tmp_path / "energy.csv")
+    energies = np.array([float(r[1]) for r in rows])
+    assert len(energies) == 51
+    assert np.diff(energies).max() <= 1e-12 * energies[0]
 
 
 def test_linear_multiport_config_runs_at_midpoint(tmp_path, capsys):

@@ -155,6 +155,24 @@ def test_resolve_honours_energy_density():
         assert np.abs(step(f + g, Stepper(scn, ops)) - w).max() <= 1e-12 * np.abs(w).max()
 
 
+def test_resolve_honours_position_dependent_density():
+    """A density that varies from node to node, so the nodewise
+    ``H^{-1}`` blocks of the solver must each sit on their own node: the
+    eliminated solve agrees with the assembled system."""
+    def density(x):
+        return np.array([[2.0 + np.sin(x), 0.3 * np.cos(x)], [0.3 * np.cos(x), 1.0]])
+
+    phs = PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]], hamiltonian=density)
+    ops = discretize(phs, 64)
+    xs = ops.grid.nodes
+    f = np.stack([np.cos(xs), np.cos(2 * xs)], axis=1).astype(complex)
+    g = np.stack([np.sin(xs), np.sin(0.5 * xs)], axis=1).astype(complex)
+    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]), bd_basis(phs))
+    res = resolve_A(ops, bc, 0.8, (f, g))
+    ref = _monolithic_resolve(ops, bc, 0.8, (f + g).ravel())
+    assert np.abs((res.u + res.v).ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("ports, splits", [
     ([(0, ("friction", 0.5)), (1, ("robin", 1.0))], False),
     ([(0, ("friction", 0.5)), (1, ("friction", 0.3))], True),
@@ -324,9 +342,8 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
 
 
 @pytest.mark.parametrize("p1, make_bc, theta", [
-    # LinearGraph branch with offsets on every step (and principal_section
-    # of a shifted graph at step 0); the Robin value supplies energy, so
-    # dissipation is negative
+    # LinearGraph branch with offsets on every step; the Robin value
+    # supplies energy, so dissipation is negative
     ([[1.0, 0.7], [0.7, 1.5]], lambda basis: bnd.robin(np.eye(2), basis, value=0.3), 0.5),
     # block-diagonal DirectSum branch: phi is diagonal when P1 is
     ([[1.0, 0.0], [0.0, 2.0]],
@@ -444,13 +461,54 @@ def _ledger_defects(traj, ops, theta, dt):
     return np.asarray(out)
 
 
+@pytest.mark.parametrize("ports, bound", [
+    ([(0, ("friction", 0.5)), (1, ("robin", 1.0))], 1e-12),
+    ([(0, ("friction", 0.5)), (1, ("friction", 0.3))], 1e-8),
+], ids=["friction-robin-schur", "friction-friction-dr"])
+def test_midpoint_runs_on_friction_with_exact_ledger(ports, bound):
+    """Friction ports at ``theta = 1/2`` on a coupled ``P1``: each step is
+    one resolvent solve plus an extrapolation, so the energy identity
+    holds for the set-valued relation too, to roundoff on the Schur path
+    and to the splitting tolerance on the Douglas-Rachford one, and the
+    pairing never supplies energy."""
+    phs = PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]])
+    bc = bnd.multiport(ports, bd_basis(phs))
+    m, dt = 256, 0.01
+    ops = discretize(phs, m)
+    u0 = np.zeros((m + 1, 2))
+    u0[:, 0] = np.exp(-8 * ops.grid.nodes**2)
+    traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=dt, theta=0.5), ops)
+    e0 = traj.energies[0]
+    assert len(traj) == 101
+    assert _ledger_defects(traj, ops, 0.5, dt).max() <= bound * e0
+    assert traj.boundary_dissipation.min() >= -1e-12 * e0
+    assert dt * traj.boundary_dissipation[1:].sum() > 0.1 * e0
+
+
+def test_fresh_and_chained_steppers_take_the_same_step(rng):
+    """At ``theta = 1/2`` on an affine relation the step carries nothing
+    but the warm start, which the affine solve does not use: a fresh
+    ``Stepper`` maps every recorded state to the next one bitwise."""
+    ops = discretize(PHS2, 32)
+    xs = ops.grid.nodes
+    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]), BASIS2, value=0.3)
+    assert bc.port_relation.affine
+    u0 = np.stack([np.exp(-8 * xs**2), xs * np.exp(-6 * xs**2)], axis=1)
+    scn = Scenario(phs=PHS2, bc=bc, u0=u0, T=0.2, dt=0.01, theta=0.5)
+    traj = simulate(scn, ops)
+    for k in range(len(traj) - 1):
+        fresh = Stepper(replace(scn, dt=scn.T / (len(traj) - 1)), ops)
+        assert step(traj.states[k], fresh).tobytes() == traj.states[k + 1].tobytes(), k
+        assert fresh.dissipation == traj.boundary_dissipation[k + 1], k
+
+
 @pytest.mark.parametrize("parts", [
     [(0, ("robin", 1.0)), (1, ("dirichlet", 0.0))],
     [(1, ("dirichlet", 0.0)), (0, ("robin", 1.0))],
 ], ids=["port-order", "listed-reversed"])
 def test_midpoint_runs_on_linear_multiport(parts):
-    """A multiport of linear ports is one linear graph, so the explicit
-    leg of the midpoint rule applies to it, in either listing order."""
+    """A multiport of linear ports is one linear graph, and the midpoint
+    rule keeps the exact ledger on it, in either listing order."""
     bc = bnd.multiport(parts, BASIS2)
     assert bc.port_relation.affine
     ops = discretize(PHS2, 32)
@@ -529,12 +587,29 @@ def test_transport_pulse_matches_characteristics():
     assert np.abs(traj.states[-1][:, 0] - exact).max() < 0.15
 
 
-def test_midpoint_rejects_nonlinear_relation():
+def test_step_failure_names_its_step_and_keeps_residual(monkeypatch):
+    """A failed inclusion solve surfaces from ``simulate`` with the step
+    and time it happened at, and with the solve's last residual."""
+    import monoport.solver as solver
+    from monoport.relations import NonconvergenceError
+
+    calls = []
+    real_solve = solver.solve_inclusion
+
+    def third_fails(plan, g, x0=None):
+        calls.append(g)
+        if len(calls) == 3:
+            raise NonconvergenceError("no convergence", residual=0.25)
+        return real_solve(plan, g, x0)
+
+    monkeypatch.setattr(solver, "solve_inclusion", third_fails)
     bc = bnd.multiport([(0, ("friction", 0.5))], BASIS1)
-    scn = Scenario(phs=PHS1, bc=bc, u0=np.zeros((33, 1)), T=0.1, dt=0.05, theta=0.5)
-    with pytest.raises(ValueError, match="linear") as err:
+    scn = Scenario(phs=PHS1, bc=bc, u0=bump(discretize(PHS1, 32).grid.nodes)[:, None],
+                   T=0.25, dt=0.05, theta=0.5)
+    with pytest.raises(NonconvergenceError) as err:
         simulate(scn)
-    assert str(err.value).startswith("step 0 (t = 0)")
+    assert str(err.value).startswith("step 2 (t = 0.1): no convergence")
+    assert err.value.residual == 0.25
 
 
 def test_scenario_validation(rng):
