@@ -80,7 +80,11 @@ def _check_density(mat: np.ndarray, n: int, where: str = "") -> np.ndarray:
 
 
 def _as_field(u: np.ndarray, n: int, name: str = "field") -> np.ndarray:
-    """Coerce samples of a C^n-valued field to a complex (N, n) array."""
+    """Coerce samples of a C^n-valued field to a complex (N, n) array.
+
+    The solver coerces initial data and right-hand sides with it and
+    reads their imaginary parts to pick a run's arithmetic; the states of
+    a real run are float64 and bypass it."""
     arr = np.asarray(u, dtype=complex)
     if arr.ndim == 1:
         if n != 1:

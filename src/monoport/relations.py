@@ -192,11 +192,15 @@ class Relation:
     inclusions are planned for it by :func:`plan_inclusion`.
 
     :attr:`affine` is true exactly for a ``LinearGraph``: one linear
-    solve and exact certificates.
+    solve and exact certificates.  :attr:`real` is true when the data
+    that defines the relation has no imaginary part.  Such a relation
+    is closed under complex conjugation, so against a real ``phi`` and
+    a real ``g`` the unique solution of a monotone inclusion is real.
     """
 
     space: InnerProductSpace
     affine = False
+    real = False
 
 
 class LinearGraph(Relation):
@@ -245,6 +249,10 @@ class LinearGraph(Relation):
     def stacked(self) -> np.ndarray:
         return np.vstack([self.zx, self.zy])
 
+    @property
+    def real(self) -> bool:
+        return not any(np.any(a.imag) for a in (self.zx, self.zy, self.x0, self.y0))
+
 
 class SeparableProx(Relation):
     """Coordinatewise friction, with a closed-form proximal map.
@@ -257,6 +265,8 @@ class SeparableProx(Relation):
     pieces are coordinatewise, and only then is the product monotone in
     the weighted inner product for free).
     """
+
+    real = True
 
     def __init__(self, space: InnerProductSpace, pieces: Sequence[tuple]):
         w = space.weight
@@ -306,6 +316,10 @@ class DirectSum(Relation):
         self.slices = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
         self.space = _sum_space(parts)
 
+    @property
+    def real(self) -> bool:
+        return all(p.real for p in self.parts)
+
 
 class Transformed(Relation):
     """The congruence ``T* B T = {(x, T* w) : (T x, w) in B}`` by an
@@ -326,6 +340,10 @@ class Transformed(Relation):
         self.space = tmap.source
         self.adj_matrix = _map_adjoint(tmap).matrix
         self.inv_matrix = np.linalg.inv(m)
+
+    @property
+    def real(self) -> bool:
+        return not (np.any(self.tmap.matrix.imag) or np.any(self.adj_matrix.imag)) and self.base.real
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,18 @@ chained one, which only warm-starts the inclusion from the previous
 effort trace.  The step leaves the pairing of its one solve in
 ``stepper.dissipation``; :func:`simulate` is the loop
 ``w = step(w, stepper)``.
+
+A run picks its arithmetic once, from its data.  When ``P1``, ``P0``,
+the nodewise ``H^{-1}``, the boundary relation (:attr:`.Relation.real`)
+and the initial state (for :func:`resolve_A`, the right-hand side) have
+no imaginary part, the run factors, solves and stores its states in
+float64; the real SuperLU solve costs about half the complex one.  The
+inclusion itself stays complex; its solution is real, because a real
+relation is closed under conjugation and the solution is unique, so
+the run keeps its real part.  Any complex datum keeps the whole run in
+complex arithmetic.  A real factor still takes a complex right-hand
+side, such as a complex state handed to :func:`step`, as the two real
+columns ``[Re r, Im r]`` of one bulk solve.
 """
 
 from __future__ import annotations
@@ -92,7 +104,9 @@ class DiscreteOperators:
     discrete compact-support domain).  Both act on node-major flattened
     fields (``n`` components per node).  The quadrature ``omega`` is the
     one measure of both graph norms, which is what makes the duality
-    ``<Dc v, u> = -<v, Gfull u>`` exact rather than asymptotic.
+    ``<Dc v, u> = -<v, Gfull u>`` exact rather than asymptotic.  The
+    nodewise density ``hgrid`` and its inverse ``hinv`` are float64 when
+    ``H`` has no imaginary part, complex otherwise.
     """
 
     grid: Grid
@@ -109,8 +123,9 @@ class DiscreteOperators:
         return self.grid.m + 1
 
     def energy(self, state) -> float:
-        """``E = (1/2) sum_j omega_j w_j^H H_j w_j``."""
-        w = _as_field(state, self.phs.n)
+        """``E = (1/2) sum_j omega_j w_j^H H_j w_j``; a float64 state
+        stays real."""
+        w = _field(state, self.phs.n)
         hw = w if self.identity_density else np.einsum("jab,jb->ja", self.hgrid, w)
         return float(0.5 * np.sum(self.omega * np.einsum("ja,ja->j", w.conj(), hw).real))
 
@@ -147,6 +162,8 @@ def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
 
     hgrid = phs.hamiltonian_grid(nodes)
     hinv = np.linalg.inv(hgrid)
+    if not (np.any(hgrid.imag) or np.any(hinv.imag)):
+        hgrid, hinv = hgrid.real.copy(), hinv.real.copy()
     return DiscreteOperators(
         grid=grid,
         phs=phs,
@@ -157,6 +174,23 @@ def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
         hinv=hinv,
         identity_density=phs.hamiltonian is None,
     )
+
+
+def _field(state, n: int) -> np.ndarray:
+    """``state`` as an ``(N, n)`` field: float64 samples stay real, any
+    other data is made complex by :func:`.phs._as_field`."""
+    arr = np.asarray(state)
+    shaped = arr.ndim == 2 and arr.shape[1] == n or arr.ndim == 1 and n == 1
+    return arr.reshape(len(arr), n) if arr.dtype == np.float64 and shaped else _as_field(arr, n)
+
+
+def _is_real(ops: DiscreteOperators, bc: BoundaryCondition, data) -> bool:
+    """Whether a run on ``ops`` under ``bc`` with initial state or
+    right-hand side ``data`` is real: ``P1``, ``P0``, the nodewise
+    ``H^{-1}``, the port relation and ``data`` have no imaginary part."""
+    phs = ops.phs
+    return (bc.port_relation.real and not np.iscomplexobj(ops.hinv)
+            and not any(np.any(np.imag(a)) for a in (phs.p1, phs.p0, data)))
 
 
 class _CoreSolver:
@@ -176,9 +210,12 @@ class _CoreSolver:
     ``n``-dimensional inclusion ``phi e + R(e) ∋ g`` is planned here by
     the relation calculus, and every :meth:`solve` only multiplies by
     these maps and applies that plan.
+
+    With ``real`` (see :func:`_is_real`) the matrix, its factor and the
+    maps are float64; otherwise complex.
     """
 
-    def __init__(self, ops: DiscreteOperators, bc: BoundaryCondition, mu: float):
+    def __init__(self, ops: DiscreteOperators, bc: BoundaryCondition, mu: float, real: bool):
         if not mu > 0:
             raise ValueError("resolvent parameter mu must be positive")
         n = ops.phs.n
@@ -189,11 +226,13 @@ class _CoreSolver:
         self.n = n
         self.mu = float(mu)
         self.rel = bc.port_relation
+        self.real = real
+        dtype = float if real else complex
 
-        mblk = (sp.identity(nn * n, format="csr", dtype=complex) if ops.identity_density
+        mblk = (sp.identity(nn * n, format="csr", dtype=dtype) if ops.identity_density
                 else sp.bsr_matrix((ops.hinv, np.arange(nn), np.arange(nn + 1)),
-                                   shape=(nn * n, nn * n), dtype=complex).tocsr())
-        self.amat = amat = (mblk + self.mu * ops.Gfull).tocsr()
+                                   shape=(nn * n, nn * n), dtype=dtype).tocsr())
+        self.amat = amat = (mblk + self.mu * (ops.Gfull.real if real else ops.Gfull)).tocsr()
 
         # Interior degrees of freedom first (in order), then the two endpoint
         # nodes; solve() reads the endpoint rows as the slices [:n] and [-n:].
@@ -205,7 +244,7 @@ class _CoreSolver:
         self.a_bi = aperm[k:, :k].tocsr()
 
         eye = np.eye(n)
-        k_full = np.zeros((3 * n, 3 * n), dtype=complex)
+        k_full = np.zeros((3 * n, 3 * n), dtype=dtype)
         k_full[: 2 * n, : 2 * n] = aperm[k:, k:].toarray() - self.a_bi @ self.lift
         k_full[: 2 * n, 2 * n:] = self.mu * np.vstack([eye, eye])
         k_full[2 * n:, : 2 * n] = np.hstack([eye, eye]) / np.sqrt(2.0)
@@ -216,10 +255,10 @@ class _CoreSolver:
         # value by less than 2 sqrt(2) n * tiny * max|beta|.  The boundary
         # block above keeps the unflushed lift.
         tiny = np.finfo(float).tiny
-        for part in (self.lift.real, self.lift.imag):
+        for part in (self.lift,) if real else (self.lift.real, self.lift.imag):
             part[np.abs(part) < tiny] = 0.0
 
-        p1, omega_b = ops.phs.p1, float(ops.omega[0])
+        p1, omega_b = ops.phs.p1.real if real else ops.phs.p1, float(ops.omega[0])
         f_row = np.hstack([p1 / np.sqrt(2.0), -p1 / np.sqrt(2.0), -np.sqrt(2.0) * omega_b * eye])
         self.b_rho, self.b_e = k_inv[:, : 2 * n], k_inv[:, 2 * n:]
         self.g_rho = -f_row @ self.b_rho
@@ -233,12 +272,21 @@ class _CoreSolver:
         self._plan = plan_inclusion(self.phi, self.rel)
 
     def solve(self, r_flat: np.ndarray, x0: Optional[np.ndarray] = None):
+        """``(p, s, e, fhat)`` for the rows ``r_flat``; float64 exactly when
+        the solver is real and ``r_flat`` is float64."""
         n = self.n
-        p_part = self.lu_int.solve(r_flat[n:-n])
+        r_int = r_flat[n:-n]
+        if self.real and np.iscomplexobj(r_flat):
+            cols = self.lu_int.solve(np.column_stack([r_int.real, r_int.imag]))
+            p_part = cols[:, 0] + 1j * cols[:, 1]
+        else:
+            p_part = self.lu_int.solve(r_int)
         rho = np.concatenate([r_flat[:n], r_flat[-n:]]) - self.a_bi @ p_part
         e, y = solve_inclusion(self._plan, self.g_rho @ rho, x0=x0)
+        if not np.iscomplexobj(rho):  # real data and relation: the solution is real
+            e, y = e.real, y.real
         beta = self.b_rho @ rho + self.b_e @ e
-        p = np.empty(r_flat.shape[0], dtype=complex)
+        p = np.empty(r_flat.shape[0], dtype=beta.dtype)
         p[:n] = beta[:n]
         p[-n:] = beta[n: 2 * n]
         p[n:-n] = p_part - self.lift @ beta[: 2 * n]
@@ -277,7 +325,9 @@ def _require_certified(bc: BoundaryCondition, allow_uncertified: bool):
 class ResolveResult:
     """Output of :func:`resolve_A`.
 
-    ``u`` and ``v`` are the even and odd parity legs of the solved field;
+    ``u`` and ``v`` are the even and odd parity legs of the solved field,
+    float64 when the system, the relation and the right-hand side are
+    real (the run then solves in real arithmetic), complex otherwise;
     ``residual`` is the worst relative defect over the solved system's
     rows (bulk rows in the quadrature norm, relation row as graph
     distance).
@@ -312,8 +362,11 @@ def resolve_A(ops: DiscreteOperators, bc: BoundaryCondition, mu: float, rhs,
     g_leg = _as_field(g_leg, n)
     if f_leg.shape[0] != ops.nnodes or g_leg.shape[0] != ops.nnodes:
         raise ValueError("right-hand side does not match the grid")
-    core = _CoreSolver(ops, bc, mu)
     r_flat = (f_leg + g_leg).ravel()
+    real = _is_real(ops, bc, r_flat)
+    core = _CoreSolver(ops, bc, mu, real)
+    if real:
+        r_flat = r_flat.real
     p, s, e, fhat = core.solve(r_flat)
     res = core.residual(p, s, r_flat, e, fhat)
     w = core.state(p)
@@ -361,7 +414,9 @@ class Trajectory:
     ``energies[k] - energies[k-1] = -dt * boundary_dissipation[k]``.
     For ``theta > 1/2`` the scheme adds its own nonnegative damping, so
     the right-hand side is an upper bound whenever the boundary
-    relation is monotone.
+    relation is monotone.  ``states`` is float64 when the system, the
+    relation and ``u0`` are real, since the run then solves in real
+    arithmetic (see the module docstring); complex otherwise.
     """
 
     times: np.ndarray
@@ -377,7 +432,8 @@ class Stepper:
     """One run of the theta-scheme: the factored resolvent and the warm start.
 
     Construction refuses a boundary condition without a maximal
-    monotonicity certificate and factors ``1 + theta dt A`` once.  Each
+    monotonicity certificate and factors ``1 + theta dt A`` once, in
+    float64 when the system, the relation and ``u0`` are real.  Each
     :func:`step` then reuses the factorization and warm-starts the
     inclusion solve from the previous step's effort trace.
     ``dissipation`` is the boundary pairing ``-Re<e, fhat>`` of the last
@@ -388,7 +444,8 @@ class Stepper:
         _require_certified(scenario.bc, False)
         self.scenario = scenario
         self.dissipation: Optional[float] = None
-        self._core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt)
+        self._core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt,
+                                 _is_real(ops, scenario.bc, scenario.u0))
         self._effort: Optional[np.ndarray] = None
 
 
@@ -397,11 +454,12 @@ def step(state, stepper: Stepper) -> np.ndarray:
 
     One resolvent solve ``y = (1 + theta dt A)^{-1} w``, then
     ``w_next = (y - (1 - theta) w) / theta``; at ``theta = 1`` the
-    step returns ``y`` itself.
+    step returns ``y`` itself.  On a real run a float64 state gives a
+    float64 state; any other state is complex.
     """
     core, theta = stepper._core, stepper.scenario.theta
-    w = _as_field(state, stepper.scenario.phs.n)
-    p, _, e, fhat = core.solve(w.ravel().astype(complex), x0=stepper._effort)
+    w = _field(state, stepper.scenario.phs.n)
+    p, _, e, fhat = core.solve(w.ravel(), x0=stepper._effort)
     stepper.dissipation = -float(np.real(e.conj() @ fhat))
     stepper._effort = e
     y = core.state(p)
@@ -424,9 +482,9 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
     dt_eff = scenario.T / nsteps
     stepper = Stepper(replace(scenario, dt=dt_eff), ops)
 
-    w = u0.astype(complex)
+    w = u0.real.copy() if stepper._core.real else u0.astype(complex)
     times = [0.0]
-    states = np.empty((nsteps + 1,) + w.shape, dtype=complex)
+    states = np.empty((nsteps + 1,) + w.shape, dtype=w.dtype)
     states[0] = w
     energies = [ops.energy(w)]
     dissipation = [0.0]

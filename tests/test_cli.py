@@ -1,4 +1,8 @@
+import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +226,26 @@ def test_linear_multiport_config_runs_at_midpoint(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "maximal: yes (exact:" in out
     assert "skew-selfadjoint: no" in out
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """``monoport simulate`` writes the same bytes with one BLAS thread and
+    with two.  Each run is a fresh process whose environment this test
+    sets, so a thread count pinned for the whole suite does not hide it."""
+    cfg = CONFIG_DIR.parent / "perfbench" / "configs" / "wave_damped_short.cfg"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "monoport.cli", "simulate", "--config", str(cfg),
+                               "--out", str(out)], env=env, stdout=subprocess.PIPE, check=True)
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+                       | {"stdout": hashlib.sha256(proc.stdout).hexdigest()})
+    assert set(digests[0]) == {"states.csv", "energy.csv", "report.txt", "stdout"}
+    assert digests[0] == digests[1]
 
 
 def test_simulate_precision_key_controls_digits(tmp_path):

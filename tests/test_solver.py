@@ -643,3 +643,100 @@ def test_oracle_transport_shifts_and_clips():
     assert oracle_transport(lambda z: np.ones_like(np.asarray(z)), 1.5, -0.8, 1.0) == 0.0
     scalar = oracle_transport(bump, 0.0, -0.35, 1.0)
     assert isinstance(scalar, complex) and scalar == pytest.approx(1.0)
+
+
+# ------------------------------------------------ real and complex arithmetic
+
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.cfg")) + sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*.cfg"))
+
+
+def _wave_parts(xs):
+    """Two real initial fields on the wave system."""
+    a = np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs), np.exp(-6 * xs**2) * np.sin(2 * xs)], axis=1)
+    b = np.stack([np.exp(-5 * xs**2), xs * np.exp(-4 * xs**2)], axis=1)
+    return a, b
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("make_bc", [
+    lambda basis: bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]), basis),
+    lambda basis: bnd.from_V(np.array([[0.0, 0.5], [-0.5, 0.0]]), basis),
+    lambda basis: bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), basis),
+], ids=["robin", "contraction", "unitary"])
+def test_complex_run_is_the_real_runs_of_its_parts(make_bc, theta):
+    """On a real linear relation the complex run of ``a + i b`` (complex
+    arithmetic throughout) is the real run of ``a`` plus ``i`` times the
+    real run of ``b`` (float64 throughout), and all three keep the ledger."""
+    ops = discretize(PHS2, 64)
+    bc = make_bc(BASIS2)
+    a, b = _wave_parts(ops.grid.nodes)
+    dt = 0.01
+    runs = [simulate(Scenario(phs=PHS2, bc=bc, u0=u0, T=0.5, dt=dt, theta=theta), ops)
+            for u0 in (a, b, a + 1j * b)]
+    assert [r.states.dtype for r in runs] == [np.float64, np.float64, np.complex128]
+    combined = runs[0].states + 1j * runs[1].states
+    assert np.abs(runs[2].states - combined).max() <= 1e-13 * np.abs(combined).max()
+    for traj in runs:
+        assert _ledger_defects(traj, ops, theta, dt).max() <= 1e-12 * traj.energies[0]
+
+
+@pytest.mark.parametrize("path, theta", [
+    *[(p, None) for p in SHIPPED_CONFIGS if p.name != "robin_wrong_sign.cfg"],
+    (CONFIG_DIR / "friction.cfg", 0.5),
+], ids=lambda v: getattr(v, "stem", str(v)))
+def test_shipped_configs_run_in_float64(path, theta):
+    """Every certified shipped config has real data, so its run factors,
+    solves and stores in float64; friction at ``theta = 1/2`` too."""
+    cfg = load_config(path)
+    phs = cfg.build_phs()
+    ops = discretize(phs, cfg.m)
+    theta = cfg.theta if theta is None else theta
+    scn = Scenario(phs=phs, bc=cfg.build_bc(bd_basis(phs)), u0=cfg.build_u0(ops.grid.nodes),
+                   T=5 * cfg.dt, dt=cfg.dt, theta=theta)
+    stepper = Stepper(scn, ops)
+    core = stepper._core
+    assert core.amat.dtype == core.lift.dtype == core.phi.dtype == np.float64
+    traj = simulate(scn, ops)
+    assert traj.states.dtype == np.float64
+    assert step(traj.states[0], stepper).dtype == np.float64
+    assert _ledger_defects(traj, ops, theta, cfg.dt).max() <= 1e-12 * traj.energies[0]
+
+
+def test_complex_relation_keeps_complex_arithmetic():
+    """A complex relation with real initial data runs in complex
+    arithmetic throughout, factor included, as before real runs existed."""
+    ops = discretize(PHS2, 64)
+    bc = bnd.from_V(np.array([[0.0, 1j], [1j, 0.0]]), BASIS2)
+    assert not bc.port_relation.real
+    u0, _ = _wave_parts(ops.grid.nodes)
+    dt = 0.01
+    scn = Scenario(phs=PHS2, bc=bc, u0=u0, T=0.5, dt=dt, theta=0.5)
+    core = Stepper(scn, ops)._core
+    assert not core.real and core.amat.dtype == core.lift.dtype == np.complex128
+    traj = simulate(scn, ops)
+    assert traj.states.dtype == np.complex128
+    assert _ledger_defects(traj, ops, 0.5, dt).max() <= 1e-12 * traj.energies[0]
+
+
+def test_complex_right_hand_sides_on_a_real_factor():
+    """A complex-typed right-hand side with real values takes the real
+    factor; a genuinely complex state handed to a real run's step is solved
+    on that factor as two real columns.  Both match the monolithic solve."""
+    ops = discretize(PHS2, 64)
+    xs = ops.grid.nodes
+    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]), BASIS2)
+    f = np.stack([np.cos(xs), np.cos(2 * xs)], axis=1).astype(complex)
+    g = np.stack([np.sin(xs), np.sin(0.5 * xs)], axis=1).astype(complex)
+
+    res = resolve_A(ops, bc, 0.8, (f, g))
+    assert res.u.dtype == res.v.dtype == np.float64
+    p_mono = _monolithic_resolve(ops, bc, 0.8, (f + g).ravel())
+    assert np.abs((res.u + res.v).ravel() - p_mono).max() <= 1e-12 * np.abs(p_mono).max()
+
+    w = f + 1j * g
+    stepper = Stepper(Scenario(phs=PHS2, bc=bc, u0=np.zeros((65, 2)), T=0.8, dt=0.8, theta=1.0), ops)
+    assert stepper._core.real
+    y = step(w, stepper)
+    assert y.dtype == np.complex128
+    p_mono = _monolithic_resolve(ops, bc, 0.8, w.ravel())
+    assert np.abs(y.ravel() - p_mono).max() <= 1e-12 * np.abs(p_mono).max()
