@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 certificate/verification failure, 2 usage or
 config-parse error.  All files are UTF-8 with ``"\\n"`` line endings and
 locale-independent number formatting (fixed-point decimal, significant
 digits set by the config ``precision`` key), so byte-level comparison of
-two runs is meaningful for a fixed BLAS thread count: the solver's
-floating-point sums depend on it, which can move the last printed digit.
+two runs is meaningful.  The bytes do not depend on the BLAS thread
+count either: one thread and two write the same files.
 """
 
 from __future__ import annotations
@@ -160,16 +160,40 @@ def cmd_check_bc(args) -> int:
 
 def _states_csv(traj, nodes: np.ndarray, precision: int) -> Iterator[str]:
     """Yield ``states.csv`` (``t,x,comp,re,im``): the header, then one
-    chunk per state with a row per node and component."""
+    chunk per state with a row per node and component.
+
+    Each state is one ``%`` operation on per-run row templates, one
+    ``%.{p}g`` per value.  That text is ``_fmt``'s whenever it has no
+    exponent and is not nan or inf, up to 15 digits (see ``_fmt``), so
+    only a value outside ``1e-4 <= |v| < 10**p / 2`` (zero, nan and inf
+    included), and every value beyond 15 digits, takes a ``%s`` cell and
+    ``_fmt``'s text.  A real run writes the ``im`` column as ``0``."""
     n = traj.states.shape[2]
+    width = 2 if np.iscomplexobj(traj.states) else 1  # values per row
+    spec = (f"%.{precision}g", "%s")
+    tail = "\n" if width == 2 else ",0\n"
     prefixes = [f",{_fmt(x, precision)},{c}," for x in nodes for c in range(n)]
+    # rows[code][k]: row k, where bit j of code marks value j as a %s value
+    rows = [[prefix + ",".join(spec[code >> j & 1] for j in range(width)) + tail
+             for prefix in prefixes] for code in range(2 ** width)]
+    bits = 1 << np.arange(width)
+    # %g switches to an exponent once |v| rounds to 10**p; above 15 digits never use it
+    hi = 0.5 * 10.0 ** precision if precision <= 15 else 0.0
     yield "t,x,comp,re,im\n"
     for t, state in zip(traj.times, traj.states):
         ts = _fmt(t, precision)
         flat = state.reshape(-1)
-        yield "".join(
-            f"{ts}{prefix}{_fmt(re, precision)},{_fmt(im, precision)}\n"
-            for prefix, re, im in zip(prefixes, flat.real.tolist(), flat.imag.tolist()))
+        vals = np.stack((flat.real, flat.imag), axis=1) if width == 2 else flat[:, None]
+        mag = np.abs(vals)
+        slow = ~((mag >= 1e-4) & (mag < hi))
+        values = vals.reshape(-1).tolist()
+        for i in np.flatnonzero(slow).tolist():
+            values[i] = _fmt(values[i], precision)
+        codes = slow @ bits
+        cells = rows[0].copy()
+        for k in np.flatnonzero(codes).tolist():
+            cells[k] = rows[codes[k]][k]
+        yield (ts + ts.join(cells)) % tuple(values)
 
 
 def _energy_csv(traj, precision: int) -> str:

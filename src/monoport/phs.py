@@ -1,6 +1,6 @@
 """One-dimensional port-Hamiltonian transport systems and their boundary data.
 
-A field ``u : [-b, b] -> C^n`` evolves under ``d/dt u = P1 d/dx (H u) + P0 (H u)``
+A field ``u : [-b, b] -> C^n`` evolves under ``d/dt u = -(P1 d/dx + P0)(H u)``
 with ``P1`` Hermitian invertible, ``P0`` skew-Hermitian, and a pointwise
 Hermitian positive definite energy density ``H``.  All boundary information
 of the generator lives in the 2n-dimensional trace space spanned by

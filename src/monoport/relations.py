@@ -85,7 +85,8 @@ MAX_ITER = 10_000
 class NonconvergenceError(RuntimeError):
     """An iterative or direct solve failed to reach its residual target.
 
-    Carries the last residual in :attr:`residual`.
+    Carries the failed solve's residual in :attr:`residual`: for an
+    iteration, the best one it reached.
     """
 
     def __init__(self, message: str, residual: Optional[float] = None):

@@ -1,9 +1,10 @@
 """Evolution of 1D port-Hamiltonian fields under certified boundary relations.
 
-The semidiscrete generator is ``w -> L (H w)`` with ``L`` the
+The semidiscrete generator is ``A w = L (H w)`` with ``L`` the
 summation-by-parts realization of ``P1 d/dx + P0`` on the symmetric
-grid.  One implicit step is a *constructive resolvent*: the linear bulk
-is eliminated through a sparse LU factorization of its interior block,
+grid; a run integrates ``dw/dt = -A w``.  One implicit step is a
+*constructive resolvent*: the linear bulk is eliminated through a
+sparse LU factorization of its interior block,
 which compresses the whole grid problem to an ``n``-dimensional
 inclusion ``Phi e + R(e) ∋ g`` for the boundary effort trace ``e``,
 where ``R`` is the boundary relation in flow/effort coordinates and

@@ -375,6 +375,47 @@ def test_csv_writers_on_adversarial_trajectory(precision):
     assert cli._energy_csv(traj, precision) == seed_energy_csv(traj, precision)
 
 
+
+def _trajectory(values, n, dtype):
+    """``values`` as a two-state trajectory of dtype ``dtype`` with ``n``
+    components, zero-padded to whole rows; the complex one pairs each value
+    with another from the list."""
+    from monoport.solver import Trajectory
+
+    v = np.asarray(values, dtype=float)
+    rows = -(-len(v) // (2 * n))
+    states = np.zeros(2 * rows * n, dtype=dtype)
+    states.real[:len(v)] = v
+    if dtype is complex:
+        states.imag[:len(v)] = v[::-1]
+    return (Trajectory(times=np.array([0.0, 0.25]), states=states.reshape(2, rows, n),
+                       energies=np.zeros(2), boundary_dissipation=np.zeros(2)),
+            np.linspace(-1.0, 1.0, rows))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_states_csv_matches_reference_on_fmt_cases(precision, dtype):
+    """The per-state template writes ``_fmt``'s text for every value of
+    ``_fmt_cases``, in real (``im`` column ``0``) and complex states."""
+    values = _fmt_cases(precision)
+    traj, nodes = _trajectory(values + [-v for v in values], 2, dtype)
+    assert traj.states.dtype == np.dtype(dtype)
+    assert "".join(cli._states_csv(traj, nodes, precision)) == seed_states_csv(
+        traj, nodes, precision)
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_states_csv_on_adversarial_real_trajectory(precision):
+    edge = 10.0 ** precision
+    values = [-0.0, 1e-5, 9.99999999999995e-05, np.nextafter(edge, 0.0), edge,
+              np.nan, np.inf, -np.inf, 0.5 * edge, np.nextafter(0.5 * edge, 0.0),
+              edge - 0.5, np.nextafter(edge - 0.5, 0.0), 1e-4, np.nextafter(1e-4, 0.0), 0.125]
+    traj, nodes = _trajectory(values, 1, float)
+    text = "".join(cli._states_csv(traj, nodes, precision))
+    assert text == seed_states_csv(traj, nodes, precision)
+    assert all(row.endswith(",0") for row in text.splitlines()[1:])
+
 # ------------------------------------------------------------- verify
 
 

@@ -523,6 +523,57 @@ def test_schur_reduced_splitting_meets_the_whole_sums_residual_target(monkeypatc
         assert np.linalg.norm(phi @ z + w - g) <= TOL_ITERATIVE * max(1.0, np.linalg.norm(g)), seed
 
 
+def test_schur_plan_falls_back_to_splitting_when_the_reduced_solve_fails(monkeypatch, rng):
+    """A reduced solve that raises leaves no eliminated pair, and the plan
+    splits the whole sum to its residual target instead."""
+    calls, _ = _count_splitting(monkeypatch)
+    rel = _random_port_sum(rng, 1)
+    n = rel.space.dim
+    phi = rand_spd(rng, n, shift=0.5)
+    g = rand_complex(rng, n)
+    plan = plan_inclusion(phi, rel)
+    assert type(plan).__name__ == "_SchurPlan"
+
+    def fail(g_f, x0_f, tol):
+        raise NonconvergenceError("forced", residual=1.0)
+
+    plan.reduced = fail
+    assert plan.eliminate(g) is None
+    z, w = solve_inclusion(plan, g)
+    assert calls == [n]
+    assert np.linalg.norm(phi @ z + w - g) <= TOL_ITERATIVE * max(1.0, np.linalg.norm(g))
+    assert graph_residual(rel, z, w) <= 1e-8
+
+
+def test_splitting_out_of_iterations_raises_with_its_best_residual(monkeypatch):
+    """Cut to twelve iterations, splitting stops short of its target and
+    reports the smallest residual any iteration reached.  From this warm
+    start the residual is not monotone, so the last one is not the best."""
+    import monoport.relations as rels
+
+    monkeypatch.setattr(rels, "MAX_ITER", 12)
+    rel = DirectSum([sign_relation(0.5), sign_relation(1.0), sign_relation(2.0)])
+    phi = np.array([[3.1, -0.4, -0.6], [-0.4, 2.7, -2.4], [-0.6, -2.4, 2.7]])
+    g, x0 = np.array([1.5, -4.5, 6.8]), np.array([-5.7, 3.3, -1.0])
+    plan = plan_inclusion(phi, rel)
+    assert type(plan).__name__ == "_SplittingPlan"
+    residuals = []
+    inner = plan.inner
+
+    def recorded(v, x0, tol):
+        z, w = inner(v, x0, tol)
+        residuals.append(float(np.linalg.norm(phi @ z + w - g)))
+        return z, w
+
+    plan.inner = recorded
+    with pytest.raises(NonconvergenceError) as err:
+        solve_inclusion(plan, g, x0)
+    assert len(residuals) == 12 and residuals[-1] > min(residuals)
+    assert err.value.residual == min(residuals)
+    assert err.value.residual > TOL_ITERATIVE * np.linalg.norm(g)
+    assert "best residual" in str(err.value)
+
+
 def test_solve_inclusion_requires_square_phi():
     with pytest.raises(ValueError):
         solve_inclusion(plan_inclusion(np.ones((2, 1)), sign_relation()), np.array([1.0]))
