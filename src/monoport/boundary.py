@@ -2,17 +2,19 @@
 
 A boundary condition is, mathematically, a relation between the effort
 trace ``e`` and the flow trace ``f`` of the field at the two endpoints.
-This module stores each condition twice, connected by exact coordinate
-maps:
+This module stores each condition once and derives its second form on
+demand, through exact coordinate maps:
 
-* in *flow/effort coordinates* — pairs ``(e, w)`` with ``w = -f`` on
-  standard ``C^n``, the discretization- and parameter-independent form
-  in which monotonicity means exactly energy dissipation
-  (``-Re<e, f> >= 0``), and which the evolution solver consumes;
-* in *trace-basis (BD) coordinates* — the relation ``h`` on the
+* stored, in *flow/effort coordinates* — pairs ``(e, w)`` with
+  ``w = -f`` on standard ``C^n``, the discretization- and
+  parameter-independent form in which monotonicity means exactly energy
+  dissipation (``-Re<e, f> >= 0``), and which the evolution solver
+  consumes;
+* derived, in *trace-basis (BD) coordinates* — the relation ``h`` on the
   coefficient space with the channel Gram weight, obtained through the
-  maps ``x = Q^{-1} e``, ``y = -(S Q)^{-1} f``.  This is the form whose
-  adjoint calculus (skew-selfadjointness) is natural.
+  maps ``x = Q^{-1} e``, ``y = -(S Q)^{-1} f``.  This is the form in
+  which the paper states its criterion, and whose adjoint calculus
+  (skew-selfadjointness) is natural.
 
 Constructors attach certificates: monotonicity and maximality are
 checked exactly, by eigenvalue / rank arguments for linear conditions
@@ -24,7 +26,8 @@ concrete, re-verifiable witness.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -74,49 +77,46 @@ MEMBERSHIP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """A certified boundary relation in both coordinate systems.
+    """A certified boundary relation, stored in flow/effort coordinates.
 
     Attributes
     ----------
-    ports:
-        Number of boundary ports ``n`` (the trace space is ``C^n``).
-    h:
-        The relation in trace-basis coordinates, living on the
-        Gram-weighted coefficient space.
+    port_relation:
+        The condition as a relation on standard ``C^n`` in flow/effort
+        coordinates: graph pairs are ``(e, -f)``.
+    basis:
+        The trace basis the coordinate maps refer to.
     provenance:
         One of ``V-matrix``, ``Dirichlet``, ``Neumann``, ``Robin``,
-        ``RobinBad``, ``Multiport``, ``Extracted``, ``Custom``.
+        ``RobinBad``, ``Multiport``, ``Extracted``.
     certificates:
         Mapping with ``"monotone"`` and ``"maximal"``
         :class:`~.relations.Certificate` entries from construction time.
-        Witness vectors refer to :attr:`port_relation` (flow/effort
-        coordinates), where the constructors run their checks; the
-        coordinate maps are congruences, so the verdicts transfer to
-        ``h`` unchanged.
-    basis:
-        The trace basis the coordinate maps refer to.
-    port_relation:
-        The same condition as a relation on standard ``C^n`` in
-        flow/effort coordinates: graph pairs are ``(e, -f)``.
-    data:
-        Provenance-specific payload (the defining matrices and data),
-        used by reports.
+        Witness vectors refer to :attr:`port_relation`, where the
+        constructors run their checks; the coordinate maps are
+        congruences, so the verdicts transfer to :attr:`h` unchanged.
     """
 
-    ports: int
-    h: Relation
+    port_relation: Relation
+    basis: BoundaryDataBasis
     provenance: str
     certificates: dict
-    basis: BoundaryDataBasis
-    port_relation: Relation
-    data: dict = field(default_factory=dict)
+
+    @property
+    def ports(self) -> int:
+        """Number of boundary ports ``n`` (the trace space is ``C^n``)."""
+        return self.basis.n
+
+    @cached_property
+    def h(self) -> Relation:
+        """The relation in trace-basis coordinates, on the Gram-weighted
+        coefficient space (computed once, on first use)."""
+        return _to_bd(self.basis, self.port_relation)
 
     @property
     def is_maximal_monotone(self) -> bool:
-        mono = self.certificates.get("monotone")
-        maxi = self.certificates.get("maximal")
-        return (mono is not None and mono.monotone == "yes"
-                and maxi is not None and maxi.maximal == "yes")
+        return (self.certificates["monotone"].monotone == "yes"
+                and self.certificates["maximal"].maximal == "yes")
 
     def constraint(self) -> "tuple[np.ndarray, np.ndarray]":
         """Constraint-matrix form ``C_e e + C_f f = 0`` of a linear condition.
@@ -136,9 +136,7 @@ class BoundaryCondition:
     def describe(self) -> str:
         lines = [f"boundary condition: {self.provenance} on {self.ports} port(s)"]
         for name in ("monotone", "maximal"):
-            cert = self.certificates.get(name)
-            if cert is not None:
-                lines.append(f"  {name}: {cert.describe()}")
+            lines.append(f"  {name}: {self.certificates[name].describe()}")
         return "\n".join(lines)
 
 
@@ -156,9 +154,10 @@ def _to_bd(basis: BoundaryDataBasis, port_relation: Relation) -> Relation:
     The congruence by ``Qmat`` between the Gram-weighted coefficient
     space and standard port coordinates sends ``(e, w)`` to
     ``(Q^{-1} e, Q^{-1} S^{-1} w)`` — precisely the documented
-    coordinate maps, because the weighted adjoint of ``Q`` is
-    ``(Q^H S Q)^{-1} Q^H S... = Q^{-1} S^{-1}`` against the identity
-    port weight.
+    coordinate maps.  Against the identity port weight the weighted
+    adjoint of ``Q`` is ``gram_G^{-1} Q^H``, and ``Q^H S Q = gram_G``
+    (``verify`` measures it: "channel gram matches sqrt(S)Q energy"),
+    so the adjoint is ``Q^{-1} S^{-1}``.
     """
     tmap = LinearMap(_bd_space(basis), _port_space(basis.n), basis.Qmat)
     return transform(tmap, port_relation)
@@ -174,16 +173,12 @@ def _port_datum(value, n: int) -> np.ndarray:
     return arr
 
 
-def _finalize(basis, port_relation, provenance, certificates, data) -> BoundaryCondition:
-    return BoundaryCondition(
-        ports=basis.n,
-        h=_to_bd(basis, port_relation),
-        provenance=provenance,
-        certificates=certificates,
-        basis=basis,
-        port_relation=port_relation,
-        data=data,
-    )
+def _finalize(basis, port, provenance, maximal=None) -> BoundaryCondition:
+    """Certify ``port`` and wrap it.  ``maximal`` replaces the generic
+    maximality check by a constructor's own certificate."""
+    certificates = {"monotone": check_monotone(port),
+                    "maximal": check_maximal(port) if maximal is None else maximal}
+    return BoundaryCondition(port, basis, provenance, certificates)
 
 
 def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:
@@ -226,12 +221,9 @@ def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:
         monotone=mono.monotone,
         maximal=maximal,
         method="smallest singular value of -S(1+V)-(1-V)",
-        witness={"sigma_min": sigma_min, "sigmas": sigmas},
+        witness={"sigma_min": sigma_min, "sigmas": sigmas, "vv_top_eigenvalue": vv_top},
     )
-    data = {"kind": "v-matrix", "V": vmat, "vv_top_eigenvalue": vv_top,
-            "closing_sigmas": sigmas}
-    return _finalize(basis, port, "V-matrix",
-                     {"monotone": mono, "maximal": max_cert}, data)
+    return _finalize(basis, port, "V-matrix", max_cert)
 
 
 def dirichlet(value, basis: BoundaryDataBasis) -> BoundaryCondition:
@@ -239,9 +231,7 @@ def dirichlet(value, basis: BoundaryDataBasis) -> BoundaryCondition:
     n = basis.n
     pin = _port_datum(value, n)
     port = LinearGraph(_port_space(n), np.zeros((n, n)), np.eye(n), x0=pin)
-    certs = {"monotone": check_monotone(port), "maximal": check_maximal(port)}
-    return _finalize(basis, port, "Dirichlet", certs,
-                     {"kind": "dirichlet", "value": pin})
+    return _finalize(basis, port, "Dirichlet")
 
 
 def neumann(value, basis: BoundaryDataBasis) -> BoundaryCondition:
@@ -249,9 +239,7 @@ def neumann(value, basis: BoundaryDataBasis) -> BoundaryCondition:
     n = basis.n
     pin = _port_datum(value, n)
     port = LinearGraph(_port_space(n), np.eye(n), np.zeros((n, n)), y0=-pin)
-    certs = {"monotone": check_monotone(port), "maximal": check_maximal(port)}
-    return _finalize(basis, port, "Neumann", certs,
-                     {"kind": "neumann", "value": pin})
+    return _finalize(basis, port, "Neumann")
 
 
 def _robin_like(mmat, basis, value, sign: float, provenance: str) -> BoundaryCondition:
@@ -276,9 +264,7 @@ def _robin_like(mmat, basis, value, sign: float, provenance: str) -> BoundaryCon
     pin = _port_datum(value, n)
     kmat = sign * (basis.sqrtS @ mmat @ basis.sqrtS)
     port = LinearGraph(_port_space(n), np.eye(n), kmat, y0=-pin)
-    certs = {"monotone": check_monotone(port), "maximal": check_maximal(port)}
-    return _finalize(basis, port, provenance, certs,
-                     {"kind": provenance.lower(), "M": mmat, "value": pin})
+    return _finalize(basis, port, provenance)
 
 
 def robin(mmat, basis: BoundaryDataBasis, value=0.0) -> BoundaryCondition:
@@ -317,7 +303,7 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
         (mu,) = params
         if not float(mu) >= 0.0:
             raise ValueError("friction coefficient must be nonnegative")
-        return SeparableProx(space, [("abs", float(mu))])
+        return SeparableProx(space, [float(mu)])
     if kind == "robin":
         alpha = params[0]
         val = params[1] if len(params) > 1 else 0.0
@@ -395,12 +381,7 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
         perm = np.eye(n)[list(order), :]
         tmap = LinearMap(_port_space(n), _port_space(n), perm)
         port = transform(tmap, summed)
-
-    mono = check_monotone(port)
-    maxi = check_maximal(port)
-    return _finalize(basis, port, "Multiport",
-                     {"monotone": mono, "maximal": maxi},
-                     {"kind": "multiport", "parts": tuple(parts)})
+    return _finalize(basis, port, "Multiport")
 
 
 def subspace_gap(u1: np.ndarray, u2: np.ndarray) -> float:
@@ -473,9 +454,7 @@ def extract_h(constraint, basis: BoundaryDataBasis) -> BoundaryCondition:
     if kern.shape[1] == 0:
         raise ValueError("constraint kernel is trivial; no boundary relation to extract")
     port = LinearGraph(_port_space(n), kern[:n], -kern[n:])
-    certs = {"monotone": check_monotone(port), "maximal": check_maximal(port)}
-    return _finalize(basis, port, "Extracted", certs,
-                     {"kind": "custom", "C_e": ce, "C_f": cf})
+    return _finalize(basis, port, "Extracted")
 
 
 def _graph_norm(basis: BoundaryDataBasis, xs: np.ndarray, field_: np.ndarray) -> float:

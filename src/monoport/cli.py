@@ -99,29 +99,30 @@ def _vec(v: np.ndarray) -> str:
 def _certificate_lines(bc, cfg: Config) -> List[str]:
     lines = []
     for name in ("monotone", "maximal"):
-        cert = bc.certificates.get(name)
-        if cert is None:
-            lines.append(f"{name}: unknown (no certificate recorded)")
-            continue
-        verdict = getattr(cert, name)
-        lines.append(f"{name}: {verdict} ({cert.method})")
+        cert = bc.certificates[name]
+        lines.append(f"{name}: {getattr(cert, name)} ({cert.method})")
     try:
         skew = check_skew_selfadjoint(bc)
-        angle = skew.witness.get("max_angle", 0.0)
-        lines.append(f"skew-selfadjoint: {skew.skew} (largest principal angle {_fmt(angle, 6)})")
     except ValueError:
         lines.append("skew-selfadjoint: not applicable (not a linear relation)")
+    else:
+        wit = skew.witness
+        if "max_angle" in wit:
+            detail = f"largest principal angle {_fmt(wit['max_angle'], 6)}"
+        else:
+            detail = f"graph dimension {wit['dim_h']}, adjoint graph dimension {wit['dim_adjoint']}"
+        lines.append(f"skew-selfadjoint: {skew.skew} ({detail})")
 
     if cfg.bc_kind == "v-matrix":
-        top = bc.data["vv_top_eigenvalue"]
-        sigmas = bc.data["closing_sigmas"]
+        wit = bc.certificates["maximal"].witness
+        top = wit["vv_top_eigenvalue"]
         contraction = "yes" if top <= 1.0 + 1e-10 else "NO"
         lines.append(f"V*V largest eigenvalue: {_fmt(top)} (contraction: {contraction})")
         lines.append("closing-matrix singular values: "
-                     + ", ".join(_fmt(s) for s in sigmas))
+                     + ", ".join(_fmt(s) for s in wit["sigmas"]))
 
-    mono = bc.certificates.get("monotone")
-    if mono is not None and mono.monotone == "no" and mono.witness:
+    mono = bc.certificates["monotone"]
+    if mono.monotone == "no" and mono.witness:
         (xa, ya) = mono.witness["pair_a"]
         (xb, yb) = mono.witness["pair_b"]
         lines.append("monotonicity witness (flow/effort graph pairs):")

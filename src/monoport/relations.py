@@ -258,32 +258,28 @@ class LinearGraph(Relation):
 class SeparableProx(Relation):
     """Coordinatewise friction, with a closed-form proximal map.
 
-    ``pieces`` is one tuple per coordinate, ``("abs", mu)``: the
-    set-valued derivative of ``mu |x|``, ``mu >= 0``, whose proximal map
+    ``scales`` holds one ``mu >= 0`` per coordinate: coordinate ``k``
+    is the set-valued derivative of ``mu_k |x_k|``, whose proximal map
     is soft thresholding.
 
     The space weight must be diagonal with positive real entries (the
-    pieces are coordinatewise, and only then is the product monotone in
+    relation is coordinatewise, and only then is the product monotone in
     the weighted inner product for free).
     """
 
     real = True
 
-    def __init__(self, space: InnerProductSpace, pieces: Sequence[tuple]):
+    def __init__(self, space: InnerProductSpace, scales: Sequence[float]):
         w = space.weight
         if not np.allclose(w, np.diag(np.diag(w).real), atol=1e-13 * max(1.0, np.linalg.norm(w))):
             raise ValueError("SeparableProx requires a real positive diagonal weight")
-        pieces = tuple(tuple(p) for p in pieces)
-        if len(pieces) != space.dim:
-            raise ValueError(f"need {space.dim} pieces, got {len(pieces)}")
-        for p in pieces:
-            if p[0] != "abs":
-                raise ValueError(f"unknown piece kind {p[0]!r}")
-            if len(p) != 2 or not (float(p[1]) >= 0.0):
-                raise ValueError(f"abs piece needs a nonnegative scale, got {p!r}")
+        scales = np.array(scales, dtype=float)
+        if scales.shape != (space.dim,):
+            raise ValueError(f"need {space.dim} scales, got shape {scales.shape}")
+        if not np.all(scales >= 0.0):
+            raise ValueError(f"friction scales must be nonnegative, got {scales}")
         self.space = space
-        self.pieces = pieces
-        self.scales = np.array([p[1] for p in pieces], dtype=float)
+        self.scales = scales
 
 
 def _soft_threshold(v: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -652,8 +648,8 @@ def principal_section(rel: Relation, x) -> np.ndarray:
     """
     if isinstance(rel, SeparableProx):
         x = rel.space.check_vector(x)
-        return np.array([0.0 if abs(xk) <= 1e-12 else p[1] * xk / abs(xk)
-                         for p, xk in zip(rel.pieces, x)], dtype=complex)
+        return np.array([0.0 if abs(xk) <= 1e-12 else mu * xk / abs(xk)
+                         for mu, xk in zip(rel.scales, x)], dtype=complex)
     desc = post_set(rel, x)
     if desc is None:
         raise ValueError("empty post-set: the point is outside the relation's domain")

@@ -314,11 +314,10 @@ class _CoreSolver:
 def _require_certified(bc: BoundaryCondition, allow_uncertified: bool):
     if bc.is_maximal_monotone or allow_uncertified:
         return
-    mono = bc.certificates.get("monotone")
-    maxi = bc.certificates.get("maximal")
     raise ValueError(
         "boundary condition lacks a maximal-monotonicity certificate "
-        f"(monotone={getattr(mono, 'monotone', '?')}, maximal={getattr(maxi, 'maximal', '?')})"
+        f"(monotone={bc.certificates['monotone'].monotone}, "
+        f"maximal={bc.certificates['maximal'].maximal})"
     )
 
 

@@ -104,8 +104,7 @@ def _suite_relation(seed: int) -> List[CheckResult]:
         if rng.uniform() < 0.5:
             r = rel.LinearGraph.from_matrix(space, _random_monotone_matrix(rng, n))
         else:
-            r = rel.SeparableProx(space, [("abs", float(rng.uniform(0, 2)))
-                                          for _ in range(n)])
+            r = rel.SeparableProx(space, [float(rng.uniform(0, 2)) for _ in range(n)])
         lam = float(rng.uniform(0.1, 5.0))
         y1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         y2 = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -149,7 +148,7 @@ def _suite_relation(seed: int) -> List[CheckResult]:
     for _ in range(20):
         n1, n2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         r1 = rel.LinearGraph.from_matrix(InnerProductSpace(n1), _random_monotone_matrix(rng, n1))
-        r2 = rel.SeparableProx(InnerProductSpace(n2), [("abs", 0.5)] * n2)
+        r2 = rel.SeparableProx(InnerProductSpace(n2), [0.5] * n2)
         both = rel.direct_sum([r1, r2])
         lam = float(rng.uniform(0.2, 3.0))
         y = rng.normal(size=n1 + n2) + 1j * rng.normal(size=n1 + n2)

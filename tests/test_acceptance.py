@@ -143,7 +143,7 @@ def test_criterion_05_yosida_suite():
     rng = np.random.default_rng(105)
     space1 = InnerProductSpace(1)
     relations = [
-        ("sign", SeparableProx(space1, [("abs", 1.0)])),
+        ("sign", SeparableProx(space1, [1.0])),
         ("identity", LinearGraph.from_matrix(space1, np.eye(1))),
         ("linear-4d", LinearGraph.from_matrix(InnerProductSpace(4),
                                               rand_monotone_matrix(rng, 4))),

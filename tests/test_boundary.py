@@ -19,13 +19,14 @@ from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import (
     LinearGraph,
     SeparableProx,
+    _orthonormal_columns,
     direct_sum,
     graph_residual,
     resolvent,
 )
 from monoport.spaces import InnerProductSpace
 
-from conftest import rand_contraction, rand_spd, rand_unitary
+from conftest import rand_complex, rand_contraction, rand_spd, rand_unitary
 
 COTH1 = 1.3130352854993312
 
@@ -46,6 +47,57 @@ def h_slope(bc):
     return complex((bc.h.zy @ c)[0])
 
 
+# ------------------------------------------------------- every constructor
+
+CONSTRUCTORS = {
+    "from_V-contraction": lambda b: from_V([[0.2, 0.5], [-0.3, 0.1]], b),
+    "from_V-expansion": lambda b: from_V(2.0 * np.eye(2), b),
+    "dirichlet": lambda b: dirichlet([0.3, -0.1], b),
+    "neumann": lambda b: neumann(0.2, b),
+    "robin": lambda b: robin([[2.0, 0.5], [0.5, 1.0]], b, value=0.1),
+    "robin_bad": lambda b: robin_bad([[2.0, 0.5], [0.5, 1.0]], b),
+    "multiport": lambda b: multiport([(0, ("robin", 1.0)), (1, ("dirichlet", 0.2))], b),
+    "multiport-reversed": lambda b: multiport([(1, ("dirichlet", 0.2)), (0, ("robin", 1.0))], b),
+    "multiport-friction": lambda b: multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0, 0.1))], b),
+    "multiport-friction-reversed":
+        lambda b: multiport([(1, ("robin", 1.0)), (0, ("friction", 0.5))], b),
+    "extract_h": lambda b: extract_h(([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]), b),
+}
+
+
+@pytest.mark.filterwarnings("ignore:V is not a contraction")
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+def test_every_constructor_certifies_and_derives_h(name):
+    """Each constructor stores one relation with both certificates, and
+    ``h`` is its congruence by ``Qmat``: ``(e, w)`` on the port relation
+    exactly when ``(Q^{-1} e, Q^{-1} S^{-1} w)`` is on ``h``."""
+    basis = bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]]))
+    bc = CONSTRUCTORS[name](basis)
+    assert set(bc.certificates) == {"monotone", "maximal"}
+    assert bc.certificates["monotone"].monotone in ("yes", "no")
+    assert bc.certificates["maximal"].maximal in ("yes", "no")
+    port = bc.port_relation
+    assert bc.ports == basis.n == port.space.dim
+    assert bc.h is bc.h
+    q, sq = basis.Qmat, basis.S @ basis.Qmat
+    if isinstance(port, LinearGraph):
+        want = np.vstack([np.linalg.solve(q, port.zx), np.linalg.solve(sq, port.zy)])
+        gap = subspace_gap(_orthonormal_columns(want), _orthonormal_columns(bc.h.stacked))
+        assert gap <= 1e-12
+        offset = graph_residual(bc.h, np.linalg.solve(q, port.x0), np.linalg.solve(sq, port.y0))
+        assert offset <= 1e-12
+    else:
+        # A resolvent pair (x, (y - x)/lam) of h, mapped to port coordinates,
+        # lies on the port relation: h has the resolvent of the congruence.
+        rng = np.random.default_rng(7)
+        for lam in (0.3, 2.0):
+            y = rand_complex(rng, 2)
+            x = resolvent(bc.h, lam, y)
+            assert graph_residual(port, q @ x, sq @ ((y - x) / lam)) <= 1e-12
+    if name.startswith("from_V"):
+        assert "vv_top_eigenvalue" in bc.certificates["maximal"].witness
+
+
 # ------------------------------------------------------------- from_V
 
 
@@ -59,7 +111,7 @@ def test_from_v_zero_closing_singular_value(basis1):
     bc = from_V(0.0, basis1)
     cert = bc.certificates["maximal"]
     assert cert.witness["sigma_min"] == pytest.approx(1.0 + np.tanh(1.0), abs=1e-12)
-    assert bc.data["vv_top_eigenvalue"] == pytest.approx(0.0, abs=1e-14)
+    assert cert.witness["vv_top_eigenvalue"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_from_v_limit_cases(basis1):
@@ -209,7 +261,7 @@ def test_multiport_partition_errors(basis2):
     with pytest.raises(ValueError, match="not covered"):
         multiport([(0, ("dirichlet", 0.0))], basis2)
     with pytest.raises(ValueError, match="dimension"):
-        multiport([((0, 1), SeparableProx(InnerProductSpace(1), [("abs", 0.5)]))], basis2)
+        multiport([((0, 1), SeparableProx(InnerProductSpace(1), [0.5]))], basis2)
 
 
 def test_multiport_rejects_nonmonotone_part(basis2):
@@ -219,8 +271,8 @@ def test_multiport_rejects_nonmonotone_part(basis2):
 
 
 @pytest.mark.parametrize("make_part", [
-    lambda: SeparableProx(InnerProductSpace(2), [("abs", 0.5)] * 2),
-    lambda: direct_sum([SeparableProx(InnerProductSpace(1), [("abs", 0.5)])] * 2),
+    lambda: SeparableProx(InnerProductSpace(2), [0.5] * 2),
+    lambda: direct_sum([SeparableProx(InnerProductSpace(1), [0.5])] * 2),
 ], ids=["two-piece-prox", "direct-sum"])
 def test_multiport_bounded_frictional_part_certifies_maximal(make_part):
     """Two friction ports given as one direct-sum part certify exactly

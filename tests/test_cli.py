@@ -80,6 +80,20 @@ def test_check_bc_friction_config_certifies_exactly(tmp_path, capsys, cfg):
     assert "maximal: yes (componentwise over direct summands)" in out
 
 
+def test_check_bc_names_graph_dimensions_when_the_adjoint_differs(tmp_path, capsys):
+    """One constraint on the four trace unknowns leaves a 3-dimensional
+    graph whose adjoint is 1-dimensional: no principal angle exists, and
+    the report names both dimensions."""
+    text = (FRICTION_SMALL.replace("scenario = gaussian", "scenario = wave")
+            .replace("kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0",
+                     "kind = custom\nC_e = 1 0\nC_f = 0 0"))
+    code = cli.main(["check-bc", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "skew-selfadjoint: no (graph dimension 3, adjoint graph dimension 1)" in out
+    assert "principal angle" not in out
+
+
 def test_check_bc_missing_file_is_usage_error(tmp_path, capsys):
     code = cli.main(["check-bc", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

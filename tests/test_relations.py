@@ -39,7 +39,7 @@ def identity_relation(n=1):
 
 
 def sign_relation(mu=1.0):
-    return SeparableProx(C1, [("abs", mu)])
+    return SeparableProx(C1, [mu])
 
 
 def dirichlet_relation():
@@ -355,7 +355,7 @@ def test_check_maximal_detects_rank_deficiency():
 def test_check_monotone_lifts_witness_through_congruence(rng):
     """A non-monotone summand under an invertible congruence is refuted
     exactly: the base witness is mapped by (z, w) -> (T^-1 z, T* w)."""
-    base = direct_sum([LinearGraph.from_matrix(C1, [[-1.0]]), SeparableProx(C1, [("abs", 0.5)])])
+    base = direct_sum([LinearGraph.from_matrix(C1, [[-1.0]]), SeparableProx(C1, [0.5])])
     space = InnerProductSpace(2)
     rel = transform(LinearMap(space, space, rand_complex(rng, 2, 2) + 2.0 * np.eye(2)), base)
     cert = check_monotone(rel)
@@ -373,7 +373,7 @@ def test_check_monotone_lifts_witness_through_congruence(rng):
 def test_non_unitary_congruence_reports_no_maximality_witness():
     """``T* rhs`` is unreachable by ``1 + T* B T`` only when ``T* T = 1``;
     otherwise the verdict stays and the right-hand side is dropped."""
-    base = direct_sum([SeparableProx(C1, [("abs", 0.5)]), LinearGraph(C1, [[0.0]], [[0.0]])])
+    base = direct_sum([SeparableProx(C1, [0.5]), LinearGraph(C1, [[0.0]], [[0.0]])])
     space = InnerProductSpace(2)
     cert = check_maximal(transform(LinearMap(space, space, np.diag([2.0, 1.0])), base))
     assert cert.maximal == "no"
@@ -396,10 +396,21 @@ def test_post_set_refuses_nonaffine_relation():
 
 
 def test_check_maximal_closed_form_path_on_prox():
-    rel = SeparableProx(InnerProductSpace(2), [("abs", 0.5), ("abs", 1.0)])
+    rel = SeparableProx(InnerProductSpace(2), [0.5, 1.0])
     cert = check_maximal(rel)
     assert cert.maximal == "yes"
     assert "closed-form" in cert.method
+
+
+def test_separable_prox_validates_its_scales():
+    space = InnerProductSpace(2)
+    assert SeparableProx(space, [0.0, 1.5]).scales.tolist() == [0.0, 1.5]
+    for bad in ([0.5, -0.1], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SeparableProx(space, bad)
+    for wrong in ([0.5], [0.5, 0.5, 0.5], 0.5):
+        with pytest.raises(ValueError, match="need 2 scales"):
+            SeparableProx(space, wrong)
 
 
 # ---------------------------------------------------------------- inclusion
@@ -470,7 +481,7 @@ def test_solve_inclusion_schur_falls_back_on_singular_affine_block(monkeypatch):
 def _random_port_sum(rng, k):
     """``k`` friction ports and one or two linear ports (Robin or
     Dirichlet, some shifted), in random order."""
-    parts = [SeparableProx(C1, [("abs", float(rng.uniform(0.1, 2.0)))]) for _ in range(k)]
+    parts = [SeparableProx(C1, [float(rng.uniform(0.1, 2.0))]) for _ in range(k)]
     for _ in range(int(rng.integers(1, 3))):
         if rng.uniform() < 0.5:
             zx, zy = np.eye(1), [[float(rng.uniform(0.0, 2.0))]]

@@ -20,7 +20,7 @@ from monoport.solver import (
 from monoport.spaces import InnerProductSpace
 from monoport.verify import _monolithic_resolve
 
-from conftest import rand_contraction, rand_unitary
+from conftest import ComplexWarning, rand_contraction, rand_unitary
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 PHS1 = PortHamiltonian(n=1, b=1.0, p1=[[1.0]])
@@ -359,7 +359,7 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
     # SeparableProx against a diagonal, non-scalar phi: soft thresholding
     # per coordinate
     ([[1.0, 0.0], [0.0, 2.0]],
-     lambda basis: bnd.multiport([((0, 1), SeparableProx(InnerProductSpace(2), [("abs", 0.5)] * 2))],
+     lambda basis: bnd.multiport([((0, 1), SeparableProx(InnerProductSpace(2), [0.5] * 2))],
                                  basis), 1.0),
     # a congruence: listed out of port order, the ports are permuted back,
     # and the substitution hands the Schur branch the in-order problem
@@ -716,6 +716,15 @@ def test_complex_relation_keeps_complex_arithmetic():
     traj = simulate(scn, ops)
     assert traj.states.dtype == np.complex128
     assert _ledger_defects(traj, ops, 0.5, dt).max() <= 1e-12 * traj.energies[0]
+
+
+def test_complex_value_into_float64_states_fails_the_suite():
+    """The suite turns ``ComplexWarning`` into an error (``conftest``), so a
+    complex state stored into a real run's float64 ``states`` array fails
+    a test instead of silently dropping its imaginary part."""
+    states = np.empty((2, 3))
+    with pytest.raises(ComplexWarning):
+        states[1] = np.array([1.0, 1e-3j, 0.0])
 
 
 def test_complex_right_hand_sides_on_a_real_factor():
