@@ -36,6 +36,7 @@ from monoport.relations import (
     Relation,
     SeparableProx,
     adjoint_relation,
+    certify,
     check_maximal,
     check_monotone,
     direct_sum,
@@ -106,6 +107,7 @@ __all__ = [
     "principal_section",
     "direct_sum",
     "transform",
+    "certify",
     "check_monotone",
     "check_maximal",
     "PortHamiltonian",

@@ -34,14 +34,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import relations
-from .phs import BoundaryDataBasis, project_bd
+from .phs import BoundaryDataBasis, _hermitize, project_bd
 from .relations import (
     Certificate,
     LinearGraph,
     Relation,
     SeparableProx,
-    check_maximal,
-    check_monotone,
+    certify,
     direct_sum,
     graph_residual,
     transform,
@@ -174,10 +173,11 @@ def _port_datum(value, n: int) -> np.ndarray:
 
 
 def _finalize(basis, port, provenance, maximal=None) -> BoundaryCondition:
-    """Certify ``port`` and wrap it.  ``maximal`` replaces the generic
-    maximality check by a constructor's own certificate."""
-    certificates = {"monotone": check_monotone(port),
-                    "maximal": check_maximal(port) if maximal is None else maximal}
+    """Certify ``port`` once and wrap it.  ``maximal``, a function of the
+    monotonicity certificate, replaces the generic maximality certificate
+    by a constructor's own."""
+    mono, max_cert = certify(port)
+    certificates = {"monotone": mono, "maximal": max_cert if maximal is None else maximal(mono)}
     return BoundaryCondition(port, basis, provenance, certificates)
 
 
@@ -212,18 +212,19 @@ def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:
         )
     eye = np.eye(n)
     port = LinearGraph(_port_space(n), eye + vmat, eye - vmat)
-    mono = check_monotone(port)
     closing = -basis.S @ (eye + vmat) - (eye - vmat)
     sigmas = sla.svdvals(closing)
     sigma_min = float(sigmas[-1])
-    maximal = "yes" if (mono.monotone == "yes" and sigma_min > SIGMA_MIN_THRESHOLD) else "no"
-    max_cert = Certificate(
-        monotone=mono.monotone,
-        maximal=maximal,
-        method="smallest singular value of -S(1+V)-(1-V)",
-        witness={"sigma_min": sigma_min, "sigmas": sigmas, "vv_top_eigenvalue": vv_top},
-    )
-    return _finalize(basis, port, "V-matrix", max_cert)
+
+    def closing_certificate(mono: Certificate) -> Certificate:
+        return Certificate(
+            monotone=mono.monotone,
+            maximal="yes" if (mono.monotone == "yes" and sigma_min > SIGMA_MIN_THRESHOLD) else "no",
+            method="smallest singular value of -S(1+V)-(1-V)",
+            witness={"sigma_min": sigma_min, "sigmas": sigmas, "vv_top_eigenvalue": vv_top},
+        )
+
+    return _finalize(basis, port, "V-matrix", closing_certificate)
 
 
 def dirichlet(value, basis: BoundaryDataBasis) -> BoundaryCondition:
@@ -248,9 +249,7 @@ def _robin_like(mmat, basis, value, sign: float, provenance: str) -> BoundaryCon
     if mmat.shape != (n, n):
         raise ValueError(f"Robin matrix must be {n} x {n}, got {mmat.shape}")
     scale = max(1.0, float(np.linalg.norm(mmat)))
-    if np.linalg.norm(mmat - mmat.conj().T) > 1e-12 * scale:
-        raise ValueError("Robin matrix must be Hermitian")
-    mmat = (mmat + mmat.conj().T) / 2.0
+    mmat = _hermitize(mmat, "Robin matrix")
     evals = np.linalg.eigvalsh(mmat)
     if sign > 0 and evals[0] < -1e-10 * scale:
         raise ValueError(
@@ -359,9 +358,6 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
                 )
             if not spec.space.is_identity_weight():
                 raise ValueError("part relations must live on standard coordinates")
-            mono = check_monotone(spec)
-            if mono.monotone == "no":
-                raise ValueError("multiport parts must be monotone relations")
             part_relations.append(spec)
             order.extend(idx)
         else:
@@ -381,7 +377,11 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
         perm = np.eye(n)[list(order), :]
         tmap = LinearMap(_port_space(n), _port_space(n), perm)
         port = transform(tmap, summed)
-    return _finalize(basis, port, "Multiport")
+    bc = _finalize(basis, port, "Multiport")
+    # scalar parts are monotone, so only a Relation part can make the sum "no"
+    if bc.certificates["monotone"].monotone == "no":
+        raise ValueError("multiport parts must be monotone relations")
+    return bc
 
 
 def subspace_gap(u1: np.ndarray, u2: np.ndarray) -> float:

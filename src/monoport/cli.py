@@ -96,7 +96,7 @@ def _vec(v: np.ndarray) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _certificate_lines(bc, cfg: Config) -> List[str]:
+def _certificate_lines(bc) -> List[str]:
     lines = []
     for name in ("monotone", "maximal"):
         cert = bc.certificates[name]
@@ -113,7 +113,7 @@ def _certificate_lines(bc, cfg: Config) -> List[str]:
             detail = f"graph dimension {wit['dim_h']}, adjoint graph dimension {wit['dim_adjoint']}"
         lines.append(f"skew-selfadjoint: {skew.skew} ({detail})")
 
-    if cfg.bc_kind == "v-matrix":
+    if bc.provenance == "V-matrix":
         wit = bc.certificates["maximal"].witness
         top = wit["vv_top_eigenvalue"]
         contraction = "yes" if top <= 1.0 + 1e-10 else "NO"
@@ -147,7 +147,7 @@ def cmd_check_bc(args) -> int:
         f"ports: {bc.ports}",
         "",
     ]
-    lines += _certificate_lines(bc, cfg)
+    lines += _certificate_lines(bc)
     ok = bc.is_maximal_monotone
     lines += ["", "verdict: " + ("maximal monotone" if ok else "NOT maximal monotone")]
     text = "\n".join(lines) + "\n"

@@ -118,30 +118,36 @@ class Config:
                 )
         else:
             ham = self.hamiltonian
-        return PortHamiltonian(n=self.n, b=self.b, p1=self.p1, p0=self.p0,
-                               hamiltonian=ham)
+        try:
+            return PortHamiltonian(n=self.n, b=self.b, p1=self.p1, p0=self.p0,
+                                   hamiltonian=ham)
+        except ValueError as exc:
+            raise ConfigError(f"[phs]: {exc}") from None
 
     def build_bc(self, basis):
         from . import boundary
 
         kind = self.bc_kind
         f = self.bc_fields
-        if kind == "v-matrix":
-            return boundary.from_V(f["V"], basis)
-        if kind == "dirichlet":
-            return boundary.dirichlet(f["value"], basis)
-        if kind == "neumann":
-            return boundary.neumann(f["value"], basis)
-        if kind == "robin":
-            ctor = boundary.robin_bad if f.get("sign", 1) < 0 else boundary.robin
-            return ctor(f["M"], basis, value=f.get("value", 0.0))
-        if kind == "custom":
-            return boundary.extract_h((f["C_e"], f["C_f"]), basis)
-        parts = []
-        for idx in sorted(f["ports"]):
-            pkind, args = f["ports"][idx]
-            parts.append((idx, (pkind, *args)))
-        return boundary.multiport(parts, basis)
+        try:
+            if kind == "v-matrix":
+                return boundary.from_V(f["V"], basis)
+            if kind == "dirichlet":
+                return boundary.dirichlet(f["value"], basis)
+            if kind == "neumann":
+                return boundary.neumann(f["value"], basis)
+            if kind == "robin":
+                ctor = boundary.robin_bad if f.get("sign", 1) < 0 else boundary.robin
+                return ctor(f["M"], basis, value=f.get("value", 0.0))
+            if kind == "custom":
+                return boundary.extract_h((f["C_e"], f["C_f"]), basis)
+            parts = []
+            for idx in sorted(f["ports"]):
+                pkind, args = f["ports"][idx]
+                parts.append((idx, (pkind, *args)))
+            return boundary.multiport(parts, basis)
+        except ValueError as exc:
+            raise ConfigError(f"[bc]: {exc}") from None
 
     def build_u0(self, nodes: np.ndarray) -> np.ndarray:
         builder = SCENARIO_PRESETS.get(self.scenario)

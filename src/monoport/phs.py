@@ -130,14 +130,8 @@ class PortHamiltonian:
         p1 = np.atleast_2d(np.asarray(self.p1, dtype=complex))
         if p1.shape != (self.n, self.n):
             raise ValueError(f"transport matrix must have shape ({self.n}, {self.n})")
-        p1 = _hermitize(p1, "transport matrix")
-        evals = np.linalg.eigvalsh(p1)
-        if np.abs(evals).min() <= SPEED_FLOOR * max(1.0, float(np.abs(evals).max())):
-            raise ValueError(
-                "transport matrix has a numerically zero eigenvalue; "
-                "every characteristic speed must be nonzero"
-            )
-        object.__setattr__(self, "p1", p1)
+        eigendecompose(p1)  # Hermitian, every speed nonzero
+        object.__setattr__(self, "p1", _hermitize(p1, "transport matrix"))
 
         if self.p0 is None:
             p0 = np.zeros((self.n, self.n), dtype=complex)

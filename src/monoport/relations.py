@@ -7,13 +7,18 @@ resolvent ``J_lam = (1 + lam A)^{-1}``, the case ``phi = 1/lam`` of the
 inclusion ``phi z + A(z) ∋ g`` around which the module is organized:
 :func:`plan_inclusion` reads ``(phi, A)`` once, down through the
 combinators, and :func:`solve_inclusion` applies that plan to each ``g``.
-The certification routines decide monotonicity and maximality by exact
-rules — linear algebra for linear graphs, closed forms for friction, and
-componentwise or congruence arguments for the combinators.  No
-certificate is sampled; the sampled cross-check lives in :mod:`.verify`.
+:func:`certify` decides monotonicity and maximality in one walk, by
+exact rules — linear algebra for linear graphs, closed forms for
+friction, and componentwise or congruence arguments for the
+combinators.  No certificate is sampled; the sampled cross-check lives
+in :mod:`.verify`.
 
 Representations
 ---------------
+The set of representations is closed: certification, planning and
+:func:`graph_residual` have one branch for each of the four below, and
+raise ``TypeError`` for any other ``Relation`` subclass.
+
 ``LinearGraph``
     the span of finitely many pairs, stored as an orthonormal basis of
     the graph subspace of ``H + H``, translated by an offset pair (zero
@@ -65,6 +70,7 @@ __all__ = [
     "principal_section",
     "direct_sum",
     "transform",
+    "certify",
     "check_monotone",
     "check_maximal",
     "graph_residual",
@@ -120,13 +126,15 @@ class AffineSet:
 class Certificate:
     """Verdicts of the certification routines.
 
-    Each verdict is ``"yes"``, ``"no"`` or ``"unknown"``.  A ``"no"``
-    carries a concrete, re-verifiable witness in :attr:`witness` (a
-    violating pair of graph points for monotonicity, an unreachable
-    right-hand side for maximality, a mismatch direction for skewness),
-    with one exception: a maximality ``"no"`` carried over by a
-    congruence whose map is not unitary has no right-hand side, and its
-    :attr:`method` says so.
+    Each verdict is ``"yes"``, ``"no"`` or ``"unknown"``.  Every relation
+    gets an exact monotone and maximal verdict, so ``"unknown"`` only
+    marks a verdict that the producing check does not assess, such as
+    ``skew`` on a monotonicity certificate.  A ``"no"`` carries a
+    concrete, re-verifiable witness in :attr:`witness` (a violating pair
+    of graph points for monotonicity, an unreachable right-hand side for
+    maximality, a mismatch direction for skewness), with one exception:
+    a maximality ``"no"`` carried over by a congruence whose map is not
+    unitary has no right-hand side, and its :attr:`method` says so.
     Every ``"yes"`` and ``"no"`` comes from an exact rule;
     :attr:`method` names it.
     """
@@ -375,6 +383,8 @@ def plan_inclusion(phi: np.ndarray, rel: Relation) -> "_Plan":
         raise ValueError(f"phi must be {d}x{d}")
     if isinstance(rel, Transformed):
         return _CongruencePlan(phi, rel)
+    if not isinstance(rel, (LinearGraph, SeparableProx, DirectSum)):
+        raise _no_rule(rel)
     if isinstance(rel, LinearGraph):
         return _AffinePlan(phi, rel)
     size = 1e-14 * max(1.0, np.linalg.norm(phi))
@@ -754,12 +764,27 @@ def graph_residual(rel: Relation, x, y) -> float:
     if isinstance(rel, Transformed):
         t = rel.tmap.matrix
         return graph_residual(rel.base, t @ x, np.linalg.solve(rel.adj_matrix, y))
-    raise ValueError(f"no graph residual available for {type(rel).__name__!r}")
+    raise _no_rule(rel)
 
 
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
+
+
+def certify(rel: Relation) -> "tuple[Certificate, Certificate]":
+    """The pair ``(check_monotone(rel), check_maximal(rel))`` from one walk
+    of the relation, each exact rule run once.
+
+    Raises ``TypeError`` for a representation outside the four of this
+    module.
+    """
+    mono, maximal = _certify(rel)
+    if maximal is None:
+        return mono, Certificate(monotone="no", maximal="no", method="not monotone; " + mono.method,
+                                 witness=mono.witness)
+    maximal.monotone = "yes"
+    return mono, maximal
 
 
 def check_monotone(rel: Relation) -> Certificate:
@@ -770,63 +795,87 @@ def check_monotone(rel: Relation) -> Certificate:
     convex pieces (subdifferentials by construction); translations,
     direct sums and congruences by an invertible map carry the verdict
     of their parts over.  A ``"no"`` carries the violating pair of graph
-    points, mapped into the relation's own coordinates.  A representation
-    with no exact rule gets ``"unknown"``.
+    points, mapped into the relation's own coordinates.
     """
+    return certify(rel)[0]
+
+
+def check_maximal(rel: Relation) -> Certificate:
+    """Certify maximal monotonicity.
+
+    Monotonicity is certified first; a failure there is decisive and its
+    witness is returned.  On the maximality side, linear graphs get the
+    exact surjectivity test (the forward-plus-backward block of the graph
+    basis must have full rank); friction is a subdifferential of a convex
+    function, hence maximal (Minty); translations, direct sums and
+    congruences by an invertible map carry the verdict of their parts
+    over.
+    """
+    return certify(rel)[1]
+
+
+def _no_rule(rel: Relation) -> TypeError:
+    return TypeError(f"{type(rel).__name__} is not a representation of this module "
+                     "(LinearGraph, SeparableProx, DirectSum or Transformed)")
+
+
+def _certify(rel: Relation) -> "tuple[Certificate, Optional[Certificate]]":
+    """The monotonicity certificate of ``rel`` and, when it is ``"yes"``,
+    the maximality certificate (its ``monotone`` verdict left unset);
+    ``None`` in its place when ``rel`` is not monotone."""
     if isinstance(rel, LinearGraph):
-        return _monotone_linear(rel)
+        mono = _monotone_linear(rel)
+        return mono, _maximal_linear(rel) if mono.monotone == "yes" else None
     if isinstance(rel, SeparableProx):
-        return Certificate(monotone="yes", method="closed-form: coordinatewise convex pieces")
+        return (Certificate(monotone="yes", method="closed-form: coordinatewise convex pieces"),
+                Certificate(maximal="yes",
+                            method="closed-form: every coordinate piece has a full-domain proximal map"))
     if isinstance(rel, DirectSum):
-        worst = None
-        for idx, part in enumerate(rel.parts):
-            cert = check_monotone(part)
-            if cert.monotone == "no":
-                return _embed_sum_witness(rel, idx, cert)
-            if cert.monotone == "unknown":
-                worst = cert
-        if worst is not None:
-            return Certificate(monotone="unknown", method="componentwise: " + worst.method)
-        return Certificate(monotone="yes", method="componentwise over direct summands")
+        not_maximal = None
+        for idx, (part, s) in enumerate(zip(rel.parts, rel.slices)):
+            mono, maximal = _certify(part)
+            where = f"componentwise (summand {idx}): "
+
+            def embed(vec, s=s):
+                out = np.zeros(rel.space.dim, dtype=complex)
+                out[s] = vec
+                return out
+
+            if maximal is None:
+                return Certificate(monotone="no", method=where + mono.method,
+                                   witness=_map_pairs(mono.witness, embed, embed)), None
+            if maximal.maximal == "no" and not_maximal is None:
+                rhs = (maximal.witness or {}).get("rhs", 0.0)
+                not_maximal = Certificate(maximal="no", method=where + maximal.method,
+                                          witness={"rhs": embed(rhs)})
+        return (Certificate(monotone="yes", method="componentwise over direct summands"),
+                not_maximal or Certificate(maximal="yes", method="componentwise over direct summands"))
     if isinstance(rel, Transformed):
         # (z, w) in B  <->  (T^{-1} z, T* w) in T* B T, with the same pairing
-        cert = check_monotone(rel.base)
-        return _lift_certificate(cert, "congruence preserves monotonicity: " + cert.method,
-                                 lambda pair: (np.linalg.solve(rel.tmap.matrix, pair[0]),
-                                               rel.adj_matrix @ pair[1]))
-    return Certificate(monotone="unknown", method=f"no exact rule for {type(rel).__name__}")
+        base, maximal = _certify(rel.base)
+        method = "congruence preserves monotonicity: " + base.method
+        if maximal is None:
+            return Certificate(monotone="no", method=method, witness=_map_pairs(
+                base.witness, lambda x: np.linalg.solve(rel.tmap.matrix, x), lambda y: rel.adj_matrix @ y)), None
+        mono = Certificate(monotone="yes", method=method, witness=base.witness)
+        maximal.method = "congruence by an invertible map: " + maximal.method
+        if maximal.witness is not None and "rhs" in maximal.witness:
+            # x + T* w = T* rhs forces T x + w = rhs only when T* T = 1
+            witness = dict(maximal.witness)
+            rhs = witness.pop("rhs")
+            if np.linalg.norm(rel.adj_matrix @ rel.tmap.matrix - np.eye(rel.space.dim)) <= TOL_LINEAR:
+                witness["rhs"] = rel.adj_matrix @ rhs
+            else:
+                maximal.method += " (no witness: the map is not unitary)"
+            maximal.witness = witness or None
+        return mono, maximal
+    raise _no_rule(rel)
 
 
-def _lift_certificate(cert: Certificate, method: str, pair_map) -> Certificate:
-    out = Certificate(monotone=cert.monotone, method=method)
-    if cert.witness is not None and "pair_a" in cert.witness:
-        out.witness = {
-            "pair_a": pair_map(cert.witness["pair_a"]),
-            "pair_b": pair_map(cert.witness["pair_b"]),
-            "value": cert.witness["value"],
-        }
-    else:
-        out.witness = cert.witness
-    return out
-
-
-def _embed_sum_witness(rel: DirectSum, idx: int, cert: Certificate) -> Certificate:
-    def embed(vec, k):
-        out = np.zeros(rel.space.dim, dtype=complex)
-        out[rel.slices[k]] = vec
-        return out
-
-    wa = cert.witness["pair_a"]
-    wb = cert.witness["pair_b"]
-    return Certificate(
-        monotone="no",
-        method=f"componentwise (summand {idx}): {cert.method}",
-        witness={
-            "pair_a": (embed(wa[0], idx), embed(wa[1], idx)),
-            "pair_b": (embed(wb[0], idx), embed(wb[1], idx)),
-            "value": cert.witness["value"],
-        },
-    )
+def _map_pairs(witness: dict, x_map, y_map) -> dict:
+    """A monotonicity ``"no"`` witness with both graph points mapped."""
+    return {**{key: (x_map(witness[key][0]), y_map(witness[key][1])) for key in ("pair_a", "pair_b")},
+            "value": witness["value"]}
 
 
 def _monotone_linear(rel: LinearGraph) -> Certificate:
@@ -853,65 +902,6 @@ def _monotone_linear(rel: LinearGraph) -> Certificate:
         witness={"pair_a": (dx + rel.x0, dy + rel.y0),
                  "pair_b": (rel.x0.copy(), rel.y0.copy()), "value": value},
     )
-
-
-def check_maximal(rel: Relation) -> Certificate:
-    """Certify maximal monotonicity.
-
-    Monotonicity is certified first; a failure there is decisive and its
-    witness is returned.  On the maximality side, linear graphs get the
-    exact surjectivity test (the forward-plus-backward block of the graph
-    basis must have full rank); friction is a subdifferential of a convex
-    function, hence maximal (Minty); translations, direct sums and
-    congruences by an invertible map carry the verdict of their parts
-    over.  A representation with no exact rule gets ``"unknown"``.
-    """
-    mono = check_monotone(rel)
-    if mono.monotone == "no":
-        return Certificate(monotone="no", maximal="no",
-                           method="not monotone; " + mono.method,
-                           witness=mono.witness)
-    if mono.monotone == "unknown":
-        return Certificate(monotone="unknown", maximal="unknown", method=mono.method)
-    cert = _maximal_dispatch(rel)
-    cert.monotone = "yes"
-    return cert
-
-
-def _maximal_dispatch(rel) -> Certificate:
-    if isinstance(rel, LinearGraph):
-        return _maximal_linear(rel)
-    if isinstance(rel, SeparableProx):
-        return Certificate(maximal="yes",
-                           method="closed-form: every coordinate piece has a full-domain proximal map")
-    if isinstance(rel, DirectSum):
-        for idx, part in enumerate(rel.parts):
-            cert = _maximal_dispatch(part)
-            if cert.maximal == "no":
-                rhs = np.zeros(rel.space.dim, dtype=complex)
-                if cert.witness is not None and "rhs" in cert.witness:
-                    rhs[rel.slices[idx]] = cert.witness["rhs"]
-                return Certificate(maximal="no",
-                                   method=f"componentwise (summand {idx}): {cert.method}",
-                                   witness={"rhs": rhs})
-            if cert.maximal == "unknown":
-                return Certificate(maximal="unknown",
-                                   method=f"componentwise (summand {idx}): {cert.method}")
-        return Certificate(maximal="yes", method="componentwise over direct summands")
-    if isinstance(rel, Transformed):
-        cert = _maximal_dispatch(rel.base)
-        cert.method = "congruence by an invertible map: " + cert.method
-        if cert.witness is not None and "rhs" in cert.witness:
-            # x + T* w = T* rhs forces T x + w = rhs only when T* T = 1
-            witness = dict(cert.witness)
-            rhs = witness.pop("rhs")
-            if np.linalg.norm(rel.adj_matrix @ rel.tmap.matrix - np.eye(rel.space.dim)) <= TOL_LINEAR:
-                witness["rhs"] = rel.adj_matrix @ rhs
-            else:
-                cert.method += " (no witness: the map is not unitary)"
-            cert.witness = witness or None
-        return cert
-    return Certificate(maximal="unknown", method=f"no exact rule for {type(rel).__name__}")
 
 
 def _maximal_linear(rel: LinearGraph) -> Certificate:

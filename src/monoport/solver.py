@@ -61,6 +61,7 @@ columns ``[Re r, Im r]`` of one bulk solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,7 +114,6 @@ class DiscreteOperators:
     grid: Grid
     phs: PortHamiltonian
     Gfull: sp.csr_matrix
-    Dc: sp.csr_matrix
     omega: np.ndarray
     hgrid: np.ndarray
     hinv: np.ndarray
@@ -122,6 +122,14 @@ class DiscreteOperators:
     @property
     def nnodes(self) -> int:
         return self.grid.m + 1
+
+    @cached_property
+    def Dc(self) -> sp.csr_matrix:
+        """``Gfull @ Z`` with ``Z`` the endpoint mask (built on first use)."""
+        mask = np.ones(self.nnodes)
+        mask[0] = mask[-1] = 0.0
+        z = sp.kron(sp.diags(mask), sp.identity(self.phs.n, format="csr")).tocsr()
+        return (self.Gfull @ z).tocsr()
 
     def energy(self, state) -> float:
         """``E = (1/2) sum_j omega_j w_j^H H_j w_j``; a float64 state
@@ -139,8 +147,7 @@ def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
     """Build the summation-by-parts grid operators on ``m`` cells.
 
     ``m`` must be even (so that 0 is a node and parity splits are exact)
-    and at least the stencil width requires; the endpoint mask ``Z``
-    defines ``Dc = Gfull @ Z``.
+    and at least the stencil width requires.
     """
     m = int(m)
     if m % 2 != 0:
@@ -153,13 +160,8 @@ def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
     grid = Grid(m=m, nodes=nodes, h_x=h_x)
 
     d1, omega = sbp42(m, h_x)
-    n = phs.n
     big = (sp.kron(d1, sp.csr_matrix(phs.p1)) +
            sp.kron(sp.identity(m + 1, format="csr"), sp.csr_matrix(phs.p0))).tocsr()
-    mask = np.ones(m + 1)
-    mask[0] = mask[m] = 0.0
-    z = sp.kron(sp.diags(mask), sp.identity(n, format="csr")).tocsr()
-    clipped = (big @ z).tocsr()
 
     hgrid = phs.hamiltonian_grid(nodes)
     hinv = np.linalg.inv(hgrid)
@@ -169,7 +171,6 @@ def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
         grid=grid,
         phs=phs,
         Gfull=big,
-        Dc=clipped,
         omega=omega,
         hgrid=hgrid,
         hinv=hinv,
@@ -351,7 +352,7 @@ def resolve_A(ops: DiscreteOperators, bc: BoundaryCondition, mu: float, rhs,
     relation enters through the trace inclusion described in the module
     docstring; any maximal monotone relation is admissible, linear or not.
 
-    Uncertified conditions (a failed or unknown certificate) are
+    Uncertified conditions (a failed certificate) are
     rejected unless ``allow_uncertified`` is set — falsification runs
     want exactly that switch.
     """

@@ -3,9 +3,10 @@
 Everything takes an explicit ``numpy`` Generator so each test controls
 its own seed; no global random state is touched anywhere.
 
-numpy's ``ComplexWarning`` is an error in every test: a complex value
-stored into a float64 array (a real run's ``states``, say) loses its
-imaginary part with nothing but this warning.
+Every warning is an error in every test (``filterwarnings`` in
+``pyproject.toml``).  That includes numpy's ``ComplexWarning``: a complex
+value stored into a float64 array (a real run's ``states``, say) loses
+its imaginary part with nothing but this warning.
 """
 
 import numpy as np
@@ -13,11 +14,6 @@ import pytest
 
 #: ``numpy.exceptions.ComplexWarning`` from numpy 1.25 on, ``numpy.ComplexWarning`` before.
 ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "filterwarnings", f"error::{ComplexWarning.__module__}.{ComplexWarning.__name__}")
 
 
 def rand_complex(rng, *shape):

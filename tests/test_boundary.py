@@ -15,6 +15,7 @@ from monoport.boundary import (
     robin_bad,
     subspace_gap,
 )
+from monoport import relations
 from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import (
     LinearGraph,
@@ -61,18 +62,25 @@ CONSTRUCTORS = {
     "multiport-friction": lambda b: multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0, 0.1))], b),
     "multiport-friction-reversed":
         lambda b: multiport([(1, ("robin", 1.0)), (0, ("friction", 0.5))], b),
+    "multiport-relation-part":
+        lambda b: multiport([(1, ("friction", 0.5)), (0, LinearGraph.from_matrix(InnerProductSpace(1), [[0.7]]))], b),
     "extract_h": lambda b: extract_h(([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]), b),
 }
 
 
 @pytest.mark.filterwarnings("ignore:V is not a contraction")
 @pytest.mark.parametrize("name", list(CONSTRUCTORS))
-def test_every_constructor_certifies_and_derives_h(name):
-    """Each constructor stores one relation with both certificates, and
+def test_every_constructor_certifies_and_derives_h(name, monkeypatch):
+    """Each constructor stores one relation with both certificates, made
+    by one walk that runs the exact linear monotonicity rule once, and
     ``h`` is its congruence by ``Qmat``: ``(e, w)`` on the port relation
     exactly when ``(Q^{-1} e, Q^{-1} S^{-1} w)`` is on ``h``."""
     basis = bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]]))
+    calls = []
+    rule = relations._monotone_linear
+    monkeypatch.setattr(relations, "_monotone_linear", lambda rel: calls.append(rel) or rule(rel))
     bc = CONSTRUCTORS[name](basis)
+    assert len(calls) == 1
     assert set(bc.certificates) == {"monotone", "maximal"}
     assert bc.certificates["monotone"].monotone in ("yes", "no")
     assert bc.certificates["maximal"].maximal in ("yes", "no")
@@ -264,10 +272,14 @@ def test_multiport_partition_errors(basis2):
         multiport([((0, 1), SeparableProx(InnerProductSpace(1), [0.5]))], basis2)
 
 
-def test_multiport_rejects_nonmonotone_part(basis2):
-    sink = LinearGraph.from_matrix(InnerProductSpace(1), [[-1.0]])
-    with pytest.raises(ValueError, match="monotone"):
-        multiport([(0, sink), (1, ("dirichlet", 0.0))], basis2)
+@pytest.mark.parametrize("other, order", [
+    (("dirichlet", 0.0), (0, 1)), (("friction", 0.5), (0, 1)), (("friction", 0.5), (1, 0)),
+], ids=["linear-sum", "direct-sum", "congruence"])
+def test_multiport_rejects_nonmonotone_part(basis2, other, order):
+    """The sum's own certificate refuses the part, whatever form the sum takes."""
+    specs = {0: LinearGraph.from_matrix(InnerProductSpace(1), [[-1.0]]), 1: other}
+    with pytest.raises(ValueError, match="multiport parts must be monotone relations"):
+        multiport([(k, specs[k]) for k in order], basis2)
 
 
 @pytest.mark.parametrize("make_part", [

@@ -107,6 +107,29 @@ def test_check_bc_parse_error_is_usage_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+MULTIPORT_BC = "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0"
+
+
+@pytest.mark.parametrize("old, new, section", [
+    ("port.0 = friction 0.5", "port.0 = friction -0.5", "[bc]"),
+    ("port.0 = friction 0.5", "port.0 = friction nan", "[bc]"),
+    ("port.0 = friction 0.5", "port.0 = robin -1", "[bc]"),
+    (MULTIPORT_BC, "kind = robin\nM = -1 0; 0 1", "[bc]"),
+    ("P1 = 0 1; 1 0", "P1 = 0 0; 0 1", "[phs]"),
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 2 0", "[phs]"),
+], ids=["friction-negative", "friction-nan", "robin-negative", "robin-indefinite",
+        "zero-speed", "not-hermitian"])
+def test_value_a_constructor_refuses_is_a_config_error(tmp_path, capsys, old, new, section):
+    """A parsed value that the system or boundary constructor refuses is an
+    invalid config: exit 2, the section named, nothing written."""
+    cfg = write_cfg(tmp_path, FRICTION_SMALL.replace(old, new))
+    for command in ("check-bc", "simulate"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {section}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])

@@ -13,6 +13,7 @@ from monoport.relations import (
     Relation,
     SeparableProx,
     adjoint_relation,
+    certify,
     check_maximal,
     check_monotone,
     direct_sum,
@@ -381,13 +382,136 @@ def test_non_unitary_congruence_reports_no_maximality_witness():
     assert cert.witness is None or "rhs" not in cert.witness
 
 
-def test_relation_without_exact_rule_certifies_unknown():
+def test_relation_outside_the_four_representations_is_a_type_error():
+    """The set of representations is closed: a foreign subclass, alone or
+    inside a combinator, is refused with a reason, not certified
+    "unknown" (and not left to recurse without end in the planner)."""
     class Opaque(Relation):
         space = C1
 
-    cert = check_maximal(Opaque())
-    assert cert.monotone == cert.maximal == "unknown"
-    assert "sampl" not in cert.method
+    for rel in (Opaque(), direct_sum([sign_relation(), Opaque()])):
+        for call in (certify, check_maximal, lambda r: resolvent(r, 1.0, np.ones(r.space.dim)),
+                     lambda r: graph_residual(r, np.ones(r.space.dim), np.ones(r.space.dim))):
+            with pytest.raises(TypeError, match="Opaque is not a representation"):
+                call(rel)
+
+
+C2 = InnerProductSpace(2)
+PAIRING = "exact: eigenvalues of the symmetrized graph pairing"
+FULL_RANK = "exact: forward-plus-backward block has full rank"
+DEFICIENT = "exact: forward-plus-backward block is rank deficient"
+SHIFT = "translation-invariant: "
+SUMMANDS = "componentwise over direct summands"
+CONGRUENT = "congruence preserves monotonicity: "
+INVERTIBLE = "congruence by an invertible map: "
+R = np.sqrt(0.5)
+SINK_PAIR = {"dxdy": [R, -R], "value": -0.5}  # the graph of -1: (x, y) = (c, -c)
+
+
+def _empty_shifted():
+    """The point relation {(0.25, 0)}: monotone, not maximal."""
+    return LinearGraph(C1, [[0.0]], [[0.0]], x0=[0.25])
+
+
+def _sink():
+    return LinearGraph.from_matrix(C1, [[-1.0]])
+
+
+#: name -> (relation, monotone (verdict, method, witness), maximal (verdict,
+#: method, witness)): the texts and witnesses that callers and ``check-bc``
+#: reports read, pinned for every branch of the certification.  A witness
+#: pair is given as the stacked difference (dx, dy) of its two graph points
+#: (the second point is the relation's offset, zero here) and a maximality
+#: right-hand side as a vector; both are pinned up to a unimodular factor,
+#: the freedom of an eigen- or singular vector.
+CERTIFY_CASES = {
+    "linear": (lambda: LinearGraph.from_matrix(C2, [[2.0, 1.0], [-1.0, 1.0]]),
+               ("yes", PAIRING, {"min_eigenvalue": 0.2697521433898182}), ("yes", FULL_RANK, None)),
+    "linear-shifted": (lambda: LinearGraph(C1, np.eye(1), [[0.5]], x0=[0.3], y0=[-1.0]),
+                       ("yes", SHIFT + PAIRING, {"min_eigenvalue": 0.4}), ("yes", SHIFT + FULL_RANK, None)),
+    "linear-not-monotone": (_sink, ("no", PAIRING, SINK_PAIR), ("no", "not monotone; " + PAIRING, SINK_PAIR)),
+    "linear-empty": (lambda: LinearGraph(C2, np.zeros((2, 0)), np.zeros((2, 0))),
+                     ("yes", "exact: empty graph basis", None),
+                     ("no", DEFICIENT, {"rhs": [1.0, 0.0], "rank": 0, "dim": 2})),
+    "linear-not-maximal": (lambda: LinearGraph(C2, [[1.0], [0.0]], np.zeros((2, 1))),
+                           ("yes", PAIRING, {"min_eigenvalue": 0.0}),
+                           ("no", DEFICIENT, {"rhs": [0.0, 1.0], "rank": 1, "dim": 2})),
+    "prox": (lambda: SeparableProx(C2, [0.5, 1.0]),
+             ("yes", "closed-form: coordinatewise convex pieces", None),
+             ("yes", "closed-form: every coordinate piece has a full-domain proximal map", None)),
+    "sum": (lambda: direct_sum([sign_relation(0.5), identity_relation()]),
+            ("yes", SUMMANDS, None), ("yes", SUMMANDS, None)),
+    "sum-not-monotone-summand-1": (
+        lambda: direct_sum([sign_relation(0.5), _sink()]),
+        ("no", "componentwise (summand 1): " + PAIRING, {"dxdy": [0.0, R, 0.0, -R], "value": -0.5}),
+        ("no", "not monotone; componentwise (summand 1): " + PAIRING,
+         {"dxdy": [0.0, R, 0.0, -R], "value": -0.5})),
+    "sum-not-maximal": (lambda: direct_sum([sign_relation(0.5), _empty_shifted()]),
+                        ("yes", SUMMANDS, None),
+                        ("no", "componentwise (summand 1): " + SHIFT + DEFICIENT, {"rhs": [0.0, 1.25]})),
+    # a non-maximal summand before a non-monotone one: the monotone verdict decides
+    "sum-not-maximal-then-not-monotone": (
+        lambda: direct_sum([_empty_shifted(), sign_relation(0.5), _sink()]),
+        ("no", "componentwise (summand 2): " + PAIRING, {"dxdy": [0, 0, R, 0, 0, -R], "value": -0.5}),
+        ("no", "not monotone; componentwise (summand 2): " + PAIRING,
+         {"dxdy": [0, 0, R, 0, 0, -R], "value": -0.5})),
+    "congruence-not-monotone": (
+        lambda: transform(LinearMap(C2, C2, [[2.0, 1.0], [0.0, 1.0]]), direct_sum([_sink(), sign_relation(0.5)])),
+        ("no", CONGRUENT + "componentwise (summand 0): " + PAIRING,
+         {"dxdy": [R / 2, 0.0, -2 * R, -R], "value": -0.5}),
+        ("no", "not monotone; " + CONGRUENT + "componentwise (summand 0): " + PAIRING,
+         {"dxdy": [R / 2, 0.0, -2 * R, -R], "value": -0.5})),
+    "congruence-unitary-not-maximal": (
+        lambda: transform(LinearMap(C2, C2, [[0.0, 1.0], [1.0, 0.0]]),
+                          direct_sum([sign_relation(0.5), _empty_shifted()])),
+        ("yes", CONGRUENT + SUMMANDS, None),
+        ("no", INVERTIBLE + "componentwise (summand 1): " + SHIFT + DEFICIENT, {"rhs": [1.25, 0.0]})),
+    "congruence-not-unitary": (
+        lambda: transform(LinearMap(C2, C2, np.diag([2.0, 1.0])), direct_sum([sign_relation(0.5), _empty_shifted()])),
+        ("yes", CONGRUENT + SUMMANDS, None),
+        ("no", INVERTIBLE + "componentwise (summand 1): " + SHIFT + DEFICIENT
+         + " (no witness: the map is not unitary)", None)),
+    "congruence": (
+        lambda: transform(LinearMap(C2, C2, np.diag([2.0, 1.0])), direct_sum([sign_relation(0.5), identity_relation()])),
+        ("yes", CONGRUENT + SUMMANDS, None), ("yes", INVERTIBLE + SUMMANDS, None)),
+}
+
+
+def _assert_same_up_to_phase(got, want):
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), abs=1e-12)
+    assert abs(np.vdot(want, got)) == pytest.approx(np.linalg.norm(want) ** 2, abs=1e-12)
+
+
+def _assert_witness(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert set(got) == ({"pair_a", "pair_b", "value"} if "dxdy" in want else set(want))
+    for key, value in want.items():
+        if key == "dxdy":
+            (xa, ya), (xb, yb) = got["pair_a"], got["pair_b"]
+            assert np.all(xb == 0) and np.all(yb == 0)
+            _assert_same_up_to_phase(np.concatenate([xa - xb, ya - yb]), value)
+        elif key == "rhs":
+            _assert_same_up_to_phase(got["rhs"], value)
+        else:
+            assert got[key] == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", list(CERTIFY_CASES))
+def test_certify_pins_the_method_and_witness_of_every_rule(name):
+    make, (mono_verdict, mono_method, mono_witness), (max_verdict, max_method, max_witness) = CERTIFY_CASES[name]
+    rel = make()
+    mono, maximal = certify(rel)
+    assert (mono.monotone, mono.maximal, mono.skew, mono.method) == (mono_verdict, "unknown", "unknown", mono_method)
+    _assert_witness(mono.witness, mono_witness)
+    assert (maximal.monotone, maximal.maximal, maximal.skew, maximal.method) == (
+        mono_verdict, max_verdict, "unknown", max_method)
+    _assert_witness(maximal.witness, max_witness)
+    for got, want in ((check_monotone(rel), mono), (check_maximal(rel), maximal)):
+        assert (got.monotone, got.maximal, got.method) == (want.monotone, want.maximal, want.method)
 
 
 def test_post_set_refuses_nonaffine_relation():

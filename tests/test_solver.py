@@ -719,7 +719,7 @@ def test_complex_relation_keeps_complex_arithmetic():
 
 
 def test_complex_value_into_float64_states_fails_the_suite():
-    """The suite turns ``ComplexWarning`` into an error (``conftest``), so a
+    """The suite turns every warning into an error (``pyproject.toml``), so a
     complex state stored into a real run's float64 ``states`` array fails
     a test instead of silently dropping its imaginary part."""
     states = np.empty((2, 3))
