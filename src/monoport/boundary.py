@@ -173,12 +173,16 @@ def _port_datum(value, n: int) -> np.ndarray:
 
 
 def _finalize(basis, port, provenance, maximal=None) -> BoundaryCondition:
-    """Certify ``port`` once and wrap it.  ``maximal``, a function of the
-    monotonicity certificate, replaces the generic maximality certificate
-    by a constructor's own."""
-    mono, max_cert = certify(port)
-    certificates = {"monotone": mono, "maximal": max_cert if maximal is None else maximal(mono)}
-    return BoundaryCondition(port, basis, provenance, certificates)
+    """Certify ``port`` once and wrap it.  ``maximal``, given for a linear
+    ``port`` only, is a function of the monotonicity certificate that
+    stands in for the generic maximality certificate, which is then not
+    computed."""
+    if maximal is None:
+        mono, max_cert = certify(port)
+    else:
+        mono = relations._monotone_linear(port)
+        max_cert = maximal(mono)
+    return BoundaryCondition(port, basis, provenance, {"monotone": mono, "maximal": max_cert})
 
 
 def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:

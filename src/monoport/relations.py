@@ -836,18 +836,20 @@ def _certify(rel: Relation) -> "tuple[Certificate, Optional[Certificate]]":
             mono, maximal = _certify(part)
             where = f"componentwise (summand {idx}): "
 
-            def embed(vec, s=s):
-                out = np.zeros(rel.space.dim, dtype=complex)
+            def put(base, vec, s=s):
+                out = np.array(base, dtype=complex)
                 out[s] = vec
                 return out
 
             if maximal is None:
-                return Certificate(monotone="no", method=where + mono.method,
-                                   witness=_map_pairs(mono.witness, embed, embed)), None
+                # the other summands' coordinates hold one point of their graphs
+                px, py = _graph_point(rel)
+                return Certificate(monotone="no", method=where + mono.method, witness=_map_pairs(
+                    mono.witness, lambda x: put(px, x), lambda y: put(py, y))), None
             if maximal.maximal == "no" and not_maximal is None:
                 rhs = (maximal.witness or {}).get("rhs", 0.0)
                 not_maximal = Certificate(maximal="no", method=where + maximal.method,
-                                          witness={"rhs": embed(rhs)})
+                                          witness={"rhs": put(np.zeros(rel.space.dim), rhs)})
         return (Certificate(monotone="yes", method="componentwise over direct summands"),
                 not_maximal or Certificate(maximal="yes", method="componentwise over direct summands"))
     if isinstance(rel, Transformed):
@@ -869,6 +871,23 @@ def _certify(rel: Relation) -> "tuple[Certificate, Optional[Certificate]]":
                 maximal.method += " (no witness: the map is not unitary)"
             maximal.witness = witness or None
         return mono, maximal
+    raise _no_rule(rel)
+
+
+def _graph_point(rel: Relation) -> "tuple[np.ndarray, np.ndarray]":
+    """One point ``(x, y)`` of the graph: the offset of a linear graph,
+    the origin for friction."""
+    if isinstance(rel, LinearGraph):
+        return rel.x0, rel.y0
+    if isinstance(rel, SeparableProx):
+        zero = np.zeros(rel.space.dim, dtype=complex)
+        return zero, zero
+    if isinstance(rel, DirectSum):
+        xs, ys = zip(*map(_graph_point, rel.parts))
+        return np.concatenate(xs), np.concatenate(ys)
+    if isinstance(rel, Transformed):
+        z, w = _graph_point(rel.base)
+        return rel.inv_matrix @ z, rel.adj_matrix @ w
     raise _no_rule(rel)
 
 

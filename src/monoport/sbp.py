@@ -77,11 +77,11 @@ def sbp42(m: int, h: float):
                 rows.append(n - 1 - i)
                 cols.append(n - 1 - j)
                 vals.append(-v / h)
-    for i in range(4, n - 4):
-        for k, v in enumerate(_D_INTERIOR):
-            if v != 0.0:
-                rows.append(i)
-                cols.append(i - 2 + k)
-                vals.append(v / h)
+    # interior rows: one entry per nonzero stencil offset, in column order
+    offsets = np.flatnonzero(_D_INTERIOR)
+    interior = np.arange(4, n - 4)
+    rows = np.concatenate([rows, np.repeat(interior, offsets.size)])
+    cols = np.concatenate([cols, (interior[:, None] + (offsets - 2)).ravel()])
+    vals = np.concatenate([vals, np.tile(_D_INTERIOR[offsets] / h, interior.size)])
     d = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return d, weights

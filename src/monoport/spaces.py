@@ -51,8 +51,9 @@ class InnerProductSpace:
         Positive dimension.
     weight:
         Hermitian positive-definite ``dim x dim`` matrix; defaults to the
-        identity.  Positive definiteness is established by a Cholesky
-        factorisation (its failure is the error path).
+        identity, which is its own Cholesky factor.  Positive definiteness
+        of a given weight is established by a Cholesky factorisation (its
+        failure is the error path).
     """
 
     dim: int
@@ -62,7 +63,13 @@ class InnerProductSpace:
     def __post_init__(self):
         if self.dim <= 0:
             raise ValueError("dim must be a positive integer")
-        w = np.eye(self.dim, dtype=complex) if self.weight is None else _as_matrix(self.weight, self.dim)
+        if self.weight is None:
+            # the identity is Hermitian and its own Cholesky factor
+            eye = np.eye(self.dim, dtype=complex)
+            object.__setattr__(self, "weight", eye)
+            object.__setattr__(self, "_chol", eye)
+            return
+        w = _as_matrix(self.weight, self.dim)
         dev = np.linalg.norm(w - w.conj().T)
         scale = max(np.linalg.norm(w), 1e-300)
         if dev > HERMITIAN_RTOL * scale:

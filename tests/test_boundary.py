@@ -72,15 +72,20 @@ CONSTRUCTORS = {
 @pytest.mark.parametrize("name", list(CONSTRUCTORS))
 def test_every_constructor_certifies_and_derives_h(name, monkeypatch):
     """Each constructor stores one relation with both certificates, made
-    by one walk that runs the exact linear monotonicity rule once, and
+    by one walk that runs the exact linear monotonicity rule once and the
+    rank test at most once (never for ``from_V``, whose σ-min certificate
+    stands in for it, nor for a relation that is not monotone), and
     ``h`` is its congruence by ``Qmat``: ``(e, w)`` on the port relation
     exactly when ``(Q^{-1} e, Q^{-1} S^{-1} w)`` is on ``h``."""
     basis = bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]]))
-    calls = []
-    rule = relations._monotone_linear
+    calls, rank_calls = [], []
+    rule, rank_rule = relations._monotone_linear, relations._maximal_linear
     monkeypatch.setattr(relations, "_monotone_linear", lambda rel: calls.append(rel) or rule(rel))
+    monkeypatch.setattr(relations, "_maximal_linear", lambda rel: rank_calls.append(rel) or rank_rule(rel))
     bc = CONSTRUCTORS[name](basis)
     assert len(calls) == 1
+    monotone = bc.certificates["monotone"].monotone == "yes"
+    assert len(rank_calls) == (0 if name.startswith("from_V") or not monotone else 1)
     assert set(bc.certificates) == {"monotone", "maximal"}
     assert bc.certificates["monotone"].monotone in ("yes", "no")
     assert bc.certificates["maximal"].maximal in ("yes", "no")

@@ -421,8 +421,8 @@ def _sink():
 #: method, witness)): the texts and witnesses that callers and ``check-bc``
 #: reports read, pinned for every branch of the certification.  A witness
 #: pair is given as the stacked difference (dx, dy) of its two graph points
-#: (the second point is the relation's offset, zero here) and a maximality
-#: right-hand side as a vector; both are pinned up to a unimodular factor,
+#: (``base``, the stacked second point, is zero unless given) and a
+#: maximality right-hand side as a vector; both are pinned up to a unimodular factor,
 #: the freedom of an eigen- or singular vector.
 CERTIFY_CASES = {
     "linear": (lambda: LinearGraph.from_matrix(C2, [[2.0, 1.0], [-1.0, 1.0]]),
@@ -452,9 +452,10 @@ CERTIFY_CASES = {
     # a non-maximal summand before a non-monotone one: the monotone verdict decides
     "sum-not-maximal-then-not-monotone": (
         lambda: direct_sum([_empty_shifted(), sign_relation(0.5), _sink()]),
-        ("no", "componentwise (summand 2): " + PAIRING, {"dxdy": [0, 0, R, 0, 0, -R], "value": -0.5}),
+        ("no", "componentwise (summand 2): " + PAIRING,
+         {"dxdy": [0, 0, R, 0, 0, -R], "base": [0.25, 0, 0, 0, 0, 0], "value": -0.5}),
         ("no", "not monotone; componentwise (summand 2): " + PAIRING,
-         {"dxdy": [0, 0, R, 0, 0, -R], "value": -0.5})),
+         {"dxdy": [0, 0, R, 0, 0, -R], "base": [0.25, 0, 0, 0, 0, 0], "value": -0.5})),
     "congruence-not-monotone": (
         lambda: transform(LinearMap(C2, C2, [[2.0, 1.0], [0.0, 1.0]]), direct_sum([_sink(), sign_relation(0.5)])),
         ("no", CONGRUENT + "componentwise (summand 0): " + PAIRING,
@@ -492,8 +493,11 @@ def _assert_witness(got, want):
     for key, value in want.items():
         if key == "dxdy":
             (xa, ya), (xb, yb) = got["pair_a"], got["pair_b"]
-            assert np.all(xb == 0) and np.all(yb == 0)
+            base = np.concatenate([xb, yb])
+            assert np.array_equal(base, want.get("base", np.zeros_like(base)))
             _assert_same_up_to_phase(np.concatenate([xa - xb, ya - yb]), value)
+        elif key == "base":
+            continue
         elif key == "rhs":
             _assert_same_up_to_phase(got["rhs"], value)
         else:
@@ -512,6 +516,26 @@ def test_certify_pins_the_method_and_witness_of_every_rule(name):
     _assert_witness(maximal.witness, max_witness)
     for got, want in ((check_monotone(rel), mono), (check_maximal(rel), maximal)):
         assert (got.monotone, got.maximal, got.method) == (want.monotone, want.maximal, want.method)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: direct_sum([_empty_shifted(), SeparableProx(C1, [0.5]), _sink()]),
+    # a summand that is a congruence of a sum, by a map that is not unitary
+    lambda: direct_sum([transform(LinearMap(C2, C2, [[2.0, 1.0], [0.0, 1.0]]),
+                                  direct_sum([_empty_shifted(), SeparableProx(C1, [0.5])])), _sink()]),
+], ids=["shifted-friction-sink", "congruence-sink"])
+def test_sum_witness_points_lie_on_the_graph(make):
+    """A non-monotone summand's witness is completed by a graph point of
+    every other summand (the offset of a shifted graph, not zero), so
+    both points re-verify on the sum, with the pairing of the summand."""
+    rel = make()
+    cert = check_monotone(rel)
+    assert cert.monotone == "no"
+    (xa, ya), (xb, yb) = cert.witness["pair_a"], cert.witness["pair_b"]
+    for x, y in ((xa, ya), (xb, yb)):
+        assert graph_residual(rel, x, y) <= 1e-12
+    assert cert.witness["value"] == pytest.approx(-0.5, abs=1e-12)
+    assert np.real(np.vdot(xa - xb, rel.space.weight @ (ya - yb))) == pytest.approx(cert.witness["value"], abs=1e-12)
 
 
 def test_post_set_refuses_nonaffine_relation():

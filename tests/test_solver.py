@@ -281,16 +281,33 @@ def test_midpoint_step_is_weighted_isometry(rng):
     ops = discretize(PHS2, 16)
     bc = bnd.from_V(rand_unitary(rng, 2), BASIS2)
     scn = Scenario(phs=PHS2, bc=bc, u0=np.zeros((17, 2)), T=1.0, dt=0.05, theta=0.5)
+    # one stepper for every column: the affine plan of a linear graph ignores the warm start
+    stepper = Stepper(scn, ops)
     dim = 17 * 2
     cols = []
     for j in range(dim):
         wj = np.zeros(dim, dtype=complex)
         wj[j] = 1.0
-        cols.append(step(wj.reshape(17, 2), Stepper(scn, ops)).ravel())
+        cols.append(step(wj.reshape(17, 2), stepper).ravel())
     tmat = np.stack(cols, axis=1)
     wdiag = np.repeat(ops.omega, 2)
     dev = np.abs(tmat.conj().T @ (wdiag[:, None] * tmat) - np.diag(wdiag)).max()
     assert dev / wdiag.max() < 1e-9
+
+
+def test_solver_suite_factors_each_resolvent_once(monkeypatch):
+    """``verify``'s solver suite factors one ``_CoreSolver`` per run or
+    resolvent it checks: the isometry check steps all 66 columns through
+    one stepper (74 factorisations when each column built its own)."""
+    import monoport.solver as solver
+    from monoport import verify
+
+    built = []
+    core = solver._CoreSolver
+    monkeypatch.setattr(solver, "_CoreSolver", lambda *args: built.append(args) or core(*args))
+    results = verify._suite_solver(0)
+    assert all(r.passed() for r in results)
+    assert 0 < len(built) <= 10
 
 
 def test_simulate_refuses_uncertified_condition():
