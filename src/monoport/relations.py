@@ -847,9 +847,12 @@ def _certify(rel: Relation) -> "tuple[Certificate, Optional[Certificate]]":
                 return Certificate(monotone="no", method=where + mono.method, witness=_map_pairs(
                     mono.witness, lambda x: put(px, x), lambda y: put(py, y))), None
             if maximal.maximal == "no" and not_maximal is None:
-                rhs = (maximal.witness or {}).get("rhs", 0.0)
-                not_maximal = Certificate(maximal="no", method=where + maximal.method,
-                                          witness={"rhs": put(np.zeros(rel.space.dim), rhs)})
+                not_maximal = Certificate(maximal="no", method=where + maximal.method)
+                rhs = (maximal.witness or {}).get("rhs")
+                if rhs is None:
+                    not_maximal.method += " (no witness: the summand gives no right-hand side)"
+                else:  # unreached in this summand's coordinates, whatever the others do
+                    not_maximal.witness = {"rhs": put(np.zeros(rel.space.dim), rhs)}
         return (Certificate(monotone="yes", method="componentwise over direct summands"),
                 not_maximal or Certificate(maximal="yes", method="componentwise over direct summands"))
     if isinstance(rel, Transformed):

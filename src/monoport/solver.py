@@ -4,7 +4,7 @@ The semidiscrete generator is ``A w = L (H w)`` with ``L`` the
 summation-by-parts realization of ``P1 d/dx + P0`` on the symmetric
 grid; a run integrates ``dw/dt = -A w``.  One implicit step is a
 *constructive resolvent*: the linear bulk is eliminated through a
-sparse LU factorization of its interior block,
+banded LU factorization (LAPACK ``gbtrf``) of its interior block,
 which compresses the whole grid problem to an ``n``-dimensional
 inclusion ``Phi e + R(e) ∋ g`` for the boundary effort trace ``e``,
 where ``R`` is the boundary relation in flow/effort coordinates and
@@ -49,7 +49,8 @@ A run picks its arithmetic once, from its data.  When ``P1``, ``P0``,
 the nodewise ``H^{-1}``, the boundary relation (:attr:`.Relation.real`)
 and the initial state (for :func:`resolve_A`, the right-hand side) have
 no imaginary part, the run factors, solves and stores its states in
-float64; the real SuperLU solve costs about half the complex one.  The
+float64; the real band solve (``dgbtrs``) takes about 0.7 of the time
+of the complex one (``zgbtrs``) on a coupled ``n = 2`` system.  The
 inclusion itself stays complex; its solution is real, because a real
 relation is closed under conjugation and the solution is unique, so
 the run keeps its real part.  Any complex datum keeps the whole run in
@@ -66,7 +67,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .boundary import BoundaryCondition
 from .phs import PortHamiltonian, _as_field
@@ -236,18 +237,28 @@ class _CoreSolver:
                                    shape=(nn * n, nn * n), dtype=dtype).tocsr())
         self.amat = amat = (mblk + self.mu * (ops.Gfull.real if real else ops.Gfull)).tocsr()
 
-        # Interior degrees of freedom first (in order), then the two endpoint
-        # nodes; solve() reads the endpoint rows as the slices [:n] and [-n:].
-        k = (nn - 2) * n
-        perm = np.concatenate([np.arange(n, n + k), np.arange(n), np.arange(n + k, nn * n)])
-        aperm = amat[perm][:, perm]
-        self.lu_int = spla.splu(aperm[:k, :k].tocsc())
-        self.lift = self.lu_int.solve(aperm[:k, k:].toarray())
-        self.a_bi = aperm[k:, :k].tocsr()
+        # The interior block a_int = amat[n:-n, n:-n] is banded (node-major
+        # SBP stencil): LAPACK band storage ab[kl + ku + i - j, j] = a_int[i, j],
+        # band widths read from its sparsity, factored in place by gbtrf.
+        a_int = amat[n:-n, n:-n]
+        off = np.repeat(np.arange(a_int.shape[0]), np.diff(a_int.indptr)) - a_int.indices
+        self.kl, self.ku = kl, ku = int(off.max()), int(-off.min())
+        ab = np.zeros((2 * kl + ku + 1, a_int.shape[0]), dtype=dtype, order="F")
+        ab[kl + ku + off, a_int.indices] = a_int.data
+        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self.lu, self.piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError(f"interior block is exactly singular: zero pivot U[{info - 1}, {info - 1}]")
+
+        # The endpoint rows and columns; solve() reads them as [:n] and [-n:].
+        ends = np.r_[0:n, nn * n - n: nn * n]
+        rows_b = amat[ends]
+        self.a_bi = rows_b[:, n:-n]
+        self.lift = self.interior_solve(amat[n:-n, ends].toarray())
 
         eye = np.eye(n)
         k_full = np.zeros((3 * n, 3 * n), dtype=dtype)
-        k_full[: 2 * n, : 2 * n] = aperm[k:, k:].toarray() - self.a_bi @ self.lift
+        k_full[: 2 * n, : 2 * n] = rows_b[:, ends].toarray() - self.a_bi @ self.lift
         k_full[: 2 * n, 2 * n:] = self.mu * np.vstack([eye, eye])
         k_full[2 * n:, : 2 * n] = np.hstack([eye, eye]) / np.sqrt(2.0)
         k_inv = np.linalg.inv(k_full)  # cond(K) <= 2.3e4 on the benchmark workloads
@@ -273,16 +284,19 @@ class _CoreSolver:
             )
         self._plan = plan_inclusion(self.phi, self.rel)
 
+    def interior_solve(self, r: np.ndarray) -> np.ndarray:
+        """``a_int^{-1} r`` by the band factor; a real factor takes a complex
+        ``r`` as the two real columns ``[Re r, Im r]`` of one solve."""
+        if self.real and np.iscomplexobj(r):
+            cols = self._gbtrs(self.lu, self.kl, self.ku, np.column_stack([r.real, r.imag]), self.piv)[0]
+            return cols[:, 0] + 1j * cols[:, 1]
+        return self._gbtrs(self.lu, self.kl, self.ku, r, self.piv)[0]
+
     def solve(self, r_flat: np.ndarray, x0: Optional[np.ndarray] = None):
         """``(p, s, e, fhat)`` for the rows ``r_flat``; float64 exactly when
         the solver is real and ``r_flat`` is float64."""
         n = self.n
-        r_int = r_flat[n:-n]
-        if self.real and np.iscomplexobj(r_flat):
-            cols = self.lu_int.solve(np.column_stack([r_int.real, r_int.imag]))
-            p_part = cols[:, 0] + 1j * cols[:, 1]
-        else:
-            p_part = self.lu_int.solve(r_int)
+        p_part = self.interior_solve(r_flat[n:-n])
         rho = np.concatenate([r_flat[:n], r_flat[-n:]]) - self.a_bi @ p_part
         e, y = solve_inclusion(self._plan, self.g_rho @ rho, x0=x0)
         if not np.iscomplexobj(rho):  # real data and relation: the solution is real

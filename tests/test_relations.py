@@ -417,6 +417,13 @@ def _sink():
     return LinearGraph.from_matrix(C1, [[-1.0]])
 
 
+def _sum_of_non_unitary_congruence():
+    """Monotone, not maximal; the origin is a graph point and so is reached."""
+    return direct_sum([SeparableProx(C1, [0.5]), transform(
+        LinearMap(C2, C2, np.diag([2.0, 1.0])),
+        direct_sum([SeparableProx(C1, [0.5]), LinearGraph(C1, [[0.0]], [[0.0]])]))])
+
+
 #: name -> (relation, monotone (verdict, method, witness), maximal (verdict,
 #: method, witness)): the texts and witnesses that callers and ``check-bc``
 #: reports read, pinned for every branch of the certification.  A witness
@@ -472,6 +479,12 @@ CERTIFY_CASES = {
         ("yes", CONGRUENT + SUMMANDS, None),
         ("no", INVERTIBLE + "componentwise (summand 1): " + SHIFT + DEFICIENT
          + " (no witness: the map is not unitary)", None)),
+    # the congruence's "no" carries no right-hand side, so neither does the sum's
+    "sum-of-congruence-not-unitary": (
+        _sum_of_non_unitary_congruence,
+        ("yes", SUMMANDS, None),
+        ("no", "componentwise (summand 1): " + INVERTIBLE + "componentwise (summand 1): " + DEFICIENT
+         + " (no witness: the map is not unitary) (no witness: the summand gives no right-hand side)", None)),
     "congruence": (
         lambda: transform(LinearMap(C2, C2, np.diag([2.0, 1.0])), direct_sum([sign_relation(0.5), identity_relation()])),
         ("yes", CONGRUENT + SUMMANDS, None), ("yes", INVERTIBLE + SUMMANDS, None)),
@@ -536,6 +549,32 @@ def test_sum_witness_points_lie_on_the_graph(make):
         assert graph_residual(rel, x, y) <= 1e-12
     assert cert.witness["value"] == pytest.approx(-0.5, abs=1e-12)
     assert np.real(np.vdot(xa - xb, rel.space.weight @ (ya - yb))) == pytest.approx(cert.witness["value"], abs=1e-12)
+
+
+def test_sum_gives_no_false_maximality_witness():
+    """A zero right-hand side embedded for a summand whose "no" carries
+    none would be reached: the resolvent there is the origin."""
+    rel = _sum_of_non_unitary_congruence()
+    cert = check_maximal(rel)
+    assert cert.maximal == "no" and cert.witness is None
+    x, w = resolvent_value(rel, 1.0, np.zeros(3))
+    assert graph_residual(rel, x, w) <= 1e-12 and np.linalg.norm(x + w) <= 1e-12
+
+
+def test_relation_suite_evaluates_each_resolvent_once(monkeypatch):
+    """``verify``'s relation suite never solves one relation's resolvent
+    twice at the same ``(lam, y)``: the Yosida check reads the resolvent
+    back from the Yosida value instead of solving it again."""
+    import monoport.relations as rels
+    from monoport import verify
+
+    seen = []
+    value = rels.resolvent_value
+    monkeypatch.setattr(rels, "resolvent_value", lambda r, lam, y: seen.append(
+        (id(r), lam, np.asarray(y).tobytes())) or value(r, lam, y))
+    results = verify._suite_relation(0)
+    assert len(results) == 6 and all(r.passed() for r in results)
+    assert len(seen) > 100 and len(set(seen)) == len(seen)
 
 
 def test_post_set_refuses_nonaffine_relation():

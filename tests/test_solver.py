@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import SeparableProx
 from monoport.solver import (
     Scenario,
+    _CoreSolver,
     Stepper,
     discretize,
     oracle_transport,
@@ -766,3 +770,57 @@ def test_complex_right_hand_sides_on_a_real_factor():
     assert y.dtype == np.complex128
     p_mono = _monolithic_resolve(ops, bc, 0.8, w.ravel())
     assert np.abs(y.ravel() - p_mono).max() <= 1e-12 * np.abs(p_mono).max()
+
+
+# ------------------------------------------------- interior band factor
+
+PHS_DENSITY = PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]],
+                              hamiltonian=np.array([[2.0, 0.3], [0.3, 1.0]]))
+
+
+@pytest.mark.parametrize("phs, v, real, complex_rhs", [
+    (PHS2, [[0.0, 1.0], [-1.0, 0.0]], True, False),
+    (PHS2, [[0.0, 1j], [1j, 0.0]], False, True),
+    (PHS2, [[0.0, 1.0], [-1.0, 0.0]], True, True),
+    (PHS_DENSITY, [[0.0, 1.0], [-1.0, 0.0]], True, False),
+], ids=["real", "complex", "real-factor-complex-rhs", "density"])
+def test_band_factor_solves_the_interior_block(rng, phs, v, real, complex_rhs):
+    """The band LU of ``amat[n:-n, n:-n]`` solves it like a dense solve,
+    for a real and a complex factor, a complex right-hand side on a real
+    factor and the ``H^{-1}`` mass block of a non-identity density; the
+    band widths come from the SBP42 stencil: 2 nodes of 2 components."""
+    ops = discretize(phs, 32)
+    core = _CoreSolver(ops, bnd.from_V(np.array(v), bd_basis(phs)), 0.3, real)
+    assert (core.kl, core.ku) == (5, 5)
+    assert core.lu.dtype == (np.float64 if real else np.complex128)
+    a_int = core.amat[2:-2, 2:-2].toarray()
+    r = rng.normal(size=a_int.shape[0]) + (1j * rng.normal(size=a_int.shape[0]) if complex_rhs else 0.0)
+    x = core.interior_solve(r)
+    want = np.linalg.solve(a_int, r)
+    assert x.dtype == want.dtype
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+    lift = np.linalg.solve(a_int, core.amat[2:-2][:, np.r_[0:2, 64:66]].toarray())
+    assert np.abs(core.lift - lift).max() <= 1e-13 * np.abs(lift).max()
+
+
+def test_singular_interior_block_raises():
+    """A zero column in the interior block is a zero pivot of the band LU."""
+    ops = discretize(PHS2, 32)
+    g = ops.Gfull.tolil()
+    g[:, 10] = 0.0
+    g[10, 10] = -2.0  # amat = 1 + 0.5 Gfull then has a zero column 10
+    bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
+    with pytest.raises(RuntimeError, match="interior block is exactly singular: zero pivot"):
+        _CoreSolver(replace(ops, Gfull=g.tocsr()), bc, 0.5, True)
+
+
+def test_importing_the_cli_leaves_sparse_linalg_unloaded():
+    """The band factor needs no ``scipy.sparse.linalg``; only ``verify``'s
+    independent monolithic solve imports it, on first use.  A fresh
+    process checks that nothing on the import path brings it back."""
+    src = str(Path(bnd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, monoport.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True, check=True)
+    assert out.stdout.strip() == "[]"
