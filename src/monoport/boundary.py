@@ -291,29 +291,28 @@ def robin_bad(mmat, basis: BoundaryDataBasis, value=0.0) -> BoundaryCondition:
     return _robin_like(mmat, basis, value, -1.0, "RobinBad")
 
 
-_PART_KINDS = ("dirichlet", "neumann", "friction", "robin")
+#: Port kinds of a multiport tuple spec, with the value counts each takes.
+_PART_ARITY = {"dirichlet": (1,), "neumann": (1,), "friction": (1,), "robin": (1, 2)}
 
 
 def _scalar_part(kind: str, params: tuple) -> Relation:
+    arity = _PART_ARITY.get(kind)
+    if arity is None:
+        raise ValueError(f"unknown port kind {kind!r}; expected one of {tuple(_PART_ARITY)}")
+    if len(params) not in arity:
+        raise ValueError(f"{kind} takes {' or '.join(map(str, arity))} value(s), got {len(params)}")
     space = _port_space(1)
     if kind == "dirichlet":
-        (val,) = params
-        return LinearGraph(space, np.zeros((1, 1)), np.eye(1), x0=[val])
+        return LinearGraph(space, np.zeros((1, 1)), np.eye(1), x0=[params[0]])
     if kind == "neumann":
-        (val,) = params
-        return LinearGraph(space, np.eye(1), np.zeros((1, 1)), y0=[-complex(val)])
+        return LinearGraph(space, np.eye(1), np.zeros((1, 1)), y0=[-complex(params[0])])
+    coef = complex(params[0])
+    if coef.imag != 0 or not coef.real >= 0.0:
+        raise ValueError(f"{kind} coefficient must be real and nonnegative, got {params[0]!r}")
     if kind == "friction":
-        (mu,) = params
-        if not float(mu) >= 0.0:
-            raise ValueError("friction coefficient must be nonnegative")
-        return SeparableProx(space, [float(mu)])
-    if kind == "robin":
-        alpha = params[0]
-        val = params[1] if len(params) > 1 else 0.0
-        if not float(np.real(alpha)) >= 0.0 or abs(np.imag(alpha)) > 0:
-            raise ValueError("scalar robin coefficient must be real and nonnegative")
-        return LinearGraph(space, np.eye(1), [[float(np.real(alpha))]], y0=[-complex(val)])
-    raise ValueError(f"unknown port kind {kind!r}; expected one of {_PART_KINDS}")
+        return SeparableProx(space, [coef.real])
+    val = params[1] if len(params) > 1 else 0.0
+    return LinearGraph(space, np.eye(1), [[coef.real]], y0=[-complex(val)])
 
 
 def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
@@ -365,10 +364,12 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
             part_relations.append(spec)
             order.extend(idx)
         else:
-            kind = str(spec[0]).lower()
-            params = tuple(spec[1:])
+            kind, *params = tuple(spec) or ("",)
             for k in idx:
-                part_relations.append(_scalar_part(kind, params))
+                try:
+                    part_relations.append(_scalar_part(str(kind).lower(), tuple(params)))
+                except ValueError as exc:
+                    raise ValueError(f"port {k}: {exc}") from None
                 order.append(k)
     if seen != set(range(n)):
         missing = sorted(set(range(n)) - seen)

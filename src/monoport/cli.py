@@ -12,7 +12,7 @@ Four subcommands on one entry point (``monoport``):
   orders against the closed-form oracle or the finest grid.
 
 Exit codes: 0 success, 1 certificate/verification failure, 2 usage or
-config-parse error.  All files are UTF-8 with ``"\\n"`` line endings and
+config error.  All files are UTF-8 with ``"\\n"`` line endings and
 locale-independent number formatting (fixed-point decimal, significant
 digits set by the config ``precision`` key), so byte-level comparison of
 two runs is meaningful.  The bytes do not depend on the BLAS thread
@@ -29,10 +29,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from . import solver as sol
-from .boundary import check_skew_selfadjoint
+from .boundary import check_skew_selfadjoint, subspace_gap
 from .config import SCENARIO_PRESETS, Config, ConfigError, load_config
 from .phs import bd_basis
-from .relations import NonconvergenceError
+from .relations import LinearGraph, NonconvergenceError
 from .sbp import sbp42
 from .verify import _pairing_gap, format_report, run_suites
 
@@ -137,8 +137,7 @@ def _certificate_lines(bc) -> List[str]:
 def cmd_check_bc(args) -> int:
     cfg = load_config(args.config)
     phs = cfg.build_phs()
-    basis = bd_basis(phs)
-    bc = cfg.build_bc(basis)
+    bc = cfg.build_bc(bd_basis(phs))
 
     lines = [
         "boundary-condition report",
@@ -204,11 +203,18 @@ def _energy_csv(traj, precision: int) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _transport_oracle_applicable(cfg: Config, phs) -> bool:
+def _transport_oracle_applicable(cfg: Config, phs, bc) -> bool:
+    """Whether the characteristics solution of the ``transport`` preset
+    solves the run: unit speed to the right, no zero-order term, identity
+    energy, and the absorbing relation ``w = e`` (the graph of ``V = 0``,
+    inflow ``u(-b) = 0``) at the boundary."""
+    rel = bc.port_relation
     return (cfg.scenario == "transport" and phs.n == 1
             and abs(phs.p1[0, 0] - 1.0) < 1e-14
             and np.abs(phs.p0).max() < 1e-14
-            and phs.hamiltonian is None)
+            and phs.hamiltonian is None
+            and isinstance(rel, LinearGraph) and not rel.shifted
+            and subspace_gap(rel.stacked, LinearGraph(rel.space, [[1]], [[1]]).stacked) < 1e-12)
 
 
 def _transport_error(cfg: Config, ops, traj) -> float:
@@ -222,8 +228,7 @@ def _transport_error(cfg: Config, ops, traj) -> float:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     phs = cfg.build_phs()
-    basis = bd_basis(phs)
-    bc = cfg.build_bc(basis)
+    bc = cfg.build_bc(bd_basis(phs))
     ops = sol.discretize(phs, cfg.m)
     u0 = cfg.build_u0(ops.grid.nodes)
     scenario = sol.Scenario(phs=phs, bc=bc, u0=u0, T=cfg.T, dt=cfg.dt, theta=cfg.theta)
@@ -249,7 +254,7 @@ def cmd_simulate(args) -> int:
     ]
 
     status = EXIT_OK
-    if _transport_oracle_applicable(cfg, phs):
+    if _transport_oracle_applicable(cfg, phs, bc):
         err = _transport_error(cfg, ops, traj)
         if args.tol is None:
             tol, label = TRANSPORT_ERROR_CONSTANT * (ops.grid.h_x + dt), "C (h_x + dt)"
@@ -285,15 +290,14 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------- convergence
 
 
-def _state_study(cfg: Config, phs, basis, levels: int, seed: int):
+def _state_study(cfg: Config, phs, bc, levels: int, seed: int):
     """L-infinity state error under simultaneous (h, dt) refinement.
 
     Against the closed-form transport oracle when the scenario admits
     one; otherwise against the finest grid, whose nodes contain every
     coarser grid's nodes.  A level keeps only its error or a copy of
     its final state, so its trajectory is freed before the next runs."""
-    bc = cfg.build_bc(basis)
-    use_oracle = _transport_oracle_applicable(cfg, phs)
+    use_oracle = _transport_oracle_applicable(cfg, phs, bc)
     rows, finals = [], []
     for i in range(levels):
         m, dt = cfg.m * 2 ** i, cfg.dt / 2 ** i
@@ -314,7 +318,7 @@ def _state_study(cfg: Config, phs, basis, levels: int, seed: int):
             for i, (row, final) in enumerate(zip(rows[:-1], finals))]
 
 
-def _pairing_study(cfg: Config, phs, basis, levels: int, seed: int):
+def _pairing_study(cfg: Config, phs, bc, levels: int, seed: int):
     """Gap in the discrete trace-pairing identity on smooth fields."""
     rng = np.random.default_rng(seed)
     n = phs.n
@@ -327,11 +331,11 @@ def _pairing_study(cfg: Config, phs, basis, levels: int, seed: int):
         xs = ops.grid.nodes
         u = sum(cu[k][None, :] * np.cos((k + 0.5) * xs / cfg.b)[:, None] for k in range(3))
         v = sum(cv[k][None, :] * np.sin((k + 1) * 0.9 * xs / cfg.b)[:, None] for k in range(3))
-        rows.append((m, ops.grid.h_x, None, _pairing_gap(ops, basis, u, v)))
+        rows.append((m, ops.grid.h_x, None, _pairing_gap(ops, bc.basis, u, v)))
     return rows
 
 
-def _derivative_study(cfg: Config, phs, basis, levels: int, seed: int):
+def _derivative_study(cfg: Config, phs, bc, levels: int, seed: int):
     """L-infinity error of the discrete derivative on a smooth function."""
     rows = []
     for i in range(levels):
@@ -352,8 +356,8 @@ _STUDIES = {"state": _state_study, "pairing": _pairing_study, "derivative": _der
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
     phs = cfg.build_phs()
-    basis = bd_basis(phs)
-    rows = _STUDIES[args.study](cfg, phs, basis, args.levels, args.seed)
+    bc = cfg.build_bc(bd_basis(phs))
+    rows = _STUDIES[args.study](cfg, phs, bc, args.levels, args.seed)
 
     prec = cfg.precision
     errs = np.array([r[3] for r in rows])

@@ -24,6 +24,10 @@ Grammar (documented here because the format is the contract):
 * ``[output]``: file names ``states``, ``energy``, ``report``,
   ``convergence`` and the significant-digit count ``precision``.
 
+This module checks the format and the ``[grid]`` rules only.  Every
+other value is checked by the constructor that consumes it, and the
+builders report its refusal as a :class:`ConfigError` naming the section.
+
 A parsed :class:`Config` builds the system, the boundary condition and
 the initial data; two configs compare by identity only.
 """
@@ -56,7 +60,6 @@ HAMILTONIAN_PROFILES: Dict[str, object] = {
 }
 
 _BC_KINDS = ("v-matrix", "dirichlet", "neumann", "robin", "multiport", "custom")
-_PORT_KINDS = ("dirichlet", "neumann", "robin", "friction")
 
 _DEFAULT_OUTPUTS = {
     "states": "states.csv",
@@ -141,11 +144,7 @@ class Config:
                 return ctor(f["M"], basis, value=f.get("value", 0.0))
             if kind == "custom":
                 return boundary.extract_h((f["C_e"], f["C_f"]), basis)
-            parts = []
-            for idx in sorted(f["ports"]):
-                pkind, args = f["ports"][idx]
-                parts.append((idx, (pkind, *args)))
-            return boundary.multiport(parts, basis)
+            return boundary.multiport(f["ports"], basis)
         except ValueError as exc:
             raise ConfigError(f"[bc]: {exc}") from None
 
@@ -265,29 +264,12 @@ def _validate(scenario: str, sections: Dict[str, dict]) -> Config:
         raise
     except ValueError as exc:
         raise ConfigError(f"[phs]: {exc}") from None
-    if n < 1:
-        raise ConfigError("[phs]: n must be a positive integer")
-    if not b > 0:
-        raise ConfigError("[phs]: b must be positive")
 
     p1 = _parse_matrix(_need(ph, "P1", "phs"), "[phs] P1")
-    if p1.shape != (n, n):
-        raise ConfigError(f"[phs] P1: expected {n}x{n}, got {p1.shape[0]}x{p1.shape[1]}")
-    if "P0" in ph:
-        p0 = _parse_matrix(ph["P0"], "[phs] P0")
-        if p0.shape != (n, n):
-            raise ConfigError(f"[phs] P0: expected {n}x{n}, got {p0.shape[0]}x{p0.shape[1]}")
-    else:
-        p0 = np.zeros((n, n), dtype=complex)
+    p0 = _parse_matrix(ph["P0"], "[phs] P0") if "P0" in ph else np.zeros_like(p1)
 
     ham_raw = ph.get("H", "identity")
-    hamiltonian: Union[str, np.ndarray]
-    if ham_raw in HAMILTONIAN_PROFILES:
-        hamiltonian = ham_raw
-    else:
-        hamiltonian = _parse_matrix(ham_raw, "[phs] H")
-        if hamiltonian.shape != (n, n):
-            raise ConfigError(f"[phs] H: expected {n}x{n} or a profile name")
+    hamiltonian = ham_raw if ham_raw in HAMILTONIAN_PROFILES else _parse_matrix(ham_raw, "[phs] H")
 
     bc = sections["bc"]
     kind = _need(bc, "kind", "bc")
@@ -314,13 +296,8 @@ def _validate(scenario: str, sections: Dict[str, dict]) -> Config:
         raise ConfigError("[grid]: theta must lie in [0.5, 1]")
 
     out = sections["output"]
-    outputs = dict(_DEFAULT_OUTPUTS)
-    for key in _DEFAULT_OUTPUTS:
-        if key in out:
-            outputs[key] = out[key]
-    extra = set(out) - set(_DEFAULT_OUTPUTS) - {"precision"}
-    if extra:
-        raise ConfigError(f"[output]: unknown keys {sorted(extra)}")
+    _reject_extras(out, set(_DEFAULT_OUTPUTS) | {"precision"}, "output")
+    outputs = {key: out.get(key, name) for key, name in _DEFAULT_OUTPUTS.items()}
     try:
         precision = int(out.get("precision", "12"))
     except ValueError:
@@ -334,13 +311,10 @@ def _validate(scenario: str, sections: Dict[str, dict]) -> Config:
 
 
 def _parse_value(text: str, n: int) -> np.ndarray:
-    """The ``[bc] value`` vector; a scalar broadcasts to all ``n`` ports."""
+    """The ``[bc] value`` vector; a scalar broadcasts to all ``n`` ports
+    (``n < 1`` is the system's to refuse)."""
     vec = _parse_matrix(text, "[bc] value").reshape(-1)
-    if vec.shape[0] == 1:
-        vec = np.full(n, vec[0])
-    if vec.shape != (n,):
-        raise ConfigError(f"[bc] value: expected a scalar or {n} entries")
-    return vec
+    return np.full(max(n, 0), vec[0]) if vec.shape[0] == 1 else vec
 
 
 def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
@@ -354,17 +328,11 @@ def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
     if kind in allowed_by_kind:
         _reject_extras(bc, {"kind"} | allowed_by_kind[kind], "bc")
     if kind == "v-matrix":
-        v = _parse_matrix(_need(bc, "V", "bc"), "[bc] V")
-        if v.shape != (n, n):
-            raise ConfigError(f"[bc] V: expected {n}x{n}")
-        return {"V": v}
+        return {"V": _parse_matrix(_need(bc, "V", "bc"), "[bc] V")}
     if kind in ("dirichlet", "neumann"):
         return {"value": _parse_value(_need(bc, "value", "bc"), n)}
     if kind == "robin":
-        mmat = _parse_matrix(_need(bc, "M", "bc"), "[bc] M")
-        if mmat.shape != (n, n):
-            raise ConfigError(f"[bc] M: expected {n}x{n}")
-        fields = {"M": mmat}
+        fields = {"M": _parse_matrix(_need(bc, "M", "bc"), "[bc] M")}
         if "sign" in bc:
             if bc["sign"] not in ("+1", "1", "-1"):
                 raise ConfigError("[bc] sign: must be +1 or -1")
@@ -374,13 +342,10 @@ def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
             fields["value"] = _parse_value(bc["value"], n)
         return fields
     if kind == "custom":
-        ce = _parse_matrix(_need(bc, "C_e", "bc"), "[bc] C_e")
-        cf = _parse_matrix(_need(bc, "C_f", "bc"), "[bc] C_f")
-        if ce.shape[1] != n or cf.shape[1] != n or ce.shape[0] != cf.shape[0]:
-            raise ConfigError(f"[bc] C_e/C_f: need matching row counts and {n} columns")
-        return {"C_e": ce, "C_f": cf}
-    # multiport
-    ports = {}
+        return {"C_e": _parse_matrix(_need(bc, "C_e", "bc"), "[bc] C_e"),
+                "C_f": _parse_matrix(_need(bc, "C_f", "bc"), "[bc] C_f")}
+    # multiport: (index, (kind, *args)) parts in port order, for boundary.multiport
+    ports = []
     for key, value in bc.items():
         if key == "kind":
             continue
@@ -390,28 +355,6 @@ def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
             idx = int(key.split(".", 1)[1])
         except ValueError:
             raise ConfigError(f"[bc] {key}: port index must be an integer") from None
-        if not 0 <= idx < n:
-            raise ConfigError(f"[bc] {key}: port index out of range for n={n}")
-        toks = value.split()
-        if not toks or toks[0] not in _PORT_KINDS:
-            raise ConfigError(
-                f"[bc] {key}: expected '<kind> <args…>' with kind in {', '.join(_PORT_KINDS)}"
-            )
-        pkind = toks[0]
-        args = tuple(_parse_scalar(t, f"[bc] {key}") for t in toks[1:])
-        if pkind in ("dirichlet", "neumann") and len(args) != 1:
-            raise ConfigError(f"[bc] {key}: {pkind} takes exactly one value")
-        if pkind == "friction" and (len(args) != 1 or args[0].imag != 0):
-            raise ConfigError(f"[bc] {key}: friction takes one real coefficient")
-        if pkind == "friction":
-            args = (args[0].real,)
-        if pkind == "robin":
-            if len(args) not in (1, 2) or args[0].imag != 0:
-                raise ConfigError(f"[bc] {key}: robin takes a real coefficient and optional value")
-            args = (args[0].real, *args[1:])
-        ports[idx] = (pkind, args)
-    if set(ports) != set(range(n)):
-        missing = sorted(set(range(n)) - set(ports))
-        raise ConfigError(f"[bc]: multiport must cover every port; missing {missing}")
-    return {"ports": ports}
-
+        pkind, *args = value.split() or [""]
+        ports.append((idx, (pkind, *(_parse_scalar(t, f"[bc] {key}") for t in args))))
+    return {"ports": sorted(ports, key=lambda part: part[0])}

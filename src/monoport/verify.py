@@ -108,8 +108,8 @@ def _suite_relation(seed: int) -> List[CheckResult]:
         lam = float(rng.uniform(0.1, 5.0))
         y1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         y2 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        j1 = rel.resolvent(r, lam, y1)
-        j2 = rel.resolvent(r, lam, y2)
+        plan = rel.plan_inclusion(np.eye(n) / lam, r)  # one plan, both right-hand sides
+        (j1, _), (j2, _) = (rel.solve_inclusion(plan, y / lam) for y in (y1, y2))
         worst = max(worst, np.linalg.norm(j1 - j2) - np.linalg.norm(y1 - y2))
     out.append(CheckResult("relation", "resolvent nonexpansive", float(worst), 1e-9))
 
@@ -179,9 +179,10 @@ def _suite_relation(seed: int) -> List[CheckResult]:
         r = rel.transform(LinearMap(space, space, tmat), rel.direct_sum(parts))
         if rel.check_maximal(r).maximal != "yes":
             worst = max(worst, 1.0)
+        plan = rel.plan_inclusion(np.eye(n), r)  # the resolvent at lam = 1
         for _ in range(2 if non_unitary else 4):
             y = rng.normal(size=n) + 1j * rng.normal(size=n)
-            x, w = rel.resolvent_value(r, 1.0, y)
+            x, w = rel.solve_inclusion(plan, y)
             worst = max(worst, float(np.linalg.norm(x + w - y)), rel.graph_residual(r, x, w))
     out.append(CheckResult("relation", "structural maximality agrees with sampled resolvents",
                            float(worst), 1e-7))

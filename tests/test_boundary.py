@@ -311,6 +311,23 @@ def test_multiport_scalar_robin_validation(basis1):
         multiport([(0, ("friction", -0.5))], basis1)
 
 
+@pytest.mark.parametrize("spec, message", [
+    (("friction", 0.5 + 1j), "friction coefficient must be real and nonnegative, got (0.5+1j)"),
+    (("robin", 1j), "robin coefficient must be real and nonnegative, got 1j"),
+    (("robin",), "robin takes 1 or 2 value(s), got 0"),
+    (("dirichlet",), "dirichlet takes 1 value(s), got 0"),
+    (("neumann", 0.0, 1.0), "neumann takes 1 value(s), got 2"),
+    (("teleport", 1.0), "unknown port kind 'teleport'"),
+    ((), "unknown port kind ''"),
+])
+def test_multiport_part_spec_errors_name_kind_and_port(basis2, spec, message):
+    """A malformed tuple spec is a ValueError naming the port and the kind,
+    never a TypeError, an IndexError or a failed unpacking."""
+    with pytest.raises(ValueError) as err:
+        multiport([(0, ("dirichlet", 0.0)), (1, spec)], basis2)
+    assert str(err.value).startswith(f"port 1: {message}")
+
+
 # ------------------------------------------------------------- extract_h
 
 

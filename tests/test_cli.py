@@ -110,24 +110,49 @@ def test_check_bc_parse_error_is_usage_error(tmp_path, capsys):
 MULTIPORT_BC = "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0"
 
 
-@pytest.mark.parametrize("old, new, section", [
-    ("port.0 = friction 0.5", "port.0 = friction -0.5", "[bc]"),
-    ("port.0 = friction 0.5", "port.0 = friction nan", "[bc]"),
-    ("port.0 = friction 0.5", "port.0 = robin -1", "[bc]"),
+@pytest.mark.parametrize("old, new, prefix", [
+    ("port.0 = friction 0.5", "port.0 = friction -0.5", "[bc]: port 0: friction"),
+    ("port.0 = friction 0.5", "port.0 = friction nan", "[bc]: port 0: friction"),
+    ("port.0 = friction 0.5", "port.0 = robin -1", "[bc]: port 0: robin"),
     (MULTIPORT_BC, "kind = robin\nM = -1 0; 0 1", "[bc]"),
     ("P1 = 0 1; 1 0", "P1 = 0 0; 0 1", "[phs]"),
     ("P1 = 0 1; 1 0", "P1 = 0 1; 2 0", "[phs]"),
+    # each rule below was also checked by the config parser until the
+    # constructor became its only owner
+    ("n = 2", "n = 0", "[phs]: need at least one field component"),
+    ("b = 1", "b = 0", "[phs]: interval half-width"),
+    ("P1 = 0 1; 1 0", "P1 = 1", "[phs]: transport matrix must have shape (2, 2)"),
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0", "[phs]: zero-order term must have shape (2, 2)"),
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = 1", "[phs]: energy density must have shape (2, 2)"),
+    (MULTIPORT_BC, "kind = v-matrix\nV = 0", "[bc]: V must be 2 x 2"),
+    (MULTIPORT_BC, "kind = robin\nM = 1", "[bc]: Robin matrix must be 2 x 2"),
+    (MULTIPORT_BC, "kind = custom\nC_e = 1\nC_f = 1", "[bc]: constraint blocks must have 2"),
+    (MULTIPORT_BC, "kind = dirichlet\nvalue = 1 2 3", "[bc]: boundary datum must be"),
+    ("port.0 = friction 0.5", "port.0 = teleport 0.5", "[bc]: port 0: unknown port kind"),
+    ("port.0 = friction 0.5", "port.0 = robin", "[bc]: port 0: robin takes 1 or 2 value(s), got 0"),
+    ("port.0 = friction 0.5", "port.0 = friction 0.5+1j", "[bc]: port 0: friction coefficient"),
+    ("port.0 = friction 0.5", "port.0 = friction 0.5\nport.9 = friction 0.5",
+     "[bc]: port index 9 out of range"),
+    ("port.0 = friction 0.5\n", "", "[bc]: ports [0] not covered"),
 ], ids=["friction-negative", "friction-nan", "robin-negative", "robin-indefinite",
-        "zero-speed", "not-hermitian"])
-def test_value_a_constructor_refuses_is_a_config_error(tmp_path, capsys, old, new, section):
+        "zero-speed", "not-hermitian", "n-zero", "b-zero", "P1-shape", "P0-shape", "H-shape",
+        "V-shape", "M-shape", "C-shape", "value-length", "port-kind", "port-arity",
+        "port-complex", "port-range", "port-coverage"])
+@pytest.mark.parametrize("command", [
+    ["check-bc"], ["simulate"], ["convergence", "--study", "state"],
+    ["convergence", "--study", "pairing"], ["convergence", "--study", "derivative"],
+], ids=["check-bc", "simulate", "state", "pairing", "derivative"])
+def test_value_a_constructor_refuses_is_a_config_error(tmp_path, capsys, old, new, prefix, command):
     """A parsed value that the system or boundary constructor refuses is an
-    invalid config: exit 2, the section named, nothing written."""
+    invalid config on every subcommand that reads one: exit 2, the section
+    (and for a multiport part, the port) named, nothing written."""
+    assert old in FRICTION_SMALL
     cfg = write_cfg(tmp_path, FRICTION_SMALL.replace(old, new))
-    for command in ("check-bc", "simulate"):
-        out = tmp_path / command
-        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert f"config error: {section}" in capsys.readouterr().err
-        assert not out.exists()
+    out = tmp_path / "out"
+    assert cli.main(command + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {prefix}") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2():
@@ -203,6 +228,30 @@ def test_simulate_tolerance_override_is_labelled(tmp_path, capsys):
     assert code == 0
     assert "  tolerance (--tol) = 1\n" in out
     assert "C (h_x + dt)" not in out
+
+
+@pytest.mark.parametrize("bc, oracle", [
+    ("kind = v-matrix\nV = 0.5", False),
+    ("kind = dirichlet\nvalue = 0", False),
+    ("kind = custom\nC_e = 1\nC_f = 1", True),
+], ids=["V-half", "dirichlet", "custom-absorbing"])
+def test_transport_oracle_needs_the_absorbing_relation(tmp_path, capsys, bc, oracle):
+    """The characteristics solution solves the transport scenario only
+    under the absorbing relation ``w = e`` (``V = 0``); any other relation
+    reflects at the boundary, and comparing against it failed correct runs
+    (``V = 0.5``: error 0.165 against the tolerance 0.156).  ``C_e = C_f =
+    1`` is that relation in constraint form, so it keeps the oracle."""
+    text = (CONFIG_DIR / "transport.cfg").read_text(encoding="utf-8")
+    assert "kind = v-matrix\nV = 0\n" in text
+    cfg = write_cfg(tmp_path, text.replace("kind = v-matrix\nV = 0\n", bc + "\n"))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = capsys.readouterr().out
+    assert ("oracle" in report) is oracle
+    assert ("within tolerance: yes" in report) is oracle
+    assert cli.main(["convergence", "--config", cfg, "--out", str(tmp_path), "--levels", "2"]) == 0
+    capsys.readouterr()
+    _, rows = read_rows(tmp_path / "convergence.csv")
+    assert len(rows) == (2 if oracle else 1)  # the finest-grid reference has no row of its own
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

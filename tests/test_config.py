@@ -116,11 +116,9 @@ def test_bc_value_scalar_broadcasts_to_every_port(bc_text, expected):
     (variant("m = 128", "m = 4"), "at least 8"),
     (variant("theta = 1", "theta = 0.2"), "theta"),
     (variant("dt = 0.015625", "dt = -0.1"), "positive"),
-    (variant("V = 0", "V = 0 1; 1 0"), "expected 1x1"),
     (variant("\nT = 1.0\n", "\n"), "missing required key 'T'"),
     (variant("V = 0\n", ""), "missing required key 'V'"),
     (variant("P1 = 1", "P1 = bananas"), "cannot read number"),
-    (variant("n = 1", "n = 0"), "positive"),
     (BASE + "[output]\nprecision = 40\n", "between 1 and 17"),
     (BASE + "[output]\nprecision = fine\n", "integer"),
     (BASE + "stray = 3\n", "unknown keys"),
@@ -129,20 +127,40 @@ def test_bc_value_scalar_broadcasts_to_every_port(bc_text, expected):
     (variant("kind = v-matrix\nV = 0", "kind = teleport\nV = 0"), "kind"),
     (variant("kind = v-matrix\nV = 0", "kind = robin\nM = 1\nsign = 2"),
      "must be +1 or -1"),
-    (variant("kind = v-matrix\nV = 0 1; -1 0", "kind = dirichlet\nvalue = 1 2 3", WAVE),
-     "[bc] value: expected a scalar or 2 entries"),
-    (variant("kind = v-matrix\nV = 0 1; -1 0", "kind = robin\nM = 1 0; 0 1\nvalue = 1 2 3", WAVE),
-     "[bc] value: expected a scalar or 2 entries"),
     (variant("kind = v-matrix\nV = 0 1; -1 0",
-             "kind = multiport\nport.0 = friction 0.5", WAVE), "missing [1]"),
-    (variant("kind = v-matrix\nV = 0 1; -1 0",
-             "kind = multiport\nport.0 = friction 0.5\nport.9 = dirichlet 0",
-             WAVE), "out of range"),
+             "kind = multiport\nport.0 = friction 0.5\nport.x = dirichlet 0", WAVE),
+     "port index must be an integer"),
 ])
 def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    (variant("V = 0", "V = 0 1; 1 0"), "[bc]: V must be 1 x 1 for this basis, got (2, 2)"),
+    (variant("n = 1", "n = 0"), "[phs]: need at least one field component"),
+    (variant("kind = v-matrix\nV = 0 1; -1 0", "kind = dirichlet\nvalue = 1 2 3", WAVE),
+     "[bc]: boundary datum must be a scalar or length-2 vector"),
+    (variant("kind = v-matrix\nV = 0 1; -1 0", "kind = robin\nM = 1 0; 0 1\nvalue = 1 2 3", WAVE),
+     "[bc]: boundary datum must be a scalar or length-2 vector"),
+    (variant("kind = v-matrix\nV = 0 1; -1 0",
+             "kind = multiport\nport.0 = friction 0.5", WAVE),
+     "[bc]: ports [1] not covered by any part"),
+    (variant("kind = v-matrix\nV = 0 1; -1 0",
+             "kind = multiport\nport.0 = friction 0.5\nport.9 = dirichlet 0", WAVE),
+     "[bc]: port index 9 out of range for 2 ports"),
+    (variant("kind = v-matrix\nV = 0 1; -1 0",
+             "kind = multiport\nport.0 = friction 0.5\nport.00 = dirichlet 0", WAVE),
+     "[bc]: port index 0 assigned twice"),
+])
+def test_values_are_checked_by_the_constructors(text, message):
+    """The config parses these; the system or boundary constructor refuses
+    them when the config builds, and the error names the section."""
+    cfg = parse_config(text)
+    with pytest.raises(ConfigError) as err:
+        cfg.build_bc(bd_basis(cfg.build_phs()))
+    assert str(err.value) == message
 
 
 def test_unknown_scenario_fails_at_build():

@@ -564,17 +564,34 @@ def test_sum_gives_no_false_maximality_witness():
 def test_relation_suite_evaluates_each_resolvent_once(monkeypatch):
     """``verify``'s relation suite never solves one relation's resolvent
     twice at the same ``(lam, y)``: the Yosida check reads the resolvent
-    back from the Yosida value instead of solving it again."""
+    back from the Yosida value instead of solving it again.  Nor does it
+    plan one relation twice at the same ``phi``: the nonexpansiveness
+    pair and the sampled maximality check solve every right-hand side
+    with one plan."""
     import monoport.relations as rels
     from monoport import verify
 
-    seen = []
-    value = rels.resolvent_value
+    seen, plans, depth = [], [], [0]
+    value, plan = rels.resolvent_value, rels.plan_inclusion
+
+    def counted_plan(phi, r):
+        if not depth[0]:  # nested plans (a direct sum's parts) are not counted
+            plans.append((r, np.asarray(phi).tobytes()))  # r kept alive: ids stay unique
+        depth[0] += 1
+        try:
+            return plan(phi, r)
+        finally:
+            depth[0] -= 1
+
     monkeypatch.setattr(rels, "resolvent_value", lambda r, lam, y: seen.append(
         (id(r), lam, np.asarray(y).tobytes())) or value(r, lam, y))
+    monkeypatch.setattr(rels, "plan_inclusion", counted_plan)
     results = verify._suite_relation(0)
     assert len(results) == 6 and all(r.passed() for r in results)
-    assert len(seen) > 100 and len(set(seen)) == len(seen)
+    assert len(seen) == 100 and len(set(seen)) == len(seen)
+    keys = [(id(r), phi) for r, phi in plans]
+    # 40 nonexpansive pairs, 40 Yosida values, 60 direct-sum resolvents, 5 sampled relations
+    assert len(keys) == 145 and len(set(keys)) == len(keys)
 
 
 def test_post_set_refuses_nonaffine_relation():
