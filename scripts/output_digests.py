@@ -11,8 +11,9 @@ package from this checkout's ``src``:
   ``configs/friction.cfg`` (no transport oracle: the finest-grid
   reference);
 * ``monoport check-bc`` on one invalid config per value rule that only a
-  system or boundary constructor checks (:data:`INVALID_CONFIGS`), each
-  a shipped config with one edit, written to the temporary directory.
+  constructor on the build path checks (system, boundary condition,
+  grid, initial data, scenario; :data:`INVALID_CONFIGS`), each a shipped
+  config with one edit, written to the temporary directory.
 
 Output files go to a temporary directory that is removed afterwards.
 One ``sha256  name`` line is printed per written file and per captured
@@ -56,6 +57,15 @@ INVALID_CONFIGS = (
     ("bc-port-real", "friction.cfg", "port.0 = friction 0.5", "port.0 = friction 0.5+1j"),
     ("bc-port-range", "friction.cfg", "port.1 = dirichlet 0", "port.2 = dirichlet 0"),
     ("bc-port-coverage", "friction.cfg", "port.1 = dirichlet 0\n", ""),
+    ("grid-m-odd", "transport.cfg", "m = 128", "m = 7"),
+    ("grid-m-small", "transport.cfg", "m = 128", "m = 6"),
+    ("grid-dt-negative", "transport.cfg", "dt = 0.015625", "dt = -0.1"),
+    ("grid-T-inf", "transport.cfg", "T = 1.0", "T = inf"),
+    ("grid-dt-inf", "transport.cfg", "dt = 0.015625", "dt = inf"),
+    ("grid-theta", "transport.cfg", "theta = 1.0", "theta = 0.2"),
+    ("scenario-unknown", "transport.cfg", "scenario = transport", "scenario = vortex"),
+    ("scenario-wave-one-field", "transport.cfg", "scenario = transport", "scenario = wave"),
+    ("phs-profile-shape", "wave_damped.cfg", "P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = sine-well"),
 )
 
 #: Exit code of an invalid config.

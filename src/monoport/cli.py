@@ -2,8 +2,9 @@
 
 Four subcommands on one entry point (``monoport``):
 
-* ``check-bc``   — build the boundary condition from a config file and
-  report its certificates; exit 0 only if it is maximal monotone.
+* ``check-bc``   — build the run from a config file as ``simulate`` does
+  and report the boundary condition's certificates; exit 0 only if it is
+  maximal monotone.
 * ``simulate``   — run the scenario and write ``states.csv``,
   ``energy.csv`` and ``report.txt``.
 * ``verify``     — run the seeded invariant suites; exit 0 only if
@@ -34,7 +35,7 @@ from .config import SCENARIO_PRESETS, Config, ConfigError, load_config
 from .phs import bd_basis
 from .relations import LinearGraph, NonconvergenceError
 from .sbp import sbp42
-from .verify import _pairing_gap, format_report, run_suites
+from .verify import SUITE_NAMES, _pairing_gap, format_report, run_suites
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,6 +81,25 @@ def _write_text(path: Path, text: Union[str, Iterable[str]]) -> None:
 
 def _out_path(args, cfg: Config, key: str) -> Path:
     return Path(args.out) / cfg.outputs[key]
+
+
+def _build(cfg: Config, level: int = 0, phs=None, bc=None):
+    """Grid operators and run of ``cfg`` on ``m 2^level`` cells with step
+    ``dt / 2^level``, built the one way every command builds them; given
+    ``phs`` and ``bc``, those are reused.  A refusal by ``discretize`` or
+    ``Scenario`` is a ``[grid]`` config error."""
+    if phs is None:
+        phs = cfg.build_phs()
+        bc = cfg.build_bc(bd_basis(phs))
+    try:
+        ops = sol.discretize(phs, cfg.m * 2 ** level)
+        u0 = cfg.build_u0(ops.grid.nodes)
+        return ops, sol.Scenario(phs=phs, bc=bc, u0=u0, T=cfg.T, dt=cfg.dt / 2 ** level,
+                                 theta=cfg.theta)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[grid]: {exc}") from None
 
 
 # ------------------------------------------------------------- check-bc
@@ -136,8 +156,7 @@ def _certificate_lines(bc) -> List[str]:
 
 def cmd_check_bc(args) -> int:
     cfg = load_config(args.config)
-    phs = cfg.build_phs()
-    bc = cfg.build_bc(bd_basis(phs))
+    bc = _build(cfg)[1].bc
 
     lines = [
         "boundary-condition report",
@@ -203,12 +222,12 @@ def _energy_csv(traj, precision: int) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _transport_oracle_applicable(cfg: Config, phs, bc) -> bool:
+def _transport_oracle_applicable(cfg: Config, scenario) -> bool:
     """Whether the characteristics solution of the ``transport`` preset
     solves the run: unit speed to the right, no zero-order term, identity
     energy, and the absorbing relation ``w = e`` (the graph of ``V = 0``,
     inflow ``u(-b) = 0``) at the boundary."""
-    rel = bc.port_relation
+    phs, rel = scenario.phs, scenario.bc.port_relation
     return (cfg.scenario == "transport" and phs.n == 1
             and abs(phs.p1[0, 0] - 1.0) < 1e-14
             and np.abs(phs.p0).max() < 1e-14
@@ -227,11 +246,7 @@ def _transport_error(cfg: Config, ops, traj) -> float:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    phs = cfg.build_phs()
-    bc = cfg.build_bc(bd_basis(phs))
-    ops = sol.discretize(phs, cfg.m)
-    u0 = cfg.build_u0(ops.grid.nodes)
-    scenario = sol.Scenario(phs=phs, bc=bc, u0=u0, T=cfg.T, dt=cfg.dt, theta=cfg.theta)
+    ops, scenario = _build(cfg)
     traj = sol.simulate(scenario, ops)
 
     prec = cfg.precision
@@ -254,7 +269,7 @@ def cmd_simulate(args) -> int:
     ]
 
     status = EXIT_OK
-    if _transport_oracle_applicable(cfg, phs, bc):
+    if _transport_oracle_applicable(cfg, scenario):
         err = _transport_error(cfg, ops, traj)
         if args.tol is None:
             tol, label = TRANSPORT_ERROR_CONSTANT * (ops.grid.h_x + dt), "C (h_x + dt)"
@@ -290,20 +305,19 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------- convergence
 
 
-def _state_study(cfg: Config, phs, bc, levels: int, seed: int):
+def _state_study(cfg: Config, ops, scenario, levels: int, seed: int):
     """L-infinity state error under simultaneous (h, dt) refinement.
 
     Against the closed-form transport oracle when the scenario admits
     one; otherwise against the finest grid, whose nodes contain every
-    coarser grid's nodes.  A level keeps only its error or a copy of
-    its final state, so its trajectory is freed before the next runs."""
-    use_oracle = _transport_oracle_applicable(cfg, phs, bc)
+    coarser grid's nodes.  A level keeps only its error or a copy of its
+    final state, so its trajectory is freed before the next runs."""
+    use_oracle = _transport_oracle_applicable(cfg, scenario)
     rows, finals = [], []
     for i in range(levels):
-        m, dt = cfg.m * 2 ** i, cfg.dt / 2 ** i
-        ops = sol.discretize(phs, m)
-        scenario = sol.Scenario(phs=phs, bc=bc, u0=cfg.build_u0(ops.grid.nodes), T=cfg.T,
-                                dt=dt, theta=cfg.theta)
+        if i:
+            ops, scenario = _build(cfg, i, scenario.phs, scenario.bc)
+        m, dt = ops.grid.m, scenario.dt
         traj = sol.simulate(scenario, ops)
         if use_oracle:
             rows.append((m, ops.grid.h_x, dt, _transport_error(cfg, ops, traj)))
@@ -318,24 +332,25 @@ def _state_study(cfg: Config, phs, bc, levels: int, seed: int):
             for i, (row, final) in enumerate(zip(rows[:-1], finals))]
 
 
-def _pairing_study(cfg: Config, phs, bc, levels: int, seed: int):
+def _pairing_study(cfg: Config, ops, scenario, levels: int, seed: int):
     """Gap in the discrete trace-pairing identity on smooth fields."""
     rng = np.random.default_rng(seed)
-    n = phs.n
+    n = scenario.phs.n
     cu = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     cv = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     rows = []
     for i in range(levels):
         m = cfg.m * 2 ** i
-        ops = sol.discretize(phs, m)
+        if i:
+            ops = sol.discretize(scenario.phs, m)
         xs = ops.grid.nodes
         u = sum(cu[k][None, :] * np.cos((k + 0.5) * xs / cfg.b)[:, None] for k in range(3))
         v = sum(cv[k][None, :] * np.sin((k + 1) * 0.9 * xs / cfg.b)[:, None] for k in range(3))
-        rows.append((m, ops.grid.h_x, None, _pairing_gap(ops, bc.basis, u, v)))
+        rows.append((m, ops.grid.h_x, None, _pairing_gap(ops, scenario.bc.basis, u, v)))
     return rows
 
 
-def _derivative_study(cfg: Config, phs, bc, levels: int, seed: int):
+def _derivative_study(cfg: Config, ops, scenario, levels: int, seed: int):
     """L-infinity error of the discrete derivative on a smooth function."""
     rows = []
     for i in range(levels):
@@ -355,9 +370,7 @@ _STUDIES = {"state": _state_study, "pairing": _pairing_study, "derivative": _der
 
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
-    phs = cfg.build_phs()
-    bc = cfg.build_bc(bd_basis(phs))
-    rows = _STUDIES[args.study](cfg, phs, bc, args.levels, args.seed)
+    rows = _STUDIES[args.study](cfg, *_build(cfg), args.levels, args.seed)
 
     prec = cfg.precision
     errs = np.array([r[3] for r in rows])
@@ -428,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded invariant suites")
     p.add_argument("suite", nargs="?", default="all",
-                   choices=("relation", "phs", "boundary", "solver", "all"),
+                   choices=SUITE_NAMES + ("all",),
                    help="which suite to run (default: all)")
     p.add_argument("--seed", type=int, default=0, help="suite RNG seed (default: 0)")
     p.add_argument("--tol", type=_positive_finite, default=1.0,

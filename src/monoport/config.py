@@ -20,13 +20,14 @@ Grammar (documented here because the format is the contract):
   ``port.<i> = <kind> <args…>`` line per port, kinds
   ``dirichlet``/``neumann``/``robin``/``friction``), or ``custom``
   (fields ``C_e``, ``C_f`` — a trace constraint pair).
-* ``[grid]``: ``m`` (even, ≥ 8), ``dt``, ``T``, ``theta``.
+* ``[grid]``: ``m`` (cells), ``dt``, ``T``, optional ``theta`` (default 1).
 * ``[output]``: file names ``states``, ``energy``, ``report``,
   ``convergence`` and the significant-digit count ``precision``.
 
-This module checks the format and the ``[grid]`` rules only.  Every
-other value is checked by the constructor that consumes it, and the
-builders report its refusal as a :class:`ConfigError` naming the section.
+This module checks the format only.  Every value is checked by the
+constructor that consumes it (for ``[grid]``: ``discretize`` and
+``Scenario``), whose refusal its caller reports as a :class:`ConfigError`
+naming the section.
 
 A parsed :class:`Config` builds the system, the boundary condition and
 the initial data; two configs compare by identity only.
@@ -113,14 +114,9 @@ class Config:
     def build_phs(self):
         from .phs import PortHamiltonian
 
-        if isinstance(self.hamiltonian, str):
-            ham = HAMILTONIAN_PROFILES[self.hamiltonian]
-            if ham is not None and self.n != 1:
-                raise ConfigError(
-                    f"named profile {self.hamiltonian!r} is scalar; system has n={self.n}"
-                )
-        else:
-            ham = self.hamiltonian
+        ham = self.hamiltonian
+        if isinstance(ham, str):
+            ham = HAMILTONIAN_PROFILES[ham]
         try:
             return PortHamiltonian(n=self.n, b=self.b, p1=self.p1, p0=self.p0,
                                    hamiltonian=ham)
@@ -204,7 +200,6 @@ def parse_config(text: str) -> Config:
     """Parse a configuration document; errors carry line numbers."""
     scenario = None
     sections: Dict[str, dict] = {"phs": {}, "bc": {}, "grid": {}, "output": {}}
-    lines_of: Dict[str, Dict[str, int]] = {s: {} for s in sections}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -230,7 +225,6 @@ def parse_config(text: str) -> Config:
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
         sections[current][key] = value
-        lines_of[current][key] = lineno
 
     if scenario is None:
         raise ConfigError("missing top-level 'scenario = <name>' line")
@@ -248,6 +242,15 @@ def _need(section: dict, key: str, where: str) -> str:
     return section[key]
 
 
+def _number(section: dict, key: str, where: str, kind=float, default=None):
+    """``section[key]`` read by ``kind``; required unless ``default`` is given."""
+    text = _need(section, key, where) if default is None else section.get(key, default)
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{where}]: {exc}") from None
+
+
 def _reject_extras(section: dict, allowed: set, where: str) -> None:
     extra = set(section) - allowed
     if extra:
@@ -257,13 +260,7 @@ def _reject_extras(section: dict, allowed: set, where: str) -> None:
 def _validate(scenario: str, sections: Dict[str, dict]) -> Config:
     ph = sections["phs"]
     _reject_extras(ph, {"n", "b", "P1", "P0", "H"}, "phs")
-    try:
-        n = int(_need(ph, "n", "phs"))
-        b = float(_need(ph, "b", "phs"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[phs]: {exc}") from None
+    n, b = _number(ph, "n", "phs", int), _number(ph, "b", "phs")
 
     p1 = _parse_matrix(_need(ph, "P1", "phs"), "[phs] P1")
     p0 = _parse_matrix(ph["P0"], "[phs] P0") if "P0" in ph else np.zeros_like(p1)
@@ -275,25 +272,12 @@ def _validate(scenario: str, sections: Dict[str, dict]) -> Config:
     kind = _need(bc, "kind", "bc")
     if kind not in _BC_KINDS:
         raise ConfigError(f"[bc] kind: {kind!r} not one of {', '.join(_BC_KINDS)}")
-    bc_fields = _parse_bc_fields(kind, bc, n)
+    bc_fields = _parse_bc_fields(kind, bc)
 
     gr = sections["grid"]
     _reject_extras(gr, {"m", "dt", "T", "theta"}, "grid")
-    try:
-        m = int(_need(gr, "m", "grid"))
-        dt = float(_need(gr, "dt", "grid"))
-        t_final = float(_need(gr, "T", "grid"))
-        theta = float(gr.get("theta", "1.0"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[grid]: {exc}") from None
-    if m % 2 != 0 or m < 8:
-        raise ConfigError("[grid]: m must be even and at least 8")
-    if not dt > 0 or not t_final > 0:
-        raise ConfigError("[grid]: dt and T must be positive")
-    if not 0.5 <= theta <= 1.0:
-        raise ConfigError("[grid]: theta must lie in [0.5, 1]")
+    m, dt = _number(gr, "m", "grid", int), _number(gr, "dt", "grid")
+    t_final, theta = _number(gr, "T", "grid"), _number(gr, "theta", "grid", default="1.0")
 
     out = sections["output"]
     _reject_extras(out, set(_DEFAULT_OUTPUTS) | {"precision"}, "output")
@@ -310,14 +294,13 @@ def _validate(scenario: str, sections: Dict[str, dict]) -> Config:
                   outputs=outputs, precision=precision)
 
 
-def _parse_value(text: str, n: int) -> np.ndarray:
-    """The ``[bc] value`` vector; a scalar broadcasts to all ``n`` ports
-    (``n < 1`` is the system's to refuse)."""
+def _parse_value(text: str):
+    """The ``[bc] value``: a scalar for one entry, else the vector."""
     vec = _parse_matrix(text, "[bc] value").reshape(-1)
-    return np.full(max(n, 0), vec[0]) if vec.shape[0] == 1 else vec
+    return vec[0] if vec.shape[0] == 1 else vec
 
 
-def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
+def _parse_bc_fields(kind: str, bc: dict) -> dict:
     allowed_by_kind = {
         "v-matrix": {"V"},
         "dirichlet": {"value"},
@@ -330,7 +313,7 @@ def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
     if kind == "v-matrix":
         return {"V": _parse_matrix(_need(bc, "V", "bc"), "[bc] V")}
     if kind in ("dirichlet", "neumann"):
-        return {"value": _parse_value(_need(bc, "value", "bc"), n)}
+        return {"value": _parse_value(_need(bc, "value", "bc"))}
     if kind == "robin":
         fields = {"M": _parse_matrix(_need(bc, "M", "bc"), "[bc] M")}
         if "sign" in bc:
@@ -339,7 +322,7 @@ def _parse_bc_fields(kind: str, bc: dict, n: int) -> dict:
             if bc["sign"] == "-1":
                 fields["sign"] = -1
         if "value" in bc:
-            fields["value"] = _parse_value(bc["value"], n)
+            fields["value"] = _parse_value(bc["value"])
         return fields
     if kind == "custom":
         return {"C_e": _parse_matrix(_need(bc, "C_e", "bc"), "[bc] C_e"),

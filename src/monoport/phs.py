@@ -112,8 +112,8 @@ class PortHamiltonian:
     hamiltonian:
         Energy density.  ``None`` (identity), a constant ``(n, n)``
         Hermitian positive definite matrix, or a callable
-        ``x -> (n, n)`` evaluated where needed.  Callables are validated
-        pointwise at evaluation time.
+        ``x -> (n, n)``, checked at ``x = 0`` when the system is built
+        and at every point where it is evaluated.
     """
 
     n: int
@@ -146,7 +146,9 @@ class PortHamiltonian:
         object.__setattr__(self, "p0", p0)
 
         ham = self.hamiltonian
-        if ham is not None and not callable(ham):
+        if callable(ham):
+            _check_density(ham(0.0), self.n, " at x=0")
+        elif ham is not None:
             ham = _check_density(ham, self.n)
         object.__setattr__(self, "hamiltonian", ham)
 

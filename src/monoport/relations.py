@@ -357,7 +357,7 @@ class Transformed(Relation):
 
 
 def plan_inclusion(phi: np.ndarray, rel: Relation) -> "_Plan":
-    """Plan ``phi z + rel(z) ∋ g`` for a Hermitian positive ``phi``: the
+    """Plan ``phi z + rel(z) ∋ g`` for an accretive ``phi``: the
     work that depends only on ``(phi, rel)``, done once, for
     :func:`solve_inclusion` to apply to each ``g``.  The solver plans once
     per run; a resolvent is the plan at ``phi = 1/lam``.
@@ -554,10 +554,11 @@ class _SchurPlan(_Plan):
 
 class _SplittingPlan(_Plan):
     """Douglas–Rachford splitting between ``z -> phi z - g`` and the
-    relation, with the step length ``gamma`` (from the weighted eigenvalue
-    range of ``phi``), the inverse of ``1 + gamma phi`` and the plan of the
-    relation's resolvent at ``gamma`` fixed.  ``phi`` is monotone in the
-    space's inner product, so that inverse has norm at most 1 there."""
+    relation, with the step length ``gamma`` (from ``eigvalsh`` of ``W phi``
+    against the weight ``W``, which reads one triangle: a heuristic for a
+    non-Hermitian ``phi``), the inverse of ``1 + gamma phi`` and the plan
+    of the relation's resolvent at ``gamma`` fixed.  ``phi`` is monotone
+    in the space's inner product, so that inverse has norm at most 1 there."""
 
     def __init__(self, phi, rel: Relation):
         super().__init__(phi, rel)

@@ -408,10 +408,10 @@ class Scenario:
     theta: float = 1.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("time step must be positive")
-        if not self.T > 0:
-            raise ValueError("final time must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("time step must be positive and finite")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError("final time must be positive and finite")
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1]")
         if self.bc.ports != self.phs.n:

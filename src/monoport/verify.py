@@ -507,13 +507,13 @@ def _monolithic_resolve(ops, bc, mu, r_flat):
     return mass @ spla.splu(full).solve(rhs)[:dim]
 
 
-SUITE_NAMES = ("relation", "phs", "boundary", "solver")
 _SUITES: Dict[str, Callable[[int], List[CheckResult]]] = {
     "relation": _suite_relation,
     "phs": _suite_phs,
     "boundary": _suite_boundary,
     "solver": _suite_solver,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(which: str, seed: int = 0) -> List[CheckResult]:

@@ -134,18 +134,34 @@ MULTIPORT_BC = "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0"
     ("port.0 = friction 0.5", "port.0 = friction 0.5\nport.9 = friction 0.5",
      "[bc]: port index 9 out of range"),
     ("port.0 = friction 0.5\n", "", "[bc]: ports [0] not covered"),
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = sine-well",
+     "[phs]: energy density at x=0 must have shape (2, 2), got (1, 1)"),
+    # the [grid] rules belong to discretize and Scenario, and the initial
+    # data to its preset, so check-bc builds the run as simulate does
+    ("m = 32", "m = 7", "[grid]: cell count must be even so the grid contains 0, got 7"),
+    ("m = 32", "m = 6", "[grid]: need at least 8 cells, got 6"),
+    ("dt = 0.02", "dt = -0.1", "[grid]: time step must be positive and finite"),
+    ("dt = 0.02", "dt = inf", "[grid]: time step must be positive and finite"),
+    ("T = 0.1", "T = inf", "[grid]: final time must be positive and finite"),
+    ("theta = 1", "theta = 0.2", "[grid]: theta must lie in [1/2, 1]"),
+    ("scenario = gaussian", "scenario = vortex", "unknown scenario 'vortex'"),
+    (FRICTION_SMALL.split("[grid]")[0], "scenario = wave\n[phs]\nn = 1\nb = 1\nP1 = 1\n"
+     "[bc]\nkind = v-matrix\nV = 0\n", "scenario 'wave' needs at least two components"),
 ], ids=["friction-negative", "friction-nan", "robin-negative", "robin-indefinite",
         "zero-speed", "not-hermitian", "n-zero", "b-zero", "P1-shape", "P0-shape", "H-shape",
         "V-shape", "M-shape", "C-shape", "value-length", "port-kind", "port-arity",
-        "port-complex", "port-range", "port-coverage"])
+        "port-complex", "port-range", "port-coverage", "profile-shape", "m-odd", "m-small",
+        "dt-negative", "dt-inf", "T-inf", "theta-low", "scenario-unknown", "wave-one-field"])
 @pytest.mark.parametrize("command", [
     ["check-bc"], ["simulate"], ["convergence", "--study", "state"],
     ["convergence", "--study", "pairing"], ["convergence", "--study", "derivative"],
 ], ids=["check-bc", "simulate", "state", "pairing", "derivative"])
 def test_value_a_constructor_refuses_is_a_config_error(tmp_path, capsys, old, new, prefix, command):
-    """A parsed value that the system or boundary constructor refuses is an
-    invalid config on every subcommand that reads one: exit 2, the section
-    (and for a multiport part, the port) named, nothing written."""
+    """A parsed value that a constructor on the build path refuses (the
+    system, the boundary condition, the grid, the initial data or the
+    scenario) is an invalid config on every subcommand that reads one:
+    exit 2, the section (and for a multiport part, the port) named,
+    nothing written."""
     assert old in FRICTION_SMALL
     cfg = write_cfg(tmp_path, FRICTION_SMALL.replace(old, new))
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from monoport import cli
 from monoport.config import ConfigError, load_config, parse_config
 from monoport.phs import bd_basis
 
@@ -95,15 +96,18 @@ def test_parse_keeps_wrong_sign_marker():
     assert "sign" not in good.bc_fields
 
 
-@pytest.mark.parametrize("bc_text, expected", [
-    ("kind = dirichlet\nvalue = 0.25", [0.25, 0.25]),
-    ("kind = neumann\nvalue = 1 2j", [1, 2j]),
-    ("kind = robin\nM = 1 0; 0 1\nvalue = -0.5", [-0.5, -0.5]),
+@pytest.mark.parametrize("bc_text, offset, expected", [
+    ("kind = dirichlet\nvalue = 0.25", "x0", [0.25, 0.25]),
+    ("kind = neumann\nvalue = 1 2j", "y0", [-1, -2j]),
+    ("kind = robin\nM = 1 0; 0 1\nvalue = -0.5", "y0", [0.5, 0.5]),
 ])
-def test_bc_value_scalar_broadcasts_to_every_port(bc_text, expected):
+def test_bc_value_scalar_broadcasts_to_every_port(bc_text, offset, expected):
+    """A one-entry ``value`` reaches the constructor as a scalar, which puts
+    it on every port: the built relation's offset is the datum (``x0``
+    for Dirichlet) or its negative (``y0`` for Neumann and Robin)."""
     cfg = parse_config(variant("kind = v-matrix\nV = 0 1; -1 0", bc_text, WAVE))
-    assert cfg.bc_fields["value"].shape == (2,)
-    assert np.array_equal(cfg.bc_fields["value"], np.array(expected, dtype=complex))
+    rel = cfg.build_bc(bd_basis(cfg.build_phs())).port_relation
+    assert np.array_equal(getattr(rel, offset), np.array(expected, dtype=complex))
 
 
 # -------------------------------------------------------------- errors
@@ -112,10 +116,6 @@ def test_bc_value_scalar_broadcasts_to_every_port(bc_text, expected):
 @pytest.mark.parametrize("text, fragment", [
     ("nonsense line\n", "expected 'key = value'"),
     (variant("[grid]", "[grud]"), "unknown section"),
-    (variant("m = 128", "m = 129"), "even"),
-    (variant("m = 128", "m = 4"), "at least 8"),
-    (variant("theta = 1", "theta = 0.2"), "theta"),
-    (variant("dt = 0.015625", "dt = -0.1"), "positive"),
     (variant("\nT = 1.0\n", "\n"), "missing required key 'T'"),
     (variant("V = 0\n", ""), "missing required key 'V'"),
     (variant("P1 = 1", "P1 = bananas"), "cannot read number"),
@@ -153,13 +153,18 @@ def test_parse_errors_carry_context(text, fragment):
     (variant("kind = v-matrix\nV = 0 1; -1 0",
              "kind = multiport\nport.0 = friction 0.5\nport.00 = dirichlet 0", WAVE),
      "[bc]: port index 0 assigned twice"),
+    (variant("m = 128", "m = 129"), "[grid]: cell count must be even so the grid contains 0, got 129"),
+    (variant("m = 128", "m = 4"), "[grid]: need at least 8 cells, got 4"),
+    (variant("theta = 1", "theta = 0.2"), "[grid]: theta must lie in [1/2, 1]"),
+    (variant("dt = 0.015625", "dt = -0.1"), "[grid]: time step must be positive and finite"),
 ])
 def test_values_are_checked_by_the_constructors(text, message):
-    """The config parses these; the system or boundary constructor refuses
-    them when the config builds, and the error names the section."""
+    """The config parses these; the system, boundary, grid or scenario
+    constructor refuses them when a command builds the run, and the error
+    names the section."""
     cfg = parse_config(text)
     with pytest.raises(ConfigError) as err:
-        cfg.build_bc(bd_basis(cfg.build_phs()))
+        cli._build(cfg)
     assert str(err.value) == message
 
 

@@ -118,6 +118,11 @@ def test_port_hamiltonian_density_handling(rng):
     assert varying.hamiltonian_at(0.5)[0, 0] == pytest.approx(2.5)
     with pytest.raises(ValueError):
         varying.hamiltonian_at(-3.0)  # density loses positivity
+    # a density function is checked at x = 0 when the system is built
+    with pytest.raises(ValueError, match=r"at x=0 must have shape \(2, 2\), got \(1, 1\)"):
+        PortHamiltonian(n=2, b=1.0, p1=P1_SWAP, hamiltonian=lambda x: np.array([[2.0 + x]]))
+    with pytest.raises(ValueError, match="at x=0 must be positive definite"):
+        PortHamiltonian(n=1, b=1.0, p1=[[1.0]], hamiltonian=lambda x: np.array([[x]]))
 
 
 def test_port_hamiltonian_rejects_indefinite_constant_density():

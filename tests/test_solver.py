@@ -640,6 +640,11 @@ def test_scenario_validation(rng):
         Scenario(phs=PHS1, bc=bc, u0=u0, T=1.0, dt=0.0)
     with pytest.raises(ValueError, match="final time"):
         Scenario(phs=PHS1, bc=bc, u0=u0, T=-1.0, dt=0.1)
+    # an infinite T has no step count; an infinite dt would be one step of length T
+    with pytest.raises(ValueError, match="final time must be positive and finite"):
+        Scenario(phs=PHS1, bc=bc, u0=u0, T=np.inf, dt=0.1)
+    with pytest.raises(ValueError, match="time step must be positive and finite"):
+        Scenario(phs=PHS1, bc=bc, u0=u0, T=1.0, dt=np.inf)
     with pytest.raises(ValueError, match="theta"):
         Scenario(phs=PHS1, bc=bc, u0=u0, T=1.0, dt=0.1, theta=0.25)
     with pytest.raises(ValueError, match="port"):
