@@ -57,6 +57,7 @@ INVALID_CONFIGS = (
     ("bc-port-real", "friction.cfg", "port.0 = friction 0.5", "port.0 = friction 0.5+1j"),
     ("bc-port-range", "friction.cfg", "port.1 = dirichlet 0", "port.2 = dirichlet 0"),
     ("bc-port-coverage", "friction.cfg", "port.1 = dirichlet 0\n", ""),
+    ("bc-port-twice", "friction.cfg", "port.1 = dirichlet 0", "port.1 = dirichlet 0\nport.00 = dirichlet 0"),
     ("grid-m-odd", "transport.cfg", "m = 128", "m = 7"),
     ("grid-m-small", "transport.cfg", "m = 128", "m = 6"),
     ("grid-dt-negative", "transport.cfg", "dt = 0.015625", "dt = -0.1"),

@@ -19,8 +19,9 @@ demand, through exact coordinate maps:
 Constructors attach certificates: monotonicity and maximality are
 checked exactly, by eigenvalue / rank arguments for linear conditions
 and componentwise for frictional multiport conditions (friction is a
-subdifferential, hence maximal).  Failed certificates always carry a
-concrete, re-verifiable witness.
+subdifferential, hence maximal).  A multiport condition is the direct
+sum of one scalar relation per port, in port order.  Failed
+certificates always carry a concrete, re-verifiable witness.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -139,14 +140,6 @@ class BoundaryCondition:
         return "\n".join(lines)
 
 
-def _port_space(n: int) -> InnerProductSpace:
-    return InnerProductSpace(n)
-
-
-def _bd_space(basis: BoundaryDataBasis) -> InnerProductSpace:
-    return InnerProductSpace(basis.n, basis.gram_G)
-
-
 def _to_bd(basis: BoundaryDataBasis, port_relation: Relation) -> Relation:
     """Exact conversion from flow/effort pairs to trace-basis pairs.
 
@@ -158,8 +151,8 @@ def _to_bd(basis: BoundaryDataBasis, port_relation: Relation) -> Relation:
     (``verify`` measures it: "channel gram matches sqrt(S)Q energy"),
     so the adjoint is ``Q^{-1} S^{-1}``.
     """
-    tmap = LinearMap(_bd_space(basis), _port_space(basis.n), basis.Qmat)
-    return transform(tmap, port_relation)
+    coefficients = InnerProductSpace(basis.n, basis.gram_G)
+    return transform(LinearMap(coefficients, InnerProductSpace(basis.n), basis.Qmat), port_relation)
 
 
 def _port_datum(value, n: int) -> np.ndarray:
@@ -172,16 +165,9 @@ def _port_datum(value, n: int) -> np.ndarray:
     return arr
 
 
-def _finalize(basis, port, provenance, maximal=None) -> BoundaryCondition:
-    """Certify ``port`` once and wrap it.  ``maximal``, given for a linear
-    ``port`` only, is a function of the monotonicity certificate that
-    stands in for the generic maximality certificate, which is then not
-    computed."""
-    if maximal is None:
-        mono, max_cert = certify(port)
-    else:
-        mono = relations._monotone_linear(port)
-        max_cert = maximal(mono)
+def _finalize(basis, port, provenance) -> BoundaryCondition:
+    """Certify ``port`` once and wrap it."""
+    mono, max_cert = certify(port)
     return BoundaryCondition(port, basis, provenance, {"monotone": mono, "maximal": max_cert})
 
 
@@ -215,27 +201,25 @@ def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:
             stacklevel=2,
         )
     eye = np.eye(n)
-    port = LinearGraph(_port_space(n), eye + vmat, eye - vmat)
+    port = LinearGraph(InnerProductSpace(n), eye + vmat, eye - vmat)
     closing = -basis.S @ (eye + vmat) - (eye - vmat)
     sigmas = sla.svdvals(closing)
     sigma_min = float(sigmas[-1])
-
-    def closing_certificate(mono: Certificate) -> Certificate:
-        return Certificate(
-            monotone=mono.monotone,
-            maximal="yes" if (mono.monotone == "yes" and sigma_min > SIGMA_MIN_THRESHOLD) else "no",
-            method="smallest singular value of -S(1+V)-(1-V)",
-            witness={"sigma_min": sigma_min, "sigmas": sigmas, "vv_top_eigenvalue": vv_top},
-        )
-
-    return _finalize(basis, port, "V-matrix", closing_certificate)
+    mono = relations._monotone_linear(port)
+    max_cert = Certificate(
+        monotone=mono.monotone,
+        maximal="yes" if (mono.monotone == "yes" and sigma_min > SIGMA_MIN_THRESHOLD) else "no",
+        method="smallest singular value of -S(1+V)-(1-V)",
+        witness={"sigma_min": sigma_min, "sigmas": sigmas, "vv_top_eigenvalue": vv_top},
+    )
+    return BoundaryCondition(port, basis, "V-matrix", {"monotone": mono, "maximal": max_cert})
 
 
 def dirichlet(value, basis: BoundaryDataBasis) -> BoundaryCondition:
     """Pin the effort trace: ``e = value``, flow free."""
     n = basis.n
     pin = _port_datum(value, n)
-    port = LinearGraph(_port_space(n), np.zeros((n, n)), np.eye(n), x0=pin)
+    port = LinearGraph(InnerProductSpace(n), np.zeros((n, n)), np.eye(n), x0=pin)
     return _finalize(basis, port, "Dirichlet")
 
 
@@ -243,7 +227,7 @@ def neumann(value, basis: BoundaryDataBasis) -> BoundaryCondition:
     """Pin the flow trace: ``f = value``, effort free."""
     n = basis.n
     pin = _port_datum(value, n)
-    port = LinearGraph(_port_space(n), np.eye(n), np.zeros((n, n)), y0=-pin)
+    port = LinearGraph(InnerProductSpace(n), np.eye(n), np.zeros((n, n)), y0=-pin)
     return _finalize(basis, port, "Neumann")
 
 
@@ -266,7 +250,7 @@ def _robin_like(mmat, basis, value, sign: float, provenance: str) -> BoundaryCon
         )
     pin = _port_datum(value, n)
     kmat = sign * (basis.sqrtS @ mmat @ basis.sqrtS)
-    port = LinearGraph(_port_space(n), np.eye(n), kmat, y0=-pin)
+    port = LinearGraph(InnerProductSpace(n), np.eye(n), kmat, y0=-pin)
     return _finalize(basis, port, provenance)
 
 
@@ -301,7 +285,7 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
         raise ValueError(f"unknown port kind {kind!r}; expected one of {tuple(_PART_ARITY)}")
     if len(params) not in arity:
         raise ValueError(f"{kind} takes {' or '.join(map(str, arity))} value(s), got {len(params)}")
-    space = _port_space(1)
+    space = InnerProductSpace(1)
     if kind == "dirichlet":
         return LinearGraph(space, np.zeros((1, 1)), np.eye(1), x0=[params[0]])
     if kind == "neumann":
@@ -321,72 +305,38 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
     Parameters
     ----------
     parts:
-        Iterable of ``(ports, spec)`` entries.  ``ports`` is an index or
-        an index set; together they must partition ``range(n)``.  A spec
-        is either a tuple — ``("dirichlet", value)``,
-        ``("neumann", value)``, ``("robin", alpha[, value])``,
-        ``("friction", mu)`` — applied coordinatewise, or a monotone
-        :class:`~.relations.Relation` on standard ``C^k`` covering the
-        whole index set at once.
+        Iterable of ``(index, spec)`` entries, one per port of
+        ``range(n)``, in any order.  A spec is a tuple —
+        ``("dirichlet", value)``, ``("neumann", value)``,
+        ``("robin", alpha[, value])`` or ``("friction", mu)`` — giving
+        the scalar relation of that port.
     basis:
         Trace basis fixing ``n`` and the coordinate maps.
 
-    The parts are assembled by direct sum and, when the listed order is
-    not already the port order, transported back by the (unitary)
-    coordinate permutation.  Both certificates are exact: each part is
-    certified by its own rule, and direct sums and the permutation carry
-    the verdicts over.
+    The ports are checked and their scalar parts summed (a direct sum)
+    in port order, whatever the listed order, and the sum is certified
+    once.  Both certificates are
+    exact: each part is monotone and maximal by its own rule, and the
+    direct sum carries the verdicts over.
     """
     n = basis.n
-    seen: set = set()
-    order: list = []
-    part_relations: list = []
-    for ports, spec in parts:
-        if np.isscalar(ports):
-            idx = (int(ports),)
-        else:
-            idx = tuple(int(k) for k in ports)
-        if len(idx) == 0:
-            raise ValueError("empty port set in multiport part")
-        for k in idx:
-            if not 0 <= k < n:
-                raise ValueError(f"port index {k} out of range for {n} ports")
-            if k in seen:
-                raise ValueError(f"port index {k} assigned twice")
-            seen.add(k)
-        if isinstance(spec, Relation):
-            if spec.space.dim != len(idx):
-                raise ValueError(
-                    f"part relation has dimension {spec.space.dim}, expected {len(idx)}"
-                )
-            if not spec.space.is_identity_weight():
-                raise ValueError("part relations must live on standard coordinates")
-            part_relations.append(spec)
-            order.extend(idx)
-        else:
-            kind, *params = tuple(spec) or ("",)
-            for k in idx:
-                try:
-                    part_relations.append(_scalar_part(str(kind).lower(), tuple(params)))
-                except ValueError as exc:
-                    raise ValueError(f"port {k}: {exc}") from None
-                order.append(k)
-    if seen != set(range(n)):
-        missing = sorted(set(range(n)) - seen)
+    by_port: dict = {}
+    for k, spec in sorted(((int(k), spec) for k, spec in parts), key=lambda part: part[0]):
+        if not 0 <= k < n:
+            raise ValueError(f"port index {k} out of range for {n} ports")
+        if k in by_port:
+            raise ValueError(f"port index {k} assigned twice")
+        kind, *params = tuple(spec) or ("",)
+        try:
+            by_port[k] = _scalar_part(str(kind).lower(), tuple(params))
+        except ValueError as exc:
+            raise ValueError(f"port {k}: {exc}") from None
+    if len(by_port) != n:
+        missing = sorted(set(range(n)) - set(by_port))
         raise ValueError(f"ports {missing} not covered by any part")
-
-    summed = direct_sum(part_relations) if len(part_relations) > 1 else part_relations[0]
-    if list(order) == list(range(n)):
-        port = summed
-    else:
-        perm = np.eye(n)[list(order), :]
-        tmap = LinearMap(_port_space(n), _port_space(n), perm)
-        port = transform(tmap, summed)
-    bc = _finalize(basis, port, "Multiport")
-    # scalar parts are monotone, so only a Relation part can make the sum "no"
-    if bc.certificates["monotone"].monotone == "no":
-        raise ValueError("multiport parts must be monotone relations")
-    return bc
+    in_port_order = list(by_port.values())
+    port = direct_sum(in_port_order) if n > 1 else in_port_order[0]
+    return _finalize(basis, port, "Multiport")
 
 
 def subspace_gap(u1: np.ndarray, u2: np.ndarray) -> float:
@@ -458,7 +408,7 @@ def extract_h(constraint, basis: BoundaryDataBasis) -> BoundaryCondition:
     kern = relations._nullspace(np.hstack([ce, cf]))
     if kern.shape[1] == 0:
         raise ValueError("constraint kernel is trivial; no boundary relation to extract")
-    port = LinearGraph(_port_space(n), kern[:n], -kern[n:])
+    port = LinearGraph(InnerProductSpace(n), kern[:n], -kern[n:])
     return _finalize(basis, port, "Extracted")
 
 

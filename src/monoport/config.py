@@ -220,6 +220,8 @@ def parse_config(text: str) -> Config:
                 raise ConfigError(
                     f"line {lineno}: only 'scenario' may appear before the first section"
                 )
+            if scenario is not None:
+                raise ConfigError(f"line {lineno}: duplicate key 'scenario'")
             scenario = value
             continue
         if key in sections[current]:
@@ -327,7 +329,8 @@ def _parse_bc_fields(kind: str, bc: dict) -> dict:
     if kind == "custom":
         return {"C_e": _parse_matrix(_need(bc, "C_e", "bc"), "[bc] C_e"),
                 "C_f": _parse_matrix(_need(bc, "C_f", "bc"), "[bc] C_f")}
-    # multiport: (index, (kind, *args)) parts in port order, for boundary.multiport
+    # multiport: (index, (kind, *args)) parts in listed order; boundary.multiport
+    # sums them in port order
     ports = []
     for key, value in bc.items():
         if key == "kind":
@@ -340,4 +343,4 @@ def _parse_bc_fields(kind: str, bc: dict) -> dict:
             raise ConfigError(f"[bc] {key}: port index must be an integer") from None
         pkind, *args = value.split() or [""]
         ports.append((idx, (pkind, *(_parse_scalar(t, f"[bc] {key}") for t in args))))
-    return {"ports": sorted(ports, key=lambda part: part[0])}
+    return {"ports": ports}

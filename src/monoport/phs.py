@@ -152,14 +152,6 @@ class PortHamiltonian:
             ham = _check_density(ham, self.n)
         object.__setattr__(self, "hamiltonian", ham)
 
-    def hamiltonian_at(self, x: float) -> np.ndarray:
-        """Energy density matrix at position ``x``."""
-        if self.hamiltonian is None:
-            return np.eye(self.n, dtype=complex)
-        if callable(self.hamiltonian):
-            return _check_density(self.hamiltonian(x), self.n, f" at x={x:g}")
-        return self.hamiltonian
-
     def hamiltonian_grid(self, xs: np.ndarray) -> np.ndarray:
         """Energy density sampled on a grid, shape ``(len(xs), n, n)``.
 
@@ -444,8 +436,9 @@ def flow_effort(phs: PortHamiltonian, xs: np.ndarray, u: np.ndarray):
     field = _as_field(u, phs.n)
     if field.shape[0] != len(xs):
         raise ValueError("sample count does not match the grid")
-    p_left = phs.hamiltonian_at(-phs.b) @ field[0]
-    p_right = phs.hamiltonian_at(phs.b) @ field[-1]
+    h_left, h_right = phs.hamiltonian_grid([-phs.b, phs.b])
+    p_left = h_left @ field[0]
+    p_right = h_right @ field[-1]
     effort = (p_right + p_left) / np.sqrt(2.0)
     flow = (phs.p1 @ (p_left - p_right)) / np.sqrt(2.0)
     return flow, effort

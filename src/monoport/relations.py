@@ -363,8 +363,8 @@ def plan_inclusion(phi: np.ndarray, rel: Relation) -> "_Plan":
     per run; a resolvent is the plan at ``phi = 1/lam``.
 
     Dispatch: a congruence ``T* B T`` substitutes ``u = T z`` and plans
-    ``T*^{-1} phi T^{-1} u + B(u) ∋ T*^{-1} g``, so a ``multiport``
-    listed out of port order takes the path of one listed in order.  A
+    ``T*^{-1} phi T^{-1} u + B(u) ∋ T*^{-1} g``, so a congruence takes
+    the path of its base relation.  A
     linear graph (offsets included) keeps ``M^{-1}``, ``M = phi zx + zy``,
     checked once against :data:`TOL_LINEAR` (a non-square or singular
     ``M`` keeps one least-squares solve per call).  Diagonal ``phi``

@@ -105,9 +105,6 @@ class InnerProductSpace:
         y = sla.solve_triangular(self._chol, rhs, lower=True)
         return sla.solve_triangular(self._chol.conj().T, y, lower=False)
 
-    def is_identity_weight(self) -> bool:
-        return bool(np.allclose(self.weight, np.eye(self.dim), atol=1e-14))
-
 
 @dataclass(frozen=True)
 class LinearMap:

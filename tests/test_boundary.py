@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import warnings
 
 import numpy as np
@@ -19,13 +21,10 @@ from monoport import relations
 from monoport.phs import PortHamiltonian, bd_basis
 from monoport.relations import (
     LinearGraph,
-    SeparableProx,
     _orthonormal_columns,
-    direct_sum,
     graph_residual,
     resolvent,
 )
-from monoport.spaces import InnerProductSpace
 
 from conftest import rand_complex, rand_contraction, rand_spd, rand_unitary
 
@@ -62,8 +61,6 @@ CONSTRUCTORS = {
     "multiport-friction": lambda b: multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0, 0.1))], b),
     "multiport-friction-reversed":
         lambda b: multiport([(1, ("robin", 1.0)), (0, ("friction", 0.5))], b),
-    "multiport-relation-part":
-        lambda b: multiport([(1, ("friction", 0.5)), (0, LinearGraph.from_matrix(InnerProductSpace(1), [[0.7]]))], b),
     "extract_h": lambda b: extract_h(([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]), b),
 }
 
@@ -248,21 +245,22 @@ def test_multiport_friction_soft_threshold(basis2):
     assert bc.certificates["maximal"].maximal == "yes"
 
 
-def test_multiport_respects_listed_order(basis2):
-    flipped = multiport([(1, ("dirichlet", 0.0)), (0, ("friction", 0.5))], basis2)
-    assert resolvent(flipped.port_relation, 1.0, [1.0, 0.0]) == pytest.approx(
-        [0.5, 0.0], abs=1e-9)
-
-
-@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["in-order", "flipped"])
-def test_multiport_maximality_witness_is_in_port_coordinates(basis2, order):
-    """Friction on port 0 next to the zero graph ``{(0, 0)}`` on port 1 is
-    monotone but not maximal: ``1 + A`` misses ``e_1`` in either listing."""
-    specs = {0: ("friction", 0.5), 1: LinearGraph(InnerProductSpace(1), [[0.0]], [[0.0]])}
-    bc = multiport([(k, specs[k]) for k in order], basis2)
-    cert = bc.certificates["maximal"]
-    assert cert.maximal == "no"
-    assert cert.witness["rhs"] == pytest.approx([0.0, 1.0], abs=1e-12)
+@pytest.mark.parametrize("specs", [
+    [("friction", 0.5), ("dirichlet", 0.2), ("robin", 1.0, 0.1)],
+    [("neumann", 0.3), ("dirichlet", 0.2), ("robin", 1.0)],
+    [("friction", 0.5), ("friction", 0.3), ("friction", 0.2)],
+], ids=["frictional", "linear", "friction-only"])
+def test_multiport_respects_listed_order(specs):
+    """Any listing of the ports builds, bitwise, the relation of the
+    listing in port order, with the same certificates."""
+    basis = bd_basis(PortHamiltonian(n=3, b=1.0, p1=np.diag([1.0, 2.0, 3.0])))
+    in_order = multiport(list(enumerate(specs)), basis)
+    for order in itertools.permutations(range(3)):
+        listed = multiport([(k, specs[k]) for k in order], basis)
+        assert not isinstance(listed.port_relation, relations.Transformed)
+        assert pickle.dumps(listed.port_relation) == pickle.dumps(in_order.port_relation), order
+        for name in ("monotone", "maximal"):
+            assert listed.certificates[name].describe() == in_order.certificates[name].describe()
 
 
 def test_multiport_partition_errors(basis2):
@@ -273,31 +271,21 @@ def test_multiport_partition_errors(basis2):
         multiport([(0, ("dirichlet", 0.0)), (5, ("neumann", 0.0))], basis2)
     with pytest.raises(ValueError, match="not covered"):
         multiport([(0, ("dirichlet", 0.0))], basis2)
-    with pytest.raises(ValueError, match="dimension"):
-        multiport([((0, 1), SeparableProx(InnerProductSpace(1), [0.5]))], basis2)
 
 
-@pytest.mark.parametrize("other, order", [
-    (("dirichlet", 0.0), (0, 1)), (("friction", 0.5), (0, 1)), (("friction", 0.5), (1, 0)),
-], ids=["linear-sum", "direct-sum", "congruence"])
-def test_multiport_rejects_nonmonotone_part(basis2, other, order):
-    """The sum's own certificate refuses the part, whatever form the sum takes."""
-    specs = {0: LinearGraph.from_matrix(InnerProductSpace(1), [[-1.0]]), 1: other}
-    with pytest.raises(ValueError, match="multiport parts must be monotone relations"):
-        multiport([(k, specs[k]) for k in order], basis2)
+def test_multiport_checks_ports_in_port_order(basis2):
+    """Of two malformed ports the lower index is reported, whatever the
+    listing, so a config reports the same port however it lists them."""
+    with pytest.raises(ValueError, match=r"^port 0: robin coefficient"):
+        multiport([(1, ("teleport", 1.0)), (0, ("robin", -1.0))], basis2)
 
 
-@pytest.mark.parametrize("make_part", [
-    lambda: SeparableProx(InnerProductSpace(2), [0.5] * 2),
-    lambda: direct_sum([SeparableProx(InnerProductSpace(1), [0.5])] * 2),
-], ids=["two-piece-prox", "direct-sum"])
-def test_multiport_bounded_frictional_part_certifies_maximal(make_part):
-    """Two friction ports given as one direct-sum part certify exactly
-    like one two-piece ``SeparableProx``, and nothing warns."""
+def test_multiport_two_friction_ports_certify_maximal():
+    """Two friction ports certify exactly, componentwise, and nothing warns."""
     basis = bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bc = multiport([((0, 1), make_part())], basis)
+        bc = multiport([(0, ("friction", 0.5)), (1, ("friction", 0.5))], basis)
     cert = bc.certificates["maximal"]
     assert cert.maximal == "yes"
     assert "sampl" not in cert.method

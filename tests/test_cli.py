@@ -100,11 +100,20 @@ def test_check_bc_missing_file_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_check_bc_parse_error_is_usage_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "scenario = zero\nnot a config\n")
-    code = cli.main(["check-bc", "--config", cfg])
+@pytest.mark.parametrize("text, fragment", [
+    ("scenario = zero\nnot a config\n", "expected 'key = value'"),
+    # a second scenario line is refused, not a silent override of the first
+    ("scenario = gaussian\n" + (CONFIG_DIR / "transport.cfg").read_text(encoding="utf-8"),
+     "duplicate key 'scenario'"),
+], ids=["not-key-value", "scenario-twice"])
+def test_check_bc_parse_error_is_usage_error(tmp_path, capsys, text, fragment):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    code = cli.main(["check-bc", "--config", cfg, "--out", str(out)])
     assert code == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and fragment in err
+    assert not out.exists()
 
 
 MULTIPORT_BC = "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0"
@@ -328,6 +337,23 @@ def test_linear_multiport_config_runs_at_midpoint(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "maximal: yes (exact:" in out
     assert "skew-selfadjoint: no" in out
+
+
+@pytest.mark.parametrize("command", ["check-bc", "simulate"])
+def test_multiport_listing_order_does_not_change_the_output(tmp_path, capsys, command):
+    """``port.1`` listed before ``port.0`` is the same condition: the
+    ports are summed in port order, so every file and the report are
+    byte-identical to the in-order config's."""
+    in_order = "port.0 = friction 0.5\nport.1 = dirichlet 0"
+    reversed_ = "port.1 = dirichlet 0\nport.0 = friction 0.5"
+    outputs = []
+    for name, ports in (("in_order", in_order), ("reversed", reversed_)):
+        cfg = write_cfg(tmp_path, FRICTION_SMALL.replace(in_order, ports), f"{name}.cfg")
+        out = tmp_path / name
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0][1] and outputs[0] == outputs[1]
 
 
 def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):

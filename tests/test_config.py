@@ -122,6 +122,7 @@ def test_bc_value_scalar_broadcasts_to_every_port(bc_text, offset, expected):
     (BASE + "[output]\nprecision = 40\n", "between 1 and 17"),
     (BASE + "[output]\nprecision = fine\n", "integer"),
     (BASE + "stray = 3\n", "unknown keys"),
+    ("scenario = gaussian\n" + BASE, "line 2: duplicate key 'scenario'"),
     (variant("P1 = 1", "P1 = 1\nextra = 2"), "unknown keys"),
     (variant("V = 0", "V = 0\nM = 1"), "unknown keys"),
     (variant("kind = v-matrix\nV = 0", "kind = teleport\nV = 0"), "kind"),

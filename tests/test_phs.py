@@ -107,17 +107,17 @@ def test_port_hamiltonian_validation():
 
 def test_port_hamiltonian_density_handling(rng):
     free = system([[1.0]])
-    assert np.allclose(free.hamiltonian_at(0.3), np.eye(1))
+    assert np.allclose(free.hamiltonian_grid([0.3])[0], np.eye(1))
 
     dens = rand_spd(rng, 2)
     fixed = PortHamiltonian(n=2, b=1.0, p1=P1_SWAP, hamiltonian=dens)
-    assert np.allclose(fixed.hamiltonian_at(-0.5), dens)
+    assert np.allclose(fixed.hamiltonian_grid([-0.5])[0], dens)
 
     varying = PortHamiltonian(n=1, b=1.0, p1=[[1.0]],
                               hamiltonian=lambda x: np.array([[2.0 + x]]))
-    assert varying.hamiltonian_at(0.5)[0, 0] == pytest.approx(2.5)
+    assert varying.hamiltonian_grid([0.5])[0, 0, 0] == pytest.approx(2.5)
     with pytest.raises(ValueError):
-        varying.hamiltonian_at(-3.0)  # density loses positivity
+        varying.hamiltonian_grid([-3.0])  # density loses positivity
     # a density function is checked at x = 0 when the system is built
     with pytest.raises(ValueError, match=r"at x=0 must have shape \(2, 2\), got \(1, 1\)"):
         PortHamiltonian(n=2, b=1.0, p1=P1_SWAP, hamiltonian=lambda x: np.array([[2.0 + x]]))

@@ -10,7 +10,7 @@ import pytest
 from monoport import boundary as bnd
 from monoport.config import HAMILTONIAN_PROFILES, load_config
 from monoport.phs import PortHamiltonian, bd_basis
-from monoport.relations import SeparableProx
+from monoport.relations import SeparableProx, direct_sum, transform
 from monoport.solver import (
     Scenario,
     _CoreSolver,
@@ -21,7 +21,7 @@ from monoport.solver import (
     simulate,
     step,
 )
-from monoport.spaces import InnerProductSpace
+from monoport.spaces import InnerProductSpace, LinearMap
 from monoport.verify import _monolithic_resolve
 
 from conftest import ComplexWarning, rand_contraction, rand_unitary
@@ -380,12 +380,14 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
     # SeparableProx against a diagonal, non-scalar phi: soft thresholding
     # per coordinate
     ([[1.0, 0.0], [0.0, 2.0]],
-     lambda basis: bnd.multiport([((0, 1), SeparableProx(InnerProductSpace(2), [0.5] * 2))],
-                                 basis), 1.0),
-    # a congruence: listed out of port order, the ports are permuted back,
-    # and the substitution hands the Schur branch the in-order problem
+     lambda basis: bnd._finalize(basis, SeparableProx(InnerProductSpace(2), [0.5] * 2), "Prox"), 1.0),
+    # a congruence: the ports of robin ⊕ friction swapped back, and the
+    # substitution hands the Schur branch the in-order problem
     ([[1.0, 0.7], [0.7, 1.5]],
-     lambda basis: bnd.multiport([(1, ("robin", 1.0)), (0, ("friction", 0.5))], basis), 1.0),
+     lambda basis: bnd._finalize(basis, transform(
+         LinearMap(InnerProductSpace(2), InnerProductSpace(2), [[0.0, 1.0], [1.0, 0.0]]),
+         direct_sum([bnd._scalar_part("robin", (1.0,)), bnd._scalar_part("friction", (0.5,))])),
+         "Swapped"), 1.0),
 ], ids=["affine-coupled", "direct-sum-diagonal", "schur-robin", "schur-dirichlet",
         "schur-shifted-robin", "prox-diagonal", "schur-listed-reversed"])
 def test_non_scalar_fast_paths_skip_splitting_and_keep_ledger(monkeypatch, p1, make_bc, theta):

@@ -12,7 +12,7 @@ N_TRIALS = 50
 
 def test_weight_defaults_to_identity():
     space = InnerProductSpace(3)
-    assert space.is_identity_weight()
+    assert np.array_equal(space.weight, np.eye(3))
     assert space.inner([1, 0, 0], [1, 0, 0]) == pytest.approx(1.0)
 
 
