@@ -26,6 +26,7 @@ certificates always carry a concrete, re-verifiable witness.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -306,7 +307,9 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
     ----------
     parts:
         Iterable of ``(index, spec)`` entries, one per port of
-        ``range(n)``, in any order.  A spec is a tuple —
+        ``range(n)``, in any order.  An index is an integer (a numpy
+        integer too); a ``bool``, a float or any other value is refused,
+        not truncated.  A spec is a tuple —
         ``("dirichlet", value)``, ``("neumann", value)``,
         ``("robin", alpha[, value])`` or ``("friction", mu)`` — giving
         the scalar relation of that port.
@@ -321,7 +324,7 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
     """
     n = basis.n
     by_port: dict = {}
-    for k, spec in sorted(((int(k), spec) for k, spec in parts), key=lambda part: part[0]):
+    for k, spec in sorted(((_port_index(k), spec) for k, spec in parts), key=lambda part: part[0]):
         if not 0 <= k < n:
             raise ValueError(f"port index {k} out of range for {n} ports")
         if k in by_port:
@@ -337,6 +340,17 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
     in_port_order = list(by_port.values())
     port = direct_sum(in_port_order) if n > 1 else in_port_order[0]
     return _finalize(basis, port, "Multiport")
+
+
+def _port_index(k) -> int:
+    """``k`` as a port index: an integer (numpy integers included), not a
+    ``bool`` and nothing that ``int`` would truncate."""
+    if not isinstance(k, bool):
+        try:
+            return operator.index(k)
+        except TypeError:
+            pass
+    raise ValueError(f"port index {k!r} is not an integer")
 
 
 def subspace_gap(u1: np.ndarray, u2: np.ndarray) -> float:

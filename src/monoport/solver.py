@@ -5,7 +5,8 @@ summation-by-parts realization of ``P1 d/dx + P0`` on the symmetric
 grid; a run integrates ``dw/dt = -A w``.  One implicit step is a
 *constructive resolvent*: the linear bulk is eliminated through a
 banded LU factorization (LAPACK ``gbtrf``) of its interior block,
-which compresses the whole grid problem to an ``n``-dimensional
+solved by two BLAS ``tbsv`` sweeps on that factor (below), which
+compresses the whole grid problem to an ``n``-dimensional
 inclusion ``Phi e + R(e) ∋ g`` for the boundary effort trace ``e``,
 where ``R`` is the boundary relation in flow/effort coordinates and
 ``Phi`` is the discrete boundary response (effort-to-flow) map of the
@@ -49,14 +50,33 @@ A run picks its arithmetic once, from its data.  When ``P1``, ``P0``,
 the nodewise ``H^{-1}``, the boundary relation (:attr:`.Relation.real`)
 and the initial state (for :func:`resolve_A`, the right-hand side) have
 no imaginary part, the run factors, solves and stores its states in
-float64; the real band solve (``dgbtrs``) takes about 0.7 of the time
-of the complex one (``zgbtrs``) on a coupled ``n = 2`` system.  The
-inclusion itself stays complex; its solution is real, because a real
-relation is closed under conjugation and the solution is unique, so
-the run keeps its real part.  Any complex datum keeps the whole run in
-complex arithmetic.  A real factor still takes a complex right-hand
-side, such as a complex state handed to :func:`step`, as the two real
-columns ``[Re r, Im r]`` of one bulk solve.
+float64; the real band solve takes 0.5 to 0.7 of the time of the
+complex one on a coupled ``n = 2`` system (0.66 at m = 256, 0.52 at
+m = 16384).  The inclusion itself stays complex; its solution is real,
+because a real relation is closed under conjugation and the solution
+is unique, so the run keeps its real part.  Any complex datum keeps the
+whole run in complex arithmetic.  A real factor still takes a complex
+right-hand side, such as a complex state handed to :func:`step`, as the
+two real columns ``[Re r, Im r]`` of one bulk solve.
+
+The band solve runs the operations of LAPACK ``gbtrs`` in fewer calls.
+``gbtrs`` applies ``L`` column by column (a row swap, then that
+column's multipliers) and then solves ``U``; its calls cost about 30 ns
+per column whatever the band.  ``gbtrf`` swaps rows only in a prefix
+of the columns: none at small ``mu / h_x`` (``mu = theta dt``), the
+first 10 of 32,766 on the wave block at m = 16384 and ``mu / h_x =
+4.1``, nearly all at the large ``mu / h_x`` of some of :mod:`.verify`'s
+resolvent checks.  Past the last swap, at column ``J - 1``, ``L`` is a
+plain unit lower band, so one BLAS ``tbsv`` sweeps it from column ``J``
+and one more sweeps ``U``, both on the ``gbtrf`` array in place.  The
+head, the first ``J`` columns of ``L`` with their swaps, is ``gbtrs``
+on a copy of them (``J + kl`` rows, as far as they reach) with the
+identity for ``U``.  Every entry so receives the updates of ``gbtrs``
+in its order, and in OpenBLAS both routines compute them with the same
+``axpy`` kernel; the head only adds products with exact zeros, which
+can turn a ``-0`` into ``+0`` and change nothing else.  The Tier-1
+tests check the result bitwise against ``gbtrs``, right-hand sides
+with signed zeros included.
 """
 
 from __future__ import annotations
@@ -67,6 +87,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .boundary import BoundaryCondition
@@ -240,15 +261,39 @@ class _CoreSolver:
         # The interior block a_int = amat[n:-n, n:-n] is banded (node-major
         # SBP stencil): LAPACK band storage ab[kl + ku + i - j, j] = a_int[i, j],
         # band widths read from its sparsity, factored in place by gbtrf.
+        # ab is the start of a flat buffer with kl + ku entries to spare, so
+        # that the multipliers of L (rows kl + ku .. 2 kl + ku) can be read
+        # in place as a band array of their own (see interior_solve).
         a_int = amat[n:-n, n:-n]
-        off = np.repeat(np.arange(a_int.shape[0]), np.diff(a_int.indptr)) - a_int.indices
+        nint = a_int.shape[0]
+        off = np.repeat(np.arange(nint), np.diff(a_int.indptr)) - a_int.indices
         self.kl, self.ku = kl, ku = int(off.max()), int(-off.min())
-        ab = np.zeros((2 * kl + ku + 1, a_int.shape[0]), dtype=dtype, order="F")
+        ldab = 2 * kl + ku + 1
+        buf = np.zeros(ldab * nint + kl + ku, dtype=dtype)
+        ab = buf[: ldab * nint].reshape((ldab, nint), order="F")
         ab[kl + ku + off, a_int.indices] = a_int.data
         gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self._tbsv = get_blas_funcs("tbsv", (ab,))
         self.lu, self.piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
         if info > 0:
             raise RuntimeError(f"interior block is exactly singular: zero pivot U[{info - 1}, {info - 1}]")
+
+        # gbtrs applies L column by column (row swap, then the multipliers)
+        # and then solves U.  Past the last row swap, L is a unit lower band
+        # of width kl, swept in place from column J on.  The leading J
+        # columns, swaps included, form the head: a copy that gbtrs applies
+        # to the first J + kl rows, which those columns reach, with the
+        # identity for U (ku = 0, the narrowest band gbtrs takes).
+        swapped = np.flatnonzero(self.piv != np.arange(nint))
+        self._j = j = int(swapped[-1]) + 1 if swapped.size else 0
+        self._lower = buf[kl + ku + j * ldab: kl + ku + nint * ldab].reshape((ldab, nint - j), order="F")
+        self._head = None
+        if j:
+            nh = min(j + kl, nint)
+            head = np.zeros((2 * kl + 1, nh), dtype=dtype, order="F")
+            head[kl] = 1.0
+            head[kl + 1:, :j] = self.lu[kl + ku + 1:, :j]
+            self._head = (head, self.piv[:nh])
 
         # The endpoint rows and columns; solve() reads them as [:n] and [-n:].
         ends = np.r_[0:n, nn * n - n: nn * n]
@@ -286,11 +331,26 @@ class _CoreSolver:
 
     def interior_solve(self, r: np.ndarray) -> np.ndarray:
         """``a_int^{-1} r`` by the band factor; a real factor takes a complex
-        ``r`` as the two real columns ``[Re r, Im r]`` of one solve."""
+        ``r`` as the two real columns ``[Re r, Im r]`` of one solve.
+
+        The head (``gbtrs`` on the first ``J + kl`` rows, only when the
+        factor swapped rows), then per column of ``r`` the unit lower
+        ``tbsv`` sweep of ``L`` from column ``J`` and the upper one of
+        ``U``: the operations of ``gbtrs`` on the whole factor, in its
+        order (see the module docstring).
+        """
         if self.real and np.iscomplexobj(r):
-            cols = self._gbtrs(self.lu, self.kl, self.ku, np.column_stack([r.real, r.imag]), self.piv)[0]
+            cols = self.interior_solve(np.column_stack([r.real, r.imag]))
             return cols[:, 0] + 1j * cols[:, 1]
-        return self._gbtrs(self.lu, self.kl, self.ku, r, self.piv)[0]
+        x = np.array(r, dtype=self.lu.dtype, order="F")
+        if self._head is not None:
+            head, piv = self._head
+            nh = head.shape[1]
+            x[:nh] = self._gbtrs(head, self.kl, 0, x[:nh], piv)[0]
+        for col in x.T if x.ndim == 2 else (x,):
+            self._tbsv(self.kl, self._lower, col, offx=self._j, lower=1, diag=1, overwrite_x=1)
+            self._tbsv(self.kl + self.ku, self.lu, col, overwrite_x=1)
+        return x
 
     def solve(self, r_flat: np.ndarray, x0: Optional[np.ndarray] = None):
         """``(p, s, e, fhat)`` for the rows ``r_flat``; float64 exactly when

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -271,6 +272,21 @@ def test_multiport_partition_errors(basis2):
         multiport([(0, ("dirichlet", 0.0)), (5, ("neumann", 0.0))], basis2)
     with pytest.raises(ValueError, match="not covered"):
         multiport([(0, ("dirichlet", 0.0))], basis2)
+
+
+@pytest.mark.parametrize("index", [0.7, 1.0, True, np.True_, np.float64(0.0), "1"],
+                         ids=["float", "integral-float", "bool", "numpy-bool", "numpy-float", "str"])
+def test_multiport_refuses_a_non_integer_port_index(basis2, index):
+    """An index is not truncated or coerced: ``0.7`` would land on port 0
+    and ``True`` on port 1.  The message names the offending index."""
+    with pytest.raises(ValueError, match=rf"^port index {re.escape(repr(index))} is not an integer$"):
+        multiport([(index, ("friction", 0.5)), (1, ("dirichlet", 0.0))], basis2)
+
+
+def test_multiport_takes_numpy_integer_indices(basis2):
+    listed = multiport([(np.int64(1), ("dirichlet", 0.0)), (np.uint8(0), ("friction", 0.5))], basis2)
+    plain = multiport([(0, ("friction", 0.5)), (1, ("dirichlet", 0.0))], basis2)
+    assert pickle.dumps(listed.port_relation) == pickle.dumps(plain.port_relation)
 
 
 def test_multiport_checks_ports_in_port_order(basis2):

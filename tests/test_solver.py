@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import get_lapack_funcs
 
 from monoport import boundary as bnd
 from monoport.config import HAMILTONIAN_PROFILES, load_config
@@ -785,29 +786,88 @@ PHS_DENSITY = PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]],
                               hamiltonian=np.array([[2.0, 0.3], [0.3, 1.0]]))
 
 
+def _gbtrs_reference(core, r):
+    """LAPACK ``gbtrs`` on the whole band factor, a real factor taking a
+    complex ``r`` as the two real columns ``[Re r, Im r]``."""
+    gbtrs = get_lapack_funcs("gbtrs", (core.lu,))
+    if core.real and np.iscomplexobj(r):
+        cols = gbtrs(core.lu, core.kl, core.ku, np.column_stack([r.real, r.imag]), core.piv)[0]
+        return cols[:, 0] + 1j * cols[:, 1]
+    return gbtrs(core.lu, core.kl, core.ku, r, core.piv)[0]
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: (cells, mu / h_x): 0.25 needs no row swap (J = 0); at 4 the wave block
+#: swaps in its first columns only; at 50 it swaps throughout (J ~ N).
+BLOCKS = {"m32": (32, 4.8), "no-swaps": (256, 0.25), "head-swaps": (256, 4.0),
+          "pivots-throughout": (256, 50.0)}
+
+
+@pytest.mark.parametrize("block", list(BLOCKS))
 @pytest.mark.parametrize("phs, v, real, complex_rhs", [
     (PHS2, [[0.0, 1.0], [-1.0, 0.0]], True, False),
     (PHS2, [[0.0, 1j], [1j, 0.0]], False, True),
     (PHS2, [[0.0, 1.0], [-1.0, 0.0]], True, True),
     (PHS_DENSITY, [[0.0, 1.0], [-1.0, 0.0]], True, False),
 ], ids=["real", "complex", "real-factor-complex-rhs", "density"])
-def test_band_factor_solves_the_interior_block(rng, phs, v, real, complex_rhs):
+def test_band_factor_solves_the_interior_block(rng, phs, v, real, complex_rhs, block):
     """The band LU of ``amat[n:-n, n:-n]`` solves it like a dense solve,
     for a real and a complex factor, a complex right-hand side on a real
     factor and the ``H^{-1}`` mass block of a non-identity density; the
-    band widths come from the SBP42 stencil: 2 nodes of 2 components."""
-    ops = discretize(phs, 32)
-    core = _CoreSolver(ops, bnd.from_V(np.array(v), bd_basis(phs)), 0.3, real)
+    band widths come from the SBP42 stencil: 2 nodes of 2 components.
+
+    The solve (head, then the two ``tbsv`` sweeps) is bitwise ``gbtrs`` on
+    the same factor, right-hand sides with exact signed zeros included,
+    with or without row swaps; the sweeps read the ``gbtrf`` output in
+    place."""
+    m, mu_h = BLOCKS[block]
+    ops = discretize(phs, m)
+    core = _CoreSolver(ops, bnd.from_V(np.array(v), bd_basis(phs)), mu_h * ops.grid.h_x, real)
     assert (core.kl, core.ku) == (5, 5)
     assert core.lu.dtype == (np.float64 if real else np.complex128)
+    nint = core.lu.shape[1]
+    assert np.array_equal(core.piv[core._j:], np.arange(core._j, nint))
+    assert core._j == 0 or core.piv[core._j - 1] != core._j - 1
+    assert np.shares_memory(core._lower, core.lu)
+
     a_int = core.amat[2:-2, 2:-2].toarray()
-    r = rng.normal(size=a_int.shape[0]) + (1j * rng.normal(size=a_int.shape[0]) if complex_rhs else 0.0)
+    r = rng.normal(size=nint) + (1j * rng.normal(size=nint) if complex_rhs else 0.0)
     x = core.interior_solve(r)
     want = np.linalg.solve(a_int, r)
     assert x.dtype == want.dtype
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
-    lift = np.linalg.solve(a_int, core.amat[2:-2][:, np.r_[0:2, 64:66]].toarray())
+    ends = np.r_[0:2, 2 * ops.nnodes - 2: 2 * ops.nnodes]
+    lift_rhs = core.amat[2:-2][:, ends].toarray()
+    lift = np.linalg.solve(a_int, lift_rhs)
     assert np.abs(core.lift - lift).max() <= 1e-13 * np.abs(lift).max()
+
+    signed_zeros = r.copy()
+    signed_zeros[::3] = 0.0
+    signed_zeros[1::3] = -0.0
+    signed_zeros[: core._j + core.kl] = -0.0
+    signed_zeros[-1] = 1.0
+    for rhs in (r, signed_zeros, np.full(nint, -0.0), lift_rhs):
+        assert _bitwise(core.interior_solve(rhs), _gbtrs_reference(core, rhs))
+    lift_ref = _gbtrs_reference(core, lift_rhs)
+    for part in (lift_ref,) if real else (lift_ref.real, lift_ref.imag):
+        part[np.abs(part) < np.finfo(float).tiny] = 0.0
+    assert _bitwise(core.lift, lift_ref)
+
+
+def test_band_factor_swaps_sit_in_a_head():
+    """On the wave block the row swaps of ``gbtrf`` stop after a short
+    prefix at moderate ``mu / h_x`` and run through the block at large
+    ``mu / h_x``; without any, the solve has no head."""
+    bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
+    ops = discretize(PHS2, 256)
+    heads = {name: _CoreSolver(ops, bc, BLOCKS[name][1] * ops.grid.h_x, True)._j
+             for name in ("no-swaps", "head-swaps", "pivots-throughout")}
+    assert heads["no-swaps"] == 0
+    assert 0 < heads["head-swaps"] <= 16
+    assert heads["pivots-throughout"] >= 500
 
 
 def test_singular_interior_block_raises():
