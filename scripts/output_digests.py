@@ -13,7 +13,9 @@ package from this checkout's ``src``:
 * ``monoport check-bc`` on one invalid config per value rule that only a
   constructor on the build path checks (system, boundary condition,
   grid, initial data, scenario; :data:`INVALID_CONFIGS`), each a shipped
-  config with one edit, written to the temporary directory.
+  config with one edit, written to the temporary directory;
+* ``monoport simulate`` on a fine grid (:data:`FINE_CONFIGS`), a shipped
+  config with its grid edited, written there too.
 
 Output files go to a temporary directory that is removed afterwards.
 One ``sha256  name`` line is printed per written file and per captured
@@ -69,6 +71,14 @@ INVALID_CONFIGS = (
     ("phs-profile-shape", "wave_damped.cfg", "P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = sine-well"),
 )
 
+#: ``(name, shipped config, edits)``: a run on a grid fine enough that the
+#: band factor swaps rows in a head (J = 10 of 32,766 at m = 16384 and
+#: mu / h_x = 4.1) and most of the interior lift underflows below the normal
+#: range; 5 theta = 1/2 steps.
+FINE_CONFIGS = (
+    ("wave_conservative-m16384", "wave_conservative.cfg", (("m = 256", "m = 16384"), ("T = 2.0", "T = 0.005"))),
+)
+
 #: Exit code of an invalid config.
 EXIT_USAGE = 2
 
@@ -102,6 +112,17 @@ def _cases(tmp: Path):
         cfg.write_text(original.replace(text, replacement, 1), encoding="utf-8")
         name = f"check-bc-invalid/{rule}"
         yield name, cli + ["check-bc", "--config", str(cfg), "--out", name], EXIT_USAGE
+    for label, shipped, edits in FINE_CONFIGS:
+        text = (ROOT / "configs" / shipped).read_text(encoding="utf-8")
+        for old, new in edits:
+            if old not in text:
+                raise SystemExit(f"{shipped} no longer contains {old!r}; update FINE_CONFIGS")
+            text = text.replace(old, new, 1)
+        cfg = tmp / "fine" / f"{label}.cfg"
+        cfg.parent.mkdir(exist_ok=True)
+        cfg.write_text(text, encoding="utf-8")
+        name = f"simulate-fine/{label}"
+        yield name, cli + ["simulate", "--config", str(cfg), "--out", name], 0
 
 
 def _sha256(data: bytes) -> str:

@@ -5,7 +5,7 @@ summation-by-parts realization of ``P1 d/dx + P0`` on the symmetric
 grid; a run integrates ``dw/dt = -A w``.  One implicit step is a
 *constructive resolvent*: the linear bulk is eliminated through a
 banded LU factorization (LAPACK ``gbtrf``) of its interior block,
-solved by two BLAS ``tbsv`` sweeps on that factor (below), which
+solved by BLAS ``tbsv`` sweeps on a compact copy of that factor (below), which
 compresses the whole grid problem to an ``n``-dimensional
 inclusion ``Phi e + R(e) ∋ g`` for the boundary effort trace ``e``,
 where ``R`` is the boundary relation in flow/effort coordinates and
@@ -44,7 +44,9 @@ state is admissible and a fresh ``Stepper`` takes the same step as a
 chained one, which only warm-starts the inclusion from the previous
 effort trace.  The step leaves the pairing of its one solve in
 ``stepper.dissipation``; :func:`simulate` is the loop
-``w = step(w, stepper)``.
+``w = step(w, stepper)``, each step written with ``out=`` into its row
+of the preallocated states: the interior solve runs in that row, and
+the extrapolation works there in place.
 
 A run picks its arithmetic once, from its data.  When ``P1``, ``P0``,
 the nodewise ``H^{-1}``, the boundary relation (:attr:`.Relation.real`)
@@ -67,16 +69,32 @@ of the columns: none at small ``mu / h_x`` (``mu = theta dt``), the
 first 10 of 32,766 on the wave block at m = 16384 and ``mu / h_x =
 4.1``, nearly all at the large ``mu / h_x`` of some of :mod:`.verify`'s
 resolvent checks.  Past the last swap, at column ``J - 1``, ``L`` is a
-plain unit lower band, so one BLAS ``tbsv`` sweeps it from column ``J``
-and one more sweeps ``U``, both on the ``gbtrf`` array in place.  The
-head, the first ``J`` columns of ``L`` with their swaps, is ``gbtrs``
-on a copy of them (``J + kl`` rows, as far as they reach) with the
-identity for ``U``.  Every entry so receives the updates of ``gbtrs``
-in its order, and in OpenBLAS both routines compute them with the same
-``axpy`` kernel; the head only adds products with exact zeros, which
-can turn a ``-0`` into ``+0`` and change nothing else.  The Tier-1
-tests check the result bitwise against ``gbtrs``, right-hand sides
-with signed zeros included.
+plain unit lower band, so one BLAS ``tbsv`` sweeps it from column
+``J``.  The head, the first ``J`` columns of ``L`` with their swaps, is
+``gbtrs`` on a copy of them (``J + kl`` rows, as far as they reach)
+with the identity for ``U``.  The swaps fill ``U`` out to ``kl + ku``
+superdiagonals only up to a column ``C`` (16 of 32,766 on that wave
+block, 0 without swaps); from ``C`` on one ``tbsv`` sweeps
+``U`` with its ``ku``, and a last one, only when ``C > 0``, sweeps the
+full-width head of ``U``.  That head also holds the ``ku`` columns from
+``C``, with a unit diagonal and nothing from row ``C`` down, so its
+sweep applies their couplings to the rows above ``C`` and nothing else.
+The solver keeps the factor in this compact form (``L`` from ``J``, the
+``U`` tail, the two heads; 12 of the 16 rows of the ``gbtrf`` array at
+m = 16384), not the ``gbtrf`` array itself.  Every entry so receives
+the updates of ``gbtrs`` in its order, and in OpenBLAS both routines
+compute them with the same ``axpy`` kernel; the sweeps only skip or add
+products with exact zeros, which could at most turn a ``-0`` into
+``+0``.  The Tier-1 tests check the result bitwise against ``gbtrs``,
+right-hand sides with signed zeros included.
+
+The interior lift, the solve of the interior block against the columns
+of the endpoint unknowns, decays exponentially away from its endpoint,
+and every part below ``tiny`` is set to 0, so that no step multiplies
+subnormal numbers.  It is solved on windows from each endpoint that stop
+a little past that decay (:meth:`_CoreSolver._lift`), which skips the
+subnormal arithmetic of the full solve (42–44 ms, most of the set-up,
+at m = 16384) and keeps its bits.
 """
 
 from __future__ import annotations
@@ -155,10 +173,21 @@ class DiscreteOperators:
 
     def energy(self, state) -> float:
         """``E = (1/2) sum_j omega_j w_j^H H_j w_j``; a float64 state
-        stays real."""
+        stays real.
+
+        For a float64 field of one or two components the nodewise products
+        are summed in place, in the order and to the bits of the ``einsum``
+        of the general case, at about half its memory traffic (with three
+        or more, ``einsum`` pairs its terms in another order)."""
         w = _field(state, self.phs.n)
         hw = w if self.identity_density else np.einsum("jab,jb->ja", self.hgrid, w)
-        return float(0.5 * np.sum(self.omega * np.einsum("ja,ja->j", w.conj(), hw).real))
+        if hw.dtype != np.float64 or self.phs.n > 2:
+            return float(0.5 * np.sum(self.omega * np.einsum("ja,ja->j", w.conj(), hw).real))
+        q = w[:, 0] * hw[:, 0]
+        if self.phs.n == 2:
+            q += w[:, 1] * hw[:, 1]
+        q *= self.omega
+        return float(0.5 * np.sum(q))
 
     def weighted_norm(self, flat: np.ndarray) -> float:
         w = np.repeat(self.omega, self.phs.n)
@@ -251,7 +280,7 @@ class _CoreSolver:
         self.mu = float(mu)
         self.rel = bc.port_relation
         self.real = real
-        dtype = float if real else complex
+        self.dtype = dtype = np.dtype(float if real else complex)
 
         mblk = (sp.identity(nn * n, format="csr", dtype=dtype) if ops.identity_density
                 else sp.bsr_matrix((ops.hinv, np.arange(nn), np.arange(nn + 1)),
@@ -261,45 +290,67 @@ class _CoreSolver:
         # The interior block a_int = amat[n:-n, n:-n] is banded (node-major
         # SBP stencil): LAPACK band storage ab[kl + ku + i - j, j] = a_int[i, j],
         # band widths read from its sparsity, factored in place by gbtrf.
-        # ab is the start of a flat buffer with kl + ku entries to spare, so
-        # that the multipliers of L (rows kl + ku .. 2 kl + ku) can be read
-        # in place as a band array of their own (see interior_solve).
         a_int = amat[n:-n, n:-n]
-        nint = a_int.shape[0]
+        self.nint = nint = a_int.shape[0]
         off = np.repeat(np.arange(nint), np.diff(a_int.indptr)) - a_int.indices
         self.kl, self.ku = kl, ku = int(off.max()), int(-off.min())
-        ldab = 2 * kl + ku + 1
-        buf = np.zeros(ldab * nint + kl + ku, dtype=dtype)
-        ab = buf[: ldab * nint].reshape((ldab, nint), order="F")
+        ab = np.zeros((2 * kl + ku + 1, nint), dtype=dtype, order="F")
         ab[kl + ku + off, a_int.indices] = a_int.data
-        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        del a_int, off  # the compact copies of the factor below reuse their memory
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
         self._tbsv = get_blas_funcs("tbsv", (ab,))
-        self.lu, self.piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+        lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
         if info > 0:
             raise RuntimeError(f"interior block is exactly singular: zero pivot U[{info - 1}, {info - 1}]")
 
         # gbtrs applies L column by column (row swap, then the multipliers)
         # and then solves U.  Past the last row swap, L is a unit lower band
-        # of width kl, swept in place from column J on.  The leading J
-        # columns, swaps included, form the head: a copy that gbtrs applies
-        # to the first J + kl rows, which those columns reach, with the
-        # identity for U (ku = 0, the narrowest band gbtrs takes).
-        swapped = np.flatnonzero(self.piv != np.arange(nint))
+        # of width kl, kept from column J on.  The leading J columns, swaps
+        # included, form the head: a copy that gbtrs applies to the first
+        # J + kl rows, which those columns reach, with the identity for U
+        # (ku = 0, the narrowest band gbtrs takes).  The swaps also fill U
+        # out to kl + ku superdiagonals, but only before a column C; from C
+        # on, U is kept with its ku.  Columns
+        # C .. C + ku - 1 couple that tail to the rows above C: the head of
+        # U keeps them with a unit diagonal and zeros from row C down, so
+        # its sweep applies exactly those couplings, in the column order and
+        # with the vector lengths of the full sweep.  The gbtrf array itself
+        # is not kept.
+        swapped = np.flatnonzero(piv != np.arange(nint))
         self._j = j = int(swapped[-1]) + 1 if swapped.size else 0
-        self._lower = buf[kl + ku + j * ldab: kl + ku + nint * ldab].reshape((ldab, nint - j), order="F")
+        fill = np.flatnonzero(lu[:kl].any(axis=0))
+        self._c = c = int(fill[-1]) + 1 if fill.size else 0
+        self._lower = np.asfortranarray(lu[kl + ku:, j:])  # row 0, the unit diagonal, is not read
+        self._upper = np.asfortranarray(lu[kl: kl + ku + 1, c:])
+        self._upper_head = np.asfortranarray(lu[: kl + ku + 1, : min(c + ku, nint) if c else 0])
+        for i in range(c, self._upper_head.shape[1]):  # couplings only: unit diagonal, rows >= C zeroed
+            self._upper_head[kl + ku + c - i:, i] = 0.0
+            self._upper_head[kl + ku, i] = 1.0
         self._head = None
         if j:
             nh = min(j + kl, nint)
             head = np.zeros((2 * kl + 1, nh), dtype=dtype, order="F")
             head[kl] = 1.0
-            head[kl + 1:, :j] = self.lu[kl + ku + 1:, :j]
-            self._head = (head, self.piv[:nh])
+            head[kl + 1:, :j] = lu[kl + ku + 1:, :j]
+            self._head = (gbtrs, head, piv[:nh].copy())
+        del ab, lu
 
         # The endpoint rows and columns; solve() reads them as [:n] and [-n:].
         ends = np.r_[0:n, nn * n - n: nn * n]
         rows_b = amat[ends]
         self.a_bi = rows_b[:, n:-n]
-        self.lift = self.interior_solve(amat[n:-n, ends].toarray())
+        self.lift = self._lift(amat[n:-n, ends].toarray())
+        # Past the windows of _lift, whole stretches of rows of the lift are
+        # 0.  Each step multiplies only by the two blocks of rows around them,
+        # cut at multiples of 256 rows: there the product is bitwise that of
+        # the whole lift (gemv blocks its rows; cuts elsewhere move bits).
+        live, half = self.lift.any(axis=1), nint // 2
+        top, bottom = np.flatnonzero(live[:half]), np.flatnonzero(live[half:])
+        a = -(-(int(top[-1]) + 1) // 256) * 256 if top.size else 0
+        b = (half + int(bottom[0])) // 256 * 256 if bottom.size else nint
+        rows = [slice(0, nint)] if a >= b else [slice(0, a), slice(b, nint)]
+        self._lift_rows = [(r, self.lift[r]) for r in rows if r.start < r.stop]
+        self._lifted = np.empty(nint, dtype=dtype)  # lift @ beta of the last solve
 
         eye = np.eye(n)
         k_full = np.zeros((3 * n, 3 * n), dtype=dtype)
@@ -307,14 +358,6 @@ class _CoreSolver:
         k_full[: 2 * n, 2 * n:] = self.mu * np.vstack([eye, eye])
         k_full[2 * n:, : 2 * n] = np.hstack([eye, eye]) / np.sqrt(2.0)
         k_inv = np.linalg.inv(k_full)  # cond(K) <= 2.3e4 on the benchmark workloads
-        # The lift decays exponentially into the interior; on fine grids most
-        # of its parts are subnormal, and every step's ``lift @ beta`` then
-        # runs at subnormal speed.  Flushing them to 0 moves an interior
-        # value by less than 2 sqrt(2) n * tiny * max|beta|.  The boundary
-        # block above keeps the unflushed lift.
-        tiny = np.finfo(float).tiny
-        for part in (self.lift,) if real else (self.lift.real, self.lift.imag):
-            part[np.abs(part) < tiny] = 0.0
 
         p1, omega_b = ops.phs.p1.real if real else ops.phs.p1, float(ops.omega[0])
         f_row = np.hstack([p1 / np.sqrt(2.0), -p1 / np.sqrt(2.0), -np.sqrt(2.0) * omega_b * eye])
@@ -329,49 +372,155 @@ class _CoreSolver:
             )
         self._plan = plan_inclusion(self.phi, self.rel)
 
-    def interior_solve(self, r: np.ndarray) -> np.ndarray:
+    def interior_solve(self, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``a_int^{-1} r`` by the band factor; a real factor takes a complex
         ``r`` as the two real columns ``[Re r, Im r]`` of one solve.
 
-        The head (``gbtrs`` on the first ``J + kl`` rows, only when the
-        factor swapped rows), then per column of ``r`` the unit lower
-        ``tbsv`` sweep of ``L`` from column ``J`` and the upper one of
-        ``U``: the operations of ``gbtrs`` on the whole factor, in its
-        order (see the module docstring).
+        The solve runs in ``out`` when it is given (a contiguous vector of
+        the result's dtype, which may be ``r`` itself) and returns it: the
+        head (``gbtrs`` on the first ``J + kl`` rows, only when the factor
+        swapped rows), then per column of ``r`` the sweeps of :meth:`_sweep`,
+        the operations of ``gbtrs`` on the whole factor, in its order (see
+        the module docstring).
         """
         if self.real and np.iscomplexobj(r):
             cols = self.interior_solve(np.column_stack([r.real, r.imag]))
-            return cols[:, 0] + 1j * cols[:, 1]
-        x = np.array(r, dtype=self.lu.dtype, order="F")
-        if self._head is not None:
-            head, piv = self._head
+            x = cols[:, 0] + 1j * cols[:, 1]
+            if out is None:
+                return x
+            out[...] = x
+            return out
+        if out is None:
+            x = np.array(r, dtype=self.dtype, order="F")
+        else:
+            x = out
+            x[...] = r
+        return self._sweep(x, 0, self.nint)
+
+    def _sweep(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Solve with the factor on the rows ``lo:hi`` of ``x``, in place.
+
+        Per column: the unit lower ``tbsv`` sweep of ``L`` from column
+        ``max(lo, J)``, the upper one of the ``U`` tail (``ku``
+        superdiagonals) from column ``max(lo, C)``, then, when ``lo = 0``,
+        that of the ``U`` head (``kl + ku`` superdiagonals), which also
+        applies the tail's couplings to the rows above ``C``.  ``lo = 0,
+        hi = N`` is the whole solve.  A window ``lo > 0`` is exact on its
+        rows when the rows above it are zero in ``x`` and ``lo`` lies past
+        the head rows and ``C + ku``; a window ``hi < N``, with ``hi`` past
+        them, drops what ``U`` couples into it from the rows below.
+        """
+        j, c, kl, ku = self._j, self._c, self.kl, self.ku
+        if lo == 0 and self._head is not None:
+            gbtrs, head, piv = self._head
             nh = head.shape[1]
-            x[:nh] = self._gbtrs(head, self.kl, 0, x[:nh], piv)[0]
+            x[:nh] = gbtrs(head, kl, 0, x[:nh], piv)[0]
+        start, tail = max(lo, j), max(lo, c)
+        lower = self._lower if start == j and hi == self.nint else self._lower[:, start - j: hi - j]
+        upper = self._upper if tail == c and hi == self.nint else self._upper[:, tail - c: hi - c]
         for col in x.T if x.ndim == 2 else (x,):
-            self._tbsv(self.kl, self._lower, col, offx=self._j, lower=1, diag=1, overwrite_x=1)
-            self._tbsv(self.kl + self.ku, self.lu, col, overwrite_x=1)
+            # positional (incx, offx, lower, trans, diag, overwrite_x): keyword
+            # arguments cost a microsecond per call
+            self._tbsv(kl, lower, col, 1, start, 1, 0, 1, 1)
+            if hi > tail:
+                self._tbsv(ku, upper, col, 1, tail, 0, 0, 0, 1)
+            if c > lo:
+                self._tbsv(kl + ku, self._upper_head, col, 1, 0, 0, 0, 0, 1)
         return x
 
-    def solve(self, r_flat: np.ndarray, x0: Optional[np.ndarray] = None):
+    def _lift(self, r: np.ndarray) -> np.ndarray:
+        """``a_int^{-1} r`` for the endpoint columns ``r``, with every part
+        below ``tiny`` set to 0.
+
+        Such a column decays exponentially away from its endpoint, and on
+        fine grids most of the full solve runs through subnormal numbers at
+        a fraction of the normal speed (42–44 ms at m = 16384).  So each
+        endpoint's columns are solved on a window from that endpoint, grown
+        until the solution has fallen 32 bits below ``tiny`` inside it (the
+        distance extrapolated from its decay) and until two windows, the
+        second with the sub-``tiny`` stretch doubled, give the same flushed
+        result; the rest is 0.  A window at the right end is the ``U`` sweep
+        of a suffix: its ``L`` sweep meets only exact zeros, so it is exact
+        on its rows.  A window at the left end is a prefix solve, which
+        drops the couplings of ``U`` from below the window; those come from
+        sub-``tiny`` rows, and the doubled window checks that they round
+        away.  The first window has 1024 rows.  A column reaching both
+        halves, a block too short for a first window past the head rows and
+        ``C + ku``, and a window reaching them from the right take the whole
+        solve.
+        """
+        tiny = np.finfo(float).tiny
+        nint, window = self.nint, 1024
+        edge = max(self._upper_head.shape[1], self._head[1].shape[1] if self._head is not None else 0)
+        lift = np.zeros(r.shape, dtype=self.dtype, order="F")
+        groups = [(np.ones(r.shape[1], dtype=bool), None)]
+        if nint >= window + edge:
+            live = r != 0
+            first = ~live[nint // 2:].any(axis=0)
+            last = ~live[: nint // 2].any(axis=0) & ~first
+            groups = [(first, False), (last, True), (~(first | last), None)]
+        for cols, from_end in groups:
+            if not cols.any():
+                continue
+            block = r[:, cols]
+            reach = nint
+            if from_end is not None:
+                support = np.flatnonzero(block.any(axis=1))
+                extent = 0 if not support.size else nint - support[0] if from_end else support[-1] + 1
+                reach = min(nint, max(window, edge, extent))
+            prev = None
+            while True:
+                lo = nint - reach if from_end and reach <= nint - edge else 0
+                hi = nint if from_end else reach
+                x = np.zeros(block.shape, dtype=lift.dtype, order="F")
+                x[lo:hi] = block[lo:hi]
+                self._sweep(x, lo, hi)
+                parts = (x,) if x.dtype == np.float64 else (x.real, x.imag)
+                for part in parts:
+                    part[np.abs(part) < tiny] = 0.0
+                if hi - lo == nint or prev is not None and np.array_equal(x, prev):
+                    break
+                prev = x
+                # Grow to where the decay over the middle of the normal stretch
+                # reaches 32 bits below tiny, and at least double the
+                # sub-tiny stretch at the window's open end.
+                size = np.max([np.abs(part[lo:hi]).max(axis=1) for part in parts], axis=0)[::-1 if from_end else 1]
+                normal = np.flatnonzero(size >= tiny)
+                q = int(normal[-1]) if normal.size else 0
+                a, b = q // 2, 3 * q // 4
+                la, lb = np.log2(np.maximum(size[[a, b]], tiny))
+                rate = (la - lb) / (b - a) if b > a else 0.0
+                target = int(np.ceil(b + (lb - np.log2(tiny) + 32.0) / rate)) if rate > 0 else 2 * reach
+                grown = max(target, 2 * reach - q - 1)
+                reach = min(nint, grown if grown > reach else 2 * reach)
+            lift[:, cols] = x
+        return lift
+
+    def solve(self, r_flat: np.ndarray, x0: Optional[np.ndarray] = None,
+              out: Optional[np.ndarray] = None):
         """``(p, s, e, fhat)`` for the rows ``r_flat``; float64 exactly when
-        the solver is real and ``r_flat`` is float64."""
+        the solver is real and ``r_flat`` is float64.  ``p`` is solved in
+        ``out`` when it is given, a contiguous vector of that dtype."""
         n = self.n
-        p_part = self.interior_solve(r_flat[n:-n])
+        p = np.empty(r_flat.shape[0], dtype=np.result_type(self.dtype, r_flat)) if out is None else out
+        p_part = self.interior_solve(r_flat[n:-n], out=p[n:-n])
         rho = np.concatenate([r_flat[:n], r_flat[-n:]]) - self.a_bi @ p_part
         e, y = solve_inclusion(self._plan, self.g_rho @ rho, x0=x0)
         if not np.iscomplexobj(rho):  # real data and relation: the solution is real
             e, y = e.real, y.real
         beta = self.b_rho @ rho + self.b_e @ e
-        p = np.empty(r_flat.shape[0], dtype=beta.dtype)
         p[:n] = beta[:n]
         p[-n:] = beta[n: 2 * n]
-        p[n:-n] = p_part - self.lift @ beta[: 2 * n]
+        lifted = self._lifted if beta.dtype == self._lifted.dtype else np.empty(p_part.shape, beta.dtype)
+        for rows, lift in self._lift_rows:
+            p_part[rows] -= np.matmul(lift, beta[: 2 * n], out=lifted[rows])
         return p, beta[2 * n:], e, -y
 
-    def state(self, p: np.ndarray) -> np.ndarray:
-        """The field ``w = H^{-1} p`` of a solved ``p``, one row per node."""
+    def state(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The field ``w = H^{-1} p`` of a solved ``p``, one row per node; at
+        a non-identity density written into ``out`` when it is given."""
         w = p.reshape(self.ops.nnodes, self.n)
-        return w if self.ops.identity_density else np.einsum("jab,jb->ja", self.ops.hinv, w)
+        return w if self.ops.identity_density else np.einsum("jab,jb->ja", self.ops.hinv, w, out=out)
 
     def residual(self, p: np.ndarray, s: np.ndarray, r_flat: np.ndarray,
                  e: np.ndarray, fhat: np.ndarray) -> float:
@@ -519,26 +668,41 @@ class Stepper:
         _require_certified(scenario.bc, False)
         self.scenario = scenario
         self.dissipation: Optional[float] = None
-        self._core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt,
-                                 _is_real(ops, scenario.bc, scenario.u0))
+        self._core = core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt,
+                                        _is_real(ops, scenario.bc, scenario.u0))
         self._effort: Optional[np.ndarray] = None
+        self._scaled = np.empty((ops.nnodes, ops.phs.n), dtype=core.dtype)  # (1 - theta) w of a step
 
 
-def step(state, stepper: Stepper) -> np.ndarray:
+def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Advance ``state`` by one theta-step of the stepper's run.
 
     One resolvent solve ``y = (1 + theta dt A)^{-1} w``, then
     ``w_next = (y - (1 - theta) w) / theta``; at ``theta = 1`` the
     step returns ``y`` itself.  On a real run a float64 state gives a
-    float64 state; any other state is complex.
+    float64 state; any other state is complex.  The step is written into
+    ``out`` when it is given, a C-contiguous ``(N, n)`` array of that
+    dtype apart from ``state``, and returned; at unit density the solve
+    itself runs there.  Either way the result is the same, bit for bit.
     """
     core, theta = stepper._core, stepper.scenario.theta
     w = _field(state, stepper.scenario.phs.n)
-    p, _, e, fhat = core.solve(w.ravel(), x0=stepper._effort)
+    dtype = np.result_type(core.dtype, w)
+    if out is None:
+        out = np.empty(w.shape, dtype=dtype)
+    elif out.shape != w.shape or out.dtype != dtype or not out.flags.c_contiguous or np.may_share_memory(out, w):
+        raise ValueError(f"out must be a C-contiguous {w.shape} array of dtype {dtype} apart from the state")
+    unit = core.ops.identity_density
+    p, _, e, fhat = core.solve(w.ravel(), x0=stepper._effort, out=out.reshape(-1) if unit else None)
     stepper.dissipation = -float(np.real(e.conj() @ fhat))
     stepper._effort = e
-    y = core.state(p)
-    return y if theta == 1.0 else (y - (1.0 - theta) * w) / theta
+    if not unit:
+        core.state(p, out=out)
+    if theta != 1.0:
+        scaled = np.multiply(w, 1.0 - theta, out=stepper._scaled if w.dtype == stepper._scaled.dtype else None)
+        np.subtract(out, scaled, out=out)
+        np.divide(out, theta, out=out)
+    return out
 
 
 def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Trajectory:
@@ -547,6 +711,7 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
     The step count is ``round(T/dt)`` and the step actually used is
     ``T/nsteps``, so the trajectory always lands exactly on ``T``.  An
     uncertified boundary condition raises ``ValueError`` before any step.
+    Each step is written into its row of the preallocated ``states``.
     """
     u0 = scenario.u0
     if ops is None:
@@ -557,28 +722,25 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
     dt_eff = scenario.T / nsteps
     stepper = Stepper(replace(scenario, dt=dt_eff), ops)
 
-    w = u0.real.copy() if stepper._core.real else u0.astype(complex)
-    times = [0.0]
-    states = np.empty((nsteps + 1,) + w.shape, dtype=w.dtype)
-    states[0] = w
-    energies = [ops.energy(w)]
-    dissipation = [0.0]
+    states = np.empty((nsteps + 1,) + u0.shape, dtype=stepper._core.dtype)
+    states[0] = u0.real if stepper._core.real else u0
+    energies = np.empty(nsteps + 1)
+    energies[0] = ops.energy(states[0])
+    dissipation = np.zeros(nsteps + 1)
     for k in range(nsteps):
         try:
-            w = step(w, stepper)
+            step(states[k], stepper, out=states[k + 1])
         except (NonconvergenceError, ValueError, RuntimeError) as exc:
             wrapped = type(exc)(f"step {k} (t = {k * dt_eff:.6g}): {exc}")
             wrapped.residual = getattr(exc, "residual", None)
             raise wrapped from exc
-        times.append((k + 1) * dt_eff)
-        states[k + 1] = w
-        energies.append(ops.energy(w))
-        dissipation.append(stepper.dissipation)
+        energies[k + 1] = ops.energy(states[k + 1])
+        dissipation[k + 1] = stepper.dissipation
     return Trajectory(
-        times=np.asarray(times),
+        times=dt_eff * np.arange(nsteps + 1),
         states=states,
-        energies=np.asarray(energies),
-        boundary_dissipation=np.asarray(dissipation),
+        energies=energies,
+        boundary_dissipation=dissipation,
     )
 
 

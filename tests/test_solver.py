@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -210,19 +211,33 @@ def test_steps_solve_no_fixed_system_again(monkeypatch, ports, splits):
     assert lu_calls == []
 
 
-def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system():
+@pytest.mark.parametrize("m, subnormal", [(4096, 16_876), (16384, 92_214)], ids=["m4096", "head-swaps"])
+def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, subnormal):
     """On a fine grid the interior lift ``A_ii^{-1} A_ib`` decays below the
-    normal range (16,884 subnormal parts here before flushing), which made
-    every step's ``lift @ beta`` run at subnormal speed.  The flushed lift
-    has none, and the eliminated solve still matches the assembled one."""
-    m, theta, dt = 4096, 0.5, 1e-3
+    normal range (16,876 subnormal parts at m = 4096 and mu / h_x = 1, 92,214
+    at m = 16384 and mu / h_x = 4.1, where the factor also swaps rows in a
+    head), which made every step's ``lift @ beta`` run at subnormal speed.
+    The lift is solved on windows that stop short of those parts, and is
+    bitwise the full solve on the ``gbtrf`` factor with every part below
+    ``tiny`` set to 0; the eliminated solve still matches the assembled
+    one."""
+    theta, dt = 0.5, 1e-3
     ops = discretize(PHS2, m)
     bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
     scn = Scenario(phs=PHS2, bc=bc, u0=np.zeros((m + 1, 2)), T=1.0, dt=dt, theta=theta)
     core = Stepper(scn, ops)._core
+    assert core.lift.flags.f_contiguous
+    assert (core._j > 0) == (m == 16384)
     tiny = np.finfo(float).tiny
     for part in (core.lift.real, core.lift.imag):
         assert not np.any((np.abs(part) > 0) & (np.abs(part) < tiny))
+
+    ends = np.r_[0:2, 2 * ops.nnodes - 2: 2 * ops.nnodes]
+    full = _gbtrs_reference(core, core.amat[2:-2][:, ends].toarray())
+    small = np.abs(full) < tiny
+    assert np.count_nonzero(small & (full != 0)) == subnormal
+    full[small] = 0.0
+    assert _bitwise(core.lift, full)
 
     xs = ops.grid.nodes
     r_flat = np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs),
@@ -230,6 +245,16 @@ def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system():
     p = core.solve(r_flat)[0]
     ref = _monolithic_resolve(ops, bc, theta * dt, r_flat)
     assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # A step multiplies only the rows of the lift around its zero middle,
+    # cut at multiples of 256 rows, and gets the bits of the whole product.
+    (top, _), (bottom, _) = core._lift_rows
+    assert top.start == 0 and top.stop % 256 == 0 == bottom.start % 256 and bottom.stop == 2 * m - 2
+    assert top.stop < bottom.start and not core.lift[top.stop: bottom.start].any()
+    whole = copy.copy(core)
+    whole._lift_rows = [(slice(0, 2 * m - 2), core.lift)]
+    for rhs in (r_flat, r_flat.real.copy()):
+        assert _bitwise(core.solve(rhs)[0], whole.solve(rhs)[0])
 
 
 def test_resolve_rejects_uncertified_condition():
@@ -451,28 +476,40 @@ def test_non_identity_density_keeps_exact_ledger(phs, make_bc, theta, u0):
         assert abs(e[k + 1] - e[k] - predicted) <= 1e-12 * e[0], k
 
 
-def test_identity_density_paths_are_bitwise_and_states_preallocated():
+@pytest.mark.parametrize("case", ["midpoint", "implicit-euler", "complex", "density"])
+def test_identity_density_paths_are_bitwise_and_states_preallocated(case):
     """At identity density the energy skips the ``hgrid`` product and
-    agrees bitwise with it.  ``simulate`` writes every state into one
-    array, each one bitwise the step of the one before."""
+    agrees bitwise with it, and so does its in-place float64 form at a
+    constant density.  ``simulate`` writes every state into one array,
+    each one bitwise the step of the one before.  ``step(w, s, out=buf)``
+    returns ``buf``, holding the bits of ``step(w, s)``: at theta = 1/2
+    and 1, on a complex run and at a non-identity density."""
     cfg = load_config(CONFIG_DIR / "wave_conservative.cfg")
-    phs = cfg.build_phs()
+    phs = PHS_DENSITY if case == "density" else cfg.build_phs()
     ops = discretize(phs, cfg.m)
-    assert ops.identity_density
+    assert ops.identity_density == (case != "density")
+    u0 = cfg.build_u0(ops.grid.nodes) * (1.0 + 0.5j if case == "complex" else 1.0)
     nsteps = 50
-    scn = Scenario(phs=phs, bc=cfg.build_bc(bd_basis(phs)), u0=cfg.build_u0(ops.grid.nodes),
-                   T=nsteps * cfg.dt, dt=cfg.dt, theta=cfg.theta)
+    scn = Scenario(phs=phs, bc=cfg.build_bc(bd_basis(phs)), u0=u0, T=nsteps * cfg.dt, dt=cfg.dt,
+                   theta=1.0 if case == "implicit-euler" else cfg.theta)
     traj = simulate(scn, ops)
 
     states = traj.states
     assert states.shape == (nsteps + 1, ops.nnodes, phs.n)
+    assert states.dtype == (np.complex128 if case == "complex" else np.float64)
     assert states.flags.c_contiguous and states.flags.owndata
     for w in states:
         assert ops.energy(w) == _h_weighted_energy(ops, w)
 
-    stepper = Stepper(replace(scn, dt=scn.T / nsteps), ops)
+    run = replace(scn, dt=scn.T / nsteps)
+    stepper, fresh = Stepper(run, ops), Stepper(run, ops)
+    buf = np.empty_like(states[0])
     for k in range(nsteps):
-        assert step(states[k], stepper).tobytes() == states[k + 1].tobytes(), k
+        assert step(states[k], stepper, out=buf) is buf
+        assert buf.tobytes() == states[k + 1].tobytes(), k
+        assert step(states[k], fresh).tobytes() == states[k + 1].tobytes(), k
+    with pytest.raises(ValueError, match="apart from the state"):
+        step(states[0], stepper, out=states[0])
 
 
 def _ledger_defects(traj, ops, theta, dt):
@@ -786,14 +823,27 @@ PHS_DENSITY = PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]],
                               hamiltonian=np.array([[2.0, 0.3], [0.3, 1.0]]))
 
 
+def _refactor(core):
+    """``gbtrf`` of the interior block again, in LAPACK band storage: the
+    full-width factor that the solver keeps only in compact form."""
+    kl, ku = core.kl, core.ku
+    a_int = core.amat[core.n:-core.n, core.n:-core.n].tocoo()
+    ab = np.zeros((2 * kl + ku + 1, a_int.shape[0]), dtype=float if core.real else complex, order="F")
+    ab[kl + ku + a_int.row - a_int.col, a_int.col] = a_int.data
+    lu, piv, info = get_lapack_funcs("gbtrf", (ab,))(ab, kl, ku)
+    assert info == 0
+    return lu, piv
+
+
 def _gbtrs_reference(core, r):
-    """LAPACK ``gbtrs`` on the whole band factor, a real factor taking a
+    """LAPACK ``gbtrs`` on the refactored block, a real factor taking a
     complex ``r`` as the two real columns ``[Re r, Im r]``."""
-    gbtrs = get_lapack_funcs("gbtrs", (core.lu,))
+    lu, piv = _refactor(core)
+    gbtrs = get_lapack_funcs("gbtrs", (lu,))
     if core.real and np.iscomplexobj(r):
-        cols = gbtrs(core.lu, core.kl, core.ku, np.column_stack([r.real, r.imag]), core.piv)[0]
+        cols = gbtrs(lu, core.kl, core.ku, np.column_stack([r.real, r.imag]), piv)[0]
         return cols[:, 0] + 1j * cols[:, 1]
-    return gbtrs(core.lu, core.kl, core.ku, r, core.piv)[0]
+    return gbtrs(lu, core.kl, core.ku, r, piv)[0]
 
 
 def _bitwise(a, b):
@@ -819,19 +869,30 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, complex_rhs, b
     factor and the ``H^{-1}`` mass block of a non-identity density; the
     band widths come from the SBP42 stencil: 2 nodes of 2 components.
 
-    The solve (head, then the two ``tbsv`` sweeps) is bitwise ``gbtrs`` on
-    the same factor, right-hand sides with exact signed zeros included,
-    with or without row swaps; the sweeps read the ``gbtrf`` output in
-    place."""
+    The solve (head, then the ``tbsv`` sweeps of the compact factor) is
+    bitwise ``gbtrs`` on the ``gbtrf`` factor, right-hand sides with exact
+    signed zeros included, with or without row swaps.  The compact factor
+    is that factor's ``L`` from column ``J`` and its ``U``: ``ku``
+    superdiagonals from column ``C`` on, all ``kl + ku`` before, and the
+    tail's couplings to the head in the ``ku`` columns from ``C``."""
     m, mu_h = BLOCKS[block]
     ops = discretize(phs, m)
     core = _CoreSolver(ops, bnd.from_V(np.array(v), bd_basis(phs)), mu_h * ops.grid.h_x, real)
-    assert (core.kl, core.ku) == (5, 5)
-    assert core.lu.dtype == (np.float64 if real else np.complex128)
-    nint = core.lu.shape[1]
-    assert np.array_equal(core.piv[core._j:], np.arange(core._j, nint))
-    assert core._j == 0 or core.piv[core._j - 1] != core._j - 1
-    assert np.shares_memory(core._lower, core.lu)
+    kl, ku, j, c = core.kl, core.ku, core._j, core._c
+    assert (kl, ku) == (5, 5)
+    lu, piv = _refactor(core)
+    nint = lu.shape[1]
+    assert np.array_equal(piv[j:], np.arange(j, nint))
+    assert j == 0 or piv[j - 1] != j - 1
+    assert not lu[:kl, c:].any() and (c == 0 or lu[:kl, c - 1].any())
+    assert core._lower.dtype == core._upper.dtype == lu.dtype == (np.float64 if real else np.complex128)
+    assert _bitwise(core._lower[1:], np.asfortranarray(lu[kl + ku + 1:, j:]))
+    assert _bitwise(core._upper, np.asfortranarray(lu[kl: kl + ku + 1, c:]))
+    head_u = core._upper_head
+    assert head_u.shape == (kl + ku + 1, min(c + ku, nint) if c else 0)
+    assert _bitwise(head_u[:, :c], np.asfortranarray(lu[: kl + ku + 1, :c]))
+    for i in range(c, head_u.shape[1]):
+        assert _bitwise(head_u[: kl + ku + c - i, i], lu[: kl + ku + c - i, i])
 
     a_int = core.amat[2:-2, 2:-2].toarray()
     r = rng.normal(size=nint) + (1j * rng.normal(size=nint) if complex_rhs else 0.0)
@@ -847,7 +908,7 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, complex_rhs, b
     signed_zeros = r.copy()
     signed_zeros[::3] = 0.0
     signed_zeros[1::3] = -0.0
-    signed_zeros[: core._j + core.kl] = -0.0
+    signed_zeros[: j + kl] = -0.0
     signed_zeros[-1] = 1.0
     for rhs in (r, signed_zeros, np.full(nint, -0.0), lift_rhs):
         assert _bitwise(core.interior_solve(rhs), _gbtrs_reference(core, rhs))
