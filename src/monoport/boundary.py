@@ -324,7 +324,7 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
     """
     n = basis.n
     by_port: dict = {}
-    for k, spec in sorted(((_port_index(k), spec) for k, spec in parts), key=lambda part: part[0]):
+    for k, spec in sorted(((_integer(k, "port index"), spec) for k, spec in parts), key=lambda part: part[0]):
         if not 0 <= k < n:
             raise ValueError(f"port index {k} out of range for {n} ports")
         if k in by_port:
@@ -342,15 +342,15 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
     return _finalize(basis, port, "Multiport")
 
 
-def _port_index(k) -> int:
-    """``k`` as a port index: an integer (numpy integers included), not a
-    ``bool`` and nothing that ``int`` would truncate."""
+def _integer(k, name: str) -> int:
+    """``k`` as an integer (numpy integers included), not a ``bool`` and
+    nothing that ``int`` would truncate; ``name`` says what it counts."""
     if not isinstance(k, bool):
         try:
             return operator.index(k)
         except TypeError:
             pass
-    raise ValueError(f"port index {k!r} is not an integer")
+    raise ValueError(f"{name} {k!r} is not an integer")
 
 
 def subspace_gap(u1: np.ndarray, u2: np.ndarray) -> float:

@@ -43,6 +43,7 @@ for friction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -531,7 +532,12 @@ class _SchurPlan(_Plan):
         self.lift = np.block([[za @ c_g, sf.T - za @ c_f, np.zeros_like(sf.T)],
                               [wa @ c_g, -wa @ c_f, sf.T]])
         self.lift_0 = np.concatenate([sa.T @ (graph.x0 - graph.zx @ c_0), sa.T @ (graph.y0 - graph.zy @ c_0)])
-        self.fallback = _SplittingPlan(phi, rel)
+
+    @cached_property
+    def fallback(self) -> "_SplittingPlan":
+        """Splitting of the whole sum, built on the first elimination that
+        fails or misses the residual target."""
+        return _SplittingPlan(self.phi, self.rel)
 
     def eliminate(self, g, x0=None, tol=None):
         """The pair before the residual test; ``None`` if the reduced solve fails."""

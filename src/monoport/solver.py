@@ -57,9 +57,8 @@ complex one on a coupled ``n = 2`` system (0.66 at m = 256, 0.52 at
 m = 16384).  The inclusion itself stays complex; its solution is real,
 because a real relation is closed under conjugation and the solution
 is unique, so the run keeps its real part.  Any complex datum keeps the
-whole run in complex arithmetic.  A real factor still takes a complex
-right-hand side, such as a complex state handed to :func:`step`, as the
-two real columns ``[Re r, Im r]`` of one bulk solve.
+whole run in complex arithmetic, and a real run steps only real
+states (:func:`step`).
 
 The band solve runs the operations of LAPACK ``gbtrs`` in fewer calls.
 ``gbtrs`` applies ``L`` column by column (a row swap, then that
@@ -108,7 +107,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .boundary import BoundaryCondition
+from .boundary import BoundaryCondition, _integer
 from .phs import PortHamiltonian, _as_field
 from .relations import NonconvergenceError, graph_residual, plan_inclusion, solve_inclusion
 from .sbp import MIN_CELLS, sbp42
@@ -197,10 +196,11 @@ class DiscreteOperators:
 def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
     """Build the summation-by-parts grid operators on ``m`` cells.
 
-    ``m`` must be even (so that 0 is a node and parity splits are exact)
-    and at least the stencil width requires.
+    ``m`` must be an integer (numpy integers included, not a ``bool`` and
+    nothing that ``int`` would truncate), even (so that 0 is a node and
+    parity splits are exact) and at least the stencil width requires.
     """
-    m = int(m)
+    m = _integer(m, "cell count")
     if m % 2 != 0:
         raise ValueError(f"cell count must be even so the grid contains 0, got {m}")
     if m < MIN_CELLS:
@@ -372,43 +372,21 @@ class _CoreSolver:
             )
         self._plan = plan_inclusion(self.phi, self.rel)
 
-    def interior_solve(self, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``a_int^{-1} r`` by the band factor; a real factor takes a complex
-        ``r`` as the two real columns ``[Re r, Im r]`` of one solve.
-
-        The solve runs in ``out`` when it is given (a contiguous vector of
-        the result's dtype, which may be ``r`` itself) and returns it: the
-        head (``gbtrs`` on the first ``J + kl`` rows, only when the factor
-        swapped rows), then per column of ``r`` the sweeps of :meth:`_sweep`,
-        the operations of ``gbtrs`` on the whole factor, in its order (see
-        the module docstring).
-        """
-        if self.real and np.iscomplexobj(r):
-            cols = self.interior_solve(np.column_stack([r.real, r.imag]))
-            x = cols[:, 0] + 1j * cols[:, 1]
-            if out is None:
-                return x
-            out[...] = x
-            return out
-        if out is None:
-            x = np.array(r, dtype=self.dtype, order="F")
-        else:
-            x = out
-            x[...] = r
-        return self._sweep(x, 0, self.nint)
-
     def _sweep(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Solve with the factor on the rows ``lo:hi`` of ``x``, in place.
+        """Solve with the factor on the rows ``lo:hi`` of ``x`` (a vector or
+        Fortran-ordered columns of the factor's dtype) in place; return ``x``.
 
-        Per column: the unit lower ``tbsv`` sweep of ``L`` from column
-        ``max(lo, J)``, the upper one of the ``U`` tail (``ku``
-        superdiagonals) from column ``max(lo, C)``, then, when ``lo = 0``,
-        that of the ``U`` head (``kl + ku`` superdiagonals), which also
+        When ``lo = 0``, first the head (``gbtrs`` on its rows, if the factor
+        swapped any).  Then per column: the unit lower ``tbsv`` sweep of
+        ``L`` from column ``max(lo, J)``, the upper one of the ``U`` tail
+        (``ku`` superdiagonals) from column ``max(lo, C)``, then, when ``lo =
+        0``, that of the ``U`` head (``kl + ku`` superdiagonals), which also
         applies the tail's couplings to the rows above ``C``.  ``lo = 0,
-        hi = N`` is the whole solve.  A window ``lo > 0`` is exact on its
-        rows when the rows above it are zero in ``x`` and ``lo`` lies past
-        the head rows and ``C + ku``; a window ``hi < N``, with ``hi`` past
-        them, drops what ``U`` couples into it from the rows below.
+        hi = N`` is the whole solve, the operations of ``gbtrs`` in its order
+        (module docstring).  A window ``lo > 0`` is exact on its rows when
+        the rows above it are zero in ``x`` and ``lo`` lies past the head
+        rows and ``C + ku``; a window ``hi < N``, with ``hi`` past them,
+        drops what ``U`` couples into it from the rows below.
         """
         j, c, kl, ku = self._j, self._c, self.kl, self.ku
         if lo == 0 and self._head is not None:
@@ -498,22 +476,22 @@ class _CoreSolver:
 
     def solve(self, r_flat: np.ndarray, x0: Optional[np.ndarray] = None,
               out: Optional[np.ndarray] = None):
-        """``(p, s, e, fhat)`` for the rows ``r_flat``; float64 exactly when
-        the solver is real and ``r_flat`` is float64.  ``p`` is solved in
-        ``out`` when it is given, a contiguous vector of that dtype."""
+        """``(p, s, e, fhat)`` in the solver's dtype for the rows ``r_flat``,
+        float64 ones on a real solver.  ``p`` is solved in ``out`` when it is
+        given, a contiguous vector of that dtype; its interior rows in place."""
         n = self.n
-        p = np.empty(r_flat.shape[0], dtype=np.result_type(self.dtype, r_flat)) if out is None else out
-        p_part = self.interior_solve(r_flat[n:-n], out=p[n:-n])
+        p = np.empty(r_flat.shape[0], dtype=self.dtype) if out is None else out
+        p[n:-n] = r_flat[n:-n]
+        p_part = self._sweep(p[n:-n], 0, self.nint)
         rho = np.concatenate([r_flat[:n], r_flat[-n:]]) - self.a_bi @ p_part
         e, y = solve_inclusion(self._plan, self.g_rho @ rho, x0=x0)
-        if not np.iscomplexobj(rho):  # real data and relation: the solution is real
+        if self.real:  # real data and relation: the solution is real
             e, y = e.real, y.real
         beta = self.b_rho @ rho + self.b_e @ e
         p[:n] = beta[:n]
         p[-n:] = beta[n: 2 * n]
-        lifted = self._lifted if beta.dtype == self._lifted.dtype else np.empty(p_part.shape, beta.dtype)
         for rows, lift in self._lift_rows:
-            p_part[rows] -= np.matmul(lift, beta[: 2 * n], out=lifted[rows])
+            p_part[rows] -= np.matmul(lift, beta[: 2 * n], out=self._lifted[rows])
         return p, beta[2 * n:], e, -y
 
     def state(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -656,16 +634,18 @@ class Stepper:
     """One run of the theta-scheme: the factored resolvent and the warm start.
 
     Construction refuses a boundary condition without a maximal
-    monotonicity certificate and factors ``1 + theta dt A`` once, in
-    float64 when the system, the relation and ``u0`` are real.  Each
-    :func:`step` then reuses the factorization and warm-starts the
-    inclusion solve from the previous step's effort trace.
+    monotonicity certificate, and grid operators of another grid or
+    system than the scenario's (:func:`_check_ops`), and factors ``1 +
+    theta dt A`` once, in float64 when the system, the relation and
+    ``u0`` are real.  Each :func:`step` then reuses the factorization and
+    warm-starts the inclusion solve from the previous step's effort trace.
     ``dissipation`` is the boundary pairing ``-Re<e, fhat>`` of the last
     step's resolvent solve.
     """
 
     def __init__(self, scenario: Scenario, ops: DiscreteOperators):
         _require_certified(scenario.bc, False)
+        _check_ops(scenario, ops)
         self.scenario = scenario
         self.dissipation: Optional[float] = None
         self._core = core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt,
@@ -674,20 +654,38 @@ class Stepper:
         self._scaled = np.empty((ops.nnodes, ops.phs.n), dtype=core.dtype)  # (1 - theta) w of a step
 
 
+def _check_ops(scenario: Scenario, ops: DiscreteOperators):
+    """Refuse grid operators whose grid is not that of ``u0``, or whose
+    system is not ``scenario.phs``: the same object, or one with the same
+    ``n``, ``b``, ``P1``, ``P0`` and density on the grid."""
+    if scenario.u0.shape[0] != ops.nnodes:
+        raise ValueError("initial state does not match the grid")
+    phs, other = scenario.phs, ops.phs
+    if other is not phs and not (
+            phs.n == other.n and phs.b == other.b and np.array_equal(phs.p1, other.p1)
+            and np.array_equal(phs.p0, other.p0)
+            and np.array_equal(phs.hamiltonian_grid(ops.grid.nodes), ops.hgrid)):
+        raise ValueError("grid operators were built from another system than the scenario's")
+
+
 def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Advance ``state`` by one theta-step of the stepper's run.
 
-    One resolvent solve ``y = (1 + theta dt A)^{-1} w``, then
-    ``w_next = (y - (1 - theta) w) / theta``; at ``theta = 1`` the
-    step returns ``y`` itself.  On a real run a float64 state gives a
-    float64 state; any other state is complex.  The step is written into
-    ``out`` when it is given, a C-contiguous ``(N, n)`` array of that
-    dtype apart from ``state``, and returned; at unit density the solve
-    itself runs there.  Either way the result is the same, bit for bit.
+    One resolvent solve ``y = (1 + theta dt A)^{-1} w``, then ``w_next =
+    (y - (1 - theta) w) / theta`` (``y`` itself at ``theta = 1``), in the
+    run's arithmetic and dtype: a real run steps a complex-typed state of
+    zero imaginary part as its real part, and refuses any other complex
+    state (a ``Stepper`` built from it is a complex run).  The step is
+    written into ``out`` when it is given, a C-contiguous ``(N, n)`` array
+    of that dtype apart from ``state``, and returned, with the bits of a
+    step without ``out``; at unit density the solve itself runs there.
     """
     core, theta = stepper._core, stepper.scenario.theta
     w = _field(state, stepper.scenario.phs.n)
-    dtype = np.result_type(core.dtype, w)
+    if core.real and np.iscomplexobj(w) and np.any(w.imag):
+        raise ValueError("a real run steps only real states; build the Stepper from this state for a complex run")
+    w = w.real if core.real else w
+    dtype = core.dtype
     if out is None:
         out = np.empty(w.shape, dtype=dtype)
     elif out.shape != w.shape or out.dtype != dtype or not out.flags.c_contiguous or np.may_share_memory(out, w):
@@ -699,8 +697,7 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
     if not unit:
         core.state(p, out=out)
     if theta != 1.0:
-        scaled = np.multiply(w, 1.0 - theta, out=stepper._scaled if w.dtype == stepper._scaled.dtype else None)
-        np.subtract(out, scaled, out=out)
+        np.subtract(out, np.multiply(w, 1.0 - theta, out=stepper._scaled), out=out)
         np.divide(out, theta, out=out)
     return out
 
@@ -710,14 +707,13 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
 
     The step count is ``round(T/dt)`` and the step actually used is
     ``T/nsteps``, so the trajectory always lands exactly on ``T``.  An
-    uncertified boundary condition raises ``ValueError`` before any step.
+    uncertified boundary condition raises ``ValueError`` before any step,
+    and so do ``ops`` of another grid or system (:class:`Stepper`).
     Each step is written into its row of the preallocated ``states``.
     """
     u0 = scenario.u0
     if ops is None:
         ops = discretize(scenario.phs, u0.shape[0] - 1)
-    elif u0.shape[0] != ops.nnodes:
-        raise ValueError("initial state does not match the grid")
     nsteps = max(1, int(round(scenario.T / scenario.dt)))
     dt_eff = scenario.T / nsteps
     stepper = Stepper(replace(scenario, dt=dt_eff), ops)

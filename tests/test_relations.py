@@ -740,14 +740,26 @@ def test_schur_reduced_splitting_meets_the_whole_sums_residual_target(monkeypatc
 
 def test_schur_plan_falls_back_to_splitting_when_the_reduced_solve_fails(monkeypatch, rng):
     """A reduced solve that raises leaves no eliminated pair, and the plan
-    splits the whole sum to its residual target instead."""
+    splits the whole sum to its residual target instead.  That splitting
+    is planned on its first use, once: planning builds none."""
+    import monoport.relations as rels
+
     calls, _ = _count_splitting(monkeypatch)
+    built = []
+    splitting_init = rels._SplittingPlan.__init__
+
+    def counted_init(self, phi, rel):
+        built.append(rel.space.dim)
+        splitting_init(self, phi, rel)
+
+    monkeypatch.setattr(rels._SplittingPlan, "__init__", counted_init)
     rel = _random_port_sum(rng, 1)
     n = rel.space.dim
     phi = rand_spd(rng, n, shift=0.5)
     g = rand_complex(rng, n)
     plan = plan_inclusion(phi, rel)
     assert type(plan).__name__ == "_SchurPlan"
+    assert built == []
 
     def fail(g_f, x0_f, tol):
         raise NonconvergenceError("forced", residual=1.0)
@@ -755,7 +767,9 @@ def test_schur_plan_falls_back_to_splitting_when_the_reduced_solve_fails(monkeyp
     plan.reduced = fail
     assert plan.eliminate(g) is None
     z, w = solve_inclusion(plan, g)
-    assert calls == [n]
+    assert calls == [n] and built == [n]
+    assert np.array_equal(solve_inclusion(plan, g)[0], z)
+    assert calls == [n, n] and built == [n]
     assert np.linalg.norm(phi @ z + w - g) <= TOL_ITERATIVE * max(1.0, np.linalg.norm(g))
     assert graph_residual(rel, z, w) <= 1e-8
 

@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -83,6 +84,18 @@ def test_discretize_derivative_order():
 def test_discretize_rejects_bad_cell_count():
     with pytest.raises(ValueError):
         discretize(PHS1, 7)  # odd cell count breaks the parity split
+
+
+@pytest.mark.parametrize("m", [64.9, "64", True], ids=["float", "str", "bool"])
+def test_discretize_refuses_a_cell_count_that_is_not_an_integer(m):
+    """``int`` would truncate 64.9 to 64 cells and parse ``"64"``."""
+    with pytest.raises(ValueError, match=rf"^cell count {re.escape(repr(m))} is not an integer$"):
+        discretize(PHS1, m)
+
+
+def test_discretize_takes_a_numpy_integer_cell_count():
+    ops = discretize(PHS1, np.int64(64))
+    assert ops.grid.m == 64 and type(ops.grid.m) is int and ops.nnodes == 65
 
 
 # -------------------------------------------------------------- resolve_A
@@ -241,7 +254,7 @@ def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, subno
 
     xs = ops.grid.nodes
     r_flat = np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs),
-                       np.exp(-6 * xs**2) * np.sin(2 * xs)], axis=1).astype(complex).ravel()
+                       np.exp(-6 * xs**2) * np.sin(2 * xs)], axis=1).ravel()
     p = core.solve(r_flat)[0]
     ref = _monolithic_resolve(ops, bc, theta * dt, r_flat)
     assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -253,8 +266,7 @@ def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, subno
     assert top.stop < bottom.start and not core.lift[top.stop: bottom.start].any()
     whole = copy.copy(core)
     whole._lift_rows = [(slice(0, 2 * m - 2), core.lift)]
-    for rhs in (r_flat, r_flat.real.copy()):
-        assert _bitwise(core.solve(rhs)[0], whole.solve(rhs)[0])
+    assert _bitwise(core.solve(r_flat)[0], whole.solve(r_flat)[0])
 
 
 def test_resolve_rejects_uncertified_condition():
@@ -351,6 +363,42 @@ def test_simulate_refuses_uncertified_condition():
         simulate(scn, ops)
     with pytest.raises(ValueError, match="certificate"):
         Stepper(scn, ops)
+
+
+@pytest.mark.parametrize("other", [
+    dict(b=2.0, p1=[[0.0, 2.0], [2.0, 0.0]]),
+    dict(b=2.0),
+    dict(p1=[[0.0, 2.0], [2.0, 0.0]]),
+    dict(p0=[[0.0, 0.5], [-0.5, 0.0]]),
+    dict(hamiltonian=np.array([[2.0, 0.3], [0.3, 1.0]])),
+], ids=["b-and-p1", "b", "p1", "p0", "density"])
+def test_stepper_refuses_grid_operators_of_another_system(other):
+    """Without the check, Robin on the b = 1 wave system ran 10 steps on
+    the operators of a b = 2 system with P1 doubled, and reported an
+    energy twice that of the run on its own grid."""
+    xs = discretize(PHS2, 32).grid.nodes
+    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]), BASIS2)
+    u0 = np.stack([np.exp(-8 * xs**2), np.zeros_like(xs)], axis=1)
+    scn = Scenario(phs=PHS2, bc=bc, u0=u0, T=0.1, dt=0.01, theta=1.0)
+    spec = dict(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]]) | other
+    ops = discretize(PortHamiltonian(**spec), 32)
+    for run in (lambda: Stepper(scn, ops), lambda: simulate(scn, ops)):
+        with pytest.raises(ValueError, match="another system than the scenario's"):
+            run()
+
+
+def test_stepper_takes_grid_operators_of_an_equal_system():
+    """The same system, or an equal one in another object, passes, and the
+    runs are bitwise one run; another grid is refused as before."""
+    xs = discretize(PHS2, 32).grid.nodes
+    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]), BASIS2)
+    u0 = np.stack([np.exp(-8 * xs**2), np.zeros_like(xs)], axis=1)
+    scn = Scenario(phs=PHS2, bc=bc, u0=u0, T=0.1, dt=0.01, theta=1.0)
+    own = simulate(scn, discretize(PHS2, 32))
+    equal = simulate(scn, discretize(PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]]), 32))
+    assert own.states.tobytes() == equal.states.tobytes() == simulate(scn).states.tobytes()
+    with pytest.raises(ValueError, match="initial state does not match the grid"):
+        Stepper(scn, discretize(PHS2, 64))
 
 
 def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
@@ -793,28 +841,61 @@ def test_complex_value_into_float64_states_fails_the_suite():
         states[1] = np.array([1.0, 1e-3j, 0.0])
 
 
-def test_complex_right_hand_sides_on_a_real_factor():
-    """A complex-typed right-hand side with real values takes the real
-    factor; a genuinely complex state handed to a real run's step is solved
-    on that factor as two real columns.  Both match the monolithic solve."""
+def _real_robin_run(theta):
+    """A real Robin run on ``PHS2`` at m = 64 and the fields ``f``, ``g``
+    of real values in complex type."""
     ops = discretize(PHS2, 64)
     xs = ops.grid.nodes
     bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]), BASIS2)
     f = np.stack([np.cos(xs), np.cos(2 * xs)], axis=1).astype(complex)
     g = np.stack([np.sin(xs), np.sin(0.5 * xs)], axis=1).astype(complex)
+    scn = Scenario(phs=PHS2, bc=bc, u0=np.zeros((65, 2)), T=0.8, dt=0.8, theta=theta)
+    return ops, bc, scn, f, g
 
+
+def test_complex_typed_right_hand_side_takes_the_real_factor():
+    """A complex-typed right-hand side with real values is solved on the
+    real factor and matches the monolithic solve."""
+    ops, bc, _, f, g = _real_robin_run(1.0)
     res = resolve_A(ops, bc, 0.8, (f, g))
     assert res.u.dtype == res.v.dtype == np.float64
     p_mono = _monolithic_resolve(ops, bc, 0.8, (f + g).ravel())
     assert np.abs((res.u + res.v).ravel() - p_mono).max() <= 1e-12 * np.abs(p_mono).max()
 
-    w = f + 1j * g
-    stepper = Stepper(Scenario(phs=PHS2, bc=bc, u0=np.zeros((65, 2)), T=0.8, dt=0.8, theta=1.0), ops)
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_real_run_steps_only_real_states(theta):
+    """A real run steps in float64 only: it refuses a state with a nonzero
+    imaginary part, and steps a complex-typed state whose imaginary part
+    is zero as its real part, to the bit."""
+    ops, _, scn, f, g = _real_robin_run(theta)
+    stepper = Stepper(scn, ops)
     assert stepper._core.real
+    with pytest.raises(ValueError, match="build the Stepper from this state for a complex run"):
+        step(f + 1j * g, stepper)
+    y = step((f + g).astype(complex), stepper)
+    assert y.dtype == np.float64
+    assert _bitwise(y, step((f + g).real, Stepper(scn, ops)))
+    with pytest.raises(ValueError, match="dtype float64"):
+        step(f + g, stepper, out=np.empty((65, 2), dtype=complex))
+
+
+def test_complex_run_steps_any_state():
+    """A run built from a complex state is complex: it matches the
+    monolithic solve on that state, and steps a float64 state as the
+    complex-typed one of the same values."""
+    ops, bc, scn, f, g = _real_robin_run(1.0)
+    w = f + 1j * g
+    stepper = Stepper(replace(scn, u0=w), ops)
+    assert not stepper._core.real
     y = step(w, stepper)
     assert y.dtype == np.complex128
     p_mono = _monolithic_resolve(ops, bc, 0.8, w.ravel())
     assert np.abs(y.ravel() - p_mono).max() <= 1e-12 * np.abs(p_mono).max()
+    y_real = step((f + g).real, stepper)
+    assert _bitwise(y_real, step(f + g, stepper))
+    p_mono = _monolithic_resolve(ops, bc, 0.8, (f + g).ravel())
+    assert np.abs(y_real.ravel() - p_mono).max() <= 1e-12 * np.abs(p_mono).max()
 
 
 # ------------------------------------------------- interior band factor
@@ -836,14 +917,14 @@ def _refactor(core):
 
 
 def _gbtrs_reference(core, r):
-    """LAPACK ``gbtrs`` on the refactored block, a real factor taking a
-    complex ``r`` as the two real columns ``[Re r, Im r]``."""
+    """LAPACK ``gbtrs`` on the refactored block."""
     lu, piv = _refactor(core)
-    gbtrs = get_lapack_funcs("gbtrs", (lu,))
-    if core.real and np.iscomplexobj(r):
-        cols = gbtrs(lu, core.kl, core.ku, np.column_stack([r.real, r.imag]), piv)[0]
-        return cols[:, 0] + 1j * cols[:, 1]
-    return gbtrs(lu, core.kl, core.ku, r, piv)[0]
+    return get_lapack_funcs("gbtrs", (lu,))(lu, core.kl, core.ku, r, piv)[0]
+
+
+def _band_solve(core, r):
+    """The solver's whole band solve of ``r``, on a copy."""
+    return core._sweep(np.array(r, dtype=core.dtype, order="F"), 0, core.nint)
 
 
 def _bitwise(a, b):
@@ -857,16 +938,15 @@ BLOCKS = {"m32": (32, 4.8), "no-swaps": (256, 0.25), "head-swaps": (256, 4.0),
 
 
 @pytest.mark.parametrize("block", list(BLOCKS))
-@pytest.mark.parametrize("phs, v, real, complex_rhs", [
-    (PHS2, [[0.0, 1.0], [-1.0, 0.0]], True, False),
-    (PHS2, [[0.0, 1j], [1j, 0.0]], False, True),
-    (PHS2, [[0.0, 1.0], [-1.0, 0.0]], True, True),
-    (PHS_DENSITY, [[0.0, 1.0], [-1.0, 0.0]], True, False),
-], ids=["real", "complex", "real-factor-complex-rhs", "density"])
-def test_band_factor_solves_the_interior_block(rng, phs, v, real, complex_rhs, block):
+@pytest.mark.parametrize("phs, v, real", [
+    (PHS2, [[0.0, 1.0], [-1.0, 0.0]], True),
+    (PHS2, [[0.0, 1j], [1j, 0.0]], False),
+    (PHS_DENSITY, [[0.0, 1.0], [-1.0, 0.0]], True),
+], ids=["real", "complex", "density"])
+def test_band_factor_solves_the_interior_block(rng, phs, v, real, block):
     """The band LU of ``amat[n:-n, n:-n]`` solves it like a dense solve,
-    for a real and a complex factor, a complex right-hand side on a real
-    factor and the ``H^{-1}`` mass block of a non-identity density; the
+    for a real and a complex factor and the ``H^{-1}`` mass block of a
+    non-identity density, each on right-hand sides of its own dtype; the
     band widths come from the SBP42 stencil: 2 nodes of 2 components.
 
     The solve (head, then the ``tbsv`` sweeps of the compact factor) is
@@ -895,8 +975,8 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, complex_rhs, b
         assert _bitwise(head_u[: kl + ku + c - i, i], lu[: kl + ku + c - i, i])
 
     a_int = core.amat[2:-2, 2:-2].toarray()
-    r = rng.normal(size=nint) + (1j * rng.normal(size=nint) if complex_rhs else 0.0)
-    x = core.interior_solve(r)
+    r = rng.normal(size=nint) + (0.0 if real else 1j * rng.normal(size=nint))
+    x = _band_solve(core, r)
     want = np.linalg.solve(a_int, r)
     assert x.dtype == want.dtype
     assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
@@ -911,7 +991,7 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, complex_rhs, b
     signed_zeros[: j + kl] = -0.0
     signed_zeros[-1] = 1.0
     for rhs in (r, signed_zeros, np.full(nint, -0.0), lift_rhs):
-        assert _bitwise(core.interior_solve(rhs), _gbtrs_reference(core, rhs))
+        assert _bitwise(_band_solve(core, rhs), _gbtrs_reference(core, rhs))
     lift_ref = _gbtrs_reference(core, lift_rhs)
     for part in (lift_ref,) if real else (lift_ref.real, lift_ref.imag):
         part[np.abs(part) < np.finfo(float).tiny] = 0.0
