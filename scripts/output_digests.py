@@ -15,7 +15,9 @@ package from this checkout's ``src``:
   grid, initial data, scenario; :data:`INVALID_CONFIGS`), each a shipped
   config with one edit, written to the temporary directory;
 * ``monoport simulate`` on a fine grid (:data:`FINE_CONFIGS`), a shipped
-  config with its grid edited, written there too.
+  config with its grid edited, written there too, and on two friction
+  ports on a coupled ``P1``, with real and with complex data
+  (:data:`FRICTION_CONFIGS`).
 
 Output files go to a temporary directory that is removed afterwards.
 One ``sha256  name`` line is printed per written file and per captured
@@ -79,6 +81,19 @@ FINE_CONFIGS = (
     ("wave_conservative-m16384", "wave_conservative.cfg", (("m = 256", "m = 16384"), ("T = 2.0", "T = 0.005"))),
 )
 
+#: The edits of :data:`FRICTION_CONFIGS` besides ``P1``.
+_FRICTION_EDITS = (("port.1 = dirichlet 0", "port.1 = friction 0.3"), ("theta = 1.0", "theta = 0.5"))
+
+#: ``(name, shipped config, edits)``: two friction ports on a coupled ``P1``
+#: at ``theta = 1/2``, a real run (each step solved on an affine piece of
+#: the relation) and a complex one (a skew ``P0``: each step one splitting
+#: solve).
+FRICTION_CONFIGS = (
+    ("friction-coupled", "friction.cfg", (("P1 = 0 1; 1 0", "P1 = 1 0.7; 0.7 1.5"), *_FRICTION_EDITS)),
+    ("friction-complex", "friction.cfg",
+     (("P1 = 0 1; 1 0", "P1 = 1 0.7; 0.7 1.5\nP0 = 0 0.5j; 0.5j 0"), *_FRICTION_EDITS)),
+)
+
 #: Exit code of an invalid config.
 EXIT_USAGE = 2
 
@@ -112,17 +127,18 @@ def _cases(tmp: Path):
         cfg.write_text(original.replace(text, replacement, 1), encoding="utf-8")
         name = f"check-bc-invalid/{rule}"
         yield name, cli + ["check-bc", "--config", str(cfg), "--out", name], EXIT_USAGE
-    for label, shipped, edits in FINE_CONFIGS:
-        text = (ROOT / "configs" / shipped).read_text(encoding="utf-8")
-        for old, new in edits:
-            if old not in text:
-                raise SystemExit(f"{shipped} no longer contains {old!r}; update FINE_CONFIGS")
-            text = text.replace(old, new, 1)
-        cfg = tmp / "fine" / f"{label}.cfg"
-        cfg.parent.mkdir(exist_ok=True)
-        cfg.write_text(text, encoding="utf-8")
-        name = f"simulate-fine/{label}"
-        yield name, cli + ["simulate", "--config", str(cfg), "--out", name], 0
+    for kind, table in (("fine", FINE_CONFIGS), ("friction", FRICTION_CONFIGS)):
+        for label, shipped, edits in table:
+            text = (ROOT / "configs" / shipped).read_text(encoding="utf-8")
+            for old, new in edits:
+                if old not in text:
+                    raise SystemExit(f"{shipped} no longer contains {old!r}; update {kind.upper()}_CONFIGS")
+                text = text.replace(old, new, 1)
+            cfg = tmp / kind / f"{label}.cfg"
+            cfg.parent.mkdir(exist_ok=True)
+            cfg.write_text(text, encoding="utf-8")
+            name = f"simulate-{kind}/{label}"
+            yield name, cli + ["simulate", "--config", str(cfg), "--out", name], 0
 
 
 def _sha256(data: bytes) -> str:

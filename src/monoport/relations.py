@@ -7,6 +7,8 @@ resolvent ``J_lam = (1 + lam A)^{-1}``, the case ``phi = 1/lam`` of the
 inclusion ``phi z + A(z) ∋ g`` around which the module is organized:
 :func:`plan_inclusion` reads ``(phi, A)`` once, down through the
 combinators, and :func:`solve_inclusion` applies that plan to each ``g``.
+On real data a sum of linear graphs and friction is solved exactly on
+its affine pieces; complex data is split (Douglas–Rachford).
 :func:`certify` decides monotonicity and maximality in one walk, by
 exact rules — linear algebra for linear graphs, closed forms for
 friction, and componentwise or congruence arguments for the
@@ -370,13 +372,11 @@ def plan_inclusion(phi: np.ndarray, rel: Relation) -> "_Plan":
     checked once against :data:`TOL_LINEAR` (a non-square or singular
     ``M`` keeps one least-squares solve per call).  Diagonal ``phi``
     against friction keeps the thresholds; block ``phi`` against a direct
-    sum plans each block.  Any other ``phi`` against a direct sum of
-    affine and non-affine parts eliminates the affine coordinates by one
-    Schur complement and plans the rest, so one friction port next to
-    linear ports has a closed form, kept only if it passes the residual
-    test of Douglas–Rachford splitting.  Otherwise, when that ``M`` is
-    singular, and in the general case, splitting runs between
-    ``z -> phi z - g`` and the relation.
+    sum plans each block.  Any other real ``phi`` against a real sum of
+    linear graphs and friction (or friction alone) is solved on the
+    affine pieces of the relation by an active-set walk over the sign
+    patterns of its friction coordinates.  Otherwise Douglas–Rachford
+    splitting runs between ``z -> phi z - g`` and the relation.
     """
     phi = np.atleast_2d(np.asarray(phi, dtype=complex))
     d = rel.space.dim
@@ -397,29 +397,21 @@ def plan_inclusion(phi: np.ndarray, rel: Relation) -> "_Plan":
         if all(np.linalg.norm(phi[s1, s2]) <= size
                for i, s1 in enumerate(rel.slices) for j, s2 in enumerate(rel.slices) if i != j):
             return _BlockPlan(phi, rel)
-        flags = np.concatenate([[p.affine] * p.space.dim for p in rel.parts])
-        if flags.any() and not flags.all():
-            a, graph = np.flatnonzero(flags), direct_sum([p for p in rel.parts if p.affine])
-            minv = _inverse(phi[np.ix_(a, a)] @ graph.zx + graph.zy)
-            if minv is not None:
-                return _SchurPlan(phi, rel, a, np.flatnonzero(~flags), graph, minv)
+    parts = rel.parts if isinstance(rel, DirectSum) else (rel,)
+    if not np.any(phi.imag) and rel.real and all(isinstance(p, (LinearGraph, SeparableProx)) for p in parts):
+        return _PiecePlan(phi, rel)
     return _SplittingPlan(phi, rel)
 
 
 def solve_inclusion(plan: "_Plan", g: np.ndarray, x0=None):
     """Solve ``phi z + rel(z) ∋ g`` by a plan of :func:`plan_inclusion`,
-    warm-starting the iterative paths from ``x0``.  Returns ``(z, w)``
-    with ``w in rel(z)`` (exactly, for closed-form representations; to
-    :data:`TOL_ITERATIVE` otherwise) and ``phi z + w - g`` small.  A linear
-    system whose residual exceeds :data:`TOL_LINEAR` (relative) raises
-    :class:`NonconvergenceError`."""
+    warm-starting from ``x0``.  Returns ``(z, w)`` with ``w in rel(z)``
+    (exactly, for closed forms and affine pieces; to
+    :data:`TOL_ITERATIVE` after splitting) and ``phi z + w - g`` small.
+    A linear system whose residual exceeds :data:`TOL_LINEAR` (relative)
+    and a splitting out of iterations raise :class:`NonconvergenceError`."""
     space = plan.rel.space
-    return plan(space.check_vector(g), None if x0 is None else space.check_vector(x0), None)
-
-
-def _threshold(g: np.ndarray) -> float:
-    """The residual target of the iterative paths for right-hand side ``g``."""
-    return TOL_ITERATIVE * max(1.0, float(np.linalg.norm(g)))
+    return plan(space.check_vector(g), None if x0 is None else space.check_vector(x0))
 
 
 def _inverse(m: np.ndarray) -> Optional[np.ndarray]:
@@ -433,8 +425,8 @@ def _inverse(m: np.ndarray) -> Optional[np.ndarray]:
 
 
 class _Plan:
-    """A planned ``phi z + rel(z) ∋ g``: ``plan(g, x0, tol)`` is ``(z, w)``, with
-    ``tol`` the iterative paths' residual target (``None``: :func:`_threshold`)."""
+    """A planned ``phi z + rel(z) ∋ g``: ``plan(g, x0)`` is ``(z, w)``,
+    with ``x0`` the warm start (``None``: none)."""
 
     def __init__(self, phi: np.ndarray, rel: Relation):
         self.phi, self.rel = phi, rel
@@ -448,7 +440,7 @@ class _AffinePlan(_Plan):
         self.m, self.shift = phi @ rel.zx + rel.zy, phi @ rel.x0 + rel.y0
         self.minv = _inverse(self.m)
 
-    def __call__(self, g, x0, tol):
+    def __call__(self, g, x0):
         rhs = g - self.shift
         if self.minv is not None:
             c = self.minv @ rhs
@@ -470,7 +462,7 @@ class _ThresholdPlan(_Plan):
         self.inv_diag = 1.0 / np.diag(phi).real
         self.thresholds = self.inv_diag * rel.scales
 
-    def __call__(self, g, x0, tol):
+    def __call__(self, g, x0):
         z = _soft_threshold(self.inv_diag * g, self.thresholds)
         return z, g - self.phi @ z
 
@@ -482,8 +474,8 @@ class _BlockPlan(_Plan):
         super().__init__(phi, rel)
         self.blocks = [(s, plan_inclusion(phi[s, s], part)) for part, s in zip(rel.parts, rel.slices)]
 
-    def __call__(self, g, x0, tol):
-        pairs = [plan(g[s], None if x0 is None else x0[s], tol) for s, plan in self.blocks]
+    def __call__(self, g, x0):
+        pairs = [plan(g[s], None if x0 is None else x0[s]) for s, plan in self.blocks]
         return np.concatenate([z for z, _ in pairs]), np.concatenate([w for _, w in pairs])
 
 
@@ -497,100 +489,105 @@ class _CongruencePlan(_Plan):
         self.adj_inv = np.linalg.inv(rel.adj_matrix)
         self.base = plan_inclusion(np.linalg.solve(rel.adj_matrix, phi @ rel.inv_matrix), rel.base)
 
-    def __call__(self, g, x0, tol):
+    def __call__(self, g, x0):
         rel = self.rel
-        u, w = self.base(self.adj_inv @ g, None if x0 is None else rel.tmap.matrix @ x0, tol)
+        u, w = self.base(self.adj_inv @ g, None if x0 is None else rel.tmap.matrix @ x0)
         return rel.inv_matrix @ u, rel.adj_matrix @ w
 
 
-class _SchurPlan(_Plan):
-    """The affine coordinates ``a`` of a direct sum eliminated exactly.
+class _PiecePlan(_Plan):
+    """Real ``phi`` against a real sum of linear graphs and friction.  On
+    real data a friction coordinate sticks (``z = 0``, ``|w| <= mu``) or
+    slips (``w = s mu``, ``s z >= 0``, ``s = +-1``): each sign pattern is
+    a linear graph, and the solution is the piece solution whose signs
+    hold within :data:`TOL_LINEAR` of the data's scale.  An active-set
+    walk from the warm start's pattern switches a stick with ``|w| > mu``
+    to the slip of ``w``'s sign and a slip with ``s z < 0`` to stick.  A
+    walk that repeats, meets a piece with no solution or passes ``2k + 2``
+    pieces (``k`` friction coordinates) splits, as does complex ``g``.
+    Pieces are built on first use; the ``2k + 2`` used last are kept."""
 
-    With the affine parts written as ``(x0 + zx c, y0 + zy c)`` and
-    ``M = phi_aa zx + zy``, the rows ``a`` give
-    ``c = M^{-1}(g_a - phi_aa x0 - y0 - phi_af z_f)``, and the rows ``f``
-    leave ``phi' z_f + B(z_f) ∋ g'`` with the Schur complement
-    ``phi' = phi_ff - phi_fa zx M^{-1} phi_af``.  Kept: the plan of that
-    rest, and the maps ``g -> g'`` and ``(g, z_f, w_f) -> (z, w)``.  The
-    rows ``f`` of the whole residual are the reduced one and the rows
-    ``a`` vanish, so the reduced solve runs to the whole sum's target.
-    """
-
-    def __init__(self, phi, rel: DirectSum, a, f, graph: LinearGraph, minv: np.ndarray):
+    def __init__(self, phi, rel: Relation):
         super().__init__(phi, rel)
-        rest = [p for p in rel.parts if not p.affine]
-        sa, sf = np.eye(rel.space.dim)[a], np.eye(rel.space.dim)[f]
-        phi_fa_zx = phi[np.ix_(f, a)] @ graph.zx
-        # c = c_g g - c_0 - c_f z_f
-        c_g, c_f = minv @ sa, minv @ phi[np.ix_(a, f)]
-        c_0 = minv @ (phi[np.ix_(a, a)] @ graph.x0 + graph.y0)
-        self.f, self.reduce = f, sf - phi_fa_zx @ c_g
-        self.reduce_0 = phi[np.ix_(f, a)] @ graph.x0 - phi_fa_zx @ c_0
-        self.reduced = plan_inclusion(phi[np.ix_(f, f)] - phi_fa_zx @ c_f,
-                                      rest[0] if len(rest) == 1 else DirectSum(rest))
-        za, wa = sa.T @ graph.zx, sa.T @ graph.zy
-        self.lift = np.block([[za @ c_g, sf.T - za @ c_f, np.zeros_like(sf.T)],
-                              [wa @ c_g, -wa @ c_f, sf.T]])
-        self.lift_0 = np.concatenate([sa.T @ (graph.x0 - graph.zx @ c_0), sa.T @ (graph.y0 - graph.zy @ c_0)])
+        self.parts = rel.parts if isinstance(rel, DirectSum) else (rel,)
+        self.friction = np.flatnonzero(np.concatenate([[not p.affine] * p.space.dim for p in self.parts])).tolist()
+        self.scales = [float(mu) for p in self.parts if not p.affine for mu in p.scales]
+        self.longest, self.pieces = 2 * len(self.scales) + 2, {}
 
     @cached_property
-    def fallback(self) -> "_SplittingPlan":
-        """Splitting of the whole sum, built on the first elimination that
-        fails or misses the residual target."""
+    def splitting(self) -> "_SplittingPlan":
         return _SplittingPlan(self.phi, self.rel)
 
-    def eliminate(self, g, x0=None, tol=None):
-        """The pair before the residual test; ``None`` if the reduced solve fails."""
-        try:
-            z_f, w_f = self.reduced(self.reduce @ g - self.reduce_0, None if x0 is None else x0[self.f],
-                                    _threshold(g) if tol is None else tol)
-        except NonconvergenceError:
-            return None
-        zw = self.lift @ np.concatenate([g, z_f, w_f]) + self.lift_0
-        return zw[:g.shape[0]], zw[g.shape[0]:]
+    def piece(self, pattern) -> _AffinePlan:
+        """Stick (0) is the graph ``{(0, t)}``, slip ``s`` is ``{(t, s mu)}``."""
+        plan = self.pieces.pop(pattern, None)
+        if plan is None:
+            coords = iter(zip(pattern, self.scales))
+            graphs = [graph for p in self.parts for graph in ([p] if p.affine else [
+                LinearGraph(InnerProductSpace(1, wk), [[abs(s)]], [[1 - abs(s)]], y0=[s * mu])
+                for wk, (s, mu) in zip(np.diag(p.space.weight), coords)])]
+            plan = _AffinePlan(self.phi, direct_sum(graphs))
+            if len(self.pieces) == self.longest:
+                del self.pieces[next(iter(self.pieces))]
+        self.pieces[pattern] = plan
+        return plan
 
-    def __call__(self, g, x0, tol):
-        tol = _threshold(g) if tol is None else tol
-        out = self.eliminate(g, x0, tol)
-        # M near singular can make the elimination wrong without raising
-        if out is not None and self.rel.space.norm(self.phi @ out[0] + out[1] - g) <= tol:
-            return out
-        return self.fallback(g, x0, tol)
+    def __call__(self, g, x0):
+        if np.any(g.imag):
+            return self.splitting(g, x0)
+        pattern = tuple(0 if x0 is None else int(np.sign(x0[i].real)) for i in self.friction)
+        tol = TOL_LINEAR * max(1.0, float(np.linalg.norm(g)), *self.scales)
+        seen = set()
+        while pattern not in seen and len(seen) < self.longest:
+            seen.add(pattern)
+            try:
+                z, w = self.piece(pattern)(g, None)
+            except NonconvergenceError:  # a singular piece whose system is inconsistent
+                break
+            switched = tuple(
+                (int(np.sign(wk)) if abs(wk) - mu > tol else 0) if s == 0 else (0 if -s * zk > tol else s)
+                for s, zk, wk, mu in zip(pattern, z[self.friction].real, w[self.friction].real, self.scales))
+            if switched == pattern:
+                return z, w
+            pattern = switched
+        return self.splitting(g, x0)
 
 
 class _SplittingPlan(_Plan):
     """Douglas–Rachford splitting between ``z -> phi z - g`` and the
-    relation, with the step length ``gamma`` (from ``eigvalsh`` of ``W phi``
-    against the weight ``W``, which reads one triangle: a heuristic for a
-    non-Hermitian ``phi``), the inverse of ``1 + gamma phi`` and the plan
-    of the relation's resolvent at ``gamma`` fixed.  ``phi`` is monotone
-    in the space's inner product, so that inverse has norm at most 1 there."""
+    relation, with the step length ``gamma`` (from the Hermitian part of
+    ``W phi`` against the weight ``W``), the inverse of ``1 + gamma phi``
+    and the plan of the relation's resolvent at ``gamma`` fixed.  ``phi``
+    is monotone in the space's inner product, so that inverse has norm
+    at most 1 there.  Plans choose it for complex data, a part that is
+    neither a linear graph nor friction, and a walk that does not settle."""
 
     def __init__(self, phi, rel: Relation):
         super().__init__(phi, rel)
         d, w2 = rel.space.dim, rel.space.weight
         try:
-            eigs = sla.eigvalsh(w2 @ phi, w2).real
+            wphi = w2 @ phi
+            eigs = sla.eigvalsh((wphi + wphi.conj().T) / 2.0, w2)
             self.gamma = 1.0 / np.sqrt(eigs.min() * eigs.max()) if eigs.min() > 0 else 1.0
         except sla.LinAlgError:
             self.gamma = 1.0
         self.inv = np.linalg.inv(np.eye(d) + self.gamma * phi)
         self.inner = plan_inclusion(np.eye(d) / self.gamma, rel)
 
-    def __call__(self, g, x0, tol):
-        return _douglas_rachford(self, g, x0, tol)
+    def __call__(self, g, x0):
+        return _douglas_rachford(self, g, x0)
 
 
-def _douglas_rachford(plan: _SplittingPlan, g, x0, tol):
+def _douglas_rachford(plan: _SplittingPlan, g, x0):
     """The iteration of ``plan`` from the warm start ``x0``, run until the
-    residual is at most ``tol`` (:func:`_threshold` of ``g`` if ``None``)."""
+    residual is at most :data:`TOL_ITERATIVE` times ``max(1, |g|)``."""
     phi, gamma, space = plan.phi, plan.gamma, plan.rel.space
-    tol = _threshold(g) if tol is None else tol
+    tol = TOL_ITERATIVE * max(1.0, float(np.linalg.norm(g)))
     s = np.zeros(space.dim, dtype=complex) if x0 is None else x0 - gamma * (g - phi @ x0)
     best = np.inf
     for _ in range(MAX_ITER):
         z1 = plan.inv @ (s + gamma * g)
-        z2, w2 = plan.inner((2.0 * z1 - s) / gamma, None, None)
+        z2, w2 = plan.inner((2.0 * z1 - s) / gamma, None)
         res = float(space.norm(phi @ z2 + w2 - g))
         if res <= tol:
             return z2, w2

@@ -108,7 +108,7 @@ from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .boundary import BoundaryCondition, _integer
-from .phs import PortHamiltonian, _as_field
+from .phs import PortHamiltonian, _as_field, eigendecompose
 from .relations import NonconvergenceError, graph_residual, plan_inclusion, solve_inclusion
 from .sbp import MIN_CELLS, sbp42
 
@@ -582,6 +582,9 @@ class Scenario:
     """One evolution problem: system, boundary relation, data, scheme.
 
     ``u0`` is an initial grid field (its node count fixes the grid).
+    ``bc`` must be built on the trace basis of ``phs``: one with its
+    ``b`` and the eigenvalues and eigenvectors of its ``P1``, which
+    :func:`.phs.bd_basis` derives deterministically.
     ``theta`` interpolates between the midpoint rule (1/2, conservative
     for skew relations) and implicit Euler (1, unconditionally
     dissipative).
@@ -603,6 +606,10 @@ class Scenario:
             raise ValueError("theta must lie in [1/2, 1]")
         if self.bc.ports != self.phs.n:
             raise ValueError("boundary condition and system have different port counts")
+        basis, (lambdas, eigvecs) = self.bc.basis, eigendecompose(self.phs.p1)
+        if basis.b != self.phs.b or not (np.array_equal(basis.lambdas, lambdas)
+                                         and np.array_equal(basis.eigvecs, eigvecs)):
+            raise ValueError("boundary condition is built on the trace basis of another system")
         object.__setattr__(self, "u0", _as_field(self.u0, self.phs.n))
 
 

@@ -99,12 +99,14 @@ def test_every_constructor_certifies_and_derives_h(name, monkeypatch):
         assert offset <= 1e-12
     else:
         # A resolvent pair (x, (y - x)/lam) of h, mapped to port coordinates,
-        # lies on the port relation: h has the resolvent of the congruence.
+        # lies on the port relation: h has the resolvent of the congruence,
+        # exact on a real right-hand side (the affine pieces) and within
+        # verify's bound for the same quantity on a complex one (splitting).
         rng = np.random.default_rng(7)
         for lam in (0.3, 2.0):
-            y = rand_complex(rng, 2)
-            x = resolvent(bc.h, lam, y)
-            assert graph_residual(port, q @ x, sq @ ((y - x) / lam)) <= 1e-12
+            for y, bound in ((rng.normal(size=2), 1e-12), (rand_complex(rng, 2), 1e-7)):
+                x = resolvent(bc.h, lam, y)
+                assert graph_residual(port, q @ x, sq @ ((y - x) / lam)) <= bound
     if name.startswith("from_V"):
         assert "vv_top_eigenvalue" in bc.certificates["maximal"].witness
 

@@ -199,7 +199,8 @@ def test_resolve_honours_position_dependent_density():
 def test_steps_solve_no_fixed_system_again(monkeypatch, ports, splits):
     """The boundary block and Douglas-Rachford's ``1 + gamma phi`` are
     inverted once per run: no step, and no splitting iteration, calls a
-    dense LU solve."""
+    dense LU solve.  The splitting case is a complex run, whose
+    inclusions have no affine pieces."""
     import scipy.linalg
 
     import monoport.relations as rels
@@ -207,8 +208,8 @@ def test_steps_solve_no_fixed_system_again(monkeypatch, ports, splits):
     phs = PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]])
     bc = bnd.multiport(ports, bd_basis(phs))
     ops = discretize(phs, 32)
-    u0 = np.zeros((33, 2))
-    u0[:, 0] = np.exp(-8 * ops.grid.nodes**2)
+    u0 = np.zeros((33, 2), dtype=complex if splits else float)
+    u0[:, 0] = np.exp(-8 * ops.grid.nodes**2) * (1.0 + 0.5j if splits else 1.0)
     lu_calls, dr_calls = [], []
 
     def counting(calls, func):
@@ -402,26 +403,26 @@ def test_stepper_takes_grid_operators_of_an_equal_system():
 
 
 def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
-    """Two friction ports on a coupled ``P1``: no coordinate is affine, so
-    every step solves its boundary inclusion by Douglas-Rachford
-    splitting, warm-started from the previous effort, and the energy
-    identity of the module docstring holds per step to the splitting
-    tolerance."""
+    """Two friction ports on a coupled ``P1`` with complex initial data: a
+    complex inclusion has no affine pieces, so every step solves it by
+    Douglas-Rachford splitting, warm-started from the previous effort,
+    and the energy identity of the module docstring holds per step to
+    the splitting tolerance."""
     import monoport.relations as rels
 
     phs = PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]])
     bc = bnd.multiport([(0, ("friction", 0.5)), (1, ("friction", 0.3))], bd_basis(phs))
     ops = discretize(phs, 32)
     xs = ops.grid.nodes
-    u0 = np.zeros((33, 2))
-    u0[:, 0] = np.exp(-8 * xs**2)
+    u0 = np.zeros((33, 2), dtype=complex)
+    u0[:, 0] = np.exp(-8 * xs**2) * (1.0 + 0.5j)
     theta, dt = 1.0, 0.01
     warm_starts = []
     real_dr = rels._douglas_rachford
 
-    def counted(plan, g, x0, tol):
+    def counted(plan, g, x0):
         warm_starts.append(x0)
-        return real_dr(plan, g, x0, tol)
+        return real_dr(plan, g, x0)
 
     monkeypatch.setattr(rels, "_douglas_rachford", counted)
     traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=dt, theta=theta), ops)
@@ -443,27 +444,32 @@ def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
     # block-diagonal DirectSum branch: phi is diagonal when P1 is
     ([[1.0, 0.0], [0.0, 2.0]],
      lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0))], basis), 1.0),
-    # Schur branch: a coupled phi, whose linear port is eliminated exactly,
-    # leaving a scalar friction inclusion in closed form
+    # piece branch: a real coupled phi, solved exactly on the affine piece
+    # whose signs hold, next to a linear port or a second friction port
     ([[1.0, 0.7], [0.7, 1.5]],
      lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0))], basis), 1.0),
     ([[1.0, 0.7], [0.7, 1.5]],
      lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("dirichlet", 0.0))], basis), 1.0),
     ([[1.0, 0.7], [0.7, 1.5]],
      lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0, 0.2))], basis), 1.0),
+    ([[1.0, 0.7], [0.7, 1.5]],
+     lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("friction", 0.3))], basis), 1.0),
+    ([[1.0, 0.7], [0.7, 1.5]],
+     lambda basis: bnd.multiport([(0, ("friction", 0.5)), (1, ("friction", 0.3))], basis), 0.5),
     # SeparableProx against a diagonal, non-scalar phi: soft thresholding
     # per coordinate
     ([[1.0, 0.0], [0.0, 2.0]],
      lambda basis: bnd._finalize(basis, SeparableProx(InnerProductSpace(2), [0.5] * 2), "Prox"), 1.0),
     # a congruence: the ports of robin ⊕ friction swapped back, and the
-    # substitution hands the Schur branch the in-order problem
+    # substitution hands the piece branch the in-order problem
     ([[1.0, 0.7], [0.7, 1.5]],
      lambda basis: bnd._finalize(basis, transform(
          LinearMap(InnerProductSpace(2), InnerProductSpace(2), [[0.0, 1.0], [1.0, 0.0]]),
          direct_sum([bnd._scalar_part("robin", (1.0,)), bnd._scalar_part("friction", (0.5,))])),
          "Swapped"), 1.0),
-], ids=["affine-coupled", "direct-sum-diagonal", "schur-robin", "schur-dirichlet",
-        "schur-shifted-robin", "prox-diagonal", "schur-listed-reversed"])
+], ids=["affine-coupled", "direct-sum-diagonal", "pieces-robin", "pieces-dirichlet",
+        "pieces-shifted-robin", "pieces-friction", "pieces-friction-midpoint", "prox-diagonal",
+        "pieces-listed-reversed"])
 def test_non_scalar_fast_paths_skip_splitting_and_keep_ledger(monkeypatch, p1, make_bc, theta):
     import monoport.relations as rels
 
@@ -570,16 +576,15 @@ def _ledger_defects(traj, ops, theta, dt):
     return np.asarray(out)
 
 
-@pytest.mark.parametrize("ports, bound", [
-    ([(0, ("friction", 0.5)), (1, ("robin", 1.0))], 1e-12),
-    ([(0, ("friction", 0.5)), (1, ("friction", 0.3))], 1e-8),
-], ids=["friction-robin-schur", "friction-friction-dr"])
-def test_midpoint_runs_on_friction_with_exact_ledger(ports, bound):
+@pytest.mark.parametrize("ports", [
+    [(0, ("friction", 0.5)), (1, ("robin", 1.0))],
+    [(0, ("friction", 0.5)), (1, ("friction", 0.3))],
+], ids=["friction-robin", "friction-friction"])
+def test_midpoint_runs_on_friction_with_exact_ledger(ports):
     """Friction ports at ``theta = 1/2`` on a coupled ``P1``: each step is
-    one resolvent solve plus an extrapolation, so the energy identity
-    holds for the set-valued relation too, to roundoff on the Schur path
-    and to the splitting tolerance on the Douglas-Rachford one, and the
-    pairing never supplies energy."""
+    one resolvent solve plus an extrapolation, exact on the affine
+    pieces, so the energy identity holds for the set-valued relation
+    too, to roundoff, and the pairing never supplies energy."""
     phs = PortHamiltonian(n=2, b=1.0, p1=[[1.0, 0.7], [0.7, 1.5]])
     bc = bnd.multiport(ports, bd_basis(phs))
     m, dt = 256, 0.01
@@ -589,7 +594,7 @@ def test_midpoint_runs_on_friction_with_exact_ledger(ports, bound):
     traj = simulate(Scenario(phs=phs, bc=bc, u0=u0, T=1.0, dt=dt, theta=0.5), ops)
     e0 = traj.energies[0]
     assert len(traj) == 101
-    assert _ledger_defects(traj, ops, 0.5, dt).max() <= bound * e0
+    assert _ledger_defects(traj, ops, 0.5, dt).max() <= 1e-12 * e0
     assert traj.boundary_dissipation.min() >= -1e-12 * e0
     assert dt * traj.boundary_dissipation[1:].sum() > 0.1 * e0
 
@@ -737,6 +742,32 @@ def test_scenario_validation(rng):
         Scenario(phs=PHS1, bc=bc, u0=u0, T=1.0, dt=0.1, theta=0.25)
     with pytest.raises(ValueError, match="port"):
         Scenario(phs=PHS2, bc=bc, u0=np.zeros((33, 2)), T=1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("other", [
+    dict(b=2.0, p1=[[1.0, 0.7], [0.7, 1.5]]),
+    dict(b=2.0),
+    dict(p1=[[1.0, 0.7], [0.7, 1.5]]),
+], ids=["b-and-p1", "b", "p1"])
+def test_scenario_refuses_a_condition_on_another_systems_basis(other):
+    """Without the check, Robin built on the trace basis of a b = 2 system
+    with a coupled ``P1`` ran 10 steps on the b = 1 wave system and
+    reported E(T) = 0.2198088683 against 0.2198088637."""
+    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]),
+                   bd_basis(PortHamiltonian(**(dict(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]]) | other))))
+    with pytest.raises(ValueError, match="trace basis of another system"):
+        Scenario(phs=PHS2, bc=bc, u0=np.zeros((33, 2)), T=0.1, dt=0.01)
+
+
+def test_scenario_takes_a_condition_on_an_equal_systems_basis():
+    """The basis of an equal system in another object is bitwise the
+    system's own, so the condition built on it passes and runs the same."""
+    xs = discretize(PHS2, 32).grid.nodes
+    u0 = np.stack([np.exp(-8 * xs**2), np.zeros_like(xs)], axis=1)
+    m = np.array([[1.0, 0.2], [0.2, 0.5]])
+    runs = [simulate(Scenario(phs=PHS2, bc=bnd.robin(m, basis), u0=u0, T=0.1, dt=0.01))
+            for basis in (BASIS2, bd_basis(PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]])))]
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
 
 
 def test_simulate_checks_grid_agreement():
