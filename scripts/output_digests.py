@@ -15,9 +15,9 @@ package from this checkout's ``src``:
   grid, initial data, scenario; :data:`INVALID_CONFIGS`), each a shipped
   config with one edit, written to the temporary directory;
 * ``monoport simulate`` on a fine grid (:data:`FINE_CONFIGS`), a shipped
-  config with its grid edited, written there too, and on two friction
-  ports on a coupled ``P1``, with real and with complex data
-  (:data:`FRICTION_CONFIGS`).
+  config with its grid edited, written there too, on two friction ports
+  on a coupled ``P1``, with real and with complex data, and on three
+  ports, Robin between two friction ports (:data:`FRICTION_CONFIGS`).
 
 Output files go to a temporary directory that is removed afterwards.
 One ``sha256  name`` line is printed per written file and per captured
@@ -84,14 +84,18 @@ FINE_CONFIGS = (
 #: The edits of :data:`FRICTION_CONFIGS` besides ``P1``.
 _FRICTION_EDITS = (("port.1 = dirichlet 0", "port.1 = friction 0.3"), ("theta = 1.0", "theta = 0.5"))
 
-#: ``(name, shipped config, edits)``: two friction ports on a coupled ``P1``
-#: at ``theta = 1/2``, a real run (each step solved on an affine piece of
-#: the relation) and a complex one (a skew ``P0``: each step one splitting
-#: solve).
+#: ``(name, shipped config, edits)``: friction ports on a coupled ``P1`` at
+#: ``theta = 1/2``: two, in a real run (each step solved on an affine piece
+#: of the relation) and a complex one (a skew ``P0``: each step one
+#: splitting solve), and three ports with a Robin port between two friction
+#: ports, a real run whose pieces mix linear and friction columns.
 FRICTION_CONFIGS = (
     ("friction-coupled", "friction.cfg", (("P1 = 0 1; 1 0", "P1 = 1 0.7; 0.7 1.5"), *_FRICTION_EDITS)),
     ("friction-complex", "friction.cfg",
      (("P1 = 0 1; 1 0", "P1 = 1 0.7; 0.7 1.5\nP0 = 0 0.5j; 0.5j 0"), *_FRICTION_EDITS)),
+    ("friction-three", "friction.cfg",
+     (("n = 2", "n = 3"), ("P1 = 0 1; 1 0", "P1 = 1 0.5 0; 0.5 1.5 0.3; 0 0.3 2"),
+      ("port.1 = dirichlet 0", "port.1 = robin 1.0\nport.2 = friction 0.3"), ("theta = 1.0", "theta = 0.5"))),
 )
 
 #: Exit code of an invalid config.

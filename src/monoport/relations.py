@@ -45,7 +45,7 @@ for friction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -387,7 +387,7 @@ def plan_inclusion(phi: np.ndarray, rel: Relation) -> "_Plan":
     if not isinstance(rel, (LinearGraph, SeparableProx, DirectSum)):
         raise _no_rule(rel)
     if isinstance(rel, LinearGraph):
-        return _AffinePlan(phi, rel)
+        return _AffinePlan(phi, rel, rel.zx, rel.zy, rel.x0, rel.y0)
     size = 1e-14 * max(1.0, np.linalg.norm(phi))
     diag = np.diag(phi)
     if isinstance(rel, SeparableProx) and np.linalg.norm(phi - np.diag(diag)) <= size \
@@ -433,11 +433,12 @@ class _Plan:
 
 
 class _AffinePlan(_Plan):
-    """A linear graph: ``(x0 + zx c, y0 + zy c)`` with ``M c = g - phi x0 - y0``."""
+    """A linear graph on the space of ``rel``: ``(x0 + zx c, y0 + zy c)`` with ``M c = g - phi x0 - y0``."""
 
-    def __init__(self, phi, rel: LinearGraph):
+    def __init__(self, phi, rel: Relation, zx, zy, x0, y0):
         super().__init__(phi, rel)
-        self.m, self.shift = phi @ rel.zx + rel.zy, phi @ rel.x0 + rel.y0
+        self.zx, self.zy, self.x0, self.y0 = zx, zy, x0, y0
+        self.m, self.shift = phi @ zx + zy, phi @ x0 + y0
         self.minv = _inverse(self.m)
 
     def __call__(self, g, x0):
@@ -450,7 +451,7 @@ class _AffinePlan(_Plan):
                 raise NonconvergenceError(
                     f"linear resolvent system is inconsistent (residual {res:.3e}); "
                     "the relation is not maximal on this right-hand side", residual=res)
-        return self.rel.x0 + self.rel.zx @ c, self.rel.y0 + self.rel.zy @ c
+        return self.x0 + self.zx @ c, self.y0 + self.zy @ c
 
 
 class _ThresholdPlan(_Plan):
@@ -505,32 +506,33 @@ class _PiecePlan(_Plan):
     to the slip of ``w``'s sign and a slip with ``s z < 0`` to stick.  A
     walk that repeats, meets a piece with no solution or passes ``2k + 2``
     pieces (``k`` friction coordinates) splits, as does complex ``g``.
-    Pieces are built on first use; the ``2k + 2`` used last are kept."""
+    A piece is one column choice in a table of the parts' graphs (built on
+    first use, :meth:`_piece`); the ``2k + 2`` used last are kept."""
 
     def __init__(self, phi, rel: Relation):
         super().__init__(phi, rel)
-        self.parts = rel.parts if isinstance(rel, DirectSum) else (rel,)
-        self.friction = np.flatnonzero(np.concatenate([[not p.affine] * p.space.dim for p in self.parts])).tolist()
-        self.scales = [float(mu) for p in self.parts if not p.affine for mu in p.scales]
-        self.longest, self.pieces = 2 * len(self.scales) + 2, {}
+        parts = rel.parts if isinstance(rel, DirectSum) else (rel,)
+        stick = lambda d: (np.zeros((d, d)), np.eye(d), np.zeros(d), np.zeros(d))  # friction: the columns (0, e_i)
+        zx, zy, x0, y0 = zip(*[(p.zx, p.zy, p.x0, p.y0) if p.affine else stick(p.space.dim) for p in parts])
+        self.zx, self.zy, self.x0, self.y0 = sla.block_diag(*zx), sla.block_diag(*zy), np.concatenate(x0), np.concatenate(y0)
+        self.friction = np.flatnonzero(np.repeat([not p.affine for p in parts], [p.space.dim for p in parts])).tolist()
+        self.columns = np.flatnonzero(np.repeat([not p.affine for p in parts], [z.shape[1] for z in zy])).tolist()
+        self.scales = [float(mu) for p in parts if not p.affine for mu in p.scales]
+        self.longest = 2 * len(self.scales) + 2
+        self.piece = lru_cache(maxsize=self.longest)(self._piece)
 
     @cached_property
     def splitting(self) -> "_SplittingPlan":
         return _SplittingPlan(self.phi, self.rel)
 
-    def piece(self, pattern) -> _AffinePlan:
-        """Stick (0) is the graph ``{(0, t)}``, slip ``s`` is ``{(t, s mu)}``."""
-        plan = self.pieces.pop(pattern, None)
-        if plan is None:
-            coords = iter(zip(pattern, self.scales))
-            graphs = [graph for p in self.parts for graph in ([p] if p.affine else [
-                LinearGraph(InnerProductSpace(1, wk), [[abs(s)]], [[1 - abs(s)]], y0=[s * mu])
-                for wk, (s, mu) in zip(np.diag(p.space.weight), coords)])]
-            plan = _AffinePlan(self.phi, direct_sum(graphs))
-            if len(self.pieces) == self.longest:
-                del self.pieces[next(iter(self.pieces))]
-        self.pieces[pattern] = plan
-        return plan
+    def _piece(self, pattern) -> _AffinePlan:
+        """The table's column of friction coordinate ``i`` is ``(0, e_i)``
+        (stick); slip ``s`` sets it to ``(e_i, 0)`` and ``w_i = s mu_i``."""
+        zx, zy, y0 = self.zx.copy(), self.zy.copy(), self.y0.copy()
+        for i, j, s, mu in zip(self.friction, self.columns, pattern, self.scales):
+            if s:
+                zx[i, j], zy[i, j], y0[i] = 1.0, 0.0, s * mu
+        return _AffinePlan(self.phi, self.rel, zx, zy, self.x0, y0)
 
     def __call__(self, g, x0):
         if np.any(g.imag):

@@ -237,15 +237,6 @@ def _field(state, n: int) -> np.ndarray:
     return arr.reshape(len(arr), n) if arr.dtype == np.float64 and shaped else _as_field(arr, n)
 
 
-def _is_real(ops: DiscreteOperators, bc: BoundaryCondition, data) -> bool:
-    """Whether a run on ``ops`` under ``bc`` with initial state or
-    right-hand side ``data`` is real: ``P1``, ``P0``, the nodewise
-    ``H^{-1}``, the port relation and ``data`` have no imaginary part."""
-    phs = ops.phs
-    return (bc.port_relation.real and not np.iscomplexobj(ops.hinv)
-            and not any(np.any(np.imag(a)) for a in (phs.p1, phs.p0, data)))
-
-
 class _CoreSolver:
     """Solver for ``M p + mu (L p + E s) = r`` with relation rows, its
     linear algebra built once from the grid operators ``ops``.
@@ -264,22 +255,36 @@ class _CoreSolver:
     the relation calculus, and every :meth:`solve` only multiplies by
     these maps and applies that plan.
 
-    With ``real`` (see :func:`_is_real`) the matrix, its factor and the
-    maps are float64; otherwise complex.
+    Every run (:class:`Stepper`, :func:`resolve_A`) is checked here once,
+    before any factorisation: ``bc`` must be certified (unless
+    ``allow_uncertified``) and built on the trace basis of ``ops.phs``
+    (its ``b`` and the eigenvalues and eigenvectors of its ``P1``), and
+    ``mu`` positive and finite.  The run is ``real`` when ``P1``, ``P0``,
+    the nodewise ``H^{-1}``, the port relation and ``data`` (its initial
+    state or right-hand side) have no imaginary part: then the matrix,
+    its factor and the maps are float64; otherwise complex.
     """
 
-    def __init__(self, ops: DiscreteOperators, bc: BoundaryCondition, mu: float, real: bool):
-        if not mu > 0:
-            raise ValueError("resolvent parameter mu must be positive")
-        n = ops.phs.n
-        if bc.ports != n:
-            raise ValueError(f"boundary condition has {bc.ports} ports, system has {n}")
-        nn = ops.nnodes
+    def __init__(self, ops: DiscreteOperators, bc: BoundaryCondition, mu: float, data,
+                 allow_uncertified: bool = False):
+        if not (bc.is_maximal_monotone or allow_uncertified):
+            raise ValueError(
+                "boundary condition lacks a maximal-monotonicity certificate "
+                f"(monotone={bc.certificates['monotone'].monotone}, "
+                f"maximal={bc.certificates['maximal'].maximal})")
+        basis, (lambdas, eigvecs) = bc.basis, eigendecompose(ops.phs.p1)
+        if basis.b != ops.phs.b or not (np.array_equal(basis.lambdas, lambdas)
+                                        and np.array_equal(basis.eigvecs, eigvecs)):
+            raise ValueError("boundary condition is built on the trace basis of another system")
+        if not (np.isfinite(mu) and mu > 0):
+            raise ValueError("resolvent parameter mu must be positive and finite")
+        n, nn = ops.phs.n, ops.nnodes
         self.ops = ops
         self.n = n
         self.mu = float(mu)
         self.rel = bc.port_relation
-        self.real = real
+        self.real = real = (self.rel.real and not np.iscomplexobj(ops.hinv)
+                            and not any(np.any(np.imag(a)) for a in (ops.phs.p1, ops.phs.p0, data)))
         self.dtype = dtype = np.dtype(float if real else complex)
 
         mblk = (sp.identity(nn * n, format="csr", dtype=dtype) if ops.identity_density
@@ -513,16 +518,6 @@ class _CoreSolver:
         return float(max(row_res, rel_res))
 
 
-def _require_certified(bc: BoundaryCondition, allow_uncertified: bool):
-    if bc.is_maximal_monotone or allow_uncertified:
-        return
-    raise ValueError(
-        "boundary condition lacks a maximal-monotonicity certificate "
-        f"(monotone={bc.certificates['monotone'].monotone}, "
-        f"maximal={bc.certificates['maximal'].maximal})"
-    )
-
-
 @dataclass(frozen=True)
 class ResolveResult:
     """Output of :func:`resolve_A`.
@@ -553,11 +548,12 @@ def resolve_A(ops: DiscreteOperators, bc: BoundaryCondition, mu: float, rhs,
     relation enters through the trace inclusion described in the module
     docstring; any maximal monotone relation is admissible, linear or not.
 
-    Uncertified conditions (a failed certificate) are
-    rejected unless ``allow_uncertified`` is set — falsification runs
-    want exactly that switch.
+    The run is checked by :class:`_CoreSolver` before any factorisation:
+    a condition without a maximal-monotonicity certificate is refused
+    unless ``allow_uncertified`` is set (falsification runs want exactly
+    that switch), and so are a condition built on the trace basis of
+    another system and a ``mu`` that is not positive and finite.
     """
-    _require_certified(bc, allow_uncertified)
     f_leg, g_leg = rhs
     n = ops.phs.n
     f_leg = _as_field(f_leg, n)
@@ -565,9 +561,8 @@ def resolve_A(ops: DiscreteOperators, bc: BoundaryCondition, mu: float, rhs,
     if f_leg.shape[0] != ops.nnodes or g_leg.shape[0] != ops.nnodes:
         raise ValueError("right-hand side does not match the grid")
     r_flat = (f_leg + g_leg).ravel()
-    real = _is_real(ops, bc, r_flat)
-    core = _CoreSolver(ops, bc, mu, real)
-    if real:
+    core = _CoreSolver(ops, bc, mu, r_flat, allow_uncertified)
+    if core.real:
         r_flat = r_flat.real
     p, s, e, fhat = core.solve(r_flat)
     res = core.residual(p, s, r_flat, e, fhat)
@@ -584,7 +579,8 @@ class Scenario:
     ``u0`` is an initial grid field (its node count fixes the grid).
     ``bc`` must be built on the trace basis of ``phs``: one with its
     ``b`` and the eigenvalues and eigenvectors of its ``P1``, which
-    :func:`.phs.bd_basis` derives deterministically.
+    :func:`.phs.bd_basis` derives deterministically (:class:`Stepper`
+    checks it; a scenario checks only ``dt``, ``T`` and ``theta``).
     ``theta`` interpolates between the midpoint rule (1/2, conservative
     for skew relations) and implicit Euler (1, unconditionally
     dissipative).
@@ -604,12 +600,6 @@ class Scenario:
             raise ValueError("final time must be positive and finite")
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1]")
-        if self.bc.ports != self.phs.n:
-            raise ValueError("boundary condition and system have different port counts")
-        basis, (lambdas, eigvecs) = self.bc.basis, eigendecompose(self.phs.p1)
-        if basis.b != self.phs.b or not (np.array_equal(basis.lambdas, lambdas)
-                                         and np.array_equal(basis.eigvecs, eigvecs)):
-            raise ValueError("boundary condition is built on the trace basis of another system")
         object.__setattr__(self, "u0", _as_field(self.u0, self.phs.n))
 
 
@@ -640,10 +630,10 @@ class Trajectory:
 class Stepper:
     """One run of the theta-scheme: the factored resolvent and the warm start.
 
-    Construction refuses a boundary condition without a maximal
-    monotonicity certificate, and grid operators of another grid or
-    system than the scenario's (:func:`_check_ops`), and factors ``1 +
-    theta dt A`` once, in float64 when the system, the relation and
+    Construction refuses grid operators of another grid or system than
+    the scenario's (:func:`_check_ops`), then builds the run's
+    :class:`_CoreSolver`, which checks the boundary condition and factors
+    ``1 + theta dt A`` once, in float64 when the system, the relation and
     ``u0`` are real.  Each :func:`step` then reuses the factorization and
     warm-starts the inclusion solve from the previous step's effort trace.
     ``dissipation`` is the boundary pairing ``-Re<e, fhat>`` of the last
@@ -651,12 +641,10 @@ class Stepper:
     """
 
     def __init__(self, scenario: Scenario, ops: DiscreteOperators):
-        _require_certified(scenario.bc, False)
         _check_ops(scenario, ops)
         self.scenario = scenario
         self.dissipation: Optional[float] = None
-        self._core = core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt,
-                                        _is_real(ops, scenario.bc, scenario.u0))
+        self._core = core = _CoreSolver(ops, scenario.bc, scenario.theta * scenario.dt, scenario.u0)
         self._effort: Optional[np.ndarray] = None
         self._scaled = np.empty((ops.nnodes, ops.phs.n), dtype=core.dtype)  # (1 - theta) w of a step
 
@@ -714,8 +702,9 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
 
     The step count is ``round(T/dt)`` and the step actually used is
     ``T/nsteps``, so the trajectory always lands exactly on ``T``.  An
-    uncertified boundary condition raises ``ValueError`` before any step,
-    and so do ``ops`` of another grid or system (:class:`Stepper`).
+    uncertified boundary condition, one on another system's trace basis
+    and ``ops`` of another grid or system raise ``ValueError`` before any
+    step (:class:`Stepper`).
     Each step is written into its row of the preallocated ``states``.
     """
     u0 = scenario.u0

@@ -30,6 +30,7 @@ from monoport.relations import (
     transform,
     yosida,
 )
+from monoport.boundary import subspace_gap
 from monoport.spaces import InnerProductSpace, LinearMap
 
 from conftest import rand_complex, rand_monotone_matrix, rand_spd
@@ -659,6 +660,13 @@ def _count_splitting(monkeypatch):
     return calls, real
 
 
+def _visited(plan):
+    """Record, in order, the sign pattern of every piece ``plan`` solves."""
+    patterns, piece = [], plan.piece
+    plan.piece = lambda pattern: patterns.append(pattern) or piece(pattern)
+    return patterns
+
+
 def _friction_coordinates(rel):
     """``(index, mu)`` of every friction coordinate of a direct sum."""
     return [(i, mu) for part, s in zip(rel.parts, rel.slices) if isinstance(part, SeparableProx)
@@ -810,14 +818,16 @@ def test_piece_plan_without_a_holding_piece_raises_from_splitting(monkeypatch):
     calls, _ = _count_splitting(monkeypatch)
     plan = plan_inclusion(np.zeros((1, 1)), sign_relation(0.5))
     assert type(plan).__name__ == "_PiecePlan"
+    visited = _visited(plan)
     with pytest.raises(NonconvergenceError, match="splitting iteration") as err:
         solve_inclusion(plan, np.array([2.0]))
-    assert calls == [1] and sorted(plan.pieces) == [(0,), (1,)]
+    assert calls == [1] and visited == [(0,), (1,)]
     assert err.value.residual == pytest.approx(1.5, abs=1e-12)
     plan = plan_inclusion(np.array([[1.5, 0.0], [-0.5, 0.0]]), DirectSum([sign_relation(0.5), sign_relation(1.0)]))
+    visited = _visited(plan)
     with pytest.raises(NonconvergenceError, match="splitting iteration"):
         solve_inclusion(plan, np.array([1.0, 1.0]))
-    assert calls == [1, 2] and sorted(plan.pieces) == [(0, 0), (1, 0), (1, 1)]
+    assert calls == [1, 2] and visited == [(0, 0), (1, 0), (1, 1)]
 
 
 def test_piece_plan_splits_when_the_walk_repeats_a_pattern(monkeypatch):
@@ -834,9 +844,10 @@ def test_piece_plan_splits_when_the_walk_repeats_a_pattern(monkeypatch):
     assert calls == []
     x0 = np.zeros(rel.space.dim)
     x0[[i for i, _ in _friction_coordinates(rel)]] = [0.0, 1.0]
+    visited = _visited(plan)
     z_dr, w_dr = solve_inclusion(plan, g, x0)
     assert calls == [rel.space.dim]
-    assert sorted(plan.pieces) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    assert visited == [(0, 1), (1, 0), (0, -1), (-1, 0)]
     assert np.linalg.norm(z - z_dr) <= 1e-7 and np.linalg.norm(w - w_dr) <= 1e-7
 
 
@@ -853,7 +864,7 @@ def test_piece_plan_walk_is_bounded_in_the_number_of_friction_ports(monkeypatch)
     built = []
     affine_init = rels._AffinePlan.__init__
     monkeypatch.setattr(rels._AffinePlan, "__init__",
-                        lambda self, phi, rel: built.append(rel) or affine_init(self, phi, rel))
+                        lambda self, *args: built.append(args) or affine_init(self, *args))
     rng = np.random.default_rng(0)
     phi, rel, g = _random_piece_instance(rng, k)
     plan = plan_inclusion(phi, rel)
@@ -868,7 +879,75 @@ def test_piece_plan_walk_is_bounded_in_the_number_of_friction_ports(monkeypatch)
         total += len(built)
         built.clear()
     assert calls == []
-    assert total > 2 * k + 2 and len(plan.pieces) <= 2 * k + 2
+    assert total > 2 * k + 2 and plan.piece.cache_info().currsize <= 2 * k + 2
+
+
+def test_piece_plan_builds_pieces_without_the_relation_calculus(monkeypatch):
+    """A piece is a column choice in the plan's table: planning and a
+    k = 12 walk over many new pieces construct no ``LinearGraph``,
+    ``InnerProductSpace`` or direct sum (each piece used to be k
+    one-coordinate graphs, an SVD each, joined by ``direct_sum``)."""
+    import monoport.relations as rels
+    from monoport.verify import _random_piece_instance
+
+    k = 12
+    rng = np.random.default_rng(0)
+    phi, rel, g = _random_piece_instance(rng, k)
+    built = []
+    for cls in (rels.LinearGraph, rels.InnerProductSpace):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__, **kwargs:
+                            built.append(type(self).__name__) or _init(self, *args, **kwargs))
+    monkeypatch.setattr(rels, "direct_sum", lambda parts, _sum=rels.direct_sum: built.append("direct_sum") or _sum(parts))
+    plan = plan_inclusion(phi, rel)
+    z = None
+    for _ in range(6):
+        g = 3.0 * rng.normal(size=rel.space.dim)
+        z, w = solve_inclusion(plan, g, z)
+        assert _signs_hold(rel, z, w)
+    assert plan.piece.cache_info().misses > 2 * k + 2
+    assert built == []
+
+
+def _reference_piece(rel, pattern):
+    """A piece as the relation calculus builds it: a one-coordinate linear
+    graph per friction coordinate, ``{(0, t)}`` for stick and ``{(t, s
+    mu)}`` for slip ``s``, summed with the linear parts by ``direct_sum``."""
+    coords = iter(pattern)
+    return direct_sum([graph for part in rel.parts for graph in ([part] if part.affine else [
+        LinearGraph(C1, [[abs(s)]], [[1 - abs(s)]], y0=[s * mu]) for mu, s in zip(part.scales, coords)])])
+
+
+@pytest.mark.parametrize("parts, maximal", [
+    ([sign_relation(0.5), LinearGraph.from_matrix(C2, [[1.0, 0.6], [-0.2, 0.5]]), sign_relation(0.3)], True),
+    ([LinearGraph(C1, [[0.0]], [[0.0]]), sign_relation(0.5), LinearGraph(C1, [[1.0]], [[0.4]], y0=[0.2])], False),
+], ids=["coupled-robin-between-friction", "point-before-friction"])
+def test_piece_table_spans_the_direct_sum_of_each_pattern(monkeypatch, parts, maximal):
+    """For every sign pattern the table's piece spans the graph, with the
+    same offsets, that the relation calculus builds for it, whether a
+    linear part couples two coordinates or has no columns (the point
+    relation ``{(0, 0)}``, which puts the friction column off its row).
+    On the coupled sum, which is maximal, the walk settles with no
+    splitting and agrees with splitting the whole sum to its tolerance."""
+    import monoport.relations as rels
+
+    rel = DirectSum(parts)
+    phi = np.array([[2.0, 0.3, -0.2, 0.1], [-0.1, 1.5, 0.4, 0.0], [0.2, -0.4, 1.8, 0.3], [0.0, 0.2, -0.3, 1.2]])
+    phi = phi[: rel.space.dim, : rel.space.dim]
+    plan = plan_inclusion(phi, rel)
+    k = sum(not p.affine for p in parts)
+    for pattern in itertools.product((0, 1, -1), repeat=k):
+        piece, ref = plan.piece(pattern), _reference_piece(rel, pattern)
+        assert subspace_gap(ref.stacked, np.vstack([piece.zx, piece.zy])) <= 1e-12, pattern
+        assert np.array_equal(piece.x0, ref.x0) and np.array_equal(piece.y0, ref.y0), pattern
+    if not maximal:
+        return
+    calls, real_dr = _count_splitting(monkeypatch)
+    for seed in range(10):
+        g = 2.0 * np.random.default_rng(seed).normal(size=rel.space.dim)
+        z, w = solve_inclusion(plan, g)
+        assert calls == [] and _signs_hold(rel, z, w), seed
+        z_dr, w_dr = real_dr(rels._SplittingPlan(phi, rel), g, None)
+        assert np.linalg.norm(z - z_dr) <= 1e-7 and np.linalg.norm(w - w_dr) <= 1e-7, seed
 
 
 def test_splitting_out_of_iterations_raises_with_its_best_residual(monkeypatch):

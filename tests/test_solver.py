@@ -270,14 +270,32 @@ def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, subno
     assert _bitwise(core.solve(r_flat)[0], whole.solve(r_flat)[0])
 
 
-def test_resolve_rejects_uncertified_condition():
+def _refuse_before_factoring(monkeypatch):
+    """Fail the test if the run factors anything before its refusal."""
+    import monoport.solver as solver
+
+    monkeypatch.setattr(solver, "get_lapack_funcs", lambda *args: pytest.fail("factored before refusing"))
+
+
+def test_resolve_rejects_uncertified_condition(monkeypatch):
     ops = discretize(PHS2, 32)
     bad = bnd.robin_bad(np.eye(2), BASIS2)
     rhs = (np.zeros((33, 2)), np.zeros((33, 2)))
-    with pytest.raises(ValueError, match="certificate"):
-        resolve_A(ops, bad, 1.0, rhs)
     res = resolve_A(ops, bad, 1.0, rhs, allow_uncertified=True)
     assert np.abs(res.u).max() < 1e-12
+    _refuse_before_factoring(monkeypatch)
+    with pytest.raises(ValueError, match="certificate"):
+        resolve_A(ops, bad, 1.0, rhs)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+def test_resolve_refuses_a_parameter_that_is_not_positive_and_finite(monkeypatch, mu):
+    """Without the finiteness check, ``mu = inf`` passed ``not mu > 0`` and
+    LAPACK failed inside the boundary solve ("SVD did not converge")."""
+    ops = discretize(PHS2, 32)
+    _refuse_before_factoring(monkeypatch)
+    with pytest.raises(ValueError, match="resolvent parameter mu must be positive and finite"):
+        resolve_A(ops, bnd.robin(np.eye(2), BASIS2), mu, (np.zeros((33, 2)), np.zeros((33, 2))))
 
 
 def test_resolve_validates_rhs_shape():
@@ -353,13 +371,14 @@ def test_solver_suite_factors_each_resolvent_once(monkeypatch):
     assert 0 < len(built) <= 10
 
 
-def test_simulate_refuses_uncertified_condition():
+def test_simulate_refuses_uncertified_condition(monkeypatch):
     """Without the gate this run's energy climbs from 0.222 to 32.1."""
     ops = discretize(PHS2, 128)
     xs = ops.grid.nodes
     bad = bnd.robin_bad(np.array([[1.0, 0.3], [0.3, 0.5]]), BASIS2)
     u0 = np.stack([np.exp(-8 * xs**2), np.zeros_like(xs)], axis=1)
     scn = Scenario(phs=PHS2, bc=bad, u0=u0, T=1.0, dt=0.01, theta=1.0)
+    _refuse_before_factoring(monkeypatch)
     with pytest.raises(ValueError, match="certificate"):
         simulate(scn, ops)
     with pytest.raises(ValueError, match="certificate"):
@@ -740,23 +759,34 @@ def test_scenario_validation(rng):
         Scenario(phs=PHS1, bc=bc, u0=u0, T=1.0, dt=np.inf)
     with pytest.raises(ValueError, match="theta"):
         Scenario(phs=PHS1, bc=bc, u0=u0, T=1.0, dt=0.1, theta=0.25)
-    with pytest.raises(ValueError, match="port"):
-        Scenario(phs=PHS2, bc=bc, u0=np.zeros((33, 2)), T=1.0, dt=0.1)
 
 
 @pytest.mark.parametrize("other", [
     dict(b=2.0, p1=[[1.0, 0.7], [0.7, 1.5]]),
     dict(b=2.0),
     dict(p1=[[1.0, 0.7], [0.7, 1.5]]),
-], ids=["b-and-p1", "b", "p1"])
-def test_scenario_refuses_a_condition_on_another_systems_basis(other):
-    """Without the check, Robin built on the trace basis of a b = 2 system
-    with a coupled ``P1`` ran 10 steps on the b = 1 wave system and
-    reported E(T) = 0.2198088683 against 0.2198088637."""
-    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]),
-                   bd_basis(PortHamiltonian(**(dict(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]]) | other))))
-    with pytest.raises(ValueError, match="trace basis of another system"):
-        Scenario(phs=PHS2, bc=bc, u0=np.zeros((33, 2)), T=0.1, dt=0.01)
+    dict(p1=[[1.0, 0.0], [0.0, -1.0]]),
+    dict(n=1, p1=[[1.0]]),
+], ids=["b-and-p1", "b", "p1", "p1-eigenvectors", "ports"])
+def test_runs_refuse_a_condition_on_another_systems_basis(monkeypatch, other):
+    """Every run refuses, before factoring, a condition built on the trace
+    basis of another system (a ``P1`` with the same eigenvalues and other
+    eigenvectors and another port count included); a scenario holds one.
+    Without the check, Robin built on the basis of a b = 2 system with a
+    coupled ``P1`` ran 10 steps on the b = 1 wave system and reported
+    E(T) = 0.2198088683 against 0.2198088637, and ``resolve_A`` (m = 32,
+    mu = 0.1) solved it to a residual of 1.6e-16 with ``u[0] = [0.003461,
+    -0.001095]`` against ``[0.003425, -0.000377]`` on the system's own."""
+    phs = PortHamiltonian(**(dict(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]]) | other))
+    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]])[: phs.n, : phs.n], bd_basis(phs))
+    ops = discretize(PHS2, 32)
+    u0 = np.stack([np.exp(-8 * ops.grid.nodes**2), np.zeros(33)], axis=1)
+    scn = Scenario(phs=PHS2, bc=bc, u0=u0, T=0.1, dt=0.01)
+    _refuse_before_factoring(monkeypatch)
+    for run in (lambda: Stepper(scn, ops), lambda: simulate(scn, ops), lambda: simulate(scn),
+                lambda: resolve_A(ops, bc, 0.1, (u0, np.zeros_like(u0)))):
+        with pytest.raises(ValueError, match="^boundary condition is built on the trace basis of another system$"):
+            run()
 
 
 def test_scenario_takes_a_condition_on_an_equal_systems_basis():
@@ -845,6 +875,33 @@ def test_shipped_configs_run_in_float64(path, theta):
     assert traj.states.dtype == np.float64
     assert step(traj.states[0], stepper).dtype == np.float64
     assert _ledger_defects(traj, ops, theta, cfg.dt).max() <= 1e-12 * traj.energies[0]
+
+
+#: The plan of each shipped config's inclusion, with the plans of its
+#: blocks (``robin_wrong_sign`` is refused before any plan).
+SHIPPED_PLANS = {
+    "friction": ["_BlockPlan", "_ThresholdPlan", "_AffinePlan"],
+    "friction_dr": ["_PiecePlan"],
+    **{name: ["_AffinePlan"] for name in ("transport", "wave_conservative", "wave_damped",
+                                          "wave_damped_quick", "wave_damped_short")},
+}
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_each_shipped_config_takes_its_plan(path):
+    """Which inclusion plan each shipped config's run takes, built the way
+    every command builds it, so that a dispatch change fails here and every
+    plan a run reaches stays named."""
+    from monoport import cli
+
+    ops, scn = cli._build(load_config(path))
+    assert sorted([*SHIPPED_PLANS, "robin_wrong_sign"]) == sorted(p.stem for p in SHIPPED_CONFIGS)
+    if path.stem == "robin_wrong_sign":
+        with pytest.raises(ValueError, match="lacks a maximal-monotonicity certificate"):
+            Stepper(scn, ops)
+        return
+    plan = Stepper(scn, ops)._core._plan
+    assert [type(p).__name__ for p in [plan, *(b for _, b in getattr(plan, "blocks", []))]] == SHIPPED_PLANS[path.stem]
 
 
 def test_complex_relation_keeps_complex_arithmetic():
@@ -988,7 +1045,8 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, block):
     tail's couplings to the head in the ``ku`` columns from ``C``."""
     m, mu_h = BLOCKS[block]
     ops = discretize(phs, m)
-    core = _CoreSolver(ops, bnd.from_V(np.array(v), bd_basis(phs)), mu_h * ops.grid.h_x, real)
+    core = _CoreSolver(ops, bnd.from_V(np.array(v), bd_basis(phs)), mu_h * ops.grid.h_x, 0.0)
+    assert core.real == real
     kl, ku, j, c = core.kl, core.ku, core._j, core._c
     assert (kl, ku) == (5, 5)
     lu, piv = _refactor(core)
@@ -1035,7 +1093,7 @@ def test_band_factor_swaps_sit_in_a_head():
     ``mu / h_x``; without any, the solve has no head."""
     bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
     ops = discretize(PHS2, 256)
-    heads = {name: _CoreSolver(ops, bc, BLOCKS[name][1] * ops.grid.h_x, True)._j
+    heads = {name: _CoreSolver(ops, bc, BLOCKS[name][1] * ops.grid.h_x, 0.0)._j
              for name in ("no-swaps", "head-swaps", "pivots-throughout")}
     assert heads["no-swaps"] == 0
     assert 0 < heads["head-swaps"] <= 16
@@ -1050,7 +1108,7 @@ def test_singular_interior_block_raises():
     g[10, 10] = -2.0  # amat = 1 + 0.5 Gfull then has a zero column 10
     bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
     with pytest.raises(RuntimeError, match="interior block is exactly singular: zero pivot"):
-        _CoreSolver(replace(ops, Gfull=g.tocsr()), bc, 0.5, True)
+        _CoreSolver(replace(ops, Gfull=g.tocsr()), bc, 0.5, 0.0)
 
 
 def test_importing_the_cli_leaves_sparse_linalg_unloaded():
