@@ -17,15 +17,18 @@ package from this checkout's ``src``:
 * ``monoport simulate`` on a fine grid (:data:`FINE_CONFIGS`), a shipped
   config with its grid edited, written there too, on two friction ports
   on a coupled ``P1``, with real and with complex data, and on three
-  ports, Robin between two friction ports (:data:`FRICTION_CONFIGS`).
+  ports, Robin between two friction ports (:data:`FRICTION_CONFIGS`);
+* two usage errors that name no config file (:data:`USAGE_ERRORS`): a
+  ``--config`` that is a directory and a negative ``--seed``.
 
 Output files go to a temporary directory that is removed afterwards.
 One ``sha256  name`` line is printed per written file and per captured
-stdout, and for an invalid config one more for its stderr, with its exit
-code, so two checkouts are compared with one ``diff`` of two runs.
-The exit code is 1 if any run exits unexpectedly: 1 for ``check-bc``
-and ``simulate`` on ``robin_wrong_sign.cfg`` (its certificate fails),
-2 for an invalid config, 0 everywhere else.  Standard library only.
+stdout, and for an invalid config or a usage error one more for its
+stderr, with its exit code, so two checkouts are compared with one
+``diff`` of two runs.  The exit code is 1 if any run exits
+unexpectedly: 1 for ``check-bc`` and ``simulate`` on
+``robin_wrong_sign.cfg`` (its certificate fails), 2 for an invalid
+config and a usage error, 0 everywhere else.  Standard library only.
 
 Usage:
     python3 scripts/output_digests.py > digests.txt
@@ -98,7 +101,14 @@ FRICTION_CONFIGS = (
       ("port.1 = dirichlet 0", "port.1 = robin 1.0\nport.2 = friction 0.3"), ("theta = 1.0", "theta = 0.5"))),
 )
 
-#: Exit code of an invalid config.
+#: ``(name, arguments)``: usage errors that name no config file.  A path is
+#: relative to the run's working directory, so stderr holds no temporary path.
+USAGE_ERRORS = (
+    ("config-directory", ("check-bc", "--config", ".")),
+    ("verify-seed-negative", ("verify", "all", "--seed", "-1")),
+)
+
+#: Exit code of an invalid config and of a usage error.
 EXIT_USAGE = 2
 
 
@@ -131,6 +141,8 @@ def _cases(tmp: Path):
         cfg.write_text(original.replace(text, replacement, 1), encoding="utf-8")
         name = f"check-bc-invalid/{rule}"
         yield name, cli + ["check-bc", "--config", str(cfg), "--out", name], EXIT_USAGE
+    for label, arguments in USAGE_ERRORS:
+        yield f"usage/{label}", cli + list(arguments), EXIT_USAGE
     for kind, table in (("fine", FINE_CONFIGS), ("friction", FRICTION_CONFIGS)):
         for label, shipped, edits in table:
             text = (ROOT / "configs" / shipped).read_text(encoding="utf-8")

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import relations
-from .phs import BoundaryDataBasis, _hermitize, project_bd
+from .phs import BoundaryDataBasis, _graph_terms, _hermitize, project_bd
 from .relations import (
     Certificate,
     LinearGraph,
@@ -47,7 +47,6 @@ from .relations import (
     graph_residual,
     transform,
 )
-from .sbp import sbp42
 from .spaces import InnerProductSpace, LinearMap
 
 __all__ = [
@@ -312,7 +311,11 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
         not truncated.  A spec is a tuple —
         ``("dirichlet", value)``, ``("neumann", value)``,
         ``("robin", alpha[, value])`` or ``("friction", mu)`` — giving
-        the scalar relation of that port.
+        the scalar relation of that port.  A Robin port is ``f_k =
+        -alpha e_k + value``, unlike :func:`robin`, whose ``M`` acts on
+        ``sqrt(S) e``: on the wave system (``S = tanh(1) I``) two ``robin
+        1`` ports give ``w = e``, ``robin(I)`` gives ``w = 0.7616 e``, and
+        where ``S`` is not diagonal a diagonal ``M`` couples the ports.
     basis:
         Trace basis fixing ``n`` and the coordinate maps.
 
@@ -426,16 +429,9 @@ def extract_h(constraint, basis: BoundaryDataBasis) -> BoundaryCondition:
     return _finalize(basis, port, "Extracted")
 
 
-def _graph_norm(basis: BoundaryDataBasis, xs: np.ndarray, field_: np.ndarray) -> float:
+def _graph_norm(basis: BoundaryDataBasis, xs: np.ndarray, u: np.ndarray) -> float:
     """Discrete graph norm sqrt(||u||^2 + ||P1 u'||^2) with Simpson weights."""
-    from .phs import _as_field, _simpson_weights  # local import to avoid api noise
-
-    arr = _as_field(field_, basis.n)
-    m = len(xs) - 1
-    deriv, _ = sbp42(m, float(xs[1] - xs[0]))
-    w = _simpson_weights(m, float(xs[1] - xs[0]))
-    p1 = (basis.eigvecs * basis.lambdas) @ basis.eigvecs.conj().T
-    gu = (deriv @ arr) @ p1.T
+    arr, _, w, gu = _graph_terms(basis, xs, u)
     return float(np.sqrt(np.sum(w[:, None] * (np.abs(arr) ** 2 + np.abs(gu) ** 2)).real))
 
 
@@ -457,8 +453,7 @@ def membership(bc: BoundaryCondition, u, v):
         for large fields).
     """
     basis = bc.basis
-    u = np.asarray(u, dtype=complex)
-    xs = np.linspace(-basis.b, basis.b, u.shape[0])
+    xs = np.linspace(-basis.b, basis.b, np.shape(u)[0])
     x_c = project_bd(basis, "even", xs, u)
     y_c = project_bd(basis, "odd", xs, v)
     residual = graph_residual(bc.h, x_c, y_c)

@@ -247,6 +247,7 @@ def _transport_error(cfg: Config, ops, traj) -> float:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     ops, scenario = _build(cfg)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an --out naming a file fails before the run
     traj = sol.simulate(scenario, ops)
 
     prec = cfg.precision
@@ -370,7 +371,9 @@ _STUDIES = {"state": _state_study, "pairing": _pairing_study, "derivative": _der
 
 def cmd_convergence(args) -> int:
     cfg = load_config(args.config)
-    rows = _STUDIES[args.study](cfg, *_build(cfg), args.levels, args.seed)
+    ops, scenario = _build(cfg)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an --out naming a file fails before the study
+    rows = _STUDIES[args.study](cfg, ops, scenario, args.levels, args.seed)
 
     prec = cfg.precision
     errs = np.array([r[3] for r in rows])
@@ -398,11 +401,13 @@ def cmd_convergence(args) -> int:
 # ------------------------------------------------------------- entry point
 
 
-def _levels(text: str) -> int:
-    """``--levels``: an order needs two grids, so fewer is a usage error."""
-    if not text.lstrip("-").isdigit() or int(text) < 2:
-        raise argparse.ArgumentTypeError(f"needs an integer of at least 2 levels, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer of at least ``low``, else ``needs <what>``."""
+    def parse(text: str) -> int:
+        if not text.lstrip("-").isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"needs {what}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _positive_finite(text: str) -> float:
@@ -443,7 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", nargs="?", default="all",
                    choices=SUITE_NAMES + ("all",),
                    help="which suite to run (default: all)")
-    p.add_argument("--seed", type=int, default=0, help="suite RNG seed (default: 0)")
+    p.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), default=0,
+                   help="suite RNG seed, a non-negative integer (default: 0)")
     p.add_argument("--tol", type=_positive_finite, default=1.0,
                    help="scale every pass threshold (positive, finite); values << 1 tighten the "
                         "checks until they fail (falsifiability hook)")
@@ -454,10 +460,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory (default: .)")
     p.add_argument("--study", default="state", choices=sorted(_STUDIES),
                    help="which quantity to refine (default: state)")
-    p.add_argument("--levels", type=_levels, default=3,
+    p.add_argument("--levels", type=_int_at_least(2, "an integer of at least 2 levels"), default=3,
                    help="number of refinement levels m, 2m, 4m, ..., at least 2 (default: 3)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed for the pairing study's fields (default: 0)")
+    p.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"), default=0,
+                   help="RNG seed for the pairing study's fields, a non-negative integer (default: 0)")
     p.set_defaults(func=cmd_convergence)
     return parser
 
@@ -470,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable config, an --out that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, NonconvergenceError, RuntimeError) as exc:

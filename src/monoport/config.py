@@ -19,7 +19,12 @@ Grammar (documented here because the format is the contract):
   wrong-sign variant whose certificates fail), ``multiport`` (one
   ``port.<i> = <kind> <args…>`` line per port, kinds
   ``dirichlet``/``neumann``/``robin``/``friction``), or ``custom``
-  (fields ``C_e``, ``C_f`` — a trace constraint pair).
+  (fields ``C_e``, ``C_f`` — a trace constraint pair).  ``robin`` takes
+  ``M`` on ``sqrt(S) e`` (``f = -sqrt(S) M sqrt(S) e + value``), a port
+  ``robin <alpha> [value]`` is ``f_k = -alpha e_k + value``: on the wave
+  system (``S = tanh(1) I``) ``M = I`` gives ``w = 0.7616 e``, two
+  ``robin 1`` ports ``w = e``, and where ``S`` is not diagonal a diagonal
+  ``M`` couples the ports.
 * ``[grid]``: ``m`` (cells), ``dt``, ``T``, optional ``theta`` (default 1).
 * ``[output]``: file names ``states``, ``energy``, ``report``,
   ``convergence`` and the significant-digit count ``precision``.

@@ -80,12 +80,12 @@ def _check_density(mat: np.ndarray, n: int, where: str = "") -> np.ndarray:
 
 
 def _as_field(u: np.ndarray, n: int, name: str = "field") -> np.ndarray:
-    """Coerce samples of a C^n-valued field to a complex (N, n) array.
-
-    The solver coerces initial data and right-hand sides with it and
-    reads their imaginary parts to pick a run's arithmetic; the states of
-    a real run are float64 and bypass it."""
-    arr = np.asarray(u, dtype=complex)
+    """Samples of a C^n-valued field as an ``(N, n)`` array, the one rule
+    for every reader of a sampled field: float64 samples stay real, any
+    other data is made complex (a complex128 array is not copied)."""
+    arr = np.asarray(u)
+    if arr.dtype != np.float64:
+        arr = np.asarray(arr, dtype=complex)
     if arr.ndim == 1:
         if n != 1:
             raise ValueError(f"{name} must have shape (N, {n})")
@@ -412,14 +412,32 @@ def ddot_matrix(basis: BoundaryDataBasis) -> "tuple[np.ndarray, float]":
     return mat, residual
 
 
-def _require_full_grid(phs: PortHamiltonian, xs: np.ndarray) -> np.ndarray:
+def _sampled(b: float, n: int, xs: np.ndarray, u: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The grid ``xs`` (1D, at least two nodes, spanning ``[-b, b]``) and
+    the samples ``u`` on it as an ``(N, n)`` field (:func:`_as_field`),
+    one row per node."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or len(xs) < 2:
         raise ValueError("expected a 1D grid with at least two nodes")
-    tol = 1e-10 * max(1.0, phs.b)
-    if abs(xs[0] + phs.b) > tol or abs(xs[-1] - phs.b) > tol:
+    tol = 1e-10 * max(1.0, b)
+    if abs(xs[0] + b) > tol or abs(xs[-1] - b) > tol:
         raise ValueError("grid must span the full interval [-b, b]")
-    return xs
+    field = _as_field(u, n)
+    if field.shape[0] != len(xs):
+        raise ValueError("sample count does not match the grid")
+    return xs, field
+
+
+def _graph_terms(basis: BoundaryDataBasis, xs: np.ndarray, u: np.ndarray):
+    """The parts of the discrete graph inner product ``<u, v> + <P1 u',
+    P1 v'>`` on a uniform grid ``xs``: the samples ``u`` as a field, the
+    summation-by-parts derivative, the composite Simpson weights and
+    ``P1 u'`` (one row per node)."""
+    field = _as_field(u, basis.n)
+    m, h = len(xs) - 1, float(xs[1] - xs[0])
+    deriv, _ = sbp42(m, h)
+    p1 = (basis.eigvecs * basis.lambdas) @ basis.eigvecs.conj().T
+    return field, deriv, _simpson_weights(m, h), (deriv @ field) @ p1.T
 
 
 def flow_effort(phs: PortHamiltonian, xs: np.ndarray, u: np.ndarray):
@@ -432,10 +450,7 @@ def flow_effort(phs: PortHamiltonian, xs: np.ndarray, u: np.ndarray):
 
     The grid must span ``[-b, b]``; only the endpoint samples are read.
     """
-    xs = _require_full_grid(phs, xs)
-    field = _as_field(u, phs.n)
-    if field.shape[0] != len(xs):
-        raise ValueError("sample count does not match the grid")
+    _, field = _sampled(phs.b, phs.n, xs, u)
     h_left, h_right = phs.hamiltonian_grid([-phs.b, phs.b])
     p_left = h_left @ field[0]
     p_right = h_right @ field[-1]
@@ -454,10 +469,7 @@ def flow_effort_via_bd(phs: PortHamiltonian, basis: BoundaryDataBasis, xs: np.nd
     the discretization order; the solver test-suite uses the mismatch as
     a convergence diagnostic.
     """
-    xs = _require_full_grid(phs, xs)
-    field = _as_field(u, phs.n)
-    if field.shape[0] != len(xs):
-        raise ValueError("sample count does not match the grid")
+    xs, field = _sampled(phs.b, phs.n, xs, u)
     density = phs.hamiltonian_grid(xs)
     p = np.einsum("kij,kj->ki", density, field)
     even, odd = even_odd_split(xs, p)
@@ -497,11 +509,7 @@ def project_bd(basis: BoundaryDataBasis, side: str, xs: np.ndarray, u: np.ndarra
     RankDeficientBasis
         If the discrete Gram matrix is numerically singular.
     """
-    n = basis.n
-    xs = np.asarray(xs, dtype=float)
-    field = _as_field(u, n)
-    if field.shape[0] != len(xs):
-        raise ValueError("sample count does not match the grid")
+    xs, field = _sampled(basis.b, basis.n, xs, u)
     m = len(xs) - 1
     if m < 8 or m % 2:
         raise ValueError("need a uniform grid with an even number of cells (>= 8)")
@@ -513,17 +521,12 @@ def project_bd(basis: BoundaryDataBasis, side: str, xs: np.ndarray, u: np.ndarra
     if np.abs(xs + xs[::-1]).max() > 1e-12 * span:
         raise ValueError("grid must be symmetric about the origin")
 
-    deriv, _ = sbp42(m, h)
-    weights = _simpson_weights(m, h)
+    _, deriv, weights, gfield = _graph_terms(basis, xs, field)
     lam = basis.lambdas
     u_eig = basis.eigvecs
 
     samples = basis.profiles(side, xs)  # (n, N)
     dsamples = (deriv @ samples.T).T
-
-    p1 = (u_eig * lam) @ u_eig.conj().T
-    dfield = deriv @ field
-    gfield = dfield @ p1.T  # rows are P1 (du/dx) at each node
 
     # projections of the field onto each basis direction, nodewise
     along = field @ u_eig.conj()

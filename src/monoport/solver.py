@@ -171,14 +171,14 @@ class DiscreteOperators:
         return (self.Gfull @ z).tocsr()
 
     def energy(self, state) -> float:
-        """``E = (1/2) sum_j omega_j w_j^H H_j w_j``; a float64 state
-        stays real.
+        """``E = (1/2) sum_j omega_j w_j^H H_j w_j``; a float64 state stays
+        real (:func:`.phs._as_field`).
 
         For a float64 field of one or two components the nodewise products
         are summed in place, in the order and to the bits of the ``einsum``
         of the general case, at about half its memory traffic (with three
         or more, ``einsum`` pairs its terms in another order)."""
-        w = _field(state, self.phs.n)
+        w = _as_field(state, self.phs.n)
         hw = w if self.identity_density else np.einsum("jab,jb->ja", self.hgrid, w)
         if hw.dtype != np.float64 or self.phs.n > 2:
             return float(0.5 * np.sum(self.omega * np.einsum("ja,ja->j", w.conj(), hw).real))
@@ -227,14 +227,6 @@ def discretize(phs: PortHamiltonian, m: int) -> DiscreteOperators:
         hinv=hinv,
         identity_density=phs.hamiltonian is None,
     )
-
-
-def _field(state, n: int) -> np.ndarray:
-    """``state`` as an ``(N, n)`` field: float64 samples stay real, any
-    other data is made complex by :func:`.phs._as_field`."""
-    arr = np.asarray(state)
-    shaped = arr.ndim == 2 and arr.shape[1] == n or arr.ndim == 1 and n == 1
-    return arr.reshape(len(arr), n) if arr.dtype == np.float64 and shaped else _as_field(arr, n)
 
 
 class _CoreSolver:
@@ -554,10 +546,7 @@ def resolve_A(ops: DiscreteOperators, bc: BoundaryCondition, mu: float, rhs,
     that switch), and so are a condition built on the trace basis of
     another system and a ``mu`` that is not positive and finite.
     """
-    f_leg, g_leg = rhs
-    n = ops.phs.n
-    f_leg = _as_field(f_leg, n)
-    g_leg = _as_field(g_leg, n)
+    f_leg, g_leg = (_as_field(leg, ops.phs.n) for leg in rhs)
     if f_leg.shape[0] != ops.nnodes or g_leg.shape[0] != ops.nnodes:
         raise ValueError("right-hand side does not match the grid")
     r_flat = (f_leg + g_leg).ravel()
@@ -576,7 +565,8 @@ def resolve_A(ops: DiscreteOperators, bc: BoundaryCondition, mu: float, rhs,
 class Scenario:
     """One evolution problem: system, boundary relation, data, scheme.
 
-    ``u0`` is an initial grid field (its node count fixes the grid).
+    ``u0`` is an initial grid field (its node count fixes the grid); a
+    float64 one stays float64, other data is made complex (:func:`.phs._as_field`).
     ``bc`` must be built on the trace basis of ``phs``: one with its
     ``b`` and the eigenvalues and eigenvectors of its ``P1``, which
     :func:`.phs.bd_basis` derives deterministically (:class:`Stepper`
@@ -668,15 +658,16 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
 
     One resolvent solve ``y = (1 + theta dt A)^{-1} w``, then ``w_next =
     (y - (1 - theta) w) / theta`` (``y`` itself at ``theta = 1``), in the
-    run's arithmetic and dtype: a real run steps a complex-typed state of
-    zero imaginary part as its real part, and refuses any other complex
+    run's arithmetic and dtype, ``state`` read by :func:`.phs._as_field`
+    (a complex128 one not copied): a real run steps a complex-typed state
+    of zero imaginary part as its real part, and refuses any other complex
     state (a ``Stepper`` built from it is a complex run).  The step is
     written into ``out`` when it is given, a C-contiguous ``(N, n)`` array
     of that dtype apart from ``state``, and returned, with the bits of a
     step without ``out``; at unit density the solve itself runs there.
     """
     core, theta = stepper._core, stepper.scenario.theta
-    w = _field(state, stepper.scenario.phs.n)
+    w = _as_field(state, stepper.scenario.phs.n)
     if core.real and np.iscomplexobj(w) and np.any(w.imag):
         raise ValueError("a real run steps only real states; build the Stepper from this state for a complex run")
     w = w.real if core.real else w

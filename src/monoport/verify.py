@@ -23,7 +23,7 @@ import numpy as np
 from . import boundary as bnd
 from . import relations as rel
 from .config import SCENARIO_PRESETS
-from .phs import PortHamiltonian, bd_basis, ddot_matrix, flow_effort, project_bd
+from .phs import PortHamiltonian, bd_basis, ddot_matrix, flow_effort, flow_effort_via_bd, project_bd
 from .spaces import InnerProductSpace, LinearMap
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suites", "format_report"]
@@ -239,7 +239,6 @@ def _suite_phs(seed: int) -> List[CheckResult]:
 
     u = (np.cosh(xs) + 0.3j * np.sinh(xs) + 0.05 * xs ** 2 + 0.02 * xs ** 3).astype(complex)
     flow_a, effort_a = flow_effort(phs1, xs, u)
-    from .phs import flow_effort_via_bd
     flow_b, effort_b = flow_effort_via_bd(phs1, basis1, xs, u)
     gap = max(float(np.linalg.norm(flow_a - flow_b)),
               float(np.linalg.norm(effort_a - effort_b)))

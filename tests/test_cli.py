@@ -100,6 +100,46 @@ def test_check_bc_missing_file_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _one_error_line(err: str, fragment: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err, err
+
+
+@pytest.mark.parametrize("command", [["check-bc"], ["simulate"], ["convergence", "--study", "pairing"]],
+                         ids=["check-bc", "simulate", "convergence"])
+def test_config_that_is_a_directory_is_usage_error(tmp_path, capsys, command):
+    """It ended in an ``IsADirectoryError`` traceback with exit 1."""
+    code = cli.main(command + ["--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    _one_error_line(capsys.readouterr().err, "Is a directory")
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    """A byte 0xff exited 1, as a failed check does."""
+    cfg = tmp_path / "case.cfg"
+    cfg.write_bytes((CONFIG_DIR / "transport.cfg").read_bytes() + b"# \xff\n")
+    code = cli.main(["check-bc", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    _one_error_line(capsys.readouterr().err, "can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("command", [["check-bc"], ["simulate"], ["convergence", "--study", "state"]],
+                         ids=["check-bc", "simulate", "convergence"])
+def test_out_that_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    """It ended in a ``FileExistsError`` traceback with exit 1, and
+    ``simulate`` and ``convergence`` got there only after the whole run;
+    they now refuse it before the run."""
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate ran before the output directory was made")
+
+    monkeypatch.setattr(cli.sol, "simulate", no_run)
+    code = cli.main(command + ["--config", str(CONFIG_DIR / "transport.cfg"), "--out", str(out)])
+    assert code == 2
+    _one_error_line(capsys.readouterr().err, "File exists")
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("scenario = zero\nnot a config\n", "expected 'key = value'"),
     # a second scenario line is refused, not a silent override of the first
@@ -584,6 +624,23 @@ def test_verify_tightened_tolerances_fail(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("command", [["verify", "all"], ["convergence", "--study", "pairing"]],
+                         ids=["verify", "convergence"])
+@pytest.mark.parametrize("seed", ["-1", "-2", "1.5"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    """A negative seed exited 1 with numpy's "expected non-negative
+    integer", after parsing succeeded."""
+    if command[0] == "convergence":
+        command = command + ["--config", str(CONFIG_DIR / "transport.cfg"), "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        cli.main(command + ["--seed", seed])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--seed: needs a non-negative integer, got '{seed}'" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

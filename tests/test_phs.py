@@ -4,6 +4,7 @@ import scipy.integrate
 
 from monoport.phs import (
     PortHamiltonian,
+    _as_field,
     bd_basis,
     ddot_matrix,
     eigendecompose,
@@ -253,6 +254,42 @@ def test_flow_effort_requires_full_grid():
     sys1 = system([[1.0]])
     with pytest.raises(ValueError):
         flow_effort(sys1, np.linspace(-0.5, 1.0, 33), np.zeros(33))
+
+
+@pytest.mark.parametrize("route", ["flow_effort", "flow_effort_via_bd", "project_bd"])
+def test_sampled_routes_refuse_a_grid_of_twice_the_interval(route):
+    """A uniform symmetric grid of [-2b, 2b] is refused by every route that
+    reads a sampled field.  ``project_bd`` used to accept it: cos x on it
+    projected to -0.3007 against 0.9518 on [-b, b], and a stiff system
+    (P1 = 0.002) ended in "SVD did not converge"."""
+    for p1 in ([[1.0]], [[0.002]]):
+        phs = system(p1)
+        basis = bd_basis(phs)
+        xs = np.linspace(-2.0, 2.0, 257)
+        call = {"flow_effort": lambda: flow_effort(phs, xs, np.cos(xs)),
+                "flow_effort_via_bd": lambda: flow_effort_via_bd(phs, basis, xs, np.cos(xs)),
+                "project_bd": lambda: project_bd(basis, "even", xs, np.cos(xs))}[route]
+        with pytest.raises(ValueError, match=r"^grid must span the full interval \[-b, b\]$"):
+            call()
+
+
+def test_float64_field_stays_real_and_reads_as_its_complex_copy(rng):
+    """``_as_field`` keeps float64 samples real (a view) and makes other
+    data complex without copying a complex128 array; the traces and the
+    projection of a float64 field are bitwise those of its complex copy."""
+    phs = system([[1.0, 0.7], [0.7, 1.5]], hamiltonian=np.array([[2.0, 0.3], [0.3, 1.0]]))
+    basis = bd_basis(phs)
+    xs = np.linspace(-1.0, 1.0, 129)
+    u = np.stack([np.cos(xs) + 0.1 * rng.normal(size=129), np.sin(2 * xs)], axis=1)
+    uc = u.astype(complex)
+    assert _as_field(u, 2) is u and _as_field(uc, 2) is uc
+    assert _as_field(u[:, 0], 1).dtype == np.float64
+    assert _as_field(np.arange(4), 1).dtype == np.complex128
+    assert _as_field(u.astype(np.float32), 2).dtype == np.complex128
+    for route in (lambda w: flow_effort(phs, xs, w), lambda w: flow_effort_via_bd(phs, basis, xs, w),
+                  lambda w: (project_bd(basis, "even", xs, w), project_bd(basis, "odd", xs, w))):
+        for real, cplx in zip(route(u), route(uc)):
+            assert real.tobytes() == cplx.tobytes()
 
 
 # ------------------------------------------------------------ projection

@@ -789,6 +789,19 @@ def test_runs_refuse_a_condition_on_another_systems_basis(monkeypatch, other):
             run()
 
 
+def test_scenario_keeps_a_float64_u0_and_runs_it_as_its_complex_copy():
+    """A float64 ``u0`` stays float64 in the scenario, not copied, and a
+    run from it has the bits of a run from its complex-typed copy."""
+    xs = discretize(PHS2, 32).grid.nodes
+    u0 = np.stack([np.exp(-8 * xs**2), np.zeros_like(xs)], axis=1)
+    bc = bnd.robin(np.array([[1.0, 0.2], [0.2, 0.5]]), BASIS2)
+    scns = [Scenario(phs=PHS2, bc=bc, u0=w, T=0.1, dt=0.01, theta=0.5) for w in (u0, u0.astype(complex))]
+    assert scns[0].u0 is u0 and scns[1].u0.dtype == np.complex128
+    runs = [simulate(scn) for scn in scns]
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+    assert runs[0].energies.tobytes() == runs[1].energies.tobytes()
+
+
 def test_scenario_takes_a_condition_on_an_equal_systems_basis():
     """The basis of an equal system in another object is bitwise the
     system's own, so the condition built on it passes and runs the same."""
