@@ -74,6 +74,11 @@ INVALID_CONFIGS = (
     ("scenario-unknown", "transport.cfg", "scenario = transport", "scenario = vortex"),
     ("scenario-wave-one-field", "transport.cfg", "scenario = transport", "scenario = wave"),
     ("phs-profile-shape", "wave_damped.cfg", "P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = sine-well"),
+    ("phs-P0-nan", "wave_damped.cfg", "P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0 nan; nan 0"),
+    ("phs-H-inf", "wave_damped.cfg", "P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = 1 0; 0 inf"),
+    ("bc-value-nan", "transport.cfg", "kind = v-matrix\nV = 0", "kind = dirichlet\nvalue = nan"),
+    ("bc-port-value-nan", "friction.cfg", "port.1 = dirichlet 0", "port.1 = neumann nan"),
+    ("bc-port-friction-inf", "friction.cfg", "port.0 = friction 0.5", "port.0 = friction inf"),
 )
 
 #: ``(name, shipped config, edits)``: a run on a grid fine enough that the

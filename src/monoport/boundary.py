@@ -47,7 +47,7 @@ from .relations import (
     graph_residual,
     transform,
 )
-from .spaces import InnerProductSpace, LinearMap
+from .spaces import InnerProductSpace, LinearMap, _as_matrix
 
 __all__ = [
     "BoundaryCondition",
@@ -75,7 +75,7 @@ SKEW_ANGLE_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCondition:
     """A certified boundary relation, stored in flow/effort coordinates.
 
@@ -188,9 +188,7 @@ def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:
     observable rather than trusting it).
     """
     n = basis.n
-    vmat = np.atleast_2d(np.asarray(vmat, dtype=complex))
-    if vmat.shape != (n, n):
-        raise ValueError(f"V must be {n} x {n} for this basis, got {vmat.shape}")
+    vmat = _as_matrix(vmat, (n, n), "V")
     vv = vmat.conj().T @ vmat
     vv_top = float(np.linalg.eigvalsh(vv)[-1])
     if vv_top > 1.0 + 1e-10:
@@ -233,9 +231,7 @@ def neumann(value, basis: BoundaryDataBasis) -> BoundaryCondition:
 
 def _robin_like(mmat, basis, value, sign: float, provenance: str) -> BoundaryCondition:
     n = basis.n
-    mmat = np.atleast_2d(np.asarray(mmat, dtype=complex))
-    if mmat.shape != (n, n):
-        raise ValueError(f"Robin matrix must be {n} x {n}, got {mmat.shape}")
+    mmat = _as_matrix(mmat, (n, n), "Robin matrix")
     scale = max(1.0, float(np.linalg.norm(mmat)))
     mmat = _hermitize(mmat, "Robin matrix")
     evals = np.linalg.eigvalsh(mmat)
@@ -418,10 +414,8 @@ def extract_h(constraint, basis: BoundaryDataBasis) -> BoundaryCondition:
     """
     ce, cf = constraint
     n = basis.n
-    ce = np.atleast_2d(np.asarray(ce, dtype=complex))
-    cf = np.atleast_2d(np.asarray(cf, dtype=complex))
-    if ce.shape[1] != n or cf.shape[1] != n or ce.shape[0] != cf.shape[0]:
-        raise ValueError(f"constraint blocks must have {n} columns and equal row counts")
+    ce = _as_matrix(ce, (None, n), "constraint block C_e")
+    cf = _as_matrix(cf, (ce.shape[0], n), "constraint block C_f")
     kern = relations._nullspace(np.hstack([ce, cf]))
     if kern.shape[1] == 0:
         raise ValueError("constraint kernel is trivial; no boundary relation to extract")

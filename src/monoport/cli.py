@@ -476,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:  # an unreadable config, an --out that is a file
+    except OSError as exc:  # an unreadable config, an --out that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, NonconvergenceError, RuntimeError) as exc:

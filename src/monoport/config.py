@@ -240,7 +240,11 @@ def parse_config(text: str) -> Config:
 
 def load_config(path) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # an OSError naming the file, as an unreadable one
+            raise OSError(f"{exc}: {str(path)!r}") from None
+    return parse_config(text)
 
 
 def _need(section: dict, key: str, where: str) -> str:

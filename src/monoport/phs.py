@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .sbp import sbp42
-from .spaces import RankDeficientBasis
+from .spaces import RankDeficientBasis, _as_matrix
 
 __all__ = [
     "PortHamiltonian",
@@ -69,10 +69,7 @@ def _hermitize(mat: np.ndarray, what: str, rtol: float = STRUCTURE_RTOL) -> np.n
 
 
 def _check_density(mat: np.ndarray, n: int, where: str = "") -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (n, n):
-        raise ValueError(f"energy density{where} must have shape ({n}, {n}), got {mat.shape}")
-    mat = _hermitize(mat, f"energy density{where}")
+    mat = _hermitize(_as_matrix(mat, (n, n), f"energy density{where}"), f"energy density{where}")
     evals = np.linalg.eigvalsh(mat)
     if evals[0] <= 1e-12 * max(1.0, float(evals[-1])):
         raise ValueError(f"energy density{where} must be positive definite")
@@ -95,7 +92,7 @@ def _as_field(u: np.ndarray, n: int, name: str = "field") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortHamiltonian:
     """Problem data of a 1D linear port-Hamiltonian system on ``[-b, b]``.
 
@@ -114,6 +111,11 @@ class PortHamiltonian:
         Hermitian positive definite matrix, or a callable
         ``x -> (n, n)``, checked at ``x = 0`` when the system is built
         and at every point where it is evaluated.
+
+    Every matrix is read by :func:`.spaces._as_matrix`: of shape ``(n, n)``
+    with finite entries, so a ``nan`` or ``inf`` in ``P1``, ``P0`` or a
+    sample of ``H`` is refused with its name, before any factorisation.
+    Two systems compare by identity.
     """
 
     n: int
@@ -127,23 +129,15 @@ class PortHamiltonian:
             raise ValueError("need at least one field component")
         if not (np.isfinite(self.b) and self.b > 0):
             raise ValueError("interval half-width must be positive and finite")
-        p1 = np.atleast_2d(np.asarray(self.p1, dtype=complex))
-        if p1.shape != (self.n, self.n):
-            raise ValueError(f"transport matrix must have shape ({self.n}, {self.n})")
+        p1 = _as_matrix(self.p1, (self.n, self.n), "transport matrix")
         eigendecompose(p1)  # Hermitian, every speed nonzero
         object.__setattr__(self, "p1", _hermitize(p1, "transport matrix"))
 
-        if self.p0 is None:
-            p0 = np.zeros((self.n, self.n), dtype=complex)
-        else:
-            p0 = np.atleast_2d(np.asarray(self.p0, dtype=complex))
-            if p0.shape != (self.n, self.n):
-                raise ValueError(f"zero-order term must have shape ({self.n}, {self.n})")
-            scale = max(1.0, float(np.linalg.norm(p0)))
-            if np.linalg.norm(p0 + p0.conj().T) > STRUCTURE_RTOL * scale:
-                raise ValueError("zero-order term must be skew-Hermitian")
-            p0 = (p0 - p0.conj().T) / 2.0
-        object.__setattr__(self, "p0", p0)
+        p0 = np.zeros((self.n, self.n)) if self.p0 is None else self.p0
+        p0 = _as_matrix(p0, (self.n, self.n), "zero-order term")
+        if np.linalg.norm(p0 + p0.conj().T) > STRUCTURE_RTOL * max(1.0, float(np.linalg.norm(p0))):
+            raise ValueError("zero-order term must be skew-Hermitian")
+        object.__setattr__(self, "p0", (p0 - p0.conj().T) / 2.0)
 
         ham = self.hamiltonian
         if callable(ham):
@@ -181,10 +175,11 @@ def eigendecompose(p1: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     Raises
     ------
     ValueError
-        If ``p1`` is not Hermitian or has a numerically zero eigenvalue.
+        If ``p1`` is not a finite square matrix, not Hermitian, or has a
+        numerically zero eigenvalue.
     """
-    p1 = np.atleast_2d(np.asarray(p1, dtype=complex))
-    if p1.ndim != 2 or p1.shape[0] != p1.shape[1]:
+    p1 = _as_matrix(p1, (None, None), "transport matrix")
+    if p1.shape[0] != p1.shape[1]:
         raise ValueError("expected a square matrix")
     p1 = _hermitize(p1, "transport matrix")
     lam, vec = sla.eigh(p1)
@@ -247,7 +242,7 @@ def even_odd_split(xs: np.ndarray, values: np.ndarray) -> "tuple[np.ndarray, np.
     return (values + rev) / 2.0, (values - rev) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryDataBasis:
     """Normalized trace basis of a port-Hamiltonian system.
 

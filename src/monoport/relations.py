@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .spaces import InnerProductSpace, LinearMap, adjoint as _map_adjoint
+from .spaces import InnerProductSpace, LinearMap, _as_matrix, adjoint as _map_adjoint
 
 __all__ = [
     "TOL_LINEAR",
@@ -108,7 +108,7 @@ class NonconvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSet:
     """``{base + directions @ t}`` — an affine subspace (possibly a point)."""
 
@@ -221,30 +221,29 @@ class LinearGraph(Relation):
 
     The graph subspace is stored as an orthonormalized ``2 dim x k``
     basis (dependent input columns are dropped), split into the ``zx``
-    and ``zy`` row blocks.  The offsets default to zero; translation
-    keeps monotonicity and maximality.
+    and ``zy`` row blocks (read by :func:`.spaces._as_matrix`).  The
+    offsets default to zero; translation keeps monotonicity and
+    maximality.  They carry every Dirichlet, Neumann and Robin datum of
+    :mod:`.boundary`, and must be finite.
     """
 
     affine = True
 
     def __init__(self, space: InnerProductSpace, zx, zy, x0=None, y0=None):
-        zx = np.atleast_2d(np.asarray(zx, dtype=complex))
-        zy = np.atleast_2d(np.asarray(zy, dtype=complex))
-        if zx.shape[0] != space.dim or zy.shape[0] != space.dim:
-            raise ValueError("graph blocks must have space.dim rows")
-        if zx.shape[1] != zy.shape[1]:
-            raise ValueError("graph blocks must have equally many columns")
+        zx = _as_matrix(zx, (space.dim, None), "graph block zx")
+        zy = _as_matrix(zy, (space.dim, zx.shape[1]), "graph block zy")
         z = _orthonormal_columns(np.vstack([zx, zy]))
         self.space = space
         self.zx = z[: space.dim]
         self.zy = z[space.dim:]
         self.x0 = np.zeros(space.dim, dtype=complex) if x0 is None else space.check_vector(x0)
         self.y0 = np.zeros(space.dim, dtype=complex) if y0 is None else space.check_vector(y0)
+        if not (np.isfinite(self.x0).all() and np.isfinite(self.y0).all()):
+            raise ValueError("graph offsets must be finite")
 
     @classmethod
     def from_matrix(cls, space: InnerProductSpace, m) -> "LinearGraph":
         """Graph of the linear map ``x -> M x``."""
-        m = np.atleast_2d(np.asarray(m, dtype=complex))
         return cls(space, np.eye(space.dim), m)
 
     @property
@@ -269,9 +268,10 @@ class LinearGraph(Relation):
 class SeparableProx(Relation):
     """Coordinatewise friction, with a closed-form proximal map.
 
-    ``scales`` holds one ``mu >= 0`` per coordinate: coordinate ``k``
-    is the set-valued derivative of ``mu_k |x_k|``, whose proximal map
-    is soft thresholding.
+    ``scales`` holds one finite ``mu >= 0`` per coordinate: coordinate
+    ``k`` is the set-valued derivative of ``mu_k |x_k|``, whose proximal
+    map is soft thresholding.  A ``nan`` or ``inf`` is refused: the limit
+    ``mu = inf`` is the clamp ``x_k = 0``, a linear graph (``dirichlet 0``).
 
     The space weight must be diagonal with positive real entries (the
     relation is coordinatewise, and only then is the product monotone in
@@ -287,8 +287,8 @@ class SeparableProx(Relation):
         scales = np.array(scales, dtype=float)
         if scales.shape != (space.dim,):
             raise ValueError(f"need {space.dim} scales, got shape {scales.shape}")
-        if not np.all(scales >= 0.0):
-            raise ValueError(f"friction scales must be nonnegative, got {scales}")
+        if not np.all((scales >= 0.0) & (scales < np.inf)):
+            raise ValueError(f"friction scales must be nonnegative and finite, got {scales}")
         self.space = space
         self.scales = scales
 
@@ -378,10 +378,7 @@ def plan_inclusion(phi: np.ndarray, rel: Relation) -> "_Plan":
     patterns of its friction coordinates.  Otherwise Douglas–Rachford
     splitting runs between ``z -> phi z - g`` and the relation.
     """
-    phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    d = rel.space.dim
-    if phi.shape != (d, d):
-        raise ValueError(f"phi must be {d}x{d}")
+    phi = _as_matrix(phi, (rel.space.dim, rel.space.dim), "phi")
     if isinstance(rel, Transformed):
         return _CongruencePlan(phi, rel)
     if not isinstance(rel, (LinearGraph, SeparableProx, DirectSum)):
@@ -608,7 +605,9 @@ def resolvent(rel: Relation, lam: float, y) -> np.ndarray:
     """Evaluate ``x = (1 + lam A)^{-1} y``: the unique ``x`` with
     ``(x, (y - x)/lam)`` in the relation.
 
-    ``lam`` must be positive.  Linear systems are checked for
+    ``lam`` must be positive and finite (``J_inf`` is not defined), and
+    so must ``1/lam`` (:func:`plan_inclusion` refuses ``lam = 1e-320``:
+    "phi must be finite").  Linear systems are checked for
     consistency to :data:`TOL_LINEAR`, iterations run to
     :data:`TOL_ITERATIVE` within :data:`MAX_ITER` steps; a failure
     raises :class:`NonconvergenceError` carrying the last residual.
@@ -623,11 +622,12 @@ def resolvent_value(rel: Relation, lam: float, y):
     """Like :func:`resolvent` but returns the graph pair ``(x, w)`` with
     ``w`` the relation value at ``x`` (so ``x + lam w = y`` up to the
     same tolerances): the inclusion planned at ``phi = 1/lam``."""
-    if not lam > 0:
-        raise ValueError("resolvent parameter must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("resolvent parameter lam must be positive and finite")
     lam = float(lam)
     y = rel.space.check_vector(y)
-    return solve_inclusion(plan_inclusion(np.eye(rel.space.dim) / lam, rel), y / lam)
+    # 1/lam overflows to inf, without a warning, for a subnormal lam
+    return solve_inclusion(plan_inclusion(np.diag(np.full(rel.space.dim, 1.0 / lam)), rel), y / lam)
 
 
 def yosida(rel: Relation, lam: float, x) -> np.ndarray:

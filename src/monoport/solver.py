@@ -127,7 +127,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform symmetric partition of ``[-b, b]`` with ``m`` cells."""
 
@@ -136,7 +136,7 @@ class Grid:
     h_x: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperators:
     """Grid realizations of the channel derivatives, plus quadrature.
 
@@ -250,11 +250,12 @@ class _CoreSolver:
     Every run (:class:`Stepper`, :func:`resolve_A`) is checked here once,
     before any factorisation: ``bc`` must be certified (unless
     ``allow_uncertified``) and built on the trace basis of ``ops.phs``
-    (its ``b`` and the eigenvalues and eigenvectors of its ``P1``), and
-    ``mu`` positive and finite.  The run is ``real`` when ``P1``, ``P0``,
-    the nodewise ``H^{-1}``, the port relation and ``data`` (its initial
-    state or right-hand side) have no imaginary part: then the matrix,
-    its factor and the maps are float64; otherwise complex.
+    (its ``b`` and the eigenvalues and eigenvectors of its ``P1``),
+    ``mu`` positive and finite, and ``data`` (the initial state or the
+    right-hand side) finite.  The run is ``real`` when ``P1``, ``P0``, the
+    nodewise ``H^{-1}``, the port relation and ``data`` have no imaginary
+    part: then the matrix, its factor and the maps are float64; otherwise
+    complex.
     """
 
     def __init__(self, ops: DiscreteOperators, bc: BoundaryCondition, mu: float, data,
@@ -270,6 +271,8 @@ class _CoreSolver:
             raise ValueError("boundary condition is built on the trace basis of another system")
         if not (np.isfinite(mu) and mu > 0):
             raise ValueError("resolvent parameter mu must be positive and finite")
+        if not np.isfinite(data).all():
+            raise ValueError("initial state or right-hand side must be finite")
         n, nn = ops.phs.n, ops.nnodes
         self.ops = ops
         self.n = n
@@ -510,7 +513,7 @@ class _CoreSolver:
         return float(max(row_res, rel_res))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolveResult:
     """Output of :func:`resolve_A`.
 
@@ -561,7 +564,7 @@ def resolve_A(ops: DiscreteOperators, bc: BoundaryCondition, mu: float, rhs,
     return ResolveResult(u=u, v=v, residual=res)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One evolution problem: system, boundary relation, data, scheme.
 
@@ -593,7 +596,7 @@ class Scenario:
         object.__setattr__(self, "u0", _as_field(self.u0, self.phs.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded evolution: states with energies and boundary dissipation.
 

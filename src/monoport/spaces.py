@@ -34,14 +34,21 @@ class RankDeficientBasis(ValueError):
     """Raised when a basis Gram matrix is numerically singular."""
 
 
-def _as_matrix(a, dim=None) -> np.ndarray:
+def _as_matrix(a, shape, what: str) -> np.ndarray:
+    """``a`` as a complex 2D array of ``shape`` (a ``None`` entry takes any
+    size) with finite entries, the one reader of a matrix input; a refusal
+    names ``what``: ``"{what} must have shape (2, 2), got (1, 1)"`` or
+    ``"{what} must be finite"``."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
-    if dim is not None and m.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+    if m.ndim != 2 or any(want is not None and want != got for want, got in zip(shape, m.shape)):
+        expected = ", ".join("any" if want is None else str(want) for want in shape)
+        raise ValueError(f"{what} must have shape ({expected}), got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} must be finite")
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerProductSpace:
     """A finite-dimensional complex Hilbert space with weight matrix.
 
@@ -69,7 +76,7 @@ class InnerProductSpace:
             object.__setattr__(self, "weight", eye)
             object.__setattr__(self, "_chol", eye)
             return
-        w = _as_matrix(self.weight, self.dim)
+        w = _as_matrix(self.weight, (self.dim, self.dim), "weight")
         dev = np.linalg.norm(w - w.conj().T)
         scale = max(np.linalg.norm(w), 1e-300)
         if dev > HERMITIAN_RTOL * scale:
@@ -106,7 +113,7 @@ class InnerProductSpace:
         return sla.solve_triangular(self._chol.conj().T, y, lower=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMap:
     """A linear map between two inner-product spaces, stored as a matrix."""
 
@@ -115,13 +122,8 @@ class LinearMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=complex))
-        if m.shape != (self.target.dim, self.source.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match "
-                f"(target.dim, source.dim) = ({self.target.dim}, {self.source.dim})"
-            )
-        object.__setattr__(self, "matrix", m)
+        shape = (self.target.dim, self.source.dim)
+        object.__setattr__(self, "matrix", _as_matrix(self.matrix, shape, "map matrix"))
 
 
 def adjoint(m: LinearMap) -> LinearMap:

@@ -164,7 +164,7 @@ def test_from_v_expansion_warns_and_fails_certificates(basis1):
 
 
 def test_from_v_shape_mismatch(basis2):
-    with pytest.raises(ValueError, match="2 x 2"):
+    with pytest.raises(ValueError, match=r"V must have shape \(2, 2\), got \(3, 3\)"):
         from_V(np.zeros((3, 3)), basis2)
 
 

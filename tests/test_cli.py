@@ -114,12 +114,15 @@ def test_config_that_is_a_directory_is_usage_error(tmp_path, capsys, command):
 
 
 def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
-    """A byte 0xff exited 1, as a failed check does."""
+    """A byte 0xff exited 1, as a failed check does, and then was reported
+    without the file's name."""
     cfg = tmp_path / "case.cfg"
     cfg.write_bytes((CONFIG_DIR / "transport.cfg").read_bytes() + b"# \xff\n")
     code = cli.main(["check-bc", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
-    _one_error_line(capsys.readouterr().err, "can't decode byte 0xff")
+    err = capsys.readouterr().err
+    _one_error_line(err, "can't decode byte 0xff")
+    assert repr(str(cfg)) in err
 
 
 @pytest.mark.parametrize("command", [["check-bc"], ["simulate"], ["convergence", "--study", "state"]],
@@ -173,9 +176,10 @@ MULTIPORT_BC = "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0"
     ("P1 = 0 1; 1 0", "P1 = 1", "[phs]: transport matrix must have shape (2, 2)"),
     ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0", "[phs]: zero-order term must have shape (2, 2)"),
     ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = 1", "[phs]: energy density must have shape (2, 2)"),
-    (MULTIPORT_BC, "kind = v-matrix\nV = 0", "[bc]: V must be 2 x 2"),
-    (MULTIPORT_BC, "kind = robin\nM = 1", "[bc]: Robin matrix must be 2 x 2"),
-    (MULTIPORT_BC, "kind = custom\nC_e = 1\nC_f = 1", "[bc]: constraint blocks must have 2"),
+    (MULTIPORT_BC, "kind = v-matrix\nV = 0", "[bc]: V must have shape (2, 2), got (1, 1)"),
+    (MULTIPORT_BC, "kind = robin\nM = 1", "[bc]: Robin matrix must have shape (2, 2), got (1, 1)"),
+    (MULTIPORT_BC, "kind = custom\nC_e = 1\nC_f = 1",
+     "[bc]: constraint block C_e must have shape (any, 2), got (1, 1)"),
     (MULTIPORT_BC, "kind = dirichlet\nvalue = 1 2 3", "[bc]: boundary datum must be"),
     ("port.0 = friction 0.5", "port.0 = teleport 0.5", "[bc]: port 0: unknown port kind"),
     ("port.0 = friction 0.5", "port.0 = robin", "[bc]: port 0: robin takes 1 or 2 value(s), got 0"),
@@ -196,11 +200,27 @@ MULTIPORT_BC = "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0"
     ("scenario = gaussian", "scenario = vortex", "unknown scenario 'vortex'"),
     (FRICTION_SMALL.split("[grid]")[0], "scenario = wave\n[phs]\nn = 1\nb = 1\nP1 = 1\n"
      "[bc]\nkind = v-matrix\nV = 0\n", "scenario 'wave' needs at least two components"),
+    # a nan or inf was certified and run: every matrix is read by
+    # spaces._as_matrix, a datum by LinearGraph, a friction coefficient by
+    # SeparableProx
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0 nan; nan 0", "[phs]: zero-order term must be finite"),
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = 1 0; 0 inf", "[phs]: energy density must be finite"),
+    (MULTIPORT_BC, "kind = dirichlet\nvalue = nan", "[bc]: graph offsets must be finite"),
+    ("port.1 = dirichlet 0", "port.1 = neumann nan", "[bc]: port 1: graph offsets must be finite"),
+    ("port.0 = friction 0.5", "port.0 = friction inf",
+     "[bc]: port 0: friction scales must be nonnegative and finite, got [inf]"),
+    ("P1 = 0 1; 1 0", "P1 = 0 nan; nan 0", "[phs]: transport matrix must be finite"),
+    (MULTIPORT_BC, "kind = v-matrix\nV = 0 inf; 0 0", "[bc]: V must be finite"),
+    (MULTIPORT_BC, "kind = robin\nM = 1 0; 0 nan", "[bc]: Robin matrix must be finite"),
+    (MULTIPORT_BC, "kind = custom\nC_e = 1 0\nC_f = 0 inf", "[bc]: constraint block C_f must be finite"),
+    ("port.1 = dirichlet 0", "port.1 = robin 1 inf", "[bc]: port 1: graph offsets must be finite"),
 ], ids=["friction-negative", "friction-nan", "robin-negative", "robin-indefinite",
         "zero-speed", "not-hermitian", "n-zero", "b-zero", "P1-shape", "P0-shape", "H-shape",
         "V-shape", "M-shape", "C-shape", "value-length", "port-kind", "port-arity",
         "port-complex", "port-range", "port-coverage", "profile-shape", "m-odd", "m-small",
-        "dt-negative", "dt-inf", "T-inf", "theta-low", "scenario-unknown", "wave-one-field"])
+        "dt-negative", "dt-inf", "T-inf", "theta-low", "scenario-unknown", "wave-one-field",
+        "P0-nan", "H-inf", "value-nan", "port-value-nan", "port-friction-inf",
+        "P1-nan", "V-inf", "M-nan", "C-inf", "port-robin-value-inf"])
 @pytest.mark.parametrize("command", [
     ["check-bc"], ["simulate"], ["convergence", "--study", "state"],
     ["convergence", "--study", "pairing"], ["convergence", "--study", "derivative"],

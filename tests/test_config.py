@@ -139,7 +139,7 @@ def test_parse_errors_carry_context(text, fragment):
 
 
 @pytest.mark.parametrize("text, message", [
-    (variant("V = 0", "V = 0 1; 1 0"), "[bc]: V must be 1 x 1 for this basis, got (2, 2)"),
+    (variant("V = 0", "V = 0 1; 1 0"), "[bc]: V must have shape (1, 1), got (2, 2)"),
     (variant("n = 1", "n = 0"), "[phs]: need at least one field component"),
     (variant("kind = v-matrix\nV = 0 1; -1 0", "kind = dirichlet\nvalue = 1 2 3", WAVE),
      "[bc]: boundary datum must be a scalar or length-2 vector"),

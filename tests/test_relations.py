@@ -130,6 +130,25 @@ def test_resolvent_requires_positive_lambda():
         resolvent(identity_relation(), -1.0, [1.0])
 
 
+@pytest.mark.parametrize("lam, message", [
+    (np.inf, "resolvent parameter lam must be positive and finite"),
+    (np.nan, "resolvent parameter lam must be positive and finite"),
+    (0.0, "resolvent parameter lam must be positive and finite"),
+    (-1.0, "resolvent parameter lam must be positive and finite"),
+    (1e-320, "phi must be finite"),
+], ids=["inf", "nan", "zero", "negative", "subnormal"])
+@pytest.mark.parametrize("evaluate", [resolvent, yosida], ids=["resolvent", "yosida"])
+def test_resolvent_parameter_is_positive_and_finite(capfd, lam, message, evaluate):
+    """``lam = inf`` returned 0, though ``J_inf`` is not defined, and
+    ``lam = 1e-320`` printed four LAPACK lines (an illegal DLASCL
+    parameter) and raised "SVD did not converge"; both are refused, with
+    nothing printed."""
+    rel = LinearGraph.from_matrix(C2, [[1.0, 0.5], [-0.5, 2.0]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(rel, lam, [1.0, 2.0])
+    assert capfd.readouterr() == ("", "")
+
+
 def test_resolvent_reports_nonconvergence_for_nonmaximal():
     # graph {((t,0), (0,t))}: monotone but one-dimensional, so x + y' = (0,1)
     # is inconsistent and the direct solve must refuse
@@ -613,12 +632,20 @@ def test_check_maximal_closed_form_path_on_prox():
 def test_separable_prox_validates_its_scales():
     space = InnerProductSpace(2)
     assert SeparableProx(space, [0.0, 1.5]).scales.tolist() == [0.0, 1.5]
-    for bad in ([0.5, -0.1], [0.5, float("nan")]):
-        with pytest.raises(ValueError, match="nonnegative"):
+    for bad in ([0.5, -0.1], [0.5, float("nan")], [np.inf, 0.5]):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
             SeparableProx(space, bad)
     for wrong in ([0.5], [0.5, 0.5, 0.5], 0.5):
         with pytest.raises(ValueError, match="need 2 scales"):
             SeparableProx(space, wrong)
+
+
+@pytest.mark.parametrize("offsets", [dict(x0=[0.0, np.nan]), dict(y0=[np.inf, 0.0])], ids=["x0-nan", "y0-inf"])
+def test_linear_graph_refuses_an_offset_that_is_not_finite(offsets):
+    """A Dirichlet or Neumann datum is a graph offset: ``nan`` was
+    certified maximal monotone, and a run from it wrote ``nan`` states."""
+    with pytest.raises(ValueError, match="^graph offsets must be finite$"):
+        LinearGraph(C2, np.zeros((2, 2)), np.eye(2), **offsets)
 
 
 # ---------------------------------------------------------------- inclusion

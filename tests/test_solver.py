@@ -13,7 +13,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from monoport import boundary as bnd
 from monoport.config import HAMILTONIAN_PROFILES, load_config
 from monoport.phs import PortHamiltonian, bd_basis
-from monoport.relations import SeparableProx, direct_sum, transform
+from monoport.relations import LinearGraph, SeparableProx, direct_sum, post_set, transform
 from monoport.solver import (
     Scenario,
     _CoreSolver,
@@ -296,6 +296,43 @@ def test_resolve_refuses_a_parameter_that_is_not_positive_and_finite(monkeypatch
     _refuse_before_factoring(monkeypatch)
     with pytest.raises(ValueError, match="resolvent parameter mu must be positive and finite"):
         resolve_A(ops, bnd.robin(np.eye(2), BASIS2), mu, (np.zeros((33, 2)), np.zeros((33, 2))))
+
+
+def test_runs_refuse_data_that_is_not_finite(monkeypatch):
+    """A ``nan`` in the initial state ran to ``nan`` states, and one in the
+    right-hand side was solved; both are refused before anything is
+    factored."""
+    ops = discretize(PHS2, 32)
+    bc = bnd.robin(np.eye(2), BASIS2)
+    u0 = np.zeros((33, 2))
+    u0[5, 1] = np.nan
+    scn = Scenario(phs=PHS2, bc=bc, u0=u0, T=0.1, dt=0.01)
+    _refuse_before_factoring(monkeypatch)
+    for run in (lambda: Stepper(scn, ops), lambda: simulate(scn, ops),
+                lambda: resolve_A(ops, bc, 0.1, (np.zeros((33, 2)), u0 * 1j))):
+        with pytest.raises(ValueError, match="^initial state or right-hand side must be finite$"):
+            run()
+
+
+def test_value_types_compare_by_identity():
+    """Equal but distinct values compare unequal and every type hashes; a
+    generated ``__eq__`` compared arrays ("truth value ... is ambiguous"),
+    and the generated ``__hash__`` failed on them."""
+    def build():
+        phs = PortHamiltonian(n=2, b=1.0, p1=[[0.0, 1.0], [1.0, 0.0]])
+        basis = bd_basis(phs)
+        bc = bnd.robin(np.eye(2), basis)
+        ops = discretize(phs, 32)
+        u0 = np.zeros((33, 2))
+        scn = Scenario(phs=phs, bc=bc, u0=u0, T=0.02, dt=0.01)
+        space = InnerProductSpace(2)
+        return (space, LinearMap(space, space, np.eye(2)), phs, basis, bc, ops.grid, ops, scn,
+                post_set(LinearGraph.from_matrix(space, np.eye(2)), [1.0, 0.0]),
+                resolve_A(ops, bc, 0.1, (u0, u0)), simulate(scn, ops))
+
+    for a, b in zip(build(), build()):
+        assert type(a) is type(b) and a != b and a == a and a in [a] and b not in [a]
+        assert len({a, b}) == 2
 
 
 def test_resolve_validates_rhs_shape():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoport.spaces import InnerProductSpace, LinearMap, adjoint
+from monoport.spaces import InnerProductSpace, LinearMap, _as_matrix, adjoint
 
 from conftest import rand_complex, rand_spd
 
@@ -121,3 +121,24 @@ def test_linear_map_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         LinearMap(InnerProductSpace(2), InnerProductSpace(3), np.eye(2))
 
+
+
+def test_as_matrix_reads_a_matrix_input_one_way():
+    """Every constructor reads its matrix input here: a complex 2D array of
+    the expected shape (``None`` takes any size) with finite entries."""
+    m = _as_matrix(2, (1, 1), "M")
+    assert m.shape == (1, 1) and m.dtype == np.complex128
+    assert _as_matrix([[1, 2, 3]], (1, None), "M").shape == (1, 3)
+    with pytest.raises(ValueError, match=r"^M must have shape \(2, 2\), got \(1, 1\)$"):
+        _as_matrix(1.0, (2, 2), "M")
+    with pytest.raises(ValueError, match=r"^M must have shape \(any, 3\), got \(2, 2\)$"):
+        _as_matrix(np.eye(2), (None, 3), "M")
+    with pytest.raises(ValueError, match=r"^M must have shape \(2, 2\), got \(1, 2, 2\)$"):
+        _as_matrix(np.ones((1, 2, 2)), (2, 2), "M")
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        with pytest.raises(ValueError, match="^M must be finite$"):
+            _as_matrix([[1.0, bad]], (1, 2), "M")
+    with pytest.raises(ValueError, match="^weight must be finite$"):
+        InnerProductSpace(2, [[1.0, 0.0], [0.0, np.inf]])
+    with pytest.raises(ValueError, match="^map matrix must be finite$"):
+        LinearMap(InnerProductSpace(1), InnerProductSpace(1), [[np.nan]])
