@@ -287,10 +287,10 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
     if kind == "neumann":
         return LinearGraph(space, np.eye(1), np.zeros((1, 1)), y0=[-complex(params[0])])
     coef = complex(params[0])
+    if kind == "friction":  # SeparableProx checks its coefficients
+        return SeparableProx(space, [coef])
     if coef.imag != 0 or not coef.real >= 0.0:
-        raise ValueError(f"{kind} coefficient must be real and nonnegative, got {params[0]!r}")
-    if kind == "friction":
-        return SeparableProx(space, [coef.real])
+        raise ValueError(f"robin coefficient must be real and nonnegative, got {params[0]!r}")
     val = params[1] if len(params) > 1 else 0.0
     return LinearGraph(space, np.eye(1), [[coef.real]], y0=[-complex(val)])
 

@@ -54,11 +54,14 @@ and the initial state (for :func:`resolve_A`, the right-hand side) have
 no imaginary part, the run factors, solves and stores its states in
 float64; the real band solve takes 0.5 to 0.7 of the time of the
 complex one on a coupled ``n = 2`` system (0.66 at m = 256, 0.52 at
-m = 16384).  The inclusion itself stays complex; its solution is real,
-because a real relation is closed under conjugation and the solution
-is unique, so the run keeps its real part.  Any complex datum keeps the
-whole run in complex arithmetic, and a real run steps only real
-states (:func:`step`).
+m = 16384).  The boundary inclusion is real too: a real relation is
+closed under conjugation and the solution is unique, so against the
+real ``Phi`` its plan holds float64 maps and tables
+(:func:`.relations.plan_inclusion`) and solves a float64 ``g`` in
+float64.  A step so stays in float64 from the band sweep to the state
+it returns.  Any complex datum keeps the whole run, inclusion included,
+in complex arithmetic with the same code, and a real run steps only
+real states (:func:`step`).
 
 The band solve runs the operations of LAPACK ``gbtrs`` in fewer calls.
 ``gbtrs`` applies ``L`` column by column (a row swap, then that
@@ -239,13 +242,17 @@ class _CoreSolver:
     endpoint node rows; the boundary relation couples the effort trace
     to the slack-corrected flow trace ``fhat = f - sqrt(2) omega_b s``.
     Interior elimination reduces everything to a dense ``3n x 3n``
-    boundary block ``K``, inverted once and kept as three maps: the
-    boundary unknowns ``beta = B_rho rho + B_e e``, the inclusion's
-    right-hand side ``g = G_rho rho`` and the effort-to-flow response
-    ``phi``, with ``rho`` the reduced boundary rows.  The remaining
+    boundary block ``K``, inverted once and kept as maps: the inclusion's
+    right-hand side ``g = G_rho rho`` stacked over the boundary unknowns'
+    part ``B_rho rho`` (:attr:`rho_maps`, one product gives both), with
+    ``beta = B_rho rho + B_e e``, and the effort-to-flow response ``phi``.
+    ``rho`` are the endpoint rows reduced by the swept interior; the
+    endpoint rows reach only the first and the last few interior columns
+    (``3n`` each at sbp42, read from the sparsity), kept as two dense
+    ``2n``-row blocks, so ``rho`` is two small products.  The remaining
     ``n``-dimensional inclusion ``phi e + R(e) ∋ g`` is planned here by
     the relation calculus, and every :meth:`solve` only multiplies by
-    these maps and applies that plan.
+    these maps and applies that plan, in the run's arithmetic.
 
     Every run (:class:`Stepper`, :func:`resolve_A`) is checked here once,
     before any factorisation: ``bc`` must be certified (unless
@@ -254,8 +261,8 @@ class _CoreSolver:
     ``mu`` positive and finite, and ``data`` (the initial state or the
     right-hand side) finite.  The run is ``real`` when ``P1``, ``P0``, the
     nodewise ``H^{-1}``, the port relation and ``data`` have no imaginary
-    part: then the matrix, its factor and the maps are float64; otherwise
-    complex.
+    part: then the matrix, its factor, the maps and the inclusion's plan
+    are float64; otherwise complex.
     """
 
     def __init__(self, ops: DiscreteOperators, bc: BoundaryCondition, mu: float, data,
@@ -338,7 +345,14 @@ class _CoreSolver:
         # The endpoint rows and columns; solve() reads them as [:n] and [-n:].
         ends = np.r_[0:n, nn * n - n: nn * n]
         rows_b = amat[ends]
-        self.a_bi = rows_b[:, n:-n]
+        a_bi = rows_b[:, n:-n]
+        # The endpoint rows couple to the first and the last few interior
+        # columns (3n each at sbp42), their widths read from the sparsity as
+        # kl and ku are; each stretch is kept as one dense 2n-row block.
+        cols, half = a_bi.indices, nint // 2
+        near, far = int(cols[cols < half].max(initial=-1)) + 1, int(cols[cols >= half].min(initial=nint))
+        self._near, self._far = slice(0, near), slice(far, nint)
+        self._a_near, self._a_far = a_bi[:, self._near].toarray(), a_bi[:, self._far].toarray()
         self.lift = self._lift(amat[n:-n, ends].toarray())
         # Past the windows of _lift, whole stretches of rows of the lift are
         # 0.  Each step multiplies only by the two blocks of rows around them,
@@ -354,15 +368,15 @@ class _CoreSolver:
 
         eye = np.eye(n)
         k_full = np.zeros((3 * n, 3 * n), dtype=dtype)
-        k_full[: 2 * n, : 2 * n] = rows_b[:, ends].toarray() - self.a_bi @ self.lift
+        k_full[: 2 * n, : 2 * n] = rows_b[:, ends].toarray() - a_bi @ self.lift
         k_full[: 2 * n, 2 * n:] = self.mu * np.vstack([eye, eye])
         k_full[2 * n:, : 2 * n] = np.hstack([eye, eye]) / np.sqrt(2.0)
         k_inv = np.linalg.inv(k_full)  # cond(K) <= 2.3e4 on the benchmark workloads
 
         p1, omega_b = ops.phs.p1.real if real else ops.phs.p1, float(ops.omega[0])
         f_row = np.hstack([p1 / np.sqrt(2.0), -p1 / np.sqrt(2.0), -np.sqrt(2.0) * omega_b * eye])
-        self.b_rho, self.b_e = k_inv[:, : 2 * n], k_inv[:, 2 * n:]
-        self.g_rho = -f_row @ self.b_rho
+        b_rho, self.b_e = k_inv[:, : 2 * n], k_inv[:, 2 * n:]
+        self.rho_maps = np.vstack([-f_row @ b_rho, b_rho])  # g = G_rho rho over B_rho rho
         self.phi = f_row @ self.b_e
         herm_min = float(np.linalg.eigvalsh((self.phi + self.phi.conj().T) / 2.0)[0])
         if herm_min <= 0:
@@ -483,11 +497,13 @@ class _CoreSolver:
         p = np.empty(r_flat.shape[0], dtype=self.dtype) if out is None else out
         p[n:-n] = r_flat[n:-n]
         p_part = self._sweep(p[n:-n], 0, self.nint)
-        rho = np.concatenate([r_flat[:n], r_flat[-n:]]) - self.a_bi @ p_part
-        e, y = solve_inclusion(self._plan, self.g_rho @ rho, x0=x0)
-        if self.real:  # real data and relation: the solution is real
-            e, y = e.real, y.real
-        beta = self.b_rho @ rho + self.b_e @ e
+        rho = np.concatenate((r_flat[:n], r_flat[-n:]), dtype=self.dtype)
+        rho -= self._a_near @ p_part[self._near]
+        rho -= self._a_far @ p_part[self._far]
+        g_beta = self.rho_maps @ rho
+        e, y = solve_inclusion(self._plan, g_beta[:n], x0=x0)
+        beta = g_beta[n:]
+        beta += self.b_e @ e
         p[:n] = beta[:n]
         p[-n:] = beta[n: 2 * n]
         for rows, lift in self._lift_rows:
@@ -671,9 +687,10 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
     """
     core, theta = stepper._core, stepper.scenario.theta
     w = _as_field(state, stepper.scenario.phs.n)
-    if core.real and np.iscomplexobj(w) and np.any(w.imag):
-        raise ValueError("a real run steps only real states; build the Stepper from this state for a complex run")
-    w = w.real if core.real else w
+    if core.real and np.iscomplexobj(w):
+        if np.any(w.imag):
+            raise ValueError("a real run steps only real states; build the Stepper from this state for a complex run")
+        w = w.real
     dtype = core.dtype
     if out is None:
         out = np.empty(w.shape, dtype=dtype)
@@ -681,7 +698,7 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
         raise ValueError(f"out must be a C-contiguous {w.shape} array of dtype {dtype} apart from the state")
     unit = core.ops.identity_density
     p, _, e, fhat = core.solve(w.ravel(), x0=stepper._effort, out=out.reshape(-1) if unit else None)
-    stepper.dissipation = -float(np.real(e.conj() @ fhat))
+    stepper.dissipation = -float(np.vdot(e, fhat).real)
     stepper._effort = e
     if not unit:
         core.state(p, out=out)

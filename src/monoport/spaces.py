@@ -48,6 +48,19 @@ def _as_matrix(a, shape, what: str) -> np.ndarray:
     return m
 
 
+def _as_vector(x, dim: int) -> np.ndarray:
+    """``x`` flattened to a vector of length ``dim`` by the rule of
+    :func:`.phs._as_field`: float64 data stays float64, any other data is
+    made complex (a vector of either dtype is not copied)."""
+    x = np.asarray(x)
+    if x.dtype != np.float64:
+        x = np.asarray(x, dtype=complex)
+    x = x.reshape(-1)
+    if x.shape != (dim,):
+        raise ValueError(f"expected a vector of length {dim}, got {x.shape}")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class InnerProductSpace:
     """A finite-dimensional complex Hilbert space with weight matrix.
@@ -102,10 +115,8 @@ class InnerProductSpace:
         return float(np.linalg.norm(self._chol.conj().T @ x))
 
     def check_vector(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}, got {x.shape}")
-        return x
+        """``x`` as a complex vector of this space."""
+        return _as_vector(np.asarray(x, dtype=complex), self.dim)
 
     def solve_weight(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``W x = rhs`` through the cached Cholesky factor."""

@@ -318,7 +318,7 @@ def test_multiport_scalar_robin_validation(basis1):
 
 
 @pytest.mark.parametrize("spec, message", [
-    (("friction", 0.5 + 1j), "friction coefficient must be real and nonnegative, got (0.5+1j)"),
+    (("friction", 0.5 + 1j), "friction coefficient must be real, nonnegative and finite, got (0.5+1j)"),
     (("robin", 1j), "robin coefficient must be real and nonnegative, got 1j"),
     (("robin",), "robin takes 1 or 2 value(s), got 0"),
     (("dirichlet",), "dirichlet takes 1 value(s), got 0"),

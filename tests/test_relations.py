@@ -632,9 +632,11 @@ def test_check_maximal_closed_form_path_on_prox():
 def test_separable_prox_validates_its_scales():
     space = InnerProductSpace(2)
     assert SeparableProx(space, [0.0, 1.5]).scales.tolist() == [0.0, 1.5]
-    for bad in ([0.5, -0.1], [0.5, float("nan")], [np.inf, 0.5]):
-        with pytest.raises(ValueError, match="nonnegative and finite"):
+    for bad, shown in (([0.5, -0.1], "-0.1"), ([0.5, float("nan")], "nan"), ([np.inf, 0.5], "inf"),
+                       ([0.5, 0.5 + 1j], "(0.5+1j)")):
+        with pytest.raises(ValueError) as err:
             SeparableProx(space, bad)
+        assert str(err.value) == f"friction coefficient must be real, nonnegative and finite, got {shown}"
     for wrong in ([0.5], [0.5, 0.5, 0.5], 0.5):
         with pytest.raises(ValueError, match="need 2 scales"):
             SeparableProx(space, wrong)
@@ -975,6 +977,84 @@ def test_piece_table_spans_the_direct_sum_of_each_pattern(monkeypatch, parts, ma
         assert calls == [] and _signs_hold(rel, z, w), seed
         z_dr, w_dr = real_dr(rels._SplittingPlan(phi, rel), g, None)
         assert np.linalg.norm(z - z_dr) <= 1e-7 and np.linalg.norm(w - w_dr) <= 1e-7, seed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_real_pieces_match_complex_arithmetic(k):
+    """Every piece of a real plan is float64, and on seeded instances it
+    gives, to 1e-14, the pair of the same piece planned in complex
+    arithmetic; the plan's own solution holds its friction signs exactly:
+    ``z_i = 0`` on a stick, ``w_i = s mu_i`` on a slip."""
+    import monoport.relations as rels
+    from monoport.verify import _random_piece_instance
+
+    for seed in range(10):
+        phi, rel, g = _random_piece_instance(np.random.default_rng(seed), k)
+        plan = plan_inclusion(phi, rel)
+        assert plan.phi.dtype == plan.zx.dtype == plan.zy.dtype == np.float64
+        for pattern in itertools.product((0, 1, -1), repeat=k):
+            piece = plan.piece(pattern)
+            assert all(a.dtype == np.float64 for a in (piece.m, piece.shift, piece.minv, piece.pairs, piece.offset))
+            ref = rels._AffinePlan(phi.astype(complex), rel, *(a.astype(complex) for a in
+                                                              (piece.zx, piece.zy, piece.x0, piece.y0)))
+            (z, w), (zc, wc) = piece(g, None), ref(g.astype(complex), None)
+            scale = max(1.0, np.abs(zc).max(), np.abs(wc).max())
+            assert z.dtype == w.dtype == np.float64
+            assert max(np.abs(z - zc).max(), np.abs(w - wc).max()) <= 1e-14 * scale, (seed, pattern)
+        z, w = solve_inclusion(plan, g)
+        assert z.dtype == w.dtype == np.float64
+        for i, mu in _friction_coordinates(rel):
+            assert (z[i] == 0.0 and abs(w[i]) <= mu) or w[i] == np.sign(z[i]) * mu, (seed, i)
+
+
+@pytest.mark.parametrize("part", ["SeparableProx", "LinearGraph"])
+def test_a_complex_right_hand_side_on_a_real_plan_is_solved_in_complex_arithmetic(monkeypatch, part):
+    """A real plan reads a complex ``g`` as complex: the piece plan splits it
+    and an affine plan returns a complex pair, each to 1e-14 of the plan of
+    the same relation in complex arithmetic (the relation's ``real``
+    patched off).  A complex ``g`` of zero imaginary part walks the pieces
+    and gives the float64 solution of its real part in complex type."""
+    import monoport.relations as rels
+    from monoport.verify import _random_piece_instance
+
+    rng = np.random.default_rng(7)
+    for seed in range(5):
+        phi, rel, g = _random_piece_instance(np.random.default_rng(seed), 2)
+        if part == "LinearGraph":
+            rel = next(p for p in rel.parts if p.affine)
+            phi = phi[: rel.space.dim, : rel.space.dim]
+            g = g[: rel.space.dim]
+        plan = plan_inclusion(phi, rel)
+        assert plan.phi.dtype == np.float64
+        g_complex = g + 1j * rng.normal(size=g.size)
+        z, w = solve_inclusion(plan, g_complex)
+        with monkeypatch.context() as patch:
+            patch.setattr(getattr(rels, part), "real", False)
+            ref = plan_inclusion(phi, rel)
+        assert ref.phi.dtype == np.complex128
+        zc, wc = solve_inclusion(ref, g_complex)
+        assert z.dtype == w.dtype == np.complex128
+        scale = max(1.0, np.abs(zc).max(), np.abs(wc).max())
+        assert max(np.abs(z - zc).max(), np.abs(w - wc).max()) <= 1e-14 * scale, seed
+        z, w = solve_inclusion(plan, g.astype(complex))
+        zr, wr = solve_inclusion(plan, g)
+        assert z.dtype == np.complex128 and zr.dtype == np.float64
+        assert not np.any(z.imag) and np.abs(z.real - zr).max() <= 1e-14 * max(1.0, np.abs(zr).max()), seed
+        assert np.abs(w.real - wr).max() <= 1e-14 * max(1.0, np.abs(wr).max()), seed
+
+
+def test_block_diag_equals_scipys():
+    """The block-diagonal matrix of the relation calculus is that of
+    ``scipy.linalg.block_diag``: entries, shape and dtype, blocks without
+    rows or columns included."""
+    from monoport.relations import _block_diag
+
+    rng = np.random.default_rng(0)
+    for shapes, dtypes in [([(2, 2), (1, 1)], [float, float]), ([(2, 3), (0, 1), (1, 0), (3, 2)], [complex] * 4),
+                           ([(1, 1), (2, 2)], [float, complex]), ([(3, 1)], [float])]:
+        blocks = [rng.normal(size=shape).astype(dtype) for shape, dtype in zip(shapes, dtypes)]
+        ours, theirs = _block_diag(blocks), scipy.linalg.block_diag(*blocks)
+        assert np.array_equal(ours, theirs) and ours.shape == theirs.shape and ours.dtype == theirs.dtype
 
 
 def test_splitting_out_of_iterations_raises_with_its_best_residual(monkeypatch):

@@ -954,6 +954,61 @@ def test_each_shipped_config_takes_its_plan(path):
     assert [type(p).__name__ for p in [plan, *(b for _, b in getattr(plan, "blocks", []))]] == SHIPPED_PLANS[path.stem]
 
 
+def _plan_arrays(plan):
+    """Every array of an inclusion plan: its own, its blocks' and its base's,
+    and those of a piece plan's all-stick and all-slip pieces."""
+    from monoport import relations as rels
+
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, rels._Plan):
+            yield from _plan_arrays(value)
+    for _, block in getattr(plan, "blocks", []):
+        yield from _plan_arrays(block)
+    if hasattr(plan, "friction"):
+        for s in (0, 1):
+            yield from _plan_arrays(plan.piece((s,) * len(plan.friction)))
+
+
+@pytest.mark.parametrize("path", [p for p in SHIPPED_CONFIGS if p.stem != "robin_wrong_sign"],
+                         ids=lambda p: p.stem)
+def test_real_run_plans_and_solves_in_float64(path):
+    """A real run's inclusion plan holds only float64 arrays, and a solve
+    returns float64 ``p``, slack, effort ``e`` and flow ``fhat``: the step
+    never leaves float64."""
+    from monoport import cli
+
+    ops, scn = cli._build(load_config(path))
+    core = Stepper(scn, ops)._core
+    assert core.real
+    arrays = list(_plan_arrays(core._plan))
+    assert arrays and all(a.dtype == np.float64 for a in arrays)
+    assert core.rho_maps.dtype == core._a_near.dtype == core._a_far.dtype == np.float64
+    p, s, e, fhat = core.solve(scn.u0.real.ravel())
+    assert [a.dtype for a in (p, s, e, fhat)] == [np.float64] * 4
+
+
+@pytest.mark.parametrize("n, m", [(1, 8), (2, 8), (2, 256), (3, 16)])
+def test_endpoint_blocks_reproduce_the_endpoint_rows(n, m):
+    """The two dense blocks of the endpoint coupling, ``3n`` columns each at
+    sbp42, give the interior part of the endpoint rows of ``amat``."""
+    rng = np.random.default_rng(n * m)
+    a = rng.normal(size=(n, n))
+    phs = PortHamiltonian(n=n, b=1.0, p1=a + a.T + 2 * n * np.eye(n), p0=(a - a.T) / 2.0)
+    bc = bnd.robin(np.eye(n), bd_basis(phs))
+    ops = discretize(phs, m)
+    core = _CoreSolver(ops, bc, 0.01, np.zeros(1))
+    nn = ops.nnodes
+    ends = np.r_[0:n, nn * n - n: nn * n]
+    assert (core._near.stop, core._far.start) == (3 * n, core.nint - 3 * n)
+    for _ in range(3):
+        x = rng.normal(size=core.nint)
+        expected = core.amat[ends][:, n:-n] @ x
+        got = core._a_near @ x[core._near] + core._a_far @ x[core._far]
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(core.amat[ends]).sum(axis=1).max() * np.abs(x).max()
+
+
 def test_complex_relation_keeps_complex_arithmetic():
     """A complex relation with real initial data runs in complex
     arithmetic throughout, factor included, as before real runs existed."""
