@@ -79,6 +79,8 @@ INVALID_CONFIGS = (
     ("bc-value-nan", "transport.cfg", "kind = v-matrix\nV = 0", "kind = dirichlet\nvalue = nan"),
     ("bc-port-value-nan", "friction.cfg", "port.1 = dirichlet 0", "port.1 = neumann nan"),
     ("bc-port-friction-inf", "friction.cfg", "port.0 = friction 0.5", "port.0 = friction inf"),
+    ("phs-P0-overflow", "wave_damped.cfg", "P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0 1e300; 1e300 0"),
+    ("phs-b-tiny", "transport.cfg", "b = 1.0", "b = 1e-300"),
 )
 
 #: ``(name, shipped config, edits)``: a run on a grid fine enough that the

@@ -24,6 +24,7 @@ positive definite) connect coefficient and trace coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -48,6 +49,13 @@ __all__ = [
 #: Relative tolerance for structural matrix identities (Hermitian / skew).
 STRUCTURE_RTOL = 1e-12
 
+#: The least interval half-width, ``2^-511`` (about 1.49e-154): the square
+#: root of the least normal float64 number, so that squared lengths stay
+#: normal.  Below it a run leaves the float64 range: at ``b = 1e-300`` the
+#: boundary block of the solver, built from derivative rows of order
+#: ``1/h_x``, made the boundary response overflow to ``inf``.
+MIN_HALF_WIDTH = 2.0 ** -511
+
 #: Eigenvalues of the transport matrix below this (relative) size are
 #: treated as zero and rejected.
 SPEED_FLOOR = 1e-10
@@ -61,11 +69,40 @@ _QUAD_MIN_PANELS = 64
 _QUAD_MAX_PANELS = 200_000
 
 
-def _hermitize(mat: np.ndarray, what: str, rtol: float = STRUCTURE_RTOL) -> np.ndarray:
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    if np.linalg.norm(mat - mat.conj().T) > rtol * scale:
-        raise ValueError(f"{what} must be Hermitian")
-    return (mat + mat.conj().T) / 2.0
+def _hermitize(mat: np.ndarray, what: str, skew: bool = False) -> np.ndarray:
+    """The Hermitian part ``(mat + mat^H) / 2`` of ``mat``, or with ``skew``
+    its skew-Hermitian part ``(mat - mat^H) / 2``, after the structure
+    check: ``mat`` is refused ("{what} must be Hermitian" or "...
+    skew-Hermitian") when the Frobenius norm of the other part's double,
+    ``mat -+ mat^H``, exceeds ``STRUCTURE_RTOL max(1, |mat|)``.
+
+    When the largest real or imaginary part of an entry lies outside
+    ``[2^-500, 2^500)``, check and part are computed on ``mat`` times the
+    power of two that brings it into ``[1/2, 1)``, so that no sum or norm
+    overflows (unscaled, ``0 1e300; 1e300 0`` passed as skew-Hermitian:
+    both norms were ``inf``, and ``inf > rtol inf`` is false).  The
+    scaling is exact for every part that stays in the normal range, so
+    the check and the part are those of the unscaled matrix."""
+    e = math.frexp(float(np.abs(_parts(mat)).max(initial=0.0)))[1]
+    k = 0 if -500 < e <= 500 else min(-e, 1023)  # 2^1024 overflows
+    scaled = _ldexp(mat, k) if k else mat
+    adj = scaled.conj().T
+    defect, part = (scaled + adj, scaled - adj) if skew else (scaled - adj, scaled + adj)
+    if np.linalg.norm(defect) > STRUCTURE_RTOL * max(2.0 ** k, float(np.linalg.norm(scaled))):
+        raise ValueError(f"{what} must be {'skew-' if skew else ''}Hermitian")
+    return _ldexp(part / 2.0, -k) if k else part / 2.0
+
+
+def _parts(mat: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of ``mat`` side by side: a real view of
+    ``mat``, copied to C order first if it is not."""
+    return np.ascontiguousarray(mat).view(mat.real.dtype)
+
+
+def _ldexp(mat: np.ndarray, k: int) -> np.ndarray:
+    """``mat * 2**k``, real and imaginary parts scaled apart (exact for a
+    part that stays in the normal range)."""
+    return np.ldexp(_parts(mat), k).view(mat.dtype)
 
 
 def _check_density(mat: np.ndarray, n: int, where: str = "") -> np.ndarray:
@@ -101,7 +138,8 @@ class PortHamiltonian:
     n:
         Number of field components.
     b:
-        Half-width of the spatial interval.
+        Half-width of the spatial interval: finite and at least
+        :data:`MIN_HALF_WIDTH`.
     p1:
         Hermitian invertible ``(n, n)`` transport matrix.
     p0:
@@ -129,15 +167,15 @@ class PortHamiltonian:
             raise ValueError("need at least one field component")
         if not (np.isfinite(self.b) and self.b > 0):
             raise ValueError("interval half-width must be positive and finite")
+        if self.b < MIN_HALF_WIDTH:
+            raise ValueError(f"interval half-width must be at least 2^-511 = {MIN_HALF_WIDTH:.4g}, got {self.b:.4g}")
         p1 = _as_matrix(self.p1, (self.n, self.n), "transport matrix")
         eigendecompose(p1)  # Hermitian, every speed nonzero
         object.__setattr__(self, "p1", _hermitize(p1, "transport matrix"))
 
         p0 = np.zeros((self.n, self.n)) if self.p0 is None else self.p0
         p0 = _as_matrix(p0, (self.n, self.n), "zero-order term")
-        if np.linalg.norm(p0 + p0.conj().T) > STRUCTURE_RTOL * max(1.0, float(np.linalg.norm(p0))):
-            raise ValueError("zero-order term must be skew-Hermitian")
-        object.__setattr__(self, "p0", (p0 - p0.conj().T) / 2.0)
+        object.__setattr__(self, "p0", _hermitize(p0, "zero-order term", skew=True))
 
         ham = self.hamiltonian
         if callable(ham):

@@ -206,9 +206,11 @@ class Relation:
 
     :attr:`affine` is true exactly for a ``LinearGraph``: one linear
     solve and exact certificates.  :attr:`real` is true when the data
-    that defines the relation has no imaginary part.  Such a relation
-    is closed under complex conjugation, so against a real ``phi`` and
-    a real ``g`` the unique solution of a monotone inclusion is real.
+    that defines the relation has no imaginary part; a representation
+    never changes its arrays, so it is computed on first use and kept.
+    Such a relation is closed under complex conjugation, so against a
+    real ``phi`` and a real ``g`` the unique solution of a monotone
+    inclusion is real.
     """
 
     space: InnerProductSpace
@@ -261,9 +263,9 @@ class LinearGraph(Relation):
     def stacked(self) -> np.ndarray:
         return np.vstack([self.zx, self.zy])
 
-    @property
+    @cached_property
     def real(self) -> bool:
-        return not any(np.any(a.imag) for a in (self.zx, self.zy, self.x0, self.y0))
+        return not (self.zx.imag.any() or self.zy.imag.any() or self.x0.imag.any() or self.y0.imag.any())
 
 
 class SeparableProx(Relation):
@@ -341,7 +343,7 @@ class DirectSum(Relation):
         self.slices = tuple(slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:]))
         self.space = _sum_space(parts)
 
-    @property
+    @cached_property
     def real(self) -> bool:
         return all(p.real for p in self.parts)
 
@@ -366,9 +368,9 @@ class Transformed(Relation):
         self.adj_matrix = _map_adjoint(tmap).matrix
         self.inv_matrix = np.linalg.inv(m)
 
-    @property
+    @cached_property
     def real(self) -> bool:
-        return not (np.any(self.tmap.matrix.imag) or np.any(self.adj_matrix.imag)) and self.base.real
+        return not (self.tmap.matrix.imag.any() or self.adj_matrix.imag.any()) and self.base.real
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +480,11 @@ class _AffinePlan(_Plan):
         self.minv = _inverse(self.m)
 
     def __call__(self, g, x0):
+        zw = self.pair(g)
+        return zw[: self.dim], zw[self.dim:]
+
+    def pair(self, g) -> np.ndarray:
+        """``z`` over ``w`` of the solution for ``g``, one vector."""
         rhs = g - self.shift
         if self.minv is not None:
             c = self.minv @ rhs
@@ -487,8 +494,7 @@ class _AffinePlan(_Plan):
                 raise NonconvergenceError(
                     f"linear resolvent system is inconsistent (residual {res:.3e}); "
                     "the relation is not maximal on this right-hand side", residual=res)
-        zw = self.offset + self.pairs @ c
-        return zw[: self.dim], zw[self.dim:]
+        return self.offset + self.pairs @ c
 
 
 class _ThresholdPlan(_Plan):
@@ -578,28 +584,29 @@ class _PiecePlan(_Plan):
     def __call__(self, g, x0):
         if np.iscomplexobj(g) and np.any(g.imag):
             return self.splitting(g, x0)
-        pattern = (0,) * len(self.friction) if x0 is None else tuple(map(_sign, _at(x0, self.friction)))
+        d, friction = len(self.x0), self.friction
+        if x0 is None:
+            pattern = (0,) * len(friction)
+        else:
+            warm = x0.real.tolist()
+            pattern = tuple(_sign(warm[i]) for i in friction)
         tol = TOL_LINEAR * max(self.floor, math.sqrt(abs(np.vdot(g, g))))
         seen = set()
         while pattern not in seen and len(seen) < self.longest:
             seen.add(pattern)
             try:
-                z, w = self.piece(pattern)(g, None)
+                zw = self.piece(pattern).pair(g)
             except NonconvergenceError:  # a singular piece whose system is inconsistent
                 break
+            values = zw.real.tolist()  # z over w, as Python floats
             switched = tuple(
-                (_sign(wk) if abs(wk) - mu > tol else 0) if s == 0 else (0 if -s * zk > tol else s)
-                for s, zk, wk, mu in zip(pattern, _at(z, self.friction), _at(w, self.friction), self.scales))
+                (_sign(values[d + i]) if abs(values[d + i]) - mu > tol else 0) if s == 0
+                else (0 if -s * values[i] > tol else s)
+                for s, i, mu in zip(pattern, friction, self.scales))
             if switched == pattern:
-                return z, w
+                return zw[:d], zw[d:]
             pattern = switched
         return self.splitting(g, x0)
-
-
-def _at(v: np.ndarray, indices: Sequence[int]) -> "list[float]":
-    """The real parts of ``v`` at ``indices``, as Python floats."""
-    values = v.real.tolist()
-    return [values[i] for i in indices]
 
 
 def _sign(v: float) -> int:

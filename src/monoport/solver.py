@@ -46,7 +46,12 @@ effort trace.  The step leaves the pairing of its one solve in
 ``stepper.dissipation``; :func:`simulate` is the loop
 ``w = step(w, stepper)``, each step written with ``out=`` into its row
 of the preallocated states: the interior solve runs in that row, and
-the extrapolation works there in place.
+the extrapolation works there in place.  The energy ledger is computed
+once per block of consecutive states, as many as fit in
+:data:`LEDGER_BLOCK_BYTES` (64 KiB, at least one), right after the run
+writes them: :meth:`DiscreteOperators.energy` of a stack gives each
+state the bits it gets alone, and on a small grid one call per step
+cost as much as a band sweep.
 
 A run picks its arithmetic once, from its data.  When ``P1``, ``P0``,
 the nodewise ``H^{-1}``, the boundary relation (:attr:`.Relation.real`)
@@ -129,6 +134,11 @@ __all__ = [
     "oracle_transport",
 ]
 
+#: :func:`simulate` computes the energy ledger once per block of
+#: consecutive states of at most this many bytes (at least one state), right
+#: after it writes them, while they are still in cache.
+LEDGER_BLOCK_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -173,23 +183,33 @@ class DiscreteOperators:
         z = sp.kron(sp.diags(mask), sp.identity(self.phs.n, format="csr")).tocsr()
         return (self.Gfull @ z).tocsr()
 
-    def energy(self, state) -> float:
-        """``E = (1/2) sum_j omega_j w_j^H H_j w_j``; a float64 state stays
-        real (:func:`.phs._as_field`).
+    def energy(self, states):
+        """``E = (1/2) sum_j omega_j w_j^H H_j w_j`` of one state, a float,
+        or of each state of a ``(K, N, n)`` stack, a float64 array of ``K``;
+        a float64 state stays real (:func:`.phs._as_field`).
 
-        For a float64 field of one or two components the nodewise products
-        are summed in place, in the order and to the bits of the ``einsum``
-        of the general case, at about half its memory traffic (with three
-        or more, ``einsum`` pairs its terms in another order)."""
-        w = _as_field(state, self.phs.n)
-        hw = w if self.identity_density else np.einsum("jab,jb->ja", self.hgrid, w)
-        if hw.dtype != np.float64 or self.phs.n > 2:
-            return float(0.5 * np.sum(self.omega * np.einsum("ja,ja->j", w.conj(), hw).real))
-        q = w[:, 0] * hw[:, 0]
-        if self.phs.n == 2:
-            q += w[:, 1] * hw[:, 1]
+        One state is a stack of one, and every state of a stack gets the
+        bits it gets alone: the nodewise terms ``omega_j w_j^H H_j w_j`` are
+        elementwise products (the ``einsum`` of the general case runs per
+        state), and the sum over the nodes is one ``np.sum`` along the
+        stack's last axis, the pairwise sum of each row.  For a float64
+        field of one or two components the nodewise products are summed in
+        place, in the order and to the bits of the ``einsum`` of the general
+        case, at about half its memory traffic (with three or more,
+        ``einsum`` pairs its terms in another order)."""
+        arr, n = np.asarray(states), self.phs.n
+        w = (_as_field(arr.reshape(-1, arr.shape[-1]), n).reshape(arr.shape) if arr.ndim == 3
+             else _as_field(arr, n)[None])
+        hw = w if self.identity_density else np.array([np.einsum("jab,jb->ja", self.hgrid, wk) for wk in w])
+        if hw.dtype != np.float64 or n > 2:
+            q = np.array([np.einsum("ja,ja->j", wk.conj(), hk).real for wk, hk in zip(w, hw)])
+        else:
+            q = w[:, :, 0] * hw[:, :, 0]
+            if n == 2:
+                q += w[:, :, 1] * hw[:, :, 1]
         q *= self.omega
-        return float(0.5 * np.sum(q))
+        e = 0.5 * np.sum(q, axis=1)
+        return e if arr.ndim == 3 else float(e[0])
 
     def weighted_norm(self, flat: np.ndarray) -> float:
         w = np.repeat(self.omega, self.phs.n)
@@ -365,6 +385,7 @@ class _CoreSolver:
         rows = [slice(0, nint)] if a >= b else [slice(0, a), slice(b, nint)]
         self._lift_rows = [(r, self.lift[r]) for r in rows if r.start < r.stop]
         self._lifted = np.empty(nint, dtype=dtype)  # lift @ beta of the last solve
+        self._rho = np.empty(2 * n, dtype=dtype)  # the endpoint rows of the last solve
 
         eye = np.eye(n)
         k_full = np.zeros((3 * n, 3 * n), dtype=dtype)
@@ -497,7 +518,9 @@ class _CoreSolver:
         p = np.empty(r_flat.shape[0], dtype=self.dtype) if out is None else out
         p[n:-n] = r_flat[n:-n]
         p_part = self._sweep(p[n:-n], 0, self.nint)
-        rho = np.concatenate((r_flat[:n], r_flat[-n:]), dtype=self.dtype)
+        rho = self._rho
+        rho[:n] = r_flat[:n]
+        rho[n:] = r_flat[-n:]
         rho -= self._a_near @ p_part[self._near]
         rho -= self._a_far @ p_part[self._far]
         g_beta = self.rho_maps @ rho
@@ -717,6 +740,11 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
     and ``ops`` of another grid or system raise ``ValueError`` before any
     step (:class:`Stepper`).
     Each step is written into its row of the preallocated ``states``.
+    The energies are computed per block of consecutive states of at most
+    :data:`LEDGER_BLOCK_BYTES` (at least one state), once the block is
+    written, by one :meth:`DiscreteOperators.energy` call on the block:
+    each energy has the bits of that call on its state alone.  A block of
+    one state, a state larger than the block size, is one call per state.
     """
     u0 = scenario.u0
     if ops is None:
@@ -728,17 +756,20 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
     states = np.empty((nsteps + 1,) + u0.shape, dtype=stepper._core.dtype)
     states[0] = u0.real if stepper._core.real else u0
     energies = np.empty(nsteps + 1)
-    energies[0] = ops.energy(states[0])
     dissipation = np.zeros(nsteps + 1)
+    block, first = max(1, LEDGER_BLOCK_BYTES // states[0].nbytes), 0
     for k in range(nsteps):
+        if k + 1 - first == block:  # states first .. k, just written, fill a block
+            energies[first: k + 1] = ops.energy(states[first: k + 1])
+            first = k + 1
         try:
             step(states[k], stepper, out=states[k + 1])
         except (NonconvergenceError, ValueError, RuntimeError) as exc:
             wrapped = type(exc)(f"step {k} (t = {k * dt_eff:.6g}): {exc}")
             wrapped.residual = getattr(exc, "residual", None)
             raise wrapped from exc
-        energies[k + 1] = ops.energy(states[k + 1])
         dissipation[k + 1] = stepper.dissipation
+    energies[first:] = ops.energy(states[first:])
     return Trajectory(
         times=dt_eff * np.arange(nsteps + 1),
         states=states,

@@ -214,13 +214,17 @@ FRICTION_REFUSED = "[bc]: port 0: friction coefficient must be real, nonnegative
     (MULTIPORT_BC, "kind = robin\nM = 1 0; 0 nan", "[bc]: Robin matrix must be finite"),
     (MULTIPORT_BC, "kind = custom\nC_e = 1 0\nC_f = 0 inf", "[bc]: constraint block C_f must be finite"),
     ("port.1 = dirichlet 0", "port.1 = robin 1 inf", "[bc]: port 1: graph offsets must be finite"),
+    # both were certified: the structure check's norms overflowed to inf,
+    # and the run's boundary response overflowed at simulate
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0 1e300; 1e300 0", "[phs]: zero-order term must be skew-Hermitian"),
+    ("b = 1", "b = 1e-300", "[phs]: interval half-width must be at least 2^-511"),
 ], ids=["friction-negative", "friction-nan", "robin-negative", "robin-indefinite",
         "zero-speed", "not-hermitian", "n-zero", "b-zero", "P1-shape", "P0-shape", "H-shape",
         "V-shape", "M-shape", "C-shape", "value-length", "port-kind", "port-arity",
         "port-complex", "port-range", "port-coverage", "profile-shape", "m-odd", "m-small",
         "dt-negative", "dt-inf", "T-inf", "theta-low", "scenario-unknown", "wave-one-field",
         "P0-nan", "H-inf", "value-nan", "port-value-nan", "port-friction-inf",
-        "P1-nan", "V-inf", "M-nan", "C-inf", "port-robin-value-inf"])
+        "P1-nan", "V-inf", "M-nan", "C-inf", "port-robin-value-inf", "P0-overflow", "b-tiny"])
 @pytest.mark.parametrize("command", [
     ["check-bc"], ["simulate"], ["convergence", "--study", "state"],
     ["convergence", "--study", "pairing"], ["convergence", "--study", "derivative"],

@@ -767,9 +767,8 @@ def test_piece_plan_starts_from_the_warm_starts_pattern(monkeypatch):
     from monoport.verify import _random_piece_instance
 
     solves = []
-    affine_call = rels._AffinePlan.__call__
-    monkeypatch.setattr(rels._AffinePlan, "__call__",
-                        lambda self, g, x0: solves.append(self) or affine_call(self, g, x0))
+    affine_pair = rels._AffinePlan.pair  # every affine solve, of a piece or not, goes through it
+    monkeypatch.setattr(rels._AffinePlan, "pair", lambda self, g: solves.append(self) or affine_pair(self, g))
     for seed in range(5):
         phi, rel, g = _random_piece_instance(np.random.default_rng(seed), 2)
         plan = plan_inclusion(phi, rel)
@@ -1011,10 +1010,9 @@ def test_real_pieces_match_complex_arithmetic(k):
 def test_a_complex_right_hand_side_on_a_real_plan_is_solved_in_complex_arithmetic(monkeypatch, part):
     """A real plan reads a complex ``g`` as complex: the piece plan splits it
     and an affine plan returns a complex pair, each to 1e-14 of the plan of
-    the same relation in complex arithmetic (the relation's ``real``
-    patched off).  A complex ``g`` of zero imaginary part walks the pieces
+    the same relation in complex arithmetic (``real`` patched off on the
+    relation and its parts).  A complex ``g`` of zero imaginary part walks the pieces
     and gives the float64 solution of its real part in complex type."""
-    import monoport.relations as rels
     from monoport.verify import _random_piece_instance
 
     rng = np.random.default_rng(7)
@@ -1029,7 +1027,8 @@ def test_a_complex_right_hand_side_on_a_real_plan_is_solved_in_complex_arithmeti
         g_complex = g + 1j * rng.normal(size=g.size)
         z, w = solve_inclusion(plan, g_complex)
         with monkeypatch.context() as patch:
-            patch.setattr(getattr(rels, part), "real", False)
+            for r in (rel, *getattr(rel, "parts", ())):  # each keeps its own ``real``
+                patch.setattr(r, "real", False)
             ref = plan_inclusion(phi, rel)
         assert ref.phi.dtype == np.complex128
         zc, wc = solve_inclusion(ref, g_complex)

@@ -622,6 +622,77 @@ def test_identity_density_paths_are_bitwise_and_states_preallocated(case):
         step(states[0], stepper, out=states[0])
 
 
+PHS3 = PortHamiltonian(n=3, b=1.0, p1=[[1.0, 0.3, 0.0], [0.3, -1.0, 0.2], [0.0, 0.2, 2.0]])
+
+
+def _ledger_case(case):
+    """``(phs, bc, m, u0 of the nodes, steps)`` of one run of the ledger test."""
+    wave = lambda xs: np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs), np.exp(-6 * xs**2) * np.sin(2 * xs)], axis=1)
+    skew = lambda basis: bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), basis)
+    return {
+        "real-n1": (PHS1, bnd.from_V(0.0, BASIS1), 64, lambda xs: bump(xs).real[:, None], 40),
+        "real-n2": (PHS2, skew(BASIS2), 64, wave, 100),
+        "real-n3": (PHS3, bnd.from_V(0.5 * np.eye(3), bd_basis(PHS3)), 32,
+                    lambda xs: np.stack([np.exp(-8 * xs**2), xs * np.exp(-6 * xs**2), np.cos(xs)], axis=1), 60),
+        "complex": (PHS2, skew(BASIS2), 64, lambda xs: wave(xs) * (1.0 + 0.5j), 70),
+        "density": (PHS_DENSITY, skew(bd_basis(PHS_DENSITY)), 64, wave, 70),
+        "one-per-block": (PHS2, skew(BASIS2), 4096, wave, 3),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["real-n1", "real-n2", "real-n3", "complex", "density", "one-per-block"])
+def test_block_ledger_keeps_the_bits_of_each_state(monkeypatch, case):
+    """``simulate`` computes the energies once per block of consecutive
+    states of at most ``LEDGER_BLOCK_BYTES`` (at least one state), and each
+    recorded energy is bitwise ``ops.energy`` of its state alone: on real
+    runs of one, two and three components, a complex run, a non-identity
+    density, runs whose last block is partial (all but the last case) and
+    states larger than a block (one state per block)."""
+    from monoport.solver import LEDGER_BLOCK_BYTES, DiscreteOperators
+
+    phs, bc, m, u0, nsteps = _ledger_case(case)
+    ops = discretize(phs, m)
+    blocks, energy = [], DiscreteOperators.energy
+    monkeypatch.setattr(DiscreteOperators, "energy",
+                        lambda self, states: blocks.append(len(states)) or energy(self, states))
+    traj = simulate(Scenario(phs=phs, bc=bc, u0=u0(ops.grid.nodes), T=nsteps * 0.01, dt=0.01, theta=0.5), ops)
+    monkeypatch.undo()
+    assert traj.states.dtype == (np.complex128 if case == "complex" else np.float64)
+    assert ops.identity_density == (case != "density")
+    size = max(1, LEDGER_BLOCK_BYTES // traj.states[0].nbytes)
+    assert (size == 1) == (case == "one-per-block")
+    assert blocks == [size] * ((nsteps + 1) // size) + ([(nsteps + 1) % size] if (nsteps + 1) % size else [])
+    assert (nsteps + 1) % size != 0 or size == 1
+    alone = np.array([ops.energy(w) for w in traj.states])
+    assert traj.energies.tobytes() == alone.tobytes()
+    assert ops.energy(traj.states).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("path", [CONFIG_DIR.parent / "perfbench" / "configs" / "friction_dr.cfg",
+                                  CONFIG_DIR / "wave_conservative.cfg"], ids=lambda p: p.stem)
+def test_simulate_steps_and_solves_the_inclusion_once_per_step(monkeypatch, path):
+    """A run of ``N`` steps calls ``solver.step`` and, from ``solve``,
+    ``solver.solve_inclusion`` exactly ``N`` times each: the benchmark's
+    traced runs count those two spans and check both counts against the
+    step count."""
+    import monoport.solver as solver
+
+    cfg = load_config(path)
+    phs = cfg.build_phs()
+    ops = discretize(phs, 32)
+    calls = {"step": 0, "solve_inclusion": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
+    nsteps = 20
+    traj = simulate(Scenario(phs=phs, bc=cfg.build_bc(bd_basis(phs)), u0=cfg.build_u0(ops.grid.nodes),
+                             T=nsteps * cfg.dt, dt=cfg.dt, theta=cfg.theta), ops)
+    assert len(traj) == nsteps + 1
+    assert calls == {"step": nsteps, "solve_inclusion": nsteps}
+
+
 def _ledger_defects(traj, ops, theta, dt):
     """Per-step defect of the exact energy identity of the module docstring."""
     out = []
