@@ -21,20 +21,25 @@ package from this checkout's ``src``:
 * two usage errors that name no config file (:data:`USAGE_ERRORS`): a
   ``--config`` that is a directory and a negative ``--seed``.
 
-Output files go to a temporary directory that is removed afterwards.
-One ``sha256  name`` line is printed per written file and per captured
-stdout, and for an invalid config or a usage error one more for its
-stderr, with its exit code, so two checkouts are compared with one
-``diff`` of two runs.  The exit code is 1 if any run exits
+Output files go to a temporary directory that is removed afterwards, or,
+with ``--keep DIR``, to ``DIR`` (new or empty), which is kept with each
+run's stdout as ``DIR/<name>/stdout`` (and, where it is digested, its
+stderr as ``DIR/<name>/stderr``) for ``scripts/output_diff.py``; the
+printed digests are the same either way.  One ``sha256  name`` line is
+printed per written file and per captured stdout, and for an invalid
+config or a usage error one more for its stderr, with its exit code, so
+two checkouts are compared with one ``diff`` of two runs.  The exit code is 1 if any run exits
 unexpectedly: 1 for ``check-bc`` and ``simulate`` on
 ``robin_wrong_sign.cfg`` (its certificate fails), 2 for an invalid
 config and a usage error, 0 everywhere else.  Standard library only.
 
 Usage:
     python3 scripts/output_digests.py > digests.txt
+    python3 scripts/output_digests.py --keep outputs > digests.txt
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -169,11 +174,20 @@ def _sha256(data: bytes) -> str:
 
 
 def main(argv=None) -> int:
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR", type=Path,
+                        help="write the outputs to DIR (new or empty) and keep them, with each run's stdout")
+    keep = parser.parse_args(argv).keep
+    if keep is not None:
+        keep = keep.resolve()
+        if keep.exists() and (not keep.is_dir() or any(keep.iterdir())):
+            parser.error(f"--keep: {keep} is not a new or empty directory")
+        keep.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     failures = 0
-    with tempfile.TemporaryDirectory(prefix="monoport-digests-") as tmp:
+    with (contextlib.nullcontext(str(keep)) if keep is not None
+          else tempfile.TemporaryDirectory(prefix="monoport-digests-")) as tmp:
         for name, command, expected in _cases(Path(tmp)):
             proc = subprocess.run(command, cwd=tmp, env=env, stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE)
@@ -189,6 +203,11 @@ def main(argv=None) -> int:
                 for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
                     print(f"{_sha256(path.read_bytes())}  {path.relative_to(tmp).as_posix()}",
                           flush=True)
+            if keep is not None:  # after the listing, so that the digests stay the same
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / "stdout").write_bytes(proc.stdout)
+                if expected == EXIT_USAGE:
+                    (out_dir / "stderr").write_bytes(proc.stderr)
     return 1 if failures else 0
 
 

@@ -365,6 +365,43 @@ def test_simulate_refuses_uncertified_condition(tmp_path, capsys):
     assert not (tmp_path / "states.csv").exists()
 
 
+#: Neumann data of 1e300 on a coupled ``P1``: certified, and its run
+#: overflows double precision in the first step (energy inf, dissipation
+#: -inf); 1e150 runs.
+OVERFLOWING_RUN = """scenario = gaussian
+[phs]
+n = 2
+b = 1.5
+P1 = 1 0.4; 0.4 1
+[bc]
+kind = neumann
+value = 1e300
+[grid]
+m = 16
+dt = 0.01
+T = 0.1
+"""
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["convergence", "--study", "state"]],
+                         ids=["simulate", "convergence"])
+def test_run_that_overflows_exits_1_without_numpy_warnings(tmp_path, capsys, command):
+    """A certified run whose energy ledger leaves the double range is
+    refused: exit 1, the first such step named, no numpy warning, no
+    output file (a warning would be an error here, as in every test); the
+    same data at 1e150 runs."""
+    cfg = write_cfg(tmp_path, OVERFLOWING_RUN)
+    assert cli.main(["check-bc", "--config", cfg, "--out", str(tmp_path / "bc")]) == 0
+    out = tmp_path / "out"
+    assert cli.main(command + ["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0 (t = 0): the energy ledger is not finite (E = inf at t = 0.01, "
+                          "boundary dissipation -inf)"), err
+    assert not list(out.glob("*.csv"))
+    finite = write_cfg(tmp_path, OVERFLOWING_RUN.replace("1e300", "1e150"), "finite.cfg")
+    assert cli.main(["simulate", "--config", finite, "--out", str(tmp_path / "finite")]) == 0
+
+
 def test_simulate_friction_scenario(tmp_path):
     cfg = write_cfg(tmp_path, FRICTION_SMALL)
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])

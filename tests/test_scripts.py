@@ -1,0 +1,69 @@
+"""The comparison scripts of ``scripts/``, run as a user runs them."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(script, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *map(str, args)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return root
+
+
+def test_output_diff_measures_every_file_that_differs(tmp_path):
+    """One line per differing file: the largest absolute difference of its
+    numeric fields, that over the file's largest magnitude, and the rows
+    that differ; text outside the numbers, a row count, bytes that are not
+    text and a file on one side only are named; identical trees exit 0."""
+    base = _tree(tmp_path / "base", {
+        "run/energy.csv": "t,E\n0,2.5\n0.01,-4.0\n0.02,1e-3\n",
+        "run/stdout": "energy: E(0) = 0.5, E(T) = 0.25\nseed0 ok\n",
+        "verify/stdout": "criterion 1 PASS\n",
+        "same.txt": "x 1\n",
+        "rows.csv": "1\n2\n",
+        "blob": b"\xff\x00",
+        "gone.txt": "old\n",
+    })
+    change = _tree(tmp_path / "change", {
+        "run/energy.csv": "t,E\n0,2.5\n0.01,-4.000000001\n0.02,1.0000001e-3\n",
+        "run/stdout": "energy: E(0) = 0.5, E(T) = inf\nseed1 ok\n",
+        "verify/stdout": "criterion 1 FAIL\n",
+        "same.txt": "x 1\n",
+        "rows.csv": "1\n",
+        "blob": b"\xff\x01",
+        "new.txt": "new\n",
+    })
+    proc = _run("output_diff.py", base, change)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "blob: not text, bytes differ"
+    assert lines[1] == f"gone.txt: only in {base}"
+    assert lines[2] == f"new.txt: only in {change}"
+    assert lines[3] == "rows.csv: row count 2 -> 1"
+    # |-4.000000001 - -4.0| = 1e-9 is the largest difference, over max |x| = 4.000000001
+    assert lines[4] == "run/energy.csv: max |diff| 1e-09, relative 2.5e-10, 2 of 4 rows differ"
+    assert lines[5] == "run/stdout: max |diff| inf, relative inf, 2 of 2 rows differ (1 outside their numbers)"
+    assert lines[6] == "verify/stdout: max |diff| 0, relative 0, 1 of 1 rows differ (1 outside their numbers)"
+    assert len(lines) == 7
+
+    same = _run("output_diff.py", base, base)
+    assert (same.returncode, same.stdout) == (0, "")
+
+
+def test_output_digests_keeps_only_a_new_or_empty_directory(tmp_path):
+    """``--keep`` writes into a new or empty directory; a directory with
+    files in it is a usage error before any run."""
+    (tmp_path / "old.txt").write_text("x", encoding="utf-8")
+    proc = _run("output_digests.py", "--keep", tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "is not a new or empty directory" in proc.stderr

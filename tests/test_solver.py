@@ -225,16 +225,16 @@ def test_steps_solve_no_fixed_system_again(monkeypatch, ports, splits):
     assert lu_calls == []
 
 
-@pytest.mark.parametrize("m, subnormal", [(4096, 16_876), (16384, 92_214)], ids=["m4096", "head-swaps"])
+@pytest.mark.parametrize("m, subnormal", [(4096, 16_864), (16384, 92_212)], ids=["m4096", "head-swaps"])
 def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, subnormal):
     """On a fine grid the interior lift ``A_ii^{-1} A_ib`` decays below the
-    normal range (16,876 subnormal parts at m = 4096 and mu / h_x = 1, 92,214
+    normal range (16,864 subnormal parts at m = 4096 and mu / h_x = 1, 92,212
     at m = 16384 and mu / h_x = 4.1, where the factor also swaps rows in a
     head), which made every step's ``lift @ beta`` run at subnormal speed.
     The lift is solved on windows that stop short of those parts, and is
-    bitwise the full solve on the ``gbtrf`` factor with every part below
-    ``tiny`` set to 0; the eliminated solve still matches the assembled
-    one."""
+    bitwise the full solve on the pivot-scaled ``gbtrf`` factor
+    (:func:`_gbtrs_reference`) with every part below ``tiny`` set to 0; the
+    eliminated solve still matches the assembled one."""
     theta, dt = 0.5, 1e-3
     ops = discretize(PHS2, m)
     bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
@@ -691,6 +691,23 @@ def test_simulate_steps_and_solves_the_inclusion_once_per_step(monkeypatch, path
                              T=nsteps * cfg.dt, dt=cfg.dt, theta=cfg.theta), ops)
     assert len(traj) == nsteps + 1
     assert calls == {"step": nsteps, "solve_inclusion": nsteps}
+
+
+def test_simulate_refuses_a_ledger_that_is_not_finite(tmp_path):
+    """Neumann data of 1e300 gives the first step an infinite energy and
+    dissipation: ``simulate`` raises ``ValueError`` naming that step, its
+    time and the values, without a numpy warning (an error in every
+    test)."""
+    path = tmp_path / "overflow.cfg"
+    path.write_text("scenario = gaussian\n[phs]\nn = 2\nb = 1.5\nP1 = 1 0.4; 0.4 1\n[bc]\nkind = neumann\n"
+                    "value = 1e300\n[grid]\nm = 16\ndt = 0.01\nT = 0.1\n", encoding="utf-8")
+    cfg = load_config(path)
+    phs = cfg.build_phs()
+    ops = discretize(phs, cfg.m)
+    scn = Scenario(phs=phs, bc=cfg.build_bc(bd_basis(phs)), u0=cfg.build_u0(ops.grid.nodes), T=cfg.T, dt=cfg.dt)
+    with pytest.raises(ValueError, match=re.escape("step 0 (t = 0): the energy ledger is not finite "
+                                                   "(E = inf at t = 0.01, boundary dissipation -inf)")):
+        simulate(scn, ops)
 
 
 def _ledger_defects(traj, ops, theta, dt):
@@ -1180,10 +1197,23 @@ def _refactor(core):
     return lu, piv
 
 
+def _scaled(lu, kl, ku):
+    """``lu`` with every column of its ``U`` divided by its pivot and the
+    diagonal set to exactly 1, and the pivots: ``U = U'' D``."""
+    pivots = lu[kl + ku].copy()
+    scaled = lu.copy(order="F")
+    scaled[: kl + ku + 1] /= pivots
+    scaled[kl + ku] = 1.0
+    return scaled, pivots
+
+
 def _gbtrs_reference(core, r):
-    """LAPACK ``gbtrs`` on the refactored block."""
+    """LAPACK ``gbtrs`` on the refactored block with its ``U`` columns
+    divided by their pivots, then one division by the pivots."""
     lu, piv = _refactor(core)
-    return get_lapack_funcs("gbtrs", (lu,))(lu, core.kl, core.ku, r, piv)[0]
+    scaled, pivots = _scaled(lu, core.kl, core.ku)
+    x = get_lapack_funcs("gbtrs", (scaled,))(scaled, core.kl, core.ku, r, piv)[0]
+    return x / (pivots if x.ndim == 1 else pivots[:, None])
 
 
 def _band_solve(core, r):
@@ -1213,12 +1243,15 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, block):
     non-identity density, each on right-hand sides of its own dtype; the
     band widths come from the SBP42 stencil: 2 nodes of 2 components.
 
-    The solve (head, then the ``tbsv`` sweeps of the compact factor) is
-    bitwise ``gbtrs`` on the ``gbtrf`` factor, right-hand sides with exact
+    The solve (head, then the ``tbsv`` sweeps of the compact factor, then
+    one division by the pivots) is bitwise ``gbtrs`` on the ``gbtrf``
+    factor with its ``U`` columns divided by their pivots and a diagonal of
+    exact ones, followed by that division, right-hand sides with exact
     signed zeros included, with or without row swaps.  The compact factor
-    is that factor's ``L`` from column ``J`` and its ``U``: ``ku``
-    superdiagonals from column ``C`` on, all ``kl + ku`` before, and the
-    tail's couplings to the head in the ``ku`` columns from ``C``."""
+    is that factor's ``L`` from column ``J`` and its scaled ``U``, with
+    exact unit diagonals: ``ku`` superdiagonals from column ``C`` on, all
+    ``kl + ku`` before, and the tail's couplings to the head in the ``ku``
+    columns from ``C``; the kept pivots are ``gbtrf``'s."""
     m, mu_h = BLOCKS[block]
     ops = discretize(phs, m)
     core = _CoreSolver(ops, bnd.from_V(np.array(v), bd_basis(phs)), mu_h * ops.grid.h_x, 0.0)
@@ -1231,13 +1264,18 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, block):
     assert j == 0 or piv[j - 1] != j - 1
     assert not lu[:kl, c:].any() and (c == 0 or lu[:kl, c - 1].any())
     assert core._lower.dtype == core._upper.dtype == lu.dtype == (np.float64 if real else np.complex128)
+    assert _bitwise(core._pivots, lu[kl + ku])
+    scaled, _ = _scaled(lu, kl, ku)
     assert _bitwise(core._lower[1:], np.asfortranarray(lu[kl + ku + 1:, j:]))
-    assert _bitwise(core._upper, np.asfortranarray(lu[kl: kl + ku + 1, c:]))
+    assert _bitwise(core._upper, np.asfortranarray(scaled[kl: kl + ku + 1, c:]))
     head_u = core._upper_head
     assert head_u.shape == (kl + ku + 1, min(c + ku, nint) if c else 0)
-    assert _bitwise(head_u[:, :c], np.asfortranarray(lu[: kl + ku + 1, :c]))
+    assert _bitwise(head_u[:, :c], np.asfortranarray(scaled[: kl + ku + 1, :c]))
     for i in range(c, head_u.shape[1]):
-        assert _bitwise(head_u[: kl + ku + c - i, i], lu[: kl + ku + c - i, i])
+        assert _bitwise(head_u[: kl + ku + c - i, i], scaled[: kl + ku + c - i, i])
+    one = np.ones(1, dtype=lu.dtype)
+    for diagonal in (core._upper[ku], head_u[kl + ku]):
+        assert _bitwise(diagonal, np.repeat(one, diagonal.size))
 
     a_int = core.amat[2:-2, 2:-2].toarray()
     r = rng.normal(size=nint) + (0.0 if real else 1j * rng.normal(size=nint))
