@@ -86,6 +86,10 @@ INVALID_CONFIGS = (
     ("bc-port-friction-inf", "friction.cfg", "port.0 = friction 0.5", "port.0 = friction inf"),
     ("phs-P0-overflow", "wave_damped.cfg", "P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0 1e300; 1e300 0"),
     ("phs-b-tiny", "transport.cfg", "b = 1.0", "b = 1e-300"),
+    ("bc-M-huge", "wave_damped.cfg", "kind = v-matrix\nV = 0 0.5; -0.5 0", "kind = robin\nM = -1e300 0; 0 1"),
+    ("bc-V-huge", "wave_damped.cfg", "V = 0 0.5; -0.5 0", "V = 1e200 0; 0 0.5"),
+    ("bc-value-huge", "transport.cfg", "kind = v-matrix\nV = 0", "kind = neumann\nvalue = 1e300"),
+    ("phs-b-huge", "transport.cfg", "b = 1.0", "b = 1e300"),
 )
 
 #: ``(name, shipped config, edits)``: a run on a grid fine enough that the

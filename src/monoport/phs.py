@@ -24,7 +24,6 @@ positive definite) connect coefficient and trace coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -32,7 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .sbp import sbp42
-from .spaces import RankDeficientBasis, _as_matrix
+from .spaces import MAX_MAGNITUDE, RankDeficientBasis, _as_matrix
 
 __all__ = [
     "PortHamiltonian",
@@ -74,35 +73,13 @@ def _hermitize(mat: np.ndarray, what: str, skew: bool = False) -> np.ndarray:
     its skew-Hermitian part ``(mat - mat^H) / 2``, after the structure
     check: ``mat`` is refused ("{what} must be Hermitian" or "...
     skew-Hermitian") when the Frobenius norm of the other part's double,
-    ``mat -+ mat^H``, exceeds ``STRUCTURE_RTOL max(1, |mat|)``.
-
-    When the largest real or imaginary part of an entry lies outside
-    ``[2^-500, 2^500)``, check and part are computed on ``mat`` times the
-    power of two that brings it into ``[1/2, 1)``, so that no sum or norm
-    overflows (unscaled, ``0 1e300; 1e300 0`` passed as skew-Hermitian:
-    both norms were ``inf``, and ``inf > rtol inf`` is false).  The
-    scaling is exact for every part that stays in the normal range, so
-    the check and the part are those of the unscaled matrix."""
-    e = math.frexp(float(np.abs(_parts(mat)).max(initial=0.0)))[1]
-    k = 0 if -500 < e <= 500 else min(-e, 1023)  # 2^1024 overflows
-    scaled = _ldexp(mat, k) if k else mat
-    adj = scaled.conj().T
-    defect, part = (scaled + adj, scaled - adj) if skew else (scaled - adj, scaled + adj)
-    if np.linalg.norm(defect) > STRUCTURE_RTOL * max(2.0 ** k, float(np.linalg.norm(scaled))):
+    ``mat -+ mat^H``, exceeds ``STRUCTURE_RTOL max(1, |mat|)``.  Neither
+    norm overflows for a matrix read by :func:`.spaces._as_matrix`."""
+    adj = mat.conj().T
+    defect, part = (mat + adj, mat - adj) if skew else (mat - adj, mat + adj)
+    if np.linalg.norm(defect) > STRUCTURE_RTOL * max(1.0, float(np.linalg.norm(mat))):
         raise ValueError(f"{what} must be {'skew-' if skew else ''}Hermitian")
-    return _ldexp(part / 2.0, -k) if k else part / 2.0
-
-
-def _parts(mat: np.ndarray) -> np.ndarray:
-    """The real and imaginary parts of ``mat`` side by side: a real view of
-    ``mat``, copied to C order first if it is not."""
-    return np.ascontiguousarray(mat).view(mat.real.dtype)
-
-
-def _ldexp(mat: np.ndarray, k: int) -> np.ndarray:
-    """``mat * 2**k``, real and imaginary parts scaled apart (exact for a
-    part that stays in the normal range)."""
-    return np.ldexp(_parts(mat), k).view(mat.dtype)
+    return part / 2.0
 
 
 def _check_density(mat: np.ndarray, n: int, where: str = "") -> np.ndarray:
@@ -138,8 +115,8 @@ class PortHamiltonian:
     n:
         Number of field components.
     b:
-        Half-width of the spatial interval: finite and at least
-        :data:`MIN_HALF_WIDTH`.
+        Half-width of the spatial interval, in ``[2^-511, 2^499)``: the
+        Gram weight of :func:`bd_basis` has entries up to ``2b``.
     p1:
         Hermitian invertible ``(n, n)`` transport matrix.
     p0:
@@ -151,8 +128,9 @@ class PortHamiltonian:
         and at every point where it is evaluated.
 
     Every matrix is read by :func:`.spaces._as_matrix`: of shape ``(n, n)``
-    with finite entries, so a ``nan`` or ``inf`` in ``P1``, ``P0`` or a
-    sample of ``H`` is refused with its name, before any factorisation.
+    with entries of modulus below ``2^500``, so a ``nan``, ``inf`` or
+    ``1e300`` in ``P1``, ``P0`` or a sample of ``H`` is refused with its
+    name, before any factorisation.
     Two systems compare by identity.
     """
 
@@ -169,6 +147,8 @@ class PortHamiltonian:
             raise ValueError("interval half-width must be positive and finite")
         if self.b < MIN_HALF_WIDTH:
             raise ValueError(f"interval half-width must be at least 2^-511 = {MIN_HALF_WIDTH:.4g}, got {self.b:.4g}")
+        if self.b >= MAX_MAGNITUDE / 2:
+            raise ValueError(f"interval half-width must be below 2^499 = {MAX_MAGNITUDE / 2:.4g}, got {self.b:.4g}")
         p1 = _as_matrix(self.p1, (self.n, self.n), "transport matrix")
         eigendecompose(p1)  # Hermitian, every speed nonzero
         object.__setattr__(self, "p1", _hermitize(p1, "transport matrix"))

@@ -227,7 +227,8 @@ class LinearGraph(Relation):
     and ``zy`` row blocks (read by :func:`.spaces._as_matrix`).  The
     offsets default to zero; translation keeps monotonicity and
     maximality.  They carry every Dirichlet, Neumann and Robin datum of
-    :mod:`.boundary`, and must be finite.
+    :mod:`.boundary`, and are read by :func:`.spaces._as_matrix` too
+    (every entry of modulus below ``2^500``).
     """
 
     affine = True
@@ -241,8 +242,7 @@ class LinearGraph(Relation):
         self.zy = z[space.dim:]
         self.x0 = np.zeros(space.dim, dtype=complex) if x0 is None else space.check_vector(x0)
         self.y0 = np.zeros(space.dim, dtype=complex) if y0 is None else space.check_vector(y0)
-        if not (np.isfinite(self.x0).all() and np.isfinite(self.y0).all()):
-            raise ValueError("graph offsets must be finite")
+        _as_matrix([self.x0, self.y0], (2, space.dim), "graph offsets")
 
     @classmethod
     def from_matrix(cls, space: InnerProductSpace, m) -> "LinearGraph":
@@ -667,8 +667,8 @@ def resolvent(rel: Relation, lam: float, y) -> np.ndarray:
     ``(x, (y - x)/lam)`` in the relation.
 
     ``lam`` must be positive and finite (``J_inf`` is not defined), and
-    so must ``1/lam`` (:func:`plan_inclusion` refuses ``lam = 1e-320``:
-    "phi must be finite").  Linear systems are checked for
+    ``1/lam`` must be below ``2^500`` (:func:`plan_inclusion` reads ``phi
+    = 1/lam`` by :func:`.spaces._as_matrix`).  Linear systems are checked for
     consistency to :data:`TOL_LINEAR`, iterations run to
     :data:`TOL_ITERATIVE` within :data:`MAX_ITER` steps; a failure
     raises :class:`NonconvergenceError` carrying the last residual.

@@ -722,15 +722,18 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
     One resolvent solve ``y = (1 + theta dt A)^{-1} w``, then ``w_next =
     (y - (1 - theta) w) / theta`` (``y`` itself at ``theta = 1``), in the
     run's arithmetic and dtype, ``state`` read by :func:`.phs._as_field`
-    (a complex128 one not copied): a real run steps a complex-typed state
-    of zero imaginary part as its real part, and refuses any other complex
-    state (a ``Stepper`` built from it is a complex run).  The step is
+    (a complex128 one not copied), one row per grid node: a real run
+    steps a complex-typed state of zero imaginary part as its real part,
+    and refuses any other complex state (a ``Stepper`` built from it is a
+    complex run).  The step is
     written into ``out`` when it is given, a C-contiguous ``(N, n)`` array
     of that dtype apart from ``state``, and returned, with the bits of a
     step without ``out``; at unit density the solve itself runs there.
     """
     core, theta = stepper._core, stepper.scenario.theta
     w = _as_field(state, stepper.scenario.phs.n)
+    if w.shape[0] != core.ops.nnodes:
+        raise ValueError(f"state does not match the grid: {w.shape[0]} rows, {core.ops.nnodes} nodes")
     if core.real and np.iscomplexobj(w):
         if np.any(w.imag):
             raise ValueError("a real run steps only real states; build the Stepper from this state for a complex run")

@@ -29,6 +29,10 @@ __all__ = [
 #: Relative tolerance for the Hermitian-deviation check of weights.
 HERMITIAN_RTOL = 1e-12
 
+#: The bound on the modulus of every number a reader admits: no square or
+#: Frobenius norm of an admitted matrix of side up to 2048 overflows.
+MAX_MAGNITUDE = 2.0 ** 500
+
 
 class RankDeficientBasis(ValueError):
     """Raised when a basis Gram matrix is numerically singular."""
@@ -36,15 +40,17 @@ class RankDeficientBasis(ValueError):
 
 def _as_matrix(a, shape, what: str) -> np.ndarray:
     """``a`` as a complex 2D array of ``shape`` (a ``None`` entry takes any
-    size) with finite entries, the one reader of a matrix input; a refusal
-    names ``what``: ``"{what} must have shape (2, 2), got (1, 1)"`` or
-    ``"{what} must be finite"``."""
+    size) with every entry of modulus below :data:`MAX_MAGNITUDE` = 2^500,
+    the one reader of a matrix input; a refusal names ``what``: ``"{what}
+    must have shape (2, 2), got (1, 1)"``, ``"{what} must be finite"`` or
+    ``"{what} must have entries of modulus below 2^500"``."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
     if m.ndim != 2 or any(want is not None and want != got for want, got in zip(shape, m.shape)):
         expected = ", ".join("any" if want is None else str(want) for want in shape)
         raise ValueError(f"{what} must have shape ({expected}), got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} must be finite")
+    if not (np.abs(m) < MAX_MAGNITUDE).all():
+        rule = "have entries of modulus below 2^500" if np.isfinite(m).all() else "be finite"
+        raise ValueError(f"{what} must {rule}")
     return m
 
 

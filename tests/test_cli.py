@@ -215,16 +215,29 @@ FRICTION_REFUSED = "[bc]: port 0: friction coefficient must be real, nonnegative
     (MULTIPORT_BC, "kind = custom\nC_e = 1 0\nC_f = 0 inf", "[bc]: constraint block C_f must be finite"),
     ("port.1 = dirichlet 0", "port.1 = robin 1 inf", "[bc]: port 1: graph offsets must be finite"),
     # both were certified: the structure check's norms overflowed to inf,
-    # and the run's boundary response overflowed at simulate
-    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0 1e300; 1e300 0", "[phs]: zero-order term must be skew-Hermitian"),
+    # and the run's boundary response overflowed at simulate; every reader
+    # now refuses an entry of modulus 2^500 or more
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0 1e300; 1e300 0",
+     "[phs]: zero-order term must have entries of modulus below 2^500"),
     ("b = 1", "b = 1e-300", "[phs]: interval half-width must be at least 2^-511"),
+    # each was certified, or refused only at run time or after a numpy
+    # warning: robin M of -1e300 and V of 1e200 passed their sign checks,
+    # a skew P0 of 1e300 overflowed the run, a datum of 1e300 overflowed
+    # the energy ledger, and b = 1e300 overflowed the Gram weight's check
+    (MULTIPORT_BC, "kind = robin\nM = -1e300 0; 0 1", "[bc]: Robin matrix must have entries of modulus below 2^500"),
+    (MULTIPORT_BC, "kind = v-matrix\nV = 1e200 0; 0 0.5", "[bc]: V must have entries of modulus below 2^500"),
+    ("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nP0 = 0 1e300; -1e300 0",
+     "[phs]: zero-order term must have entries of modulus below 2^500"),
+    (MULTIPORT_BC, "kind = neumann\nvalue = 1e300", "[bc]: graph offsets must have entries of modulus below 2^500"),
+    ("b = 1", "b = 1e300", "[phs]: interval half-width must be below 2^499"),
 ], ids=["friction-negative", "friction-nan", "robin-negative", "robin-indefinite",
         "zero-speed", "not-hermitian", "n-zero", "b-zero", "P1-shape", "P0-shape", "H-shape",
         "V-shape", "M-shape", "C-shape", "value-length", "port-kind", "port-arity",
         "port-complex", "port-range", "port-coverage", "profile-shape", "m-odd", "m-small",
         "dt-negative", "dt-inf", "T-inf", "theta-low", "scenario-unknown", "wave-one-field",
         "P0-nan", "H-inf", "value-nan", "port-value-nan", "port-friction-inf",
-        "P1-nan", "V-inf", "M-nan", "C-inf", "port-robin-value-inf", "P0-overflow", "b-tiny"])
+        "P1-nan", "V-inf", "M-nan", "C-inf", "port-robin-value-inf", "P0-overflow", "b-tiny",
+        "M-huge", "V-huge", "P0-skew-huge", "value-huge", "b-huge"])
 @pytest.mark.parametrize("command", [
     ["check-bc"], ["simulate"], ["convergence", "--study", "state"],
     ["convergence", "--study", "pairing"], ["convergence", "--study", "derivative"],
@@ -240,7 +253,7 @@ def test_value_a_constructor_refuses_is_a_config_error(tmp_path, capsys, old, ne
     out = tmp_path / "out"
     assert cli.main(command + ["--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {prefix}") and "Traceback" not in err
+    assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -365,17 +378,19 @@ def test_simulate_refuses_uncertified_condition(tmp_path, capsys):
     assert not (tmp_path / "states.csv").exists()
 
 
-#: Neumann data of 1e300 on a coupled ``P1``: certified, and its run
-#: overflows double precision in the first step (energy inf, dissipation
-#: -inf); 1e150 runs.
+#: Neumann data of 3e150, below the readers' bound of 2^500, against a
+#: density of 1e10 on a coupled ``P1``: certified, and its run overflows
+#: double precision in the first step (energy 7.8e306, dissipation -inf);
+#: 1e140 runs.
 OVERFLOWING_RUN = """scenario = gaussian
 [phs]
 n = 2
 b = 1.5
 P1 = 1 0.4; 0.4 1
+H = 1e10 0; 0 1e10
 [bc]
 kind = neumann
-value = 1e300
+value = 3e150
 [grid]
 m = 16
 dt = 0.01
@@ -389,16 +404,16 @@ def test_run_that_overflows_exits_1_without_numpy_warnings(tmp_path, capsys, com
     """A certified run whose energy ledger leaves the double range is
     refused: exit 1, the first such step named, no numpy warning, no
     output file (a warning would be an error here, as in every test); the
-    same data at 1e150 runs."""
+    same data at 1e140 runs."""
     cfg = write_cfg(tmp_path, OVERFLOWING_RUN)
     assert cli.main(["check-bc", "--config", cfg, "--out", str(tmp_path / "bc")]) == 0
     out = tmp_path / "out"
     assert cli.main(command + ["--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: step 0 (t = 0): the energy ledger is not finite (E = inf at t = 0.01, "
+    assert err.startswith("error: step 0 (t = 0): the energy ledger is not finite (E = 7.77535e+306 at t = 0.01, "
                           "boundary dissipation -inf)"), err
     assert not list(out.glob("*.csv"))
-    finite = write_cfg(tmp_path, OVERFLOWING_RUN.replace("1e300", "1e150"), "finite.cfg")
+    finite = write_cfg(tmp_path, OVERFLOWING_RUN.replace("3e150", "1e140"), "finite.cfg")
     assert cli.main(["simulate", "--config", finite, "--out", str(tmp_path / "finite")]) == 0
 
 

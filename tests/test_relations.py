@@ -136,7 +136,8 @@ def test_resolvent_requires_positive_lambda():
     (0.0, "resolvent parameter lam must be positive and finite"),
     (-1.0, "resolvent parameter lam must be positive and finite"),
     (1e-320, "phi must be finite"),
-], ids=["inf", "nan", "zero", "negative", "subnormal"])
+    (1e-160, r"phi must have entries of modulus below 2\^500"),
+], ids=["inf", "nan", "zero", "negative", "subnormal", "inverse-above-range"])
 @pytest.mark.parametrize("evaluate", [resolvent, yosida], ids=["resolvent", "yosida"])
 def test_resolvent_parameter_is_positive_and_finite(capfd, lam, message, evaluate):
     """``lam = inf`` returned 0, though ``J_inf`` is not defined, and

@@ -458,6 +458,21 @@ def test_stepper_takes_grid_operators_of_an_equal_system():
         Stepper(scn, discretize(PHS2, 64))
 
 
+@pytest.mark.parametrize("rows", [255, 259])
+def test_step_refuses_a_state_on_another_grid(rows):
+    """``wave_damped.cfg`` has 257 nodes: a 259-row state returned a
+    259-row "next state", and a 255-row one died inside BLAS; both are
+    refused, as ``Stepper`` refuses such a ``u0``."""
+    cfg = load_config(CONFIG_DIR / "wave_damped.cfg")
+    phs = cfg.build_phs()
+    ops = discretize(phs, cfg.m)
+    stepper = Stepper(Scenario(phs=phs, bc=cfg.build_bc(bd_basis(phs)), u0=cfg.build_u0(ops.grid.nodes),
+                               T=cfg.T, dt=cfg.dt, theta=cfg.theta), ops)
+    assert ops.nnodes == 257
+    with pytest.raises(ValueError, match=f"^state does not match the grid: {rows} rows, 257 nodes$"):
+        step(np.zeros((rows, phs.n)), stepper)
+
+
 def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
     """Two friction ports on a coupled ``P1`` with complex initial data: a
     complex inclusion has no affine pieces, so every step solves it by
@@ -694,19 +709,20 @@ def test_simulate_steps_and_solves_the_inclusion_once_per_step(monkeypatch, path
 
 
 def test_simulate_refuses_a_ledger_that_is_not_finite(tmp_path):
-    """Neumann data of 1e300 gives the first step an infinite energy and
-    dissipation: ``simulate`` raises ``ValueError`` naming that step, its
-    time and the values, without a numpy warning (an error in every
-    test)."""
+    """Neumann data of 3e150, below the readers' bound of 2^500, against a
+    density of 1e10 gives the first step an energy of 7.8e306 and an
+    infinite dissipation: ``simulate`` raises ``ValueError`` naming that
+    step, its time and the values, without a numpy warning (an error in
+    every test)."""
     path = tmp_path / "overflow.cfg"
-    path.write_text("scenario = gaussian\n[phs]\nn = 2\nb = 1.5\nP1 = 1 0.4; 0.4 1\n[bc]\nkind = neumann\n"
-                    "value = 1e300\n[grid]\nm = 16\ndt = 0.01\nT = 0.1\n", encoding="utf-8")
+    path.write_text("scenario = gaussian\n[phs]\nn = 2\nb = 1.5\nP1 = 1 0.4; 0.4 1\nH = 1e10 0; 0 1e10\n"
+                    "[bc]\nkind = neumann\nvalue = 3e150\n[grid]\nm = 16\ndt = 0.01\nT = 0.1\n", encoding="utf-8")
     cfg = load_config(path)
     phs = cfg.build_phs()
     ops = discretize(phs, cfg.m)
     scn = Scenario(phs=phs, bc=cfg.build_bc(bd_basis(phs)), u0=cfg.build_u0(ops.grid.nodes), T=cfg.T, dt=cfg.dt)
     with pytest.raises(ValueError, match=re.escape("step 0 (t = 0): the energy ledger is not finite "
-                                                   "(E = inf at t = 0.01, boundary dissipation -inf)")):
+                                                   "(E = 7.77535e+306 at t = 0.01, boundary dissipation -inf)")):
         simulate(scn, ops)
 
 

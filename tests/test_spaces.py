@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoport.spaces import InnerProductSpace, LinearMap, _as_matrix, adjoint
+from monoport.phs import PortHamiltonian
+from monoport.relations import LinearGraph, SeparableProx, check_monotone
+from monoport.spaces import MAX_MAGNITUDE, InnerProductSpace, LinearMap, _as_matrix, adjoint
 
 from conftest import rand_complex, rand_spd
 
@@ -125,7 +127,8 @@ def test_linear_map_shape_checked():
 
 def test_as_matrix_reads_a_matrix_input_one_way():
     """Every constructor reads its matrix input here: a complex 2D array of
-    the expected shape (``None`` takes any size) with finite entries."""
+    the expected shape (``None`` takes any size) with finite entries of
+    modulus below ``2^500``."""
     m = _as_matrix(2, (1, 1), "M")
     assert m.shape == (1, 1) and m.dtype == np.complex128
     assert _as_matrix([[1, 2, 3]], (1, None), "M").shape == (1, 3)
@@ -135,10 +138,51 @@ def test_as_matrix_reads_a_matrix_input_one_way():
         _as_matrix(np.eye(2), (None, 3), "M")
     with pytest.raises(ValueError, match=r"^M must have shape \(2, 2\), got \(1, 2, 2\)$"):
         _as_matrix(np.ones((1, 2, 2)), (2, 2), "M")
-    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+    for bad in (np.nan, np.inf, complex(0, -np.inf), complex(MAX_MAGNITUDE, np.nan)):
         with pytest.raises(ValueError, match="^M must be finite$"):
             _as_matrix([[1.0, bad]], (1, 2), "M")
+    # the modulus is bounded, not each part
+    part = np.nextafter(MAX_MAGNITUDE, 0.0)
+    _as_matrix([[part, 1j * part]], (1, 2), "M")
+    with pytest.raises(ValueError, match=r"^M must have entries of modulus below 2\^500$"):
+        _as_matrix([[complex(part, part)]], (1, 1), "M")
     with pytest.raises(ValueError, match="^weight must be finite$"):
         InnerProductSpace(2, [[1.0, 0.0], [0.0, np.inf]])
     with pytest.raises(ValueError, match="^map matrix must be finite$"):
         LinearMap(InnerProductSpace(1), InnerProductSpace(1), [[np.nan]])
+
+
+C2 = InnerProductSpace(2)
+RANGE = "must have entries of modulus below 2\\^500$"
+
+
+@pytest.mark.parametrize("read, bound, message", [
+    (lambda v: _as_matrix([[1.0, v]], (1, 2), "M"), MAX_MAGNITUDE, "^M " + RANGE),
+    (lambda v: InnerProductSpace(1, [[v]]), MAX_MAGNITUDE, "^weight " + RANGE),
+    (lambda v: LinearGraph(C2, np.zeros((2, 2)), np.eye(2), x0=[0.0, v]), MAX_MAGNITUDE, "^graph offsets " + RANGE),
+    (lambda v: LinearGraph(C2, np.eye(2), np.zeros((2, 2)), y0=[-v, 0.0]), MAX_MAGNITUDE, "^graph offsets " + RANGE),
+    (lambda v: PortHamiltonian(n=1, b=v, p1=[[1.0]]), MAX_MAGNITUDE / 2,
+     r"^interval half-width must be below 2\^499"),
+], ids=["matrix", "weight", "offset-x0", "offset-y0", "half-width"])
+def test_every_reader_refuses_a_modulus_of_2_to_the_500(read, bound, message):
+    """One overflow rule where numbers come in: a matrix entry and a graph
+    offset of modulus ``2^500`` are refused, and the largest double below
+    it is admitted; the half-width ``b`` stops at ``2^499``, so that the
+    Gram weight derived from it (entries up to ``2b``) is admitted too."""
+    read(np.nextafter(bound, 0.0))
+    with pytest.raises(ValueError, match=message):
+        read(bound)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: InnerProductSpace(2, [[1e300, 1e300], [-1e300, 1e300]]),
+    lambda: SeparableProx(InnerProductSpace(2, [[2e300, 1e300], [1e300, 2e300]]), [0.5, 0.5]),
+    lambda: check_monotone(LinearGraph.from_matrix(InnerProductSpace(1, [[1e300]]), [[-1.0]])),
+], ids=["weight-not-hermitian", "prox-weight-not-diagonal", "negative-map-monotone"])
+def test_a_weight_whose_checks_overflowed_is_refused(build):
+    """Each passed a check whose tolerance ``max(1, |W|)`` overflowed to
+    ``inf``: a weight that is not Hermitian was accepted, ``SeparableProx``
+    took a weight that is not diagonal, and ``y = -x`` was certified
+    monotone (witness eigenvalue -5.0e299)."""
+    with pytest.raises(ValueError, match="^weight " + RANGE):
+        build()
