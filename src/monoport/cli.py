@@ -250,14 +250,22 @@ def cmd_simulate(args) -> int:
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an --out naming a file fails before the run
     traj = sol.simulate(scenario, ops)
 
+    # simulate takes at least one step, so times[1] exists
+    dt = traj.times[1] - traj.times[0]
+    e0, ef = traj.energies[0], traj.energies[-1]
+    # Every entry is finite (the ledger check of simulate), but a sum of
+    # them can still overflow: such totals refuse the run, as that check does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_rise = float(np.diff(traj.energies).max())
+        total = float(np.sum(traj.boundary_dissipation[1:])) * dt
+    if not (np.isfinite(max_rise) and np.isfinite(total)):
+        raise ValueError(f"the energy ledger is not finite (largest single-step energy increase {max_rise:.6g}, "
+                         f"total boundary dissipation {total:.6g}); the run overflows double precision")
+
     prec = cfg.precision
     _write_text(_out_path(args, cfg, "states"), _states_csv(traj, ops.grid.nodes, prec))
     _write_text(_out_path(args, cfg, "energy"), _energy_csv(traj, prec))
 
-    # simulate takes at least one step, so times[1] exists
-    dt = traj.times[1] - traj.times[0]
-    e0, ef = traj.energies[0], traj.energies[-1]
-    max_rise = float(np.diff(traj.energies).max())
     lines = [
         "simulation report",
         f"scenario: {cfg.scenario}",
@@ -265,8 +273,7 @@ def cmd_simulate(args) -> int:
         f"steps = {len(traj) - 1} (dt = {_fmt(dt, prec)}), theta = {_fmt(cfg.theta, prec)}",
         f"energy: E(0) = {_fmt(e0, prec)}, E(T) = {_fmt(ef, prec)}",
         f"largest single-step energy increase: {_fmt(max_rise, prec)}",
-        f"total boundary dissipation (sum of stage pairings x dt): "
-        f"{_fmt(float(np.sum(traj.boundary_dissipation[1:])) * dt, prec)}",
+        f"total boundary dissipation (sum of stage pairings x dt): {_fmt(total, prec)}",
     ]
 
     status = EXIT_OK

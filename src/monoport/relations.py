@@ -468,8 +468,15 @@ class _Plan:
 
 class _AffinePlan(_Plan):
     """A linear graph on the space of ``rel``: ``(x0 + zx c, y0 + zy c)`` with
-    ``M c = g - phi x0 - y0``, both halves from one product with ``pairs``
-    (``zx`` over ``zy``), so that ``z`` and ``w`` share ``c``."""
+    ``M c = g - phi x0 - y0`` (``shift = phi x0 + y0``), ``z`` over ``w`` the
+    ``offset + pairs c`` of ``pairs = [zx; zy]`` and ``offset = [x0; y0]``.
+    When ``M`` has an inverse, that is one affine map of ``g``: ``z`` over
+    ``w`` is ``A g + a`` with ``A = pairs M^{-1}`` and ``a = offset - A
+    shift``.  A zero row of ``zx`` or ``zy`` is a zero row of ``A``, so its
+    coordinate of ``z`` or ``w`` is its ``x0`` or ``y0`` entry exactly: a
+    friction stick of a piece gives ``z_i = 0.0``, a slip ``w_i = s mu_i``.
+    Otherwise ``c`` is the least-squares solution, refused when
+    inconsistent."""
 
     def __init__(self, phi, rel: Relation, zx, zy, x0, y0):
         super().__init__(phi, rel)
@@ -477,7 +484,9 @@ class _AffinePlan(_Plan):
         self.dim = d = len(x0)
         self.zx, self.zy, self.x0, self.y0 = self.pairs[:d], self.pairs[d:], self.offset[:d], self.offset[d:]
         self.m, self.shift = phi @ self.zx + self.zy, phi @ self.x0 + self.y0
-        self.minv = _inverse(self.m)
+        minv = _inverse(self.m)
+        self.g_map = None if minv is None else self.pairs @ minv
+        self.g_offset = None if minv is None else self.offset - self.g_map @ self.shift
 
     def __call__(self, g, x0):
         zw = self.pair(g)
@@ -485,15 +494,14 @@ class _AffinePlan(_Plan):
 
     def pair(self, g) -> np.ndarray:
         """``z`` over ``w`` of the solution for ``g``, one vector."""
+        if self.g_map is not None:
+            return self.g_map @ g + self.g_offset
         rhs = g - self.shift
-        if self.minv is not None:
-            c = self.minv @ rhs
-        else:
-            c, res = _lstsq(self.m, rhs)
-            if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(rhs))):
-                raise NonconvergenceError(
-                    f"linear resolvent system is inconsistent (residual {res:.3e}); "
-                    "the relation is not maximal on this right-hand side", residual=res)
+        c, res = _lstsq(self.m, rhs)
+        if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(rhs))):
+            raise NonconvergenceError(
+                f"linear resolvent system is inconsistent (residual {res:.3e}); "
+                "the relation is not maximal on this right-hand side", residual=res)
         return self.offset + self.pairs @ c
 
 

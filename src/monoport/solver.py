@@ -275,12 +275,16 @@ class _CoreSolver:
     Interior elimination reduces everything to a dense ``3n x 3n``
     boundary block ``K``, inverted once and kept as maps: the inclusion's
     right-hand side ``g = G_rho rho`` stacked over the boundary unknowns'
-    part ``B_rho rho`` (:attr:`rho_maps`, one product gives both), with
-    ``beta = B_rho rho + B_e e``, and the effort-to-flow response ``phi``.
-    ``rho`` are the endpoint rows reduced by the swept interior; the
-    endpoint rows reach only the first and the last few interior columns
-    (``3n`` each at sbp42, read from the sparsity), kept as two dense
-    ``2n``-row blocks, so ``rho`` is two small products.  The remaining
+    part ``B_rho rho``, with ``beta = B_rho rho + B_e e``, and the
+    effort-to-flow response ``phi``.  ``rho`` are the endpoint rows
+    reduced by the swept interior; the endpoint rows reach only the first
+    and the last few interior columns (``3n`` each at sbp42, read from the
+    sparsity).  :meth:`solve` sweeps the interior of ``p`` in place while
+    its endpoint rows still hold the right-hand side's, so ``p[gather]``
+    (:attr:`gather`: the ``2n`` endpoint rows, then those interior
+    columns) carries all ``rho`` reads, and one product with
+    :attr:`endpoint_map` (``[G_rho; B_rho]`` times ``[1 | -A_near |
+    -A_far]``) gives ``g`` over ``B_rho rho``.  The remaining
     ``n``-dimensional inclusion ``phi e + R(e) ∋ g`` is planned here by
     the relation calculus, and every :meth:`solve` only multiplies by
     these maps and applies that plan, in the run's arithmetic.
@@ -385,11 +389,11 @@ class _CoreSolver:
         a_bi = rows_b[:, n:-n]
         # The endpoint rows couple to the first and the last few interior
         # columns (3n each at sbp42), their widths read from the sparsity as
-        # kl and ku are; each stretch is kept as one dense 2n-row block.
+        # kl and ku are: rho = r_ends - a_near p_near - a_far p_far.
         cols, half = a_bi.indices, nint // 2
         near, far = int(cols[cols < half].max(initial=-1)) + 1, int(cols[cols >= half].min(initial=nint))
-        self._near, self._far = slice(0, near), slice(far, nint)
-        self._a_near, self._a_far = a_bi[:, self._near].toarray(), a_bi[:, self._far].toarray()
+        a_near, a_far = a_bi[:, :near].toarray(), a_bi[:, far:].toarray()
+        self.gather = np.r_[ends, n + np.arange(near), n + np.arange(far, nint)]
         self.lift = self._lift(amat[n:-n, ends].toarray())
         # Past the windows of _lift, whole stretches of rows of the lift are
         # 0.  Each step multiplies only by the two blocks of rows around them,
@@ -402,7 +406,6 @@ class _CoreSolver:
         rows = [slice(0, nint)] if a >= b else [slice(0, a), slice(b, nint)]
         self._lift_rows = [(r, self.lift[r]) for r in rows if r.start < r.stop]
         self._lifted = np.empty(nint, dtype=dtype)  # lift @ beta of the last solve
-        self._rho = np.empty(2 * n, dtype=dtype)  # the endpoint rows of the last solve
 
         eye = np.eye(n)
         k_full = np.zeros((3 * n, 3 * n), dtype=dtype)
@@ -414,7 +417,8 @@ class _CoreSolver:
         p1, omega_b = ops.phs.p1.real if real else ops.phs.p1, float(ops.omega[0])
         f_row = np.hstack([p1 / np.sqrt(2.0), -p1 / np.sqrt(2.0), -np.sqrt(2.0) * omega_b * eye])
         b_rho, self.b_e = k_inv[:, : 2 * n], k_inv[:, 2 * n:]
-        self.rho_maps = np.vstack([-f_row @ b_rho, b_rho])  # g = G_rho rho over B_rho rho
+        rho_maps = np.vstack([-f_row @ b_rho, b_rho])  # g = G_rho rho over B_rho rho
+        self.endpoint_map = rho_maps @ np.hstack([np.eye(2 * n), -a_near, -a_far])
         self.phi = f_row @ self.b_e
         herm_min = float(np.linalg.eigvalsh((self.phi + self.phi.conj().T) / 2.0)[0])
         if herm_min <= 0:
@@ -534,17 +538,13 @@ class _CoreSolver:
               out: Optional[np.ndarray] = None):
         """``(p, s, e, fhat)`` in the solver's dtype for the rows ``r_flat``,
         float64 ones on a real solver.  ``p`` is solved in ``out`` when it is
-        given, a contiguous vector of that dtype; its interior rows in place."""
+        given, a contiguous vector of that dtype, in place: ``r_flat`` is
+        copied in, and the endpoint rows are written last."""
         n = self.n
         p = np.empty(r_flat.shape[0], dtype=self.dtype) if out is None else out
-        p[n:-n] = r_flat[n:-n]
+        p[:] = r_flat
         p_part = self._sweep(p[n:-n], 0, self.nint)
-        rho = self._rho
-        rho[:n] = r_flat[:n]
-        rho[n:] = r_flat[-n:]
-        rho -= self._a_near @ p_part[self._near]
-        rho -= self._a_far @ p_part[self._far]
-        g_beta = self.rho_maps @ rho
+        g_beta = self.endpoint_map @ p[self.gather]
         e, y = solve_inclusion(self._plan, g_beta[:n], x0=x0)
         beta = g_beta[n:]
         beta += self.b_e @ e

@@ -381,7 +381,8 @@ def test_simulate_refuses_uncertified_condition(tmp_path, capsys):
 #: Neumann data of 3e150, below the readers' bound of 2^500, against a
 #: density of 1e10 on a coupled ``P1``: certified, and its run overflows
 #: double precision in the first step (energy 7.8e306, dissipation -inf);
-#: 1e140 runs.
+#: at 1e149 every step's ledger is finite but the sum of the dissipations
+#: overflows; 1e140 runs.
 OVERFLOWING_RUN = """scenario = gaussian
 [phs]
 n = 2
@@ -398,20 +399,26 @@ T = 0.1
 """
 
 
-@pytest.mark.parametrize("command", [["simulate"], ["convergence", "--study", "state"]],
-                         ids=["simulate", "convergence"])
-def test_run_that_overflows_exits_1_without_numpy_warnings(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, value, error", [
+    (["simulate"], "3e150", "error: step 0 (t = 0): the energy ledger is not finite (E = 7.77535e+306 at t = 0.01, "
+                            "boundary dissipation -inf); the run overflows double precision\n"),
+    (["convergence", "--study", "state"], "3e150",
+     "error: step 0 (t = 0): the energy ledger is not finite (E = 7.77535e+306 at t = 0.01, "
+     "boundary dissipation -inf); the run overflows double precision\n"),
+    (["simulate"], "1e149", "error: the energy ledger is not finite (largest single-step energy increase "
+                            "6.27776e+306, total boundary dissipation -inf); the run overflows double precision\n"),
+], ids=["simulate", "convergence", "simulate-total"])
+def test_run_that_overflows_exits_1_without_numpy_warnings(tmp_path, capsys, command, value, error):
     """A certified run whose energy ledger leaves the double range is
-    refused: exit 1, the first such step named, no numpy warning, no
-    output file (a warning would be an error here, as in every test); the
-    same data at 1e140 runs."""
-    cfg = write_cfg(tmp_path, OVERFLOWING_RUN)
+    refused: exit 1, one error line naming the first such step, or the
+    report's total that overflows although every step's entry is finite,
+    no numpy warning, no output file (a warning would be an error here, as
+    in every test); the same data at 1e140 runs."""
+    cfg = write_cfg(tmp_path, OVERFLOWING_RUN.replace("3e150", value))
     assert cli.main(["check-bc", "--config", cfg, "--out", str(tmp_path / "bc")]) == 0
     out = tmp_path / "out"
     assert cli.main(command + ["--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: step 0 (t = 0): the energy ledger is not finite (E = 7.77535e+306 at t = 0.01, "
-                          "boundary dissipation -inf)"), err
+    assert capsys.readouterr().err == error
     assert not list(out.glob("*.csv"))
     finite = write_cfg(tmp_path, OVERFLOWING_RUN.replace("3e150", "1e140"), "finite.cfg")
     assert cli.main(["simulate", "--config", finite, "--out", str(tmp_path / "finite")]) == 0

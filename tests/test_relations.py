@@ -994,7 +994,8 @@ def test_real_pieces_match_complex_arithmetic(k):
         assert plan.phi.dtype == plan.zx.dtype == plan.zy.dtype == np.float64
         for pattern in itertools.product((0, 1, -1), repeat=k):
             piece = plan.piece(pattern)
-            assert all(a.dtype == np.float64 for a in (piece.m, piece.shift, piece.minv, piece.pairs, piece.offset))
+            assert all(a.dtype == np.float64 for a in (piece.m, piece.shift, piece.g_map, piece.g_offset,
+                                                       piece.pairs, piece.offset))
             ref = rels._AffinePlan(phi.astype(complex), rel, *(a.astype(complex) for a in
                                                               (piece.zx, piece.zy, piece.x0, piece.y0)))
             (z, w), (zc, wc) = piece(g, None), ref(g.astype(complex), None)

@@ -24,7 +24,10 @@ def test_output_diff_measures_every_file_that_differs(tmp_path):
     """One line per differing file: the largest absolute difference of its
     numeric fields, that over the file's largest magnitude, and the rows
     that differ; text outside the numbers, a row count, bytes that are not
-    text and a file on one side only are named; identical trees exit 0."""
+    text and a file on one side only are named.  A last line counts the
+    files that differ, names the largest relative difference and its file,
+    and counts the files that differ outside their numbers; identical
+    trees print nothing and exit 0."""
     base = _tree(tmp_path / "base", {
         "run/energy.csv": "t,E\n0,2.5\n0.01,-4.0\n0.02,1e-3\n",
         "run/stdout": "energy: E(0) = 0.5, E(T) = 0.25\nseed0 ok\n",
@@ -54,7 +57,20 @@ def test_output_diff_measures_every_file_that_differs(tmp_path):
     assert lines[4] == "run/energy.csv: max |diff| 1e-09, relative 2.5e-10, 2 of 4 rows differ"
     assert lines[5] == "run/stdout: max |diff| inf, relative inf, 2 of 2 rows differ (1 outside their numbers)"
     assert lines[6] == "verify/stdout: max |diff| 0, relative 0, 1 of 1 rows differ (1 outside their numbers)"
-    assert len(lines) == 7
+    # every file but same.txt differs; all but run/energy.csv outside their numbers
+    assert lines[7] == ("7 of 8 files differ; largest relative difference inf in run/stdout; "
+                        "6 differ outside their numbers")
+    assert len(lines) == 8
+
+    numbers = _run("output_diff.py", base / "run", change / "run")
+    assert numbers.stdout.splitlines()[-1] == ("2 of 2 files differ; largest relative difference inf in stdout; "
+                                               "1 differ outside their numbers")
+    energy = tmp_path / "energy"
+    _tree(energy / "base", {"energy.csv": "t,E\n0,2.5\n"})
+    _tree(energy / "change", {"energy.csv": "t,E\n0,2.5000001\n"})
+    last = _run("output_diff.py", energy / "base", energy / "change").stdout.splitlines()[-1]
+    assert last == ("1 of 1 files differ; largest relative difference 4e-08 in energy.csv; "
+                    "0 differ outside their numbers")
 
     same = _run("output_diff.py", base, base)
     assert (same.returncode, same.stdout) == (0, "")

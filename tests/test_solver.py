@@ -1058,6 +1058,52 @@ def test_each_shipped_config_takes_its_plan(path):
     assert [type(p).__name__ for p in [plan, *(b for _, b in getattr(plan, "blocks", []))]] == SHIPPED_PLANS[path.stem]
 
 
+#: Two friction ports on a coupled ``P1`` with a skew complex ``P0``, at
+#: ``theta = 1/2`` (``friction-complex`` of ``scripts/output_digests.py``):
+#: a complex run, each inclusion solved by Douglas–Rachford splitting.
+FRICTION_COMPLEX_EDITS = (("P1 = 0 1; 1 0", "P1 = 1 0.7; 0.7 1.5\nP0 = 0 0.5j; 0.5j 0"),
+                          ("port.1 = dirichlet 0", "port.1 = friction 0.3"), ("theta = 1.0", "theta = 0.5"))
+
+
+@pytest.mark.parametrize("name", [*SHIPPED_PLANS, "friction-complex"])
+def test_solve_meets_its_rows_and_relation_on_every_shipped_plan(tmp_path, name):
+    """On 25 states spread over each shipped config's run, a
+    ``_CoreSolver.solve`` leaves a residual (bulk rows and relation row,
+    :meth:`_CoreSolver.residual`) of at most 1e-12; on the complex
+    friction data, where the plan is splitting, at most its tolerance.
+    The friction runs reach a nonzero effort (a slip) on some state."""
+    from monoport import cli
+    from monoport.relations import TOL_ITERATIVE
+
+    if name == "friction-complex":
+        text = (CONFIG_DIR / "friction.cfg").read_text(encoding="utf-8")
+        for old, new in FRICTION_COMPLEX_EDITS:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "friction-complex.cfg"
+        path.write_text(text, encoding="utf-8")
+    else:
+        path = next(p for p in SHIPPED_CONFIGS if p.stem == name)
+    ops, scn = cli._build(load_config(path))
+    core = Stepper(scn, ops)._core
+    plans = [core._plan, *(b for _, b in getattr(core._plan, "blocks", []))]
+    if name == "friction-complex":
+        assert not core.real and [type(p).__name__ for p in plans] == ["_SplittingPlan"]
+        bound = TOL_ITERATIVE
+    else:
+        assert [type(p).__name__ for p in plans] == SHIPPED_PLANS[name]
+        bound = 1e-12
+    states = simulate(scn, ops).states
+    efforts = []
+    for k in np.linspace(0, len(states) - 1, 25).astype(int):
+        r_flat = states[k].ravel()
+        p, s, e, fhat = core.solve(r_flat)
+        assert core.residual(p, s, r_flat, e, fhat) <= bound, k
+        efforts.append(e)
+    if name in ("friction_dr", "friction-complex"):
+        assert np.abs(efforts).max() > 0.1
+
+
 def _plan_arrays(plan):
     """Every array of an inclusion plan: its own, its blocks' and its base's,
     and those of a piece plan's all-stick and all-slip pieces."""
@@ -1088,29 +1134,33 @@ def test_real_run_plans_and_solves_in_float64(path):
     assert core.real
     arrays = list(_plan_arrays(core._plan))
     assert arrays and all(a.dtype == np.float64 for a in arrays)
-    assert core.rho_maps.dtype == core._a_near.dtype == core._a_far.dtype == np.float64
+    assert core.endpoint_map.dtype == core.b_e.dtype == np.float64
     p, s, e, fhat = core.solve(scn.u0.real.ravel())
     assert [a.dtype for a in (p, s, e, fhat)] == [np.float64] * 4
 
 
 @pytest.mark.parametrize("n, m", [(1, 8), (2, 8), (2, 256), (3, 16)])
 def test_endpoint_blocks_reproduce_the_endpoint_rows(n, m):
-    """The two dense blocks of the endpoint coupling, ``3n`` columns each at
-    sbp42, give the interior part of the endpoint rows of ``amat``."""
+    """The gather index reads the ``2n`` endpoint rows and the ``3n``
+    interior columns at each end that the endpoint rows reach at sbp42,
+    and the one map on it gives ``[G_rho; B_rho]`` applied to the endpoint
+    rows of ``r - amat p`` (``p`` zero at the endpoints), where
+    ``[G_rho; B_rho]`` are the map's columns of the endpoint rows."""
     rng = np.random.default_rng(n * m)
     a = rng.normal(size=(n, n))
     phs = PortHamiltonian(n=n, b=1.0, p1=a + a.T + 2 * n * np.eye(n), p0=(a - a.T) / 2.0)
     bc = bnd.robin(np.eye(n), bd_basis(phs))
     ops = discretize(phs, m)
     core = _CoreSolver(ops, bc, 0.01, np.zeros(1))
-    nn = ops.nnodes
+    nn, nint = ops.nnodes, core.nint
     ends = np.r_[0:n, nn * n - n: nn * n]
-    assert (core._near.stop, core._far.start) == (3 * n, core.nint - 3 * n)
+    interior = np.r_[0:3 * n, nint - 3 * n: nint]
+    assert np.array_equal(core.gather, np.r_[ends, n + interior])
     for _ in range(3):
-        x = rng.normal(size=core.nint)
-        expected = core.amat[ends][:, n:-n] @ x
-        got = core._a_near @ x[core._near] + core._a_far @ x[core._far]
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(core.amat[ends]).sum(axis=1).max() * np.abs(x).max()
+        v = rng.normal(size=nn * n)
+        rho = v[ends] - core.amat[ends][:, n:-n] @ v[n:-n]
+        scale = np.abs(core.endpoint_map).max() * np.abs(core.amat[ends]).sum(axis=1).max() * np.abs(v).max()
+        assert np.abs(core.endpoint_map @ v[core.gather] - core.endpoint_map[:, : 2 * n] @ rho).max() <= 1e-13 * scale
 
 
 def test_complex_relation_keeps_complex_arithmetic():
