@@ -108,12 +108,14 @@ pivot-scaled factor followed by the division, right-hand sides with
 signed zeros included.
 
 The interior lift, the solve of the interior block against the columns
-of the endpoint unknowns, decays exponentially away from its endpoint,
-and every part below ``tiny`` is set to 0, so that no step multiplies
-subnormal numbers.  It is solved on windows from each endpoint that stop
-a little past that decay (:meth:`_CoreSolver._lift`), which skips the
-subnormal arithmetic of the full solve (42–44 ms, most of the set-up,
-at m = 16384) and keeps its bits.
+of the endpoint unknowns, decays geometrically away from its endpoint,
+and every part of a column below :data:`LIFT_CUT` of the column's
+largest part is 0, which moves each row of ``lift @ beta`` far less than
+the rounding of the endpoint values.  It is solved on windows from each
+endpoint (:meth:`_CoreSolver._lift`), which skips the subnormal
+arithmetic of the full solve (42–44 ms at m = 16384), and each step
+multiplies only the rows it keeps (560 per end there; 9,712 when the
+cut was ``tiny``).
 """
 
 from __future__ import annotations
@@ -150,6 +152,10 @@ __all__ = [
 #: consecutive states of at most this many bytes (at least one state), right
 #: after it writes them, while they are still in cache.
 LEDGER_BLOCK_BYTES = 64 * 1024
+
+#: Every part of an interior lift column below this fraction of the
+#: column's largest part is 0 (:meth:`_CoreSolver._lift`).
+LIFT_CUT = 2.0 ** -60
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,12 +405,14 @@ class _CoreSolver:
         # 0.  Each step multiplies only by the two blocks of rows around them,
         # cut at multiples of 256 rows: there the product is bitwise that of
         # the whole lift (gemv blocks its rows; cuts elsewhere move bits).
+        # Each block is its own Fortran-ordered copy: gemv on a strided view
+        # of the whole lift took twice as long.
         live, half = self.lift.any(axis=1), nint // 2
         top, bottom = np.flatnonzero(live[:half]), np.flatnonzero(live[half:])
         a = -(-(int(top[-1]) + 1) // 256) * 256 if top.size else 0
         b = (half + int(bottom[0])) // 256 * 256 if bottom.size else nint
         rows = [slice(0, nint)] if a >= b else [slice(0, a), slice(b, nint)]
-        self._lift_rows = [(r, self.lift[r]) for r in rows if r.start < r.stop]
+        self._lift_rows = [(r, np.asfortranarray(self.lift[r])) for r in rows if r.start < r.stop]
         self._lifted = np.empty(nint, dtype=dtype)  # lift @ beta of the last solve
 
         eye = np.eye(n)
@@ -468,26 +476,23 @@ class _CoreSolver:
 
     def _lift(self, r: np.ndarray) -> np.ndarray:
         """``a_int^{-1} r`` for the endpoint columns ``r``, with every part
-        below ``tiny`` set to 0.
+        of a column below :data:`LIFT_CUT` of the column's largest part set
+        to 0.
 
-        Such a column decays exponentially away from its endpoint, and on
-        fine grids most of the full solve runs through subnormal numbers at
-        a fraction of the normal speed (42–44 ms at m = 16384).  So each
-        endpoint's columns are solved on a window from that endpoint, grown
-        until the solution has fallen 32 bits below ``tiny`` inside it (the
-        distance extrapolated from its decay) and until two windows, the
-        second with the sub-``tiny`` stretch doubled, give the same flushed
-        result; the rest is 0.  A window at the right end is the ``U`` sweep
-        of a suffix: its ``L`` sweep meets only exact zeros, so it is exact
-        on its rows.  A window at the left end is a prefix solve, which
-        drops the couplings of ``U`` from below the window; those come from
-        sub-``tiny`` rows, and the doubled window checks that they round
-        away.  The first window has 1024 rows.  A column reaching both
+        Such a column decays geometrically away from its endpoint (Demko,
+        Moss & Smith 1984, "Decay rates for inverses of band matrices"), so
+        each endpoint's columns are solved on a window from that endpoint,
+        first 1024 rows, doubled until the rows that survive the cut fill at
+        most half of it; the rest is 0.  A window at the right end is the
+        ``U`` sweep of a suffix: its ``L`` sweep meets only exact zeros, so
+        it is exact on its rows.  A window at the left end is a prefix
+        solve, which drops the couplings of ``U`` from below the window;
+        those rows lie as far past the cut as the kept rows reach, about
+        ``LIFT_CUT**2`` of the column's largest part.  A column reaching both
         halves, a block too short for a first window past the head rows and
         ``C + ku``, and a window reaching them from the right take the whole
         solve.
         """
-        tiny = np.finfo(float).tiny
         nint, window = self.nint, 1024
         edge = max(self._upper_head.shape[1], self._head[1].shape[1] if self._head is not None else 0)
         lift = np.zeros(r.shape, dtype=self.dtype, order="F")
@@ -506,7 +511,6 @@ class _CoreSolver:
                 support = np.flatnonzero(block.any(axis=1))
                 extent = 0 if not support.size else nint - support[0] if from_end else support[-1] + 1
                 reach = min(nint, max(window, edge, extent))
-            prev = None
             while True:
                 lo = nint - reach if from_end and reach <= nint - edge else 0
                 hi = nint if from_end else reach
@@ -514,23 +518,14 @@ class _CoreSolver:
                 x[lo:hi] = block[lo:hi]
                 self._sweep(x, lo, hi)
                 parts = (x,) if x.dtype == np.float64 else (x.real, x.imag)
+                cut = LIFT_CUT * np.max([np.abs(part).max(axis=0) for part in parts], axis=0)
                 for part in parts:
-                    part[np.abs(part) < tiny] = 0.0
-                if hi - lo == nint or prev is not None and np.array_equal(x, prev):
+                    part[np.abs(part) < cut] = 0.0
+                kept = np.flatnonzero(x[lo:hi].any(axis=1))
+                used = 0 if not kept.size else hi - lo - kept[0] if from_end else kept[-1] + 1
+                if hi - lo == nint or 2 * used <= hi - lo:
                     break
-                prev = x
-                # Grow to where the decay over the middle of the normal stretch
-                # reaches 32 bits below tiny, and at least double the
-                # sub-tiny stretch at the window's open end.
-                size = np.max([np.abs(part[lo:hi]).max(axis=1) for part in parts], axis=0)[::-1 if from_end else 1]
-                normal = np.flatnonzero(size >= tiny)
-                q = int(normal[-1]) if normal.size else 0
-                a, b = q // 2, 3 * q // 4
-                la, lb = np.log2(np.maximum(size[[a, b]], tiny))
-                rate = (la - lb) / (b - a) if b > a else 0.0
-                target = int(np.ceil(b + (lb - np.log2(tiny) + 32.0) / rate)) if rate > 0 else 2 * reach
-                grown = max(target, 2 * reach - q - 1)
-                reach = min(nint, grown if grown > reach else 2 * reach)
+                reach = min(nint, 2 * reach)
             lift[:, cols] = x
         return lift
 
@@ -721,7 +716,10 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
 
     One resolvent solve ``y = (1 + theta dt A)^{-1} w``, then ``w_next =
     (y - (1 - theta) w) / theta`` (``y`` itself at ``theta = 1``), in the
-    run's arithmetic and dtype, ``state`` read by :func:`.phs._as_field`
+    run's arithmetic and dtype.  The division is a multiplication by
+    ``1 / theta``: bitwise the division at ``theta = 1/2``, where both
+    scale by 2 exactly, and at most one unit in the last place from it at
+    any other ``theta``.  ``state`` is read by :func:`.phs._as_field`
     (a complex128 one not copied), one row per grid node: a real run
     steps a complex-typed state of zero imaginary part as its real part,
     and refuses any other complex state (a ``Stepper`` built from it is a
@@ -751,7 +749,7 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
         core.state(p, out=out)
     if theta != 1.0:
         np.subtract(out, np.multiply(w, 1.0 - theta, out=stepper._scaled), out=out)
-        np.divide(out, theta, out=out)
+        np.multiply(out, 1.0 / theta, out=out)
     return out
 
 
@@ -762,7 +760,8 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
     ``T/nsteps``, so the trajectory always lands exactly on ``T``.  An
     uncertified boundary condition, one on another system's trace basis
     and ``ops`` of another grid or system raise ``ValueError`` before any
-    step (:class:`Stepper`).
+    step (:class:`Stepper`), and so does a step count whose trajectory
+    cannot be allocated, naming the count and the bytes it needs.
     Each step is written into its row of the preallocated ``states``.
     The energies are computed per block of consecutive states of at most
     :data:`LEDGER_BLOCK_BYTES` (at least one state), once the block is
@@ -780,10 +779,14 @@ def simulate(scenario: Scenario, ops: Optional[DiscreteOperators] = None) -> Tra
     dt_eff = scenario.T / nsteps
     stepper = Stepper(replace(scenario, dt=dt_eff), ops)
 
-    states = np.empty((nsteps + 1,) + u0.shape, dtype=stepper._core.dtype)
+    try:
+        states = np.empty((nsteps + 1,) + u0.shape, dtype=stepper._core.dtype)
+        energies, dissipation = np.empty(nsteps + 1), np.zeros(nsteps + 1)
+    except (MemoryError, ValueError) as exc:
+        nbytes = (nsteps + 1) * (u0.size * stepper._core.dtype.itemsize + 16)  # a state and two float64s a step
+        raise ValueError(f"a run of {nsteps} steps needs {nbytes:.3g} bytes for its trajectory, "
+                         "more than can be allocated") from exc
     states[0] = u0.real if stepper._core.real else u0
-    energies = np.empty(nsteps + 1)
-    dissipation = np.zeros(nsteps + 1)
     ledger = partial(_ledger_block, ops, states, energies, dissipation, dt_eff)
     block, first = max(1, LEDGER_BLOCK_BYTES // states[0].nbytes), 0
     for k in range(nsteps):

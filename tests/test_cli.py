@@ -378,6 +378,22 @@ def test_simulate_refuses_uncertified_condition(tmp_path, capsys):
     assert not (tmp_path / "states.csv").exists()
 
 
+def test_simulate_refuses_a_trajectory_that_cannot_be_allocated(tmp_path, capsys):
+    """``transport.cfg`` at ``dt = 1e-15`` is certified, but its 10^15 steps
+    of 129 float64 nodes need about 1e18 bytes of trajectory (917 PiB of
+    states), more than any machine allocates: ``simulate`` refuses the run
+    before any step with one error line naming the step count and the
+    bytes, exit 1, and writes no output file."""
+    text = (CONFIG_DIR / "transport.cfg").read_text(encoding="utf-8").replace("dt = 0.015625", "dt = 1e-15")
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["check-bc", "--config", cfg, "--out", str(tmp_path / "bc")]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: a run of 1000000000000000 steps needs 1.05e+18 bytes "
+                                       "for its trajectory, more than can be allocated\n")
+    assert not list(out.glob("*.csv"))
+
+
 #: Neumann data of 3e150, below the readers' bound of 2^500, against a
 #: density of 1e10 on a coupled ``P1``: certified, and its run overflows
 #: double precision in the first step (energy 7.8e306, dissipation -inf);

@@ -1,5 +1,6 @@
 """The comparison scripts of ``scripts/``, run as a user runs them."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +84,33 @@ def test_output_digests_keeps_only_a_new_or_empty_directory(tmp_path):
     proc = _run("output_digests.py", "--keep", tmp_path)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "is not a new or empty directory" in proc.stderr
+
+
+def _result(wall, rate, failed=0, attempted=10):
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": {"wall_cal": {"value": wall, "unit": "cal"},
+                        "steps_per_cal": {"value": rate, "unit": "1/cal"}}}
+
+
+def test_bench_pairs_summarises_result_lines_without_running_the_benchmark():
+    """Each side's median and inclusive quartiles per metric, the pairs the
+    change won in the metric's direction (a tie is no win), and each
+    side's failed and attempted repetitions; a metric some run lacks is
+    left out."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    pairs = [{"parent": _result(2.0, 400.0), "change": _result(1.8, 440.0)},
+             {"parent": _result(1.9, 410.0, failed=1), "change": _result(1.9, 430.0, attempted=12)},
+             {"parent": _result(2.1, 390.0), "change": _result(2.2, 380.0)}]
+    summary = bench_pairs.summarize(pairs, {"wall_cal": "lower", "steps_per_cal": "higher",
+                                            "setup_s": "lower"})
+    assert summary["steps_per_cal"] == {
+        "parent": {"median": 400.0, "q1": 395.0, "q3": 405.0, "runs": 3},
+        "change": {"median": 430.0, "q1": 405.0, "q3": 435.0, "runs": 3},
+        "change_wins": 2, "pairs": 3}
+    assert summary["wall_cal"]["change"] == {"median": 1.9, "q1": 1.85, "q3": 2.05, "runs": 3}
+    assert summary["wall_cal"]["change_wins"] == 1
+    assert "setup_s" not in summary
+    assert summary["failed"] == {"parent": 1, "change": 0}
+    assert summary["attempted"] == {"parent": 30, "change": 32}

@@ -225,33 +225,33 @@ def test_steps_solve_no_fixed_system_again(monkeypatch, ports, splits):
     assert lu_calls == []
 
 
-@pytest.mark.parametrize("m, subnormal", [(4096, 16_864), (16384, 92_212)], ids=["m4096", "head-swaps"])
-def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, subnormal):
+@pytest.mark.parametrize("m, dt, subnormal", [(4096, 1e-3, 16_864), (16384, 1e-3, 92_212), (4096, 7.8125e-3, 0)],
+                         ids=["m4096", "head-swaps", "slow-decay"])
+def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, dt, subnormal):
     """On a fine grid the interior lift ``A_ii^{-1} A_ib`` decays below the
     normal range (16,864 subnormal parts at m = 4096 and mu / h_x = 1, 92,212
     at m = 16384 and mu / h_x = 4.1, where the factor also swaps rows in a
     head), which made every step's ``lift @ beta`` run at subnormal speed.
-    The lift is solved on windows that stop short of those parts, and is
-    bitwise the full solve on the pivot-scaled ``gbtrf`` factor
-    (:func:`_gbtrs_reference`) with every part below ``tiny`` set to 0; the
-    eliminated solve still matches the assembled one."""
-    theta, dt = 0.5, 1e-3
+    The lift is solved on windows and cut at ``2^-60`` of each column's
+    largest part, within that cut of the full solve on the pivot-scaled
+    ``gbtrf`` factor (:func:`_gbtrs_reference`); at mu / h_x = 8 it keeps
+    1,088 rows per end, more than the first window holds.  The eliminated
+    solve still matches the assembled one."""
+    theta = 0.5
     ops = discretize(PHS2, m)
     bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
     scn = Scenario(phs=PHS2, bc=bc, u0=np.zeros((m + 1, 2)), T=1.0, dt=dt, theta=theta)
     core = Stepper(scn, ops)._core
     assert core.lift.flags.f_contiguous
-    assert (core._j > 0) == (m == 16384)
+    assert (core._j > 0) == (theta * dt / ops.grid.h_x > 2)
     tiny = np.finfo(float).tiny
     for part in (core.lift.real, core.lift.imag):
         assert not np.any((np.abs(part) > 0) & (np.abs(part) < tiny))
 
     ends = np.r_[0:2, 2 * ops.nnodes - 2: 2 * ops.nnodes]
     full = _gbtrs_reference(core, core.amat[2:-2][:, ends].toarray())
-    small = np.abs(full) < tiny
-    assert np.count_nonzero(small & (full != 0)) == subnormal
-    full[small] = 0.0
-    assert _bitwise(core.lift, full)
+    assert np.count_nonzero((np.abs(full) < tiny) & (full != 0)) == subnormal
+    _assert_lift_cut(core.lift, full)
 
     xs = ops.grid.nodes
     r_flat = np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs),
@@ -261,10 +261,15 @@ def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, subno
     assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
 
     # A step multiplies only the rows of the lift around its zero middle,
-    # cut at multiples of 256 rows, and gets the bits of the whole product.
-    (top, _), (bottom, _) = core._lift_rows
+    # cut at multiples of 256 rows, each block its own Fortran-ordered copy,
+    # and gets the bits of the whole product.
+    (top, top_rows), (bottom, bottom_rows) = core._lift_rows
     assert top.start == 0 and top.stop % 256 == 0 == bottom.start % 256 and bottom.stop == 2 * m - 2
     assert top.stop < bottom.start and not core.lift[top.stop: bottom.start].any()
+    for rows, block in core._lift_rows:
+        assert block.flags.f_contiguous and _bitwise(block, core.lift[rows])
+    if m == 16384:
+        assert top.stop <= 768 and bottom.stop - bottom.start <= 768
     whole = copy.copy(core)
     whole._lift_rows = [(slice(0, 2 * m - 2), core.lift)]
     assert _bitwise(core.solve(r_flat)[0], whole.solve(r_flat)[0])
@@ -471,6 +476,25 @@ def test_step_refuses_a_state_on_another_grid(rows):
     assert ops.nnodes == 257
     with pytest.raises(ValueError, match=f"^state does not match the grid: {rows} rows, 257 nodes$"):
         step(np.zeros((rows, phs.n)), stepper)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75])
+def test_theta_update_multiplies_by_the_inverse_of_theta(theta):
+    """``step`` ends with ``w_next = (y - (1 - theta) w) * (1 / theta)``:
+    bitwise the division ``(y - (1 - theta) w) / theta`` at ``theta = 1/2``,
+    and within one unit in the last place of it at ``theta = 3/4``."""
+    xs = discretize(PHS2, 64).grid.nodes
+    u0 = np.stack([np.exp(-8 * xs**2) * np.cos(3 * xs), np.exp(-6 * xs**2) * np.sin(2 * xs)], axis=1)
+    bc = bnd.from_V(np.array([[0.0, 1.0], [-1.0, 0.0]]), BASIS2)
+    stepper = Stepper(Scenario(phs=PHS2, bc=bc, u0=u0, T=0.1, dt=0.01, theta=theta), discretize(PHS2, 64))
+    y = stepper._core.solve(u0.ravel())[0].reshape(u0.shape)
+    divided = (y - (1.0 - theta) * u0) / theta
+    new = step(u0, stepper)
+    if theta == 0.5:
+        assert _bitwise(new, divided)
+    else:
+        assert not _bitwise(new, divided)
+        assert np.all(np.abs(new - divided) <= np.maximum(np.spacing(np.abs(divided)), np.spacing(np.abs(new))))
 
 
 def test_douglas_rachford_steps_keep_exact_energy_ledger(monkeypatch):
@@ -1291,6 +1315,18 @@ def _bitwise(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_lift_cut(lift, full):
+    """Every part of ``lift`` lies within ``2^-60`` of its column's largest
+    part of the whole solve ``full``, and every part it keeps is at or
+    above that cut."""
+    assert lift.dtype == full.dtype and lift.shape == full.shape
+    parts = (lambda a: (a,)) if lift.dtype == np.float64 else (lambda a: (a.real, a.imag))
+    cut = 2.0 ** -60 * np.max([np.abs(part).max(axis=0) for part in parts(full)], axis=0)
+    for kept, whole in zip(parts(lift), parts(full)):
+        assert np.all(np.abs(kept - whole) <= cut)
+        assert np.all((kept == 0) | (np.abs(kept) >= cut))
+
+
 #: (cells, mu / h_x): 0.25 needs no row swap (J = 0); at 4 the wave block
 #: swaps in its first columns only; at 50 it swaps throughout (J ~ N).
 BLOCKS = {"m32": (32, 4.8), "no-swaps": (256, 0.25), "head-swaps": (256, 4.0),
@@ -1317,7 +1353,9 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, block):
     is that factor's ``L`` from column ``J`` and its scaled ``U``, with
     exact unit diagonals: ``ku`` superdiagonals from column ``C`` on, all
     ``kl + ku`` before, and the tail's couplings to the head in the ``ku``
-    columns from ``C``; the kept pivots are ``gbtrf``'s."""
+    columns from ``C``; the kept pivots are ``gbtrf``'s.  The lift is that
+    solve of the endpoint columns, cut at ``2^-60`` of each column's
+    largest part."""
     m, mu_h = BLOCKS[block]
     ops = discretize(phs, m)
     core = _CoreSolver(ops, bnd.from_V(np.array(v), bd_basis(phs)), mu_h * ops.grid.h_x, 0.0)
@@ -1361,10 +1399,7 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, block):
     signed_zeros[-1] = 1.0
     for rhs in (r, signed_zeros, np.full(nint, -0.0), lift_rhs):
         assert _bitwise(_band_solve(core, rhs), _gbtrs_reference(core, rhs))
-    lift_ref = _gbtrs_reference(core, lift_rhs)
-    for part in (lift_ref,) if real else (lift_ref.real, lift_ref.imag):
-        part[np.abs(part) < np.finfo(float).tiny] = 0.0
-    assert _bitwise(core.lift, lift_ref)
+    _assert_lift_cut(core.lift, _gbtrs_reference(core, lift_rhs))
 
 
 def test_band_factor_swaps_sit_in_a_head():
