@@ -17,7 +17,10 @@ package from this checkout's ``src``:
 * ``monoport simulate`` on a fine grid (:data:`FINE_CONFIGS`), a shipped
   config with its grid edited, written there too, on two friction ports
   on a coupled ``P1``, with real and with complex data, and on three
-  ports, Robin between two friction ports (:data:`FRICTION_CONFIGS`);
+  ports, Robin between two friction ports (:data:`FRICTION_CONFIGS`), and
+  on three systems that no shipped config builds: a constant density
+  ``H``, the ``sine-well`` profile, and a ``P1`` with a repeated
+  eigenvalue (:data:`SYSTEM_CONFIGS`);
 * two usage errors that name no config file (:data:`USAGE_ERRORS`): a
   ``--config`` that is a directory and a negative ``--seed``.
 
@@ -117,6 +120,22 @@ FRICTION_CONFIGS = (
       ("port.1 = dirichlet 0", "port.1 = robin 1.0\nport.2 = friction 0.3"), ("theta = 1.0", "theta = 0.5"))),
 )
 
+#: ``(name, shipped config, edits)``: system features that no shipped config
+#: uses: a constant density ``H`` other than the identity, the ``sine-well``
+#: profile (a density that varies in space, so the transport oracle does not
+#: apply), and a gaussian run with ``P1 = diag(1, 1, -1)``, whose repeated
+#: speed takes the canonical eigenbasis of its cluster.  ``T = 0.5`` where the
+#: shipped ``T`` takes over a second.
+SYSTEM_CONFIGS = (
+    ("wave_damped-density", "wave_damped.cfg",
+     (("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = 2 0.5; 0.5 1"), ("T = 2.0", "T = 0.5"))),
+    ("transport-sine-well", "transport.cfg", (("P1 = 1", "P1 = 1\nH = sine-well"),)),
+    ("gaussian-repeated-speed", "wave_damped.cfg",
+     (("scenario = wave", "scenario = gaussian"), ("n = 2", "n = 3"),
+      ("P1 = 0 1; 1 0", "P1 = 1 0 0; 0 1 0; 0 0 -1"), ("V = 0 0.5; -0.5 0", "V = 0 0.5 0; -0.5 0 0; 0 0 0.3"),
+      ("T = 2.0", "T = 0.5"))),
+)
+
 #: ``(name, arguments)``: usage errors that name no config file.  A path is
 #: relative to the run's working directory, so stderr holds no temporary path.
 USAGE_ERRORS = (
@@ -159,7 +178,7 @@ def _cases(tmp: Path):
         yield name, cli + ["check-bc", "--config", str(cfg), "--out", name], EXIT_USAGE
     for label, arguments in USAGE_ERRORS:
         yield f"usage/{label}", cli + list(arguments), EXIT_USAGE
-    for kind, table in (("fine", FINE_CONFIGS), ("friction", FRICTION_CONFIGS)):
+    for kind, table in (("fine", FINE_CONFIGS), ("friction", FRICTION_CONFIGS), ("system", SYSTEM_CONFIGS)):
         for label, shipped, edits in table:
             text = (ROOT / "configs" / shipped).read_text(encoding="utf-8")
             for old, new in edits:

@@ -42,8 +42,6 @@ from monoport.relations import (
     direct_sum,
     graph_residual,
     plan_inclusion,
-    post_set,
-    principal_section,
     resolvent,
     resolvent_value,
     solve_inclusion,
@@ -98,13 +96,11 @@ __all__ = [
     "resolvent",
     "resolvent_value",
     "yosida",
-    "post_set",
     "adjoint_relation",
     "graph_residual",
     "plan_inclusion",
     "solve_inclusion",
     "NonconvergenceError",
-    "principal_section",
     "direct_sum",
     "transform",
     "certify",

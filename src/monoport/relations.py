@@ -36,10 +36,6 @@ An affine relation has one form, a ``LinearGraph``
 (:attr:`Relation.affine`); :func:`direct_sum` and :func:`transform`
 keep it, so ``DirectSum`` and ``Transformed`` always hold a non-affine
 part.
-
-Post-sets ``A[{x}]`` of affine relations are affine sets
-(:func:`post_set`); :func:`principal_section` also has the closed form
-for friction.
 """
 
 from __future__ import annotations
@@ -59,19 +55,16 @@ __all__ = [
     "TOL_ITERATIVE",
     "MAX_ITER",
     "NonconvergenceError",
-    "AffineSet",
     "Certificate",
     "Relation",
     "LinearGraph",
     "SeparableProx",
     "DirectSum",
     "Transformed",
-    "post_set",
     "adjoint_relation",
     "resolvent",
     "resolvent_value",
     "yosida",
-    "principal_section",
     "direct_sum",
     "transform",
     "certify",
@@ -102,23 +95,6 @@ class NonconvergenceError(RuntimeError):
     def __init__(self, message: str, residual: Optional[float] = None):
         super().__init__(message)
         self.residual = residual
-
-
-# ---------------------------------------------------------------------------
-# set descriptions returned by post_set
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class AffineSet:
-    """``{base + directions @ t}`` — an affine subspace (possibly a point)."""
-
-    base: np.ndarray
-    directions: np.ndarray  # dim x k, k may be 0
-
-    @property
-    def is_point(self) -> bool:
-        return self.directions.shape[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -703,46 +679,6 @@ def yosida(rel: Relation, lam: float, x) -> np.ndarray:
     """The single-valued regularization ``lam^{-1} (x - (1 + lam A)^{-1} x)``."""
     jx = resolvent(rel, lam, x)
     return (np.asarray(x, dtype=complex) - jx) / lam
-
-
-def post_set(rel: Relation, x) -> Optional[AffineSet]:
-    """Describe ``A[{x}] = {y : (x, y) in A}`` for an affine relation.
-
-    Returns an :class:`AffineSet`, or ``None`` when ``x`` is outside the
-    domain.  Other representations raise ``ValueError``.
-    """
-    if not isinstance(rel, LinearGraph):
-        raise ValueError(f"post-set enumeration is not supported for representation {type(rel).__name__!r}")
-    x = rel.space.check_vector(x) - rel.x0
-    c, res = _lstsq(rel.zx, x)
-    if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(x))):
-        return None
-    base = rel.zy @ c + rel.y0
-    null = _nullspace(rel.zx)
-    dirs = _orthonormal_columns(rel.zy @ null) if null.shape[1] else np.zeros((rel.space.dim, 0), dtype=complex)
-    return AffineSet(base=base, directions=dirs)
-
-
-def principal_section(rel: Relation, x) -> np.ndarray:
-    """Least-norm element of the post-set at ``x`` in the weighted norm.
-
-    Affine relations take the least-norm point of :func:`post_set`, and
-    raise ``ValueError`` outside the domain.  Friction has the closed
-    form ``mu x / |x|`` per coordinate, and ``0`` at the kink
-    ``|x| <= 1e-12``, where the post-set is the disk of radius ``mu``.
-    """
-    if isinstance(rel, SeparableProx):
-        x = rel.space.check_vector(x)
-        return np.array([0.0 if abs(xk) <= 1e-12 else mu * xk / abs(xk)
-                         for mu, xk in zip(rel.scales, x)], dtype=complex)
-    desc = post_set(rel, x)
-    if desc is None:
-        raise ValueError("empty post-set: the point is outside the relation's domain")
-    if desc.is_point:
-        return desc.base
-    lh = rel.space._chol.conj().T
-    t, _ = _lstsq(lh @ desc.directions, -(lh @ desc.base))
-    return desc.base + desc.directions @ t
 
 
 def adjoint_relation(rel: Relation) -> Relation:

@@ -394,6 +394,21 @@ def test_simulate_refuses_a_trajectory_that_cannot_be_allocated(tmp_path, capsys
     assert not list(out.glob("*.csv"))
 
 
+def test_simulate_refuses_a_boundary_response_without_positivity(tmp_path, capsys):
+    """At a density of 1e100 the boundary response of ``wave_damped.cfg``
+    is zero to roundoff, and the solver refuses to factor it: ``simulate``
+    exits 1 with one error line, no traceback, and writes no output file."""
+    text = (CONFIG_DIR / "wave_damped.cfg").read_text(encoding="utf-8").replace(
+        "P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = 1e100 0; 0 1e100")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary response lost positivity (smallest Hermitian eigenvalue ")
+    assert err.endswith("); the elliptic solve is unreliable at this resolution\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
 #: Neumann data of 3e150, below the readers' bound of 2^500, against a
 #: density of 1e10 on a coupled ``P1``: certified, and its run overflows
 #: double precision in the first step (energy 7.8e306, dissipation -inf);

@@ -131,6 +131,14 @@ def test_bc_value_scalar_broadcasts_to_every_port(bc_text, offset, expected):
     (variant("kind = v-matrix\nV = 0 1; -1 0",
              "kind = multiport\nport.0 = friction 0.5\nport.x = dirichlet 0", WAVE),
      "port index must be an integer"),
+    (variant("P1 = 1", "P1 = 1;"), "[phs] P1: empty matrix row"),
+    (variant("P1 = 0 1; 1 0", "P1 = 0 1; 1", WAVE), "[phs] P1: ragged matrix rows"),
+    (variant("m = 128", "m = 128\nm = 64"), "line 11: duplicate key 'm' in [grid]"),
+    (variant("scenario = transport\n", ""), "missing top-level 'scenario = <name>' line"),
+    (variant("m = 128", "m = 12.8"), "[grid]: invalid literal for int()"),
+    (variant("kind = v-matrix\nV = 0 1; -1 0",
+             "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0\nV = 0", WAVE),
+     "[bc]: unexpected key 'V' for multiport"),
 ])
 def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -154,6 +162,9 @@ def test_parse_errors_carry_context(text, fragment):
     (variant("kind = v-matrix\nV = 0 1; -1 0",
              "kind = multiport\nport.0 = friction 0.5\nport.00 = dirichlet 0", WAVE),
      "[bc]: port index 0 assigned twice"),
+    (variant("kind = v-matrix\nV = 0 1; -1 0", "kind = robin\nM = 1 0; 0 0\nsign = -1", WAVE),
+     "[bc]: the sign-flipped Robin condition needs a positive definite matrix "
+     "(otherwise nothing is certified to fail)"),
     (variant("m = 128", "m = 129"), "[grid]: cell count must be even so the grid contains 0, got 129"),
     (variant("m = 128", "m = 4"), "[grid]: need at least 8 cells, got 4"),
     (variant("theta = 1", "theta = 0.2"), "[grid]: theta must lie in [1/2, 1]"),

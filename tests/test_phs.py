@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from monoport.phs import (
     PortHamiltonian,
@@ -14,7 +15,7 @@ from monoport.phs import (
     project_bd,
 )
 
-from conftest import rand_complex, rand_herm_invertible, rand_spd
+from conftest import rand_complex, rand_herm_invertible, rand_spd, rand_unitary
 
 TANH1 = 0.7615941559557649
 
@@ -44,6 +45,26 @@ def test_eigendecompose_degenerate_spectrum_is_canonical():
     lam, u = eigendecompose(2.0 * np.eye(3))
     assert np.allclose(lam, 2.0)
     assert np.allclose(u, np.eye(3), atol=1e-12)
+
+
+def test_eigendecompose_repeated_eigenvalue_basis_is_canonical(rng):
+    """Two constructions of one ``P1`` with the eigenvalue 1 twice, ``Q D Q*``
+    and the same with ``Q``'s two cluster columns rotated, agree to roundoff;
+    ``scipy.linalg.eigh``'s bases of the cluster do not, the ones
+    ``_canonical_subspace_basis`` derives from the cluster's projector do."""
+    d = np.diag([1.0, 1.0, -1.0])
+    q = rand_unitary(rng, 3)
+    c, s = np.cos(0.7), np.sin(0.7)
+    q_rot = q @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    p1, p1_rot = q @ d @ q.conj().T, q_rot @ d @ q_rot.conj().T
+    assert np.abs(p1 - p1_rot).max() < 1e-14
+    assert np.abs(scipy.linalg.eigh(p1)[1] - scipy.linalg.eigh(p1_rot)[1]).max() > 0.1
+    (lam, u), (lam_rot, u_rot) = eigendecompose(p1), eigendecompose(p1_rot)
+    assert np.allclose(lam, [-1.0, 1.0, 1.0], atol=1e-12) and np.abs(lam - lam_rot).max() < 1e-12
+    assert np.abs(u - u_rot).max() < 1e-12
+    # on the standard basis the cluster keeps e1, e2 in index order
+    lam, u = eigendecompose(d)
+    assert np.array_equal(lam, [-1.0, 1.0, 1.0]) and np.allclose(u, np.eye(3)[:, [2, 0, 1]], atol=1e-12)
 
 
 def test_eigendecompose_phase_is_pinned(rng):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from monoport.relations import (
     TOL_ITERATIVE,
-    AffineSet,
     Certificate,
     DirectSum,
     LinearGraph,
@@ -22,8 +21,6 @@ from monoport.relations import (
     direct_sum,
     graph_residual,
     plan_inclusion,
-    post_set,
-    principal_section,
     resolvent,
     resolvent_value,
     solve_inclusion,
@@ -50,23 +47,6 @@ def sign_relation(mu=1.0):
 def dirichlet_relation():
     """The vertical relation {(0, t) : t}."""
     return LinearGraph(C1, np.zeros((1, 1)), np.ones((1, 1)))
-
-
-# ---------------------------------------------------------------- post_set
-
-
-def test_post_set_identity_graph():
-    desc = post_set(identity_relation(), [2.0])
-    assert isinstance(desc, AffineSet) and desc.is_point
-    assert desc.base == pytest.approx([2.0])
-
-
-def test_post_set_vertical_line():
-    rel = dirichlet_relation()
-    at_zero = post_set(rel, [0.0])
-    assert isinstance(at_zero, AffineSet) and not at_zero.is_point
-    assert at_zero.directions.shape == (1, 1)
-    assert post_set(rel, [1.0]) is None
 
 
 # ---------------------------------------------------------------- adjoint
@@ -192,32 +172,6 @@ def test_yosida_pair_lies_on_graph(rng):
         jx = resolvent(rel, lam, x)
         ax = yosida(rel, lam, x)
         assert graph_residual(rel, jx, ax) < 1e-8
-
-
-# ------------------------------------------------------- principal_section
-
-
-def test_principal_section_sign_relation():
-    rel = sign_relation()
-    assert principal_section(rel, [0.0]) == pytest.approx([0.0])
-    assert principal_section(rel, [2.0]) == pytest.approx([1.0])
-
-
-def test_principal_section_vertical_relation():
-    assert principal_section(dirichlet_relation(), [0.0]) == pytest.approx([0.0])
-
-
-def test_principal_section_affine_set(rng):
-    """Least-norm point of an affine post-set solves the normal equations."""
-    rel = LinearGraph(InnerProductSpace(2),
-                      np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]]))
-    # post-set of x = (1, 0): single point (1, 1)
-    assert principal_section(rel, [1.0, 0.0]) == pytest.approx([1.0, 1.0])
-
-
-def test_principal_section_outside_domain_raises():
-    with pytest.raises(ValueError):
-        principal_section(dirichlet_relation(), [1.0])
 
 
 # ---------------------------------------------------------------- direct sum
@@ -616,11 +570,6 @@ def test_relation_suite_evaluates_each_resolvent_once(monkeypatch):
     keys = [(id(r), phi) for r, phi in plans]
     # 40 nonexpansive pairs, 40 Yosida values, 60 direct-sum resolvents, 5 sampled relations
     assert len(keys) == 145 and len(set(keys)) == len(keys)
-
-
-def test_post_set_refuses_nonaffine_relation():
-    with pytest.raises(ValueError, match="SeparableProx"):
-        post_set(sign_relation(), [0.0])
 
 
 def test_check_maximal_closed_form_path_on_prox():

@@ -13,7 +13,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from monoport import boundary as bnd
 from monoport.config import HAMILTONIAN_PROFILES, load_config
 from monoport.phs import PortHamiltonian, bd_basis
-from monoport.relations import LinearGraph, SeparableProx, direct_sum, post_set, transform
+from monoport.relations import SeparableProx, direct_sum, transform
 from monoport.solver import (
     Scenario,
     _CoreSolver,
@@ -332,7 +332,6 @@ def test_value_types_compare_by_identity():
         scn = Scenario(phs=phs, bc=bc, u0=u0, T=0.02, dt=0.01)
         space = InnerProductSpace(2)
         return (space, LinearMap(space, space, np.eye(2)), phs, basis, bc, ops.grid, ops, scn,
-                post_set(LinearGraph.from_matrix(space, np.eye(2)), [1.0, 0.0]),
                 resolve_A(ops, bc, 0.1, (u0, u0)), simulate(scn, ops))
 
     for a, b in zip(build(), build()):
