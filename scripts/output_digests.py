@@ -14,6 +14,10 @@ package from this checkout's ``src``:
   constructor on the build path checks (system, boundary condition,
   grid, initial data, scenario; :data:`INVALID_CONFIGS`), each a shipped
   config with one edit, written to the temporary directory;
+* ``monoport check-bc`` on three conditions that fail their certificate
+  by a small margin (:data:`BORDERLINE_CONFIGS`), each a shipped config
+  with one edit, written there too: ``V`` just above 1, a Robin ``M`` just
+  below 0, and a Robin port of the wrong sign beside a friction port;
 * ``monoport simulate`` on a fine grid (:data:`FINE_CONFIGS`), a shipped
   config with its grid edited, written there too, on two friction ports
   on a coupled ``P1``, with real and with complex data, and on three
@@ -33,7 +37,8 @@ printed per written file and per captured stdout, and for an invalid
 config or a usage error one more for its stderr, with its exit code, so
 two checkouts are compared with one ``diff`` of two runs.  The exit code is 1 if any run exits
 unexpectedly: 1 for ``check-bc`` and ``simulate`` on
-``robin_wrong_sign.cfg`` (its certificate fails), 2 for an invalid
+``robin_wrong_sign.cfg`` and for ``check-bc`` on a borderline config
+(their certificates fail), 2 for an invalid
 config and a usage error, 0 everywhere else.  Standard library only.
 
 Usage:
@@ -93,6 +98,16 @@ INVALID_CONFIGS = (
     ("bc-V-huge", "wave_damped.cfg", "V = 0 0.5; -0.5 0", "V = 1e200 0; 0 0.5"),
     ("bc-value-huge", "transport.cfg", "kind = v-matrix\nV = 0", "kind = neumann\nvalue = 1e300"),
     ("phs-b-huge", "transport.cfg", "b = 1.0", "b = 1e300"),
+)
+
+#: ``(name, shipped config, text, replacement)``: conditions whose
+#: certificate fails, each by a margin that the sign rules before the
+#: one certificate rule let through or refused as a config error.
+BORDERLINE_CONFIGS = (
+    ("transport-V-above-one", "transport.cfg", "kind = v-matrix\nV = 0", "kind = v-matrix\nV = 1.0000000001"),
+    ("wave_damped-robin-negative", "wave_damped.cfg", "kind = v-matrix\nV = 0 0.5; -0.5 0",
+     "kind = robin\nM = -1e-11 0; 0 -1e-11"),
+    ("friction-port-robin-negative", "friction.cfg", "port.1 = dirichlet 0", "port.1 = robin -0.5"),
 )
 
 #: ``(name, shipped config, edits)``: a run on a grid fine enough that the
@@ -167,15 +182,16 @@ def _cases(tmp: Path):
     name = "convergence/friction-state"
     yield name, cli + ["convergence", "--config", str(ROOT / "configs" / "friction.cfg"),
                        "--study", "state", "--out", name], 0
-    for rule, shipped, text, replacement in INVALID_CONFIGS:
-        original = (ROOT / "configs" / shipped).read_text(encoding="utf-8")
-        if text not in original:
-            raise SystemExit(f"{shipped} no longer contains {text!r}; update INVALID_CONFIGS")
-        cfg = tmp / "invalid" / f"{rule}.cfg"
-        cfg.parent.mkdir(exist_ok=True)
-        cfg.write_text(original.replace(text, replacement, 1), encoding="utf-8")
-        name = f"check-bc-invalid/{rule}"
-        yield name, cli + ["check-bc", "--config", str(cfg), "--out", name], EXIT_USAGE
+    for kind, table, code in (("invalid", INVALID_CONFIGS, EXIT_USAGE), ("borderline", BORDERLINE_CONFIGS, 1)):
+        for rule, shipped, text, replacement in table:
+            original = (ROOT / "configs" / shipped).read_text(encoding="utf-8")
+            if text not in original:
+                raise SystemExit(f"{shipped} no longer contains {text!r}; update {kind.upper()}_CONFIGS")
+            cfg = tmp / kind / f"{rule}.cfg"
+            cfg.parent.mkdir(exist_ok=True)
+            cfg.write_text(original.replace(text, replacement, 1), encoding="utf-8")
+            name = f"check-bc-{kind}/{rule}"
+            yield name, cli + ["check-bc", "--config", str(cfg), "--out", name], code
     for label, arguments in USAGE_ERRORS:
         yield f"usage/{label}", cli + list(arguments), EXIT_USAGE
     for kind, table in (("fine", FINE_CONFIGS), ("friction", FRICTION_CONFIGS), ("system", SYSTEM_CONFIGS)):

@@ -69,7 +69,6 @@ from monoport.boundary import (
     multiport,
     neumann,
     robin,
-    robin_bad,
 )
 from monoport.config import Config, ConfigError, load_config, parse_config
 from monoport.solver import (
@@ -120,7 +119,6 @@ __all__ = [
     "dirichlet",
     "neumann",
     "robin",
-    "robin_bad",
     "multiport",
     "check_skew_selfadjoint",
     "extract_h",

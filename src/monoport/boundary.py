@@ -16,10 +16,11 @@ demand, through exact coordinate maps:
   which the paper states its criterion, and whose adjoint calculus
   (skew-selfadjointness) is natural.
 
-Constructors attach certificates: monotonicity and maximality are
-checked exactly, by eigenvalue / rank arguments for linear conditions
-and componentwise for frictional multiport conditions (friction is a
-subdifferential, hence maximal).  A multiport condition is the direct
+Constructors attach certificates, the one judge of a condition's sign:
+by eigenvalue / rank arguments for linear conditions (the sign to
+roundoff, :data:`.relations.MONOTONE_TOL`) and componentwise for
+frictional multiport conditions (friction is a subdifferential, hence
+maximal).  A multiport condition is the direct
 sum of one scalar relation per port, in port order.  Failed
 certificates always carry a concrete, re-verifiable witness.
 """
@@ -27,7 +28,6 @@ certificates always carry a concrete, re-verifiable witness.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -55,7 +55,6 @@ __all__ = [
     "dirichlet",
     "neumann",
     "robin",
-    "robin_bad",
     "multiport",
     "check_skew_selfadjoint",
     "extract_h",
@@ -88,7 +87,7 @@ class BoundaryCondition:
         The trace basis the coordinate maps refer to.
     provenance:
         One of ``V-matrix``, ``Dirichlet``, ``Neumann``, ``Robin``,
-        ``RobinBad``, ``Multiport``, ``Extracted``.
+        ``Multiport``, ``Extracted``.
     certificates:
         Mapping with ``"monotone"`` and ``"maximal"``
         :class:`~.relations.Certificate` entries from construction time.
@@ -174,13 +173,12 @@ def _finalize(basis, port, provenance) -> BoundaryCondition:
 def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:
     """Boundary condition ``(1+V) f + (1-V) e = 0`` from a square matrix.
 
-    For ``V^* V <= 1`` the resulting relation is maximal monotone; a
-    violation raises a warning (not an error) and the condition is still
-    constructed so that falsification experiments can watch its
-    certificates fail.  The flow/effort graph is parametrized by
-    ``e = (1+V) l``, ``f = -(1-V) l``, under which the dissipation
-    pairing becomes ``-Re<e, f> = Re<(1-V^*V) l, l>`` — manifestly
-    nonnegative exactly on contractions.
+    For ``V^* V <= 1`` the resulting relation is maximal monotone; any
+    other ``V`` is built too, and its certificate fails.  The flow/effort
+    graph is parametrized by ``e = (1+V) l``, ``f = -(1-V) l``, under
+    which the dissipation pairing becomes ``-Re<e, f> = Re<(1-V^*V) l,
+    l>`` — nonnegative exactly on contractions, so the monotonicity
+    certificate decides, to roundoff, whether ``V`` is one.
 
     The maximality certificate reports the smallest singular value of
     ``-S(1+V) - (1-V)``; its invertibility closes the construction for
@@ -189,27 +187,15 @@ def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:
     """
     n = basis.n
     vmat = _as_matrix(vmat, (n, n), "V")
-    vv = vmat.conj().T @ vmat
-    vv_top = float(np.linalg.eigvalsh(vv)[-1])
-    if vv_top > 1.0 + 1e-10:
-        warnings.warn(
-            f"V is not a contraction (largest eigenvalue of V*V = {vv_top:.6g} > 1); "
-            "the resulting boundary relation will not be monotone",
-            UserWarning,
-            stacklevel=2,
-        )
+    vv_top = float(np.linalg.eigvalsh(vmat.conj().T @ vmat)[-1])
     eye = np.eye(n)
     port = LinearGraph(InnerProductSpace(n), eye + vmat, eye - vmat)
-    closing = -basis.S @ (eye + vmat) - (eye - vmat)
-    sigmas = sla.svdvals(closing)
+    sigmas = sla.svdvals(-basis.S @ (eye + vmat) - (eye - vmat))
     sigma_min = float(sigmas[-1])
     mono = relations._monotone_linear(port)
-    max_cert = Certificate(
-        monotone=mono.monotone,
-        maximal="yes" if (mono.monotone == "yes" and sigma_min > SIGMA_MIN_THRESHOLD) else "no",
-        method="smallest singular value of -S(1+V)-(1-V)",
-        witness={"sigma_min": sigma_min, "sigmas": sigmas, "vv_top_eigenvalue": vv_top},
-    )
+    maximal = "yes" if (mono.monotone == "yes" and sigma_min > SIGMA_MIN_THRESHOLD) else "no"
+    max_cert = Certificate(monotone=mono.monotone, maximal=maximal, method="smallest singular value of -S(1+V)-(1-V)",
+                           witness={"sigma_min": sigma_min, "sigmas": sigmas, "vv_top_eigenvalue": vv_top})
     return BoundaryCondition(port, basis, "V-matrix", {"monotone": mono, "maximal": max_cert})
 
 
@@ -229,46 +215,21 @@ def neumann(value, basis: BoundaryDataBasis) -> BoundaryCondition:
     return _finalize(basis, port, "Neumann")
 
 
-def _robin_like(mmat, basis, value, sign: float, provenance: str) -> BoundaryCondition:
-    n = basis.n
-    mmat = _as_matrix(mmat, (n, n), "Robin matrix")
-    scale = max(1.0, float(np.linalg.norm(mmat)))
-    mmat = _hermitize(mmat, "Robin matrix")
-    evals = np.linalg.eigvalsh(mmat)
-    if sign > 0 and evals[0] < -1e-10 * scale:
-        raise ValueError(
-            f"Robin matrix must be positive semidefinite (smallest eigenvalue {evals[0]:.3e})"
-        )
-    if sign < 0 and evals[0] <= 1e-10 * scale:
-        raise ValueError(
-            "the sign-flipped Robin condition needs a positive definite matrix "
-            "(otherwise nothing is certified to fail)"
-        )
-    pin = _port_datum(value, n)
-    kmat = sign * (basis.sqrtS @ mmat @ basis.sqrtS)
-    port = LinearGraph(InnerProductSpace(n), np.eye(n), kmat, y0=-pin)
-    return _finalize(basis, port, provenance)
-
-
 def robin(mmat, basis: BoundaryDataBasis, value=0.0) -> BoundaryCondition:
-    """Impedance condition ``f = -sqrt(S) M sqrt(S) e + value`` with ``M ⪰ 0``.
+    """Impedance condition ``f = -sqrt(S) M sqrt(S) e + value``, ``M`` Hermitian.
 
     ``M`` acts in the symmetrized port coordinates ``sqrt(S) e``; there
     its positive semidefiniteness is exactly equivalent to monotonicity,
     and the eigenvalues of the stored trace-basis operator coincide with
-    those of ``M`` (the two are similar).
+    those of ``M`` (the two are similar).  The certificate judges the
+    sign: ``robin(-M)`` for a positive definite ``M`` is certified
+    *non*-monotone, with a violating pair of graph points as witness.
     """
-    return _robin_like(mmat, basis, value, +1.0, "Robin")
-
-
-def robin_bad(mmat, basis: BoundaryDataBasis, value=0.0) -> BoundaryCondition:
-    """The sign-flipped impedance condition — certified *non*-monotone.
-
-    Requires ``M`` positive definite so that the monotonicity
-    certificate provably fails; the returned certificate carries a
-    concrete violating pair of graph points for re-verification.
-    """
-    return _robin_like(mmat, basis, value, -1.0, "RobinBad")
+    n = basis.n
+    mmat = _hermitize(_as_matrix(mmat, (n, n), "Robin matrix"), "Robin matrix")
+    port = LinearGraph(InnerProductSpace(n), np.eye(n), basis.sqrtS @ mmat @ basis.sqrtS,
+                       y0=-_port_datum(value, n))
+    return _finalize(basis, port, "Robin")
 
 
 #: Port kinds of a multiport tuple spec, with the value counts each takes.
@@ -289,8 +250,8 @@ def _scalar_part(kind: str, params: tuple) -> Relation:
     coef = complex(params[0])
     if kind == "friction":  # SeparableProx checks its coefficients
         return SeparableProx(space, [coef])
-    if coef.imag != 0 or not coef.real >= 0.0:
-        raise ValueError(f"robin coefficient must be real and nonnegative, got {params[0]!r}")
+    if coef.imag != 0:
+        raise ValueError(f"robin coefficient must be real, got {params[0]!r}")
     val = params[1] if len(params) > 1 else 0.0
     return LinearGraph(space, np.eye(1), [[coef.real]], y0=[-complex(val)])
 
@@ -308,18 +269,19 @@ def multiport(parts: Sequence, basis: BoundaryDataBasis) -> BoundaryCondition:
         ``("dirichlet", value)``, ``("neumann", value)``,
         ``("robin", alpha[, value])`` or ``("friction", mu)`` — giving
         the scalar relation of that port.  A Robin port is ``f_k =
-        -alpha e_k + value``, unlike :func:`robin`, whose ``M`` acts on
-        ``sqrt(S) e``: on the wave system (``S = tanh(1) I``) two ``robin
-        1`` ports give ``w = e``, ``robin(I)`` gives ``w = 0.7616 e``, and
-        where ``S`` is not diagonal a diagonal ``M`` couples the ports.
+        -alpha e_k + value`` for any real ``alpha``, unlike :func:`robin`,
+        whose ``M`` acts on ``sqrt(S) e``: on the wave system (``S =
+        tanh(1) I``) two ``robin 1`` ports give ``w = e``, ``robin(I)``
+        gives ``w = 0.7616 e``, and where ``S`` is not diagonal a diagonal
+        ``M`` couples the ports.
     basis:
         Trace basis fixing ``n`` and the coordinate maps.
 
     The ports are checked and their scalar parts summed (a direct sum)
     in port order, whatever the listed order, and the sum is certified
-    once.  Both certificates are
-    exact: each part is monotone and maximal by its own rule, and the
-    direct sum carries the verdicts over.
+    once: each part is judged by its own rule, and the direct sum
+    carries the verdicts over (a failing part's witness is lifted into
+    the sum's coordinates).
     """
     n = basis.n
     by_port: dict = {}

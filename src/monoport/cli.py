@@ -135,9 +135,9 @@ def _certificate_lines(bc) -> List[str]:
 
     if bc.provenance == "V-matrix":
         wit = bc.certificates["maximal"].witness
-        top = wit["vv_top_eigenvalue"]
-        contraction = "yes" if top <= 1.0 + 1e-10 else "NO"
-        lines.append(f"V*V largest eigenvalue: {_fmt(top)} (contraction: {contraction})")
+        # (1 + V, 1 - V) is monotone exactly when V is a contraction
+        contraction = "yes" if bc.certificates["monotone"].monotone == "yes" else "NO"
+        lines.append(f"V*V largest eigenvalue: {_fmt(wit['vv_top_eigenvalue'])} (contraction: {contraction})")
         lines.append("closing-matrix singular values: "
                      + ", ".join(_fmt(s) for s in wit["sigmas"]))
 

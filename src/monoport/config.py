@@ -15,8 +15,9 @@ Grammar (documented here because the format is the contract):
   :data:`HAMILTONIAN_PROFILES`, or a constant matrix).
 * ``[bc]``: ``kind`` is one of ``v-matrix`` (field ``V``),
   ``dirichlet``/``neumann`` (field ``value``), ``robin`` (fields ``M``,
-  optional ``value``, optional ``sign`` where ``-1`` selects the
-  wrong-sign variant whose certificates fail), ``multiport`` (one
+  optional ``value``, optional ``sign`` where ``-1`` negates ``M``:
+  for a positive definite ``M`` the wrong-sign condition, whose
+  certificates fail), ``multiport`` (one
   ``port.<i> = <kind> <args…>`` line per port, kinds
   ``dirichlet``/``neumann``/``robin``/``friction``), or ``custom``
   (fields ``C_e``, ``C_f`` — a trace constraint pair).  ``robin`` takes
@@ -141,8 +142,7 @@ class Config:
             if kind == "neumann":
                 return boundary.neumann(f["value"], basis)
             if kind == "robin":
-                ctor = boundary.robin_bad if f.get("sign", 1) < 0 else boundary.robin
-                return ctor(f["M"], basis, value=f.get("value", 0.0))
+                return boundary.robin(f.get("sign", 1) * f["M"], basis, value=f.get("value", 0.0))
             if kind == "custom":
                 return boundary.extract_h((f["C_e"], f["C_f"]), basis)
             return boundary.multiport(f["ports"], basis)
@@ -327,11 +327,10 @@ def _parse_bc_fields(kind: str, bc: dict) -> dict:
         return {"value": _parse_value(_need(bc, "value", "bc"))}
     if kind == "robin":
         fields = {"M": _parse_matrix(_need(bc, "M", "bc"), "[bc] M")}
-        if "sign" in bc:
-            if bc["sign"] not in ("+1", "1", "-1"):
-                raise ConfigError("[bc] sign: must be +1 or -1")
-            if bc["sign"] == "-1":
-                fields["sign"] = -1
+        if bc.get("sign", "1") not in ("+1", "1", "-1"):
+            raise ConfigError("[bc] sign: must be +1 or -1")
+        if bc.get("sign") == "-1":
+            fields["sign"] = -1
         if "value" in bc:
             fields["value"] = _parse_value(bc["value"])
         return fields

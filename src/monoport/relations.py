@@ -84,6 +84,10 @@ TOL_ITERATIVE = 1e-8
 #: Iteration cap shared by every iterative solver in the module.
 MAX_ITER = 10_000
 
+#: The one sign rule: a linear relation is monotone when its symmetrized
+#: graph pairing has no eigenvalue below ``-MONOTONE_TOL * max(1, |pairing|)``.
+MONOTONE_TOL = 16 * np.finfo(float).eps
+
 
 class NonconvergenceError(RuntimeError):
     """An iterative or direct solve failed to reach its residual target.
@@ -801,9 +805,9 @@ def certify(rel: Relation) -> "tuple[Certificate, Certificate]":
 def check_monotone(rel: Relation) -> Certificate:
     """Certify ``Re<u - x | v - y> >= 0`` over the relation.
 
-    Exact for linear graphs (smallest eigenvalue of the symmetrized
-    pairing restricted to the graph subspace) and for coordinatewise
-    convex pieces (subdifferentials by construction); translations,
+    For linear graphs by the smallest eigenvalue of the symmetrized
+    pairing on the graph subspace, to roundoff (:data:`MONOTONE_TOL`);
+    exact for coordinatewise convex pieces (subdifferentials by construction); translations,
     direct sums and congruences by an invertible map carry the verdict
     of their parts over.  A ``"no"`` carries the violating pair of graph
     points, mapped into the relation's own coordinates.
@@ -923,7 +927,7 @@ def _monotone_linear(rel: LinearGraph) -> Certificate:
     vals, vecs = sla.eigh(m)
     scale = max(1.0, float(np.linalg.norm(m)))
     method = prefix + "exact: eigenvalues of the symmetrized graph pairing"
-    if vals[0] >= -1e-10 * scale:
+    if vals[0] >= -MONOTONE_TOL * scale:
         return Certificate(monotone="yes", method=method,
                            witness={"min_eigenvalue": float(vals[0])})
     c = vecs[:, 0]

@@ -286,7 +286,7 @@ def _suite_boundary(seed: int) -> List[CheckResult]:
     basis2 = basis_for(2)
     mmat = np.array([[1.0, 0.3], [0.3, 0.5]])
     good = bnd.robin(mmat, basis2)
-    bad = bnd.robin_bad(mmat + 0.1 * np.eye(2), basis2)
+    bad = bnd.robin(-(mmat + 0.1 * np.eye(2)), basis2)
     witness = bad.certificates["monotone"].witness
     (x1, y1), (x2, y2) = witness["pair_a"], witness["pair_b"]
     res_pairs = max(rel.graph_residual(bad.port_relation, x1, y1),

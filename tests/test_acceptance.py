@@ -296,7 +296,7 @@ def test_criterion_10_wrong_sign_falsifier():
     ok = True
     detail = ""
     for mmat in (np.array([[1.0, 0.3], [0.3, 0.5]]), rand_spd(rng, 2), rand_spd(rng, 2)):
-        bc = bnd.robin_bad(mmat, BASIS2)
+        bc = bnd.robin(-mmat, BASIS2)
         cert = bc.certificates["monotone"]
         (xa, ya), (xb, yb) = cert.witness["pair_a"], cert.witness["pair_b"]
         on_graph = max(graph_residual(bc.port_relation, xa, ya),

@@ -15,7 +15,6 @@ from monoport.boundary import (
     multiport,
     neumann,
     robin,
-    robin_bad,
     subspace_gap,
 )
 from monoport import relations
@@ -56,7 +55,7 @@ CONSTRUCTORS = {
     "dirichlet": lambda b: dirichlet([0.3, -0.1], b),
     "neumann": lambda b: neumann(0.2, b),
     "robin": lambda b: robin([[2.0, 0.5], [0.5, 1.0]], b, value=0.1),
-    "robin_bad": lambda b: robin_bad([[2.0, 0.5], [0.5, 1.0]], b),
+    "robin-negated": lambda b: robin([[-2.0, -0.5], [-0.5, -1.0]], b),
     "multiport": lambda b: multiport([(0, ("robin", 1.0)), (1, ("dirichlet", 0.2))], b),
     "multiport-reversed": lambda b: multiport([(1, ("dirichlet", 0.2)), (0, ("robin", 1.0))], b),
     "multiport-friction": lambda b: multiport([(0, ("friction", 0.5)), (1, ("robin", 1.0, 0.1))], b),
@@ -66,7 +65,6 @@ CONSTRUCTORS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:V is not a contraction")
 @pytest.mark.parametrize("name", list(CONSTRUCTORS))
 def test_every_constructor_certifies_and_derives_h(name, monkeypatch):
     """Each constructor stores one relation with both certificates, made
@@ -156,11 +154,32 @@ def test_from_v_strict_contraction_is_not_skew(rng, basis2):
     assert cert.witness["max_angle"] > 0
 
 
-def test_from_v_expansion_warns_and_fails_certificates(basis1):
-    with pytest.warns(UserWarning, match="not a contraction"):
-        bc = from_V(2.0, basis1)
-    assert bc.certificates["monotone"].monotone == "no"
+def test_from_v_expansion_fails_certificates_without_a_warning(basis1):
+    """An expansion is constructed, and only its certificate judges it
+    (every warning is an error in this suite)."""
+    bc = from_V(2.0, basis1)
+    cert = bc.certificates["monotone"]
+    assert cert.monotone == "no"
     assert not bc.is_maximal_monotone
+    (x1, y1), (x2, y2) = cert.witness["pair_a"], cert.witness["pair_b"]
+    assert graph_residual(bc.port_relation, x1, y1) < 1e-12
+    assert float(np.real(np.conj(x1 - x2) @ (y1 - y2))) < 0
+    assert bc.certificates["maximal"].witness["vv_top_eigenvalue"] == 4.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lossless_v_pairs_within_a_quarter_of_the_sign_rule(rng, n):
+    """A unitary ``V`` is lossless: the smallest eigenvalue of its graph
+    pairing is zero up to roundoff, at least four times inside the one
+    sign rule, over Haar-random unitaries and diagonal phases."""
+    basis = bd_basis(PortHamiltonian(n=n, b=1.0, p1=np.diag(np.arange(1.0, n + 1))))
+    worst = 0.0
+    for k in range(100):
+        vmat = rand_unitary(rng, n) if k % 2 else np.diag(np.exp(2j * np.pi * rng.uniform(size=n)))
+        cert = from_V(vmat, basis).certificates["monotone"]
+        assert cert.monotone == "yes"
+        worst = min(worst, cert.witness["min_eigenvalue"])
+    assert worst >= -relations.MONOTONE_TOL / 4
 
 
 def test_from_v_shape_mismatch(basis2):
@@ -209,11 +228,12 @@ def test_robin_zero_matches_neumann(basis2):
 
 
 @pytest.mark.parametrize("value", [0.0, 0.3])
-def test_robin_bad_produces_reverifiable_witness(rng, basis2, value):
+def test_robin_negated_produces_reverifiable_witness(rng, basis2, value):
     # a nonzero value gives the port relation an offset, and its
     # certificate lifts the linear witness by it
     mmat = np.array([[1.0, 0.3], [0.3, 0.5]])
-    bc = robin_bad(mmat, basis2, value=value)
+    bc = robin(-mmat, basis2, value=value)
+    assert bc.provenance == "Robin"
     cert = bc.certificates["monotone"]
     assert cert.monotone == "no"
     assert not bc.is_maximal_monotone
@@ -229,9 +249,9 @@ def test_robin_bad_produces_reverifiable_witness(rng, basis2, value):
     assert pairing == pytest.approx(-0.495080035357, abs=1e-9)
 
 
-def test_robin_bad_on_definite_matrix_always_fails(rng, basis2):
+def test_robin_negative_definite_matrix_always_fails(rng, basis2):
     for _ in range(5):
-        bc = robin_bad(rand_spd(rng, 2), basis2)
+        bc = robin(-rand_spd(rng, 2), basis2)
         assert bc.certificates["monotone"].monotone == "no"
 
 
@@ -295,7 +315,7 @@ def test_multiport_checks_ports_in_port_order(basis2):
     """Of two malformed ports the lower index is reported, whatever the
     listing, so a config reports the same port however it lists them."""
     with pytest.raises(ValueError, match=r"^port 0: robin coefficient"):
-        multiport([(1, ("teleport", 1.0)), (0, ("robin", -1.0))], basis2)
+        multiport([(1, ("teleport", 1.0)), (0, ("robin", 1j))], basis2)
 
 
 def test_multiport_two_friction_ports_certify_maximal():
@@ -311,15 +331,19 @@ def test_multiport_two_friction_ports_certify_maximal():
 
 
 def test_multiport_scalar_robin_validation(basis1):
-    with pytest.raises(ValueError, match="nonnegative"):
-        multiport([(0, ("robin", -1.0))], basis1)
+    """A negative Robin coefficient is built and certified not monotone;
+    a negative friction coefficient is refused (a friction relation's
+    sign is a domain rule, which the certificate trusts)."""
+    bc = multiport([(0, ("robin", -1.0))], basis1)
+    assert bc.certificates["monotone"].monotone == "no"
+    assert not bc.is_maximal_monotone
     with pytest.raises(ValueError, match="friction"):
         multiport([(0, ("friction", -0.5))], basis1)
 
 
 @pytest.mark.parametrize("spec, message", [
     (("friction", 0.5 + 1j), "friction coefficient must be real, nonnegative and finite, got (0.5+1j)"),
-    (("robin", 1j), "robin coefficient must be real and nonnegative, got 1j"),
+    (("robin", 1j), "robin coefficient must be real, got 1j"),
     (("robin",), "robin takes 1 or 2 value(s), got 0"),
     (("dirichlet",), "dirichlet takes 1 value(s), got 0"),
     (("neumann", 0.0, 1.0), "neumann takes 1 value(s), got 2"),

@@ -167,8 +167,6 @@ FRICTION_REFUSED = "[bc]: port 0: friction coefficient must be real, nonnegative
 @pytest.mark.parametrize("old, new, prefix", [
     ("port.0 = friction 0.5", "port.0 = friction -0.5", FRICTION_REFUSED + " -0.5"),
     ("port.0 = friction 0.5", "port.0 = friction nan", FRICTION_REFUSED + " nan"),
-    ("port.0 = friction 0.5", "port.0 = robin -1", "[bc]: port 0: robin"),
-    (MULTIPORT_BC, "kind = robin\nM = -1 0; 0 1", "[bc]"),
     ("P1 = 0 1; 1 0", "P1 = 0 0; 0 1", "[phs]"),
     ("P1 = 0 1; 1 0", "P1 = 0 1; 2 0", "[phs]"),
     # each rule below was also checked by the config parser until the
@@ -230,7 +228,7 @@ FRICTION_REFUSED = "[bc]: port 0: friction coefficient must be real, nonnegative
      "[phs]: zero-order term must have entries of modulus below 2^500"),
     (MULTIPORT_BC, "kind = neumann\nvalue = 1e300", "[bc]: graph offsets must have entries of modulus below 2^500"),
     ("b = 1", "b = 1e300", "[phs]: interval half-width must be below 2^499"),
-], ids=["friction-negative", "friction-nan", "robin-negative", "robin-indefinite",
+], ids=["friction-negative", "friction-nan",
         "zero-speed", "not-hermitian", "n-zero", "b-zero", "P1-shape", "P0-shape", "H-shape",
         "V-shape", "M-shape", "C-shape", "value-length", "port-kind", "port-arity",
         "port-complex", "port-range", "port-coverage", "profile-shape", "m-odd", "m-small",
@@ -255,6 +253,32 @@ def test_value_a_constructor_refuses_is_a_config_error(tmp_path, capsys, old, ne
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("port.0 = friction 0.5", "port.0 = robin -1"),
+    (MULTIPORT_BC, "kind = robin\nM = -1 0; 0 1"),
+], ids=["robin-negative", "robin-indefinite"])
+@pytest.mark.parametrize("command, code", [
+    (["check-bc"], 1), (["simulate"], 1), (["convergence", "--study", "state"], 1),
+    (["convergence", "--study", "pairing"], 0), (["convergence", "--study", "derivative"], 0),
+], ids=["check-bc", "simulate", "state", "pairing", "derivative"])
+def test_a_sign_only_the_certificate_refuses_fails_the_run(tmp_path, capsys, old, new, command, code):
+    """A Robin coefficient or matrix of the wrong sign is no config error:
+    the condition is built, its certificate fails with a witness, and
+    every subcommand that runs the condition exits 1.  The pairing and
+    derivative studies measure the discretisation and run no condition."""
+    cfg = write_cfg(tmp_path, FRICTION_SMALL.replace(old, new))
+    assert cli.main(command + ["--config", cfg, "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    if command == ["check-bc"]:
+        assert "monotone: no (" in captured.out and "Re<dx, dy> = -" in captured.out
+        assert captured.out.endswith("verdict: NOT maximal monotone\n") and captured.err == ""
+    elif code:
+        assert captured.err == ("error: boundary condition lacks a maximal-monotonicity certificate "
+                                "(monotone=no, maximal=no)\n")
+    else:
+        assert captured.err == ""
 
 
 def test_unknown_subcommand_exits_2():
@@ -356,17 +380,18 @@ def test_transport_oracle_needs_the_absorbing_relation(tmp_path, capsys, bc, ora
     assert len(rows) == (2 if oracle else 1)  # the finest-grid reference has no row of its own
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
 def test_simulate_tolerance_must_be_positive_and_finite(tmp_path, capsys, tol):
     """inf and nan switched the oracle check off ("within tolerance: yes"
-    for an error of 0.114); 0 and -1 failed every run."""
+    for an error of 0.114); 0 and -1 failed every run; text that is not a
+    number is refused in the same words."""
     with pytest.raises(SystemExit) as err:
         cli.main(["simulate", "--config", str(CONFIG_DIR / "transport.cfg"),
                   "--out", str(tmp_path), "--tol", tol])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--tol: needs a positive finite number" in captured.err
+    assert f"--tol: needs a positive finite number, got '{tol}'" in captured.err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -757,15 +782,16 @@ def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
 def test_verify_tolerance_scale_must_be_positive_and_finite(capsys, tol):
-    """0 divided by zero, -1 passed every lower bound and inf every upper one."""
+    """0 divided by zero, -1 passed every lower bound and inf every upper
+    one; text that is not a number is refused in the same words."""
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "phs", "--tol", tol])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--tol: needs a positive finite number" in captured.err
+    assert f"--tol: needs a positive finite number, got '{tol}'" in captured.err
 
 
 # ------------------------------------------------------------- convergence

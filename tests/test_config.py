@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from monoport import cli
+from monoport.boundary import robin
 from monoport.config import ConfigError, load_config, parse_config
 from monoport.phs import bd_basis
 
@@ -162,9 +165,6 @@ def test_parse_errors_carry_context(text, fragment):
     (variant("kind = v-matrix\nV = 0 1; -1 0",
              "kind = multiport\nport.0 = friction 0.5\nport.00 = dirichlet 0", WAVE),
      "[bc]: port index 0 assigned twice"),
-    (variant("kind = v-matrix\nV = 0 1; -1 0", "kind = robin\nM = 1 0; 0 0\nsign = -1", WAVE),
-     "[bc]: the sign-flipped Robin condition needs a positive definite matrix "
-     "(otherwise nothing is certified to fail)"),
     (variant("m = 128", "m = 129"), "[grid]: cell count must be even so the grid contains 0, got 129"),
     (variant("m = 128", "m = 4"), "[grid]: need at least 8 cells, got 4"),
     (variant("theta = 1", "theta = 0.2"), "[grid]: theta must lie in [1/2, 1]"),
@@ -204,7 +204,11 @@ def test_build_phs_and_bc():
     (WAVE, "V-matrix", True, 2),
     (variant("kind = v-matrix\nV = 0", "kind = dirichlet\nvalue = 0.25"), "Dirichlet", True, 1),
     (variant("kind = v-matrix\nV = 0", "kind = robin\nM = 1"), "Robin", True, 1),
-    (variant("kind = v-matrix\nV = 0", "kind = robin\nM = 1\nsign = -1"), "RobinBad", False, 1),
+    (variant("kind = v-matrix\nV = 0", "kind = robin\nM = 1\nsign = -1"), "Robin", False, 1),
+    # -M has eigenvalues -1 and 0: the condition is built, and its
+    # certificate fails
+    (variant("kind = v-matrix\nV = 0 1; -1 0", "kind = robin\nM = 1 0; 0 0\nsign = -1", WAVE),
+     "Robin", False, 2),
     (variant("kind = v-matrix\nV = 0 1; -1 0",
              "kind = multiport\nport.0 = friction 0.5\nport.1 = dirichlet 0",
              WAVE), "Multiport", True, 2),
@@ -219,11 +223,14 @@ def test_every_bc_kind_builds_its_certified_condition(text, provenance, maximal,
 
 
 def test_build_bc_wrong_sign_variant_fails_certification():
+    """``sign = -1`` negates ``M``: the graph is bitwise that of ``robin(-M)``."""
     cfg = parse_config(variant("kind = v-matrix\nV = 0",
                                "kind = robin\nM = 1\nsign = -1"))
-    bc = cfg.build_bc(bd_basis(cfg.build_phs()))
-    assert bc.provenance == "RobinBad"
+    basis = bd_basis(cfg.build_phs())
+    bc = cfg.build_bc(basis)
+    assert bc.provenance == "Robin"
     assert not bc.is_maximal_monotone
+    assert pickle.dumps(bc.port_relation) == pickle.dumps(robin(-np.eye(1), basis).port_relation)
 
 
 def test_build_u0_presets():

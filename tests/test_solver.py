@@ -284,7 +284,7 @@ def _refuse_before_factoring(monkeypatch):
 
 def test_resolve_rejects_uncertified_condition(monkeypatch):
     ops = discretize(PHS2, 32)
-    bad = bnd.robin_bad(np.eye(2), BASIS2)
+    bad = bnd.robin(-np.eye(2), BASIS2)
     rhs = (np.zeros((33, 2)), np.zeros((33, 2)))
     res = resolve_A(ops, bad, 1.0, rhs, allow_uncertified=True)
     assert np.abs(res.u).max() < 1e-12
@@ -416,7 +416,7 @@ def test_simulate_refuses_uncertified_condition(monkeypatch):
     """Without the gate this run's energy climbs from 0.222 to 32.1."""
     ops = discretize(PHS2, 128)
     xs = ops.grid.nodes
-    bad = bnd.robin_bad(np.array([[1.0, 0.3], [0.3, 0.5]]), BASIS2)
+    bad = bnd.robin(-np.array([[1.0, 0.3], [0.3, 0.5]]), BASIS2)
     u0 = np.stack([np.exp(-8 * xs**2), np.zeros_like(xs)], axis=1)
     scn = Scenario(phs=PHS2, bc=bad, u0=u0, T=1.0, dt=0.01, theta=1.0)
     _refuse_before_factoring(monkeypatch)
