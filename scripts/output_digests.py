@@ -22,9 +22,10 @@ package from this checkout's ``src``:
   config with its grid edited, written there too, on two friction ports
   on a coupled ``P1``, with real and with complex data, and on three
   ports, Robin between two friction ports (:data:`FRICTION_CONFIGS`), and
-  on three systems that no shipped config builds: a constant density
-  ``H``, the ``sine-well`` profile, and a ``P1`` with a repeated
-  eigenvalue (:data:`SYSTEM_CONFIGS`);
+  on four systems that no shipped config builds: a constant density
+  ``H``, the ``sine-well`` profile, a ``P1`` with a repeated eigenvalue,
+  and a speed of ``1e-9`` under the lossless ``V = 1``
+  (:data:`SYSTEM_CONFIGS`);
 * two usage errors that name no config file (:data:`USAGE_ERRORS`): a
   ``--config`` that is a directory and a negative ``--seed``.
 
@@ -138,9 +139,11 @@ FRICTION_CONFIGS = (
 #: ``(name, shipped config, edits)``: system features that no shipped config
 #: uses: a constant density ``H`` other than the identity, the ``sine-well``
 #: profile (a density that varies in space, so the transport oracle does not
-#: apply), and a gaussian run with ``P1 = diag(1, 1, -1)``, whose repeated
-#: speed takes the canonical eigenbasis of its cluster.  ``T = 0.5`` where the
-#: shipped ``T`` takes over a second.
+#: apply), a gaussian run with ``P1 = diag(1, 1, -1)``, whose repeated
+#: speed takes the canonical eigenbasis of its cluster, and a wave run with
+#: ``P1 = diag(1, 1e-9)`` under ``V = 1``, a maximal monotone condition whose
+#: closing matrix ``-2S`` has a singular value of about ``2e-9``.
+#: ``T = 0.5`` where the shipped ``T`` takes over a second.
 SYSTEM_CONFIGS = (
     ("wave_damped-density", "wave_damped.cfg",
      (("P1 = 0 1; 1 0", "P1 = 0 1; 1 0\nH = 2 0.5; 0.5 1"), ("T = 2.0", "T = 0.5"))),
@@ -149,6 +152,8 @@ SYSTEM_CONFIGS = (
      (("scenario = wave", "scenario = gaussian"), ("n = 2", "n = 3"),
       ("P1 = 0 1; 1 0", "P1 = 1 0 0; 0 1 0; 0 0 -1"), ("V = 0 0.5; -0.5 0", "V = 0 0.5 0; -0.5 0 0; 0 0 0.3"),
       ("T = 2.0", "T = 0.5"))),
+    ("wave_damped-stiff-speed", "wave_damped.cfg",
+     (("P1 = 0 1; 1 0", "P1 = 1 0; 0 1e-9"), ("V = 0 0.5; -0.5 0", "V = 1 0; 0 1"), ("T = 2.0", "T = 0.5"))),
 )
 
 #: ``(name, arguments)``: usage errors that name no config file.  A path is

@@ -16,11 +16,11 @@ demand, through exact coordinate maps:
   which the paper states its criterion, and whose adjoint calculus
   (skew-selfadjointness) is natural.
 
-Constructors attach certificates, the one judge of a condition's sign:
-by eigenvalue / rank arguments for linear conditions (the sign to
-roundoff, :data:`.relations.MONOTONE_TOL`) and componentwise for
-frictional multiport conditions (friction is a subdifferential, hence
-maximal).  A multiport condition is the direct
+Constructors certify through :func:`.relations.certify`, the one judge
+of a condition's sign and maximality: by eigenvalue / rank arguments for
+linear conditions (the sign to roundoff, :data:`.relations.MONOTONE_TOL`)
+and componentwise for frictional multiport conditions (friction is a
+subdifferential, hence maximal).  A multiport condition is the direct
 sum of one scalar relation per port, in port order.  Failed
 certificates always carry a concrete, re-verifiable witness.
 """
@@ -61,10 +61,6 @@ __all__ = [
     "membership",
     "subspace_gap",
 ]
-
-#: Maximality threshold on the smallest singular value of the
-#: V-parametrization's closing matrix.
-SIGMA_MIN_THRESHOLD = 1e-8
 
 #: Principal-angle tolerance for graph equality h* = -h.
 SKEW_ANGLE_TOL = 1e-9
@@ -178,25 +174,15 @@ def from_V(vmat, basis: BoundaryDataBasis) -> BoundaryCondition:
     graph is parametrized by ``e = (1+V) l``, ``f = -(1-V) l``, under
     which the dissipation pairing becomes ``-Re<e, f> = Re<(1-V^*V) l,
     l>`` — nonnegative exactly on contractions, so the monotonicity
-    certificate decides, to roundoff, whether ``V`` is one.
-
-    The maximality certificate reports the smallest singular value of
-    ``-S(1+V) - (1-V)``; its invertibility closes the construction for
-    every contraction (the certificate makes the theorem's obligation
-    observable rather than trusting it).
+    certificate decides, to roundoff, whether ``V`` is one; the rank test
+    finds every contraction maximal, since ``(1+V) + (1-V) = 2``.  The
+    closing matrix ``-S(1+V) - (1-V)`` is then invertible by the theorem:
+    ``verify`` checks that, and no rule here reads it.
     """
     n = basis.n
     vmat = _as_matrix(vmat, (n, n), "V")
-    vv_top = float(np.linalg.eigvalsh(vmat.conj().T @ vmat)[-1])
     eye = np.eye(n)
-    port = LinearGraph(InnerProductSpace(n), eye + vmat, eye - vmat)
-    sigmas = sla.svdvals(-basis.S @ (eye + vmat) - (eye - vmat))
-    sigma_min = float(sigmas[-1])
-    mono = relations._monotone_linear(port)
-    maximal = "yes" if (mono.monotone == "yes" and sigma_min > SIGMA_MIN_THRESHOLD) else "no"
-    max_cert = Certificate(monotone=mono.monotone, maximal=maximal, method="smallest singular value of -S(1+V)-(1-V)",
-                           witness={"sigma_min": sigma_min, "sigmas": sigmas, "vv_top_eigenvalue": vv_top})
-    return BoundaryCondition(port, basis, "V-matrix", {"monotone": mono, "maximal": max_cert})
+    return _finalize(basis, LinearGraph(InnerProductSpace(n), eye + vmat, eye - vmat), "V-matrix")
 
 
 def dirichlet(value, basis: BoundaryDataBasis) -> BoundaryCondition:

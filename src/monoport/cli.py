@@ -133,14 +133,6 @@ def _certificate_lines(bc) -> List[str]:
             detail = f"graph dimension {wit['dim_h']}, adjoint graph dimension {wit['dim_adjoint']}"
         lines.append(f"skew-selfadjoint: {skew.skew} ({detail})")
 
-    if bc.provenance == "V-matrix":
-        wit = bc.certificates["maximal"].witness
-        # (1 + V, 1 - V) is monotone exactly when V is a contraction
-        contraction = "yes" if bc.certificates["monotone"].monotone == "yes" else "NO"
-        lines.append(f"V*V largest eigenvalue: {_fmt(wit['vv_top_eigenvalue'])} (contraction: {contraction})")
-        lines.append("closing-matrix singular values: "
-                     + ", ".join(_fmt(s) for s in wit["sigmas"]))
-
     mono = bc.certificates["monotone"]
     if mono.monotone == "no" and mono.witness:
         (xa, ya) = mono.witness["pair_a"]

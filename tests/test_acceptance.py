@@ -103,12 +103,15 @@ def test_criterion_03_contraction_certificates():
              3: bd_basis(PortHamiltonian(n=3, b=1.0, p1=np.diag([1.0, -0.5, 2.0]))),
              4: bd_basis(PortHamiltonian(n=4, b=1.0, p1=np.diag([1.0, 1.0, -1.0, 0.7])))}
     min_sigma = np.inf
-    all_monotone = True
+    all_certified = True
     for _ in range(200):
         n = int(rng.integers(1, 5))
-        bc = bnd.from_V(rand_contraction(rng, n), bases[n])
-        all_monotone &= bc.certificates["monotone"].monotone == "yes"
-        min_sigma = min(min_sigma, bc.certificates["maximal"].witness["sigma_min"])
+        vmat, eye = rand_contraction(rng, n), np.eye(n)
+        bc = bnd.from_V(vmat, bases[n])
+        all_certified &= bc.certificates["monotone"].monotone == bc.certificates["maximal"].maximal == "yes"
+        # the closing matrix, invertible for every contraction by the theorem
+        closing = -bases[n].S @ (eye + vmat) - (eye - vmat)
+        min_sigma = min(min_sigma, float(np.linalg.svd(closing, compute_uv=False)[-1]))
     all_skew = True
     for _ in range(50):
         n = int(rng.integers(1, 5))
@@ -116,8 +119,8 @@ def test_criterion_03_contraction_certificates():
         all_skew &= bnd.check_skew_selfadjoint(bc).skew == "yes"
     elapsed = time.perf_counter() - start
     verdict(3, "200 contractions certified, 50 unitaries skew",
-            all_monotone and min_sigma > 1e-8 and all_skew,
-            f"monotone all yes: {all_monotone}, min sigma {min_sigma:.3e} > 1e-8, "
+            all_certified and min_sigma > 1e-8 and all_skew,
+            f"monotone and maximal all yes: {all_certified}, min sigma {min_sigma:.3e} > 1e-8, "
             f"skew all yes: {all_skew}",
             elapsed, 10.0)
 

@@ -5,10 +5,15 @@ smallest eigenvalue of its symmetrized graph pairing may fall below zero
 by ``relations.MONOTONE_TOL`` (16 eps) times ``max(1, |pairing|)``, no
 further.  Each row below is a shipped config with one edit and the same
 numbers given to the API constructor.  The API certificate, the config's
-condition, ``check-bc``'s exit code and its "monotone" line agree; on a
-``V`` row the "contraction" line agrees with them, and no route warns.
-A "no" carries a witness pair that lies on the relation and pairs
-negatively.
+condition, ``check-bc``'s exit code and its "monotone" line agree, and no
+route warns.  A "no" carries a witness pair that lies on the relation and
+pairs negatively.
+
+Maximality has one judge too, the rank test of the certificate.  A
+lossless ``V = 1`` is the Neumann condition ``f = 0``, and both forms are
+maximal monotone on every route, also where the closing matrix
+``-S(1+V) - (1-V) = -2S`` is nearly singular (a tiny ``b`` or a tiny
+speed makes ``S`` small).
 """
 
 import warnings
@@ -18,7 +23,7 @@ import numpy as np
 import pytest
 
 from monoport import cli
-from monoport.boundary import check_skew_selfadjoint, from_V, multiport, robin
+from monoport.boundary import check_skew_selfadjoint, from_V, multiport, neumann, robin, subspace_gap
 from monoport.config import parse_config
 from monoport.phs import bd_basis
 from monoport.relations import graph_residual
@@ -111,8 +116,58 @@ def test_check_bc_gives_the_same_verdict(tmp_path, capsys, config, text, replace
     assert err == ""
     assert code == (0 if monotone else 1)
     assert f"\nmonotone: {'yes' if monotone else 'no'} (" in out
-    if replacement.startswith("kind = v-matrix"):
-        assert f"(contraction: {'yes' if monotone else 'NO'})\n" in out
     if skew is not None:
         assert f"\nskew-selfadjoint: {'yes' if skew else 'no'} (" in out
     assert out.endswith("verdict: maximal monotone\n" if monotone else "verdict: NOT maximal monotone\n")
+
+
+#: ``(id, config, edits, V text, V, API constructor)``: a shipped config
+#: edited so that its closing matrix ``-2S`` has a singular value of about
+#: ``2e-9``, then given the lossless ``V``; its Neumann twin replaces
+#: ``kind = v-matrix`` and the ``V`` line by ``kind = neumann``, ``value = 0``.
+MAXIMAL_ROWS = [
+    ("transport-b-1e-9", "transport.cfg", (("b = 1.0", "b = 1e-9"),), "V = 0", "V = 1",
+     lambda b: from_V(1.0, b)),
+    ("wave_damped-stiff-speed", "wave_damped.cfg", (("P1 = 0 1; 1 0", "P1 = 1 0; 0 1e-9"),),
+     "V = 0 0.5; -0.5 0", "V = 1 0; 0 1", lambda b: from_V(np.eye(2), b)),
+]
+
+
+def _maximal_config(row, form):
+    """The row's config in ``form``: ``"V"`` or ``"neumann"``."""
+    _, config, edits, vtext, vline, _ = row
+    twin = f"kind = v-matrix\n{vline}" if form == "V" else "kind = neumann\nvalue = 0"
+    text = _edited(config, f"kind = v-matrix\n{vtext}", twin)
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    return text
+
+
+@pytest.mark.parametrize("row", MAXIMAL_ROWS, ids=[row[0] for row in MAXIMAL_ROWS])
+def test_a_lossless_condition_is_maximal_in_either_form(row):
+    """``V = 1`` and its Neumann twin, through the API constructor and
+    ``Config.build_bc``: four maximal monotone conditions on one graph."""
+    cfg = parse_config(_maximal_config(row, "V"))
+    basis = bd_basis(cfg.build_phs())
+    built = [row[-1](basis), cfg.build_bc(basis), neumann(0.0, basis),
+             parse_config(_maximal_config(row, "neumann")).build_bc(basis)]
+    for bc in built:
+        assert bc.certificates["maximal"].maximal == "yes"
+        assert bc.is_maximal_monotone
+    graph = built[0].port_relation.stacked
+    for bc in built[1:]:
+        assert subspace_gap(graph, bc.port_relation.stacked) < 1e-12
+
+
+@pytest.mark.parametrize("form", ["V", "neumann"])
+@pytest.mark.parametrize("row", MAXIMAL_ROWS, ids=[row[0] for row in MAXIMAL_ROWS])
+def test_a_lossless_condition_is_certified_and_runs_in_either_form(tmp_path, capsys, row, form):
+    path = tmp_path / row[1]
+    path.write_text(_maximal_config(row, form), encoding="utf-8")
+    code = cli.main(["check-bc", "--config", str(path), "--out", str(tmp_path / "check-bc")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert "\nmaximal: yes (" in out and out.endswith("verdict: maximal monotone\n")
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "simulate")])
+    assert (code, capsys.readouterr().err) == (0, "")

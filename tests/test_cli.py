@@ -53,7 +53,7 @@ def test_check_bc_certified_condition(tmp_path, capsys):
     assert "verdict: maximal monotone" in out
     assert "monotone: yes" in out
     assert "maximal: yes" in out
-    assert "closing-matrix singular values" in out
+    assert "\nskew-selfadjoint: " in out
     report = (tmp_path / "report.txt").read_text(encoding="utf-8")
     assert report == out
 
