@@ -475,7 +475,9 @@ class _AffinePlan(_Plan):
     def pair(self, g) -> np.ndarray:
         """``z`` over ``w`` of the solution for ``g``, one vector."""
         if self.g_map is not None:
-            return self.g_map @ g + self.g_offset
+            zw = np.dot(self.g_map, g)
+            zw += self.g_offset
+            return zw
         rhs = g - self.shift
         c, res = _lstsq(self.m, rhs)
         if res > TOL_LINEAR * max(1.0, float(np.linalg.norm(rhs))):
@@ -534,7 +536,9 @@ class _PiecePlan(_Plan):
     a linear graph, and the solution is the piece solution whose signs
     hold within :data:`TOL_LINEAR` of the data's scale.  An active-set
     walk from the warm start's pattern switches a stick with ``|w| > mu``
-    to the slip of ``w``'s sign and a slip with ``s z < 0`` to stick.  A
+    to the slip of ``w``'s sign and a slip with ``s z < 0`` to stick; a
+    piece whose signs hold within the least tolerance, ``TOL_LINEAR`` times
+    the largest of 1 and the ``mu_i``, holds without the data's scale.  A
     walk that repeats, meets a piece with no solution or passes ``2k + 2``
     pieces (``k`` friction coordinates) splits, as does ``g`` with a
     nonzero imaginary part.  The plan is real (its ``phi``, the table and
@@ -553,8 +557,12 @@ class _PiecePlan(_Plan):
         self.columns = np.flatnonzero(np.repeat([not p.affine for p in parts], [z.shape[1] for z in zy])).tolist()
         self.scales = [float(mu) for p in parts if not p.affine for mu in p.scales]
         self.floor = max(1.0, *self.scales)  # the least scale of the walk's sign tolerance
+        self.least = TOL_LINEAR * self.floor  # the least tolerance, computed first
         self.longest = 2 * len(self.scales) + 2
         self.piece = lru_cache(maxsize=self.longest)(self._piece)
+        # the walk: per friction coordinate, its index in z, in z over w, and its scale
+        self.dim, self.start = len(self.x0), (0,) * len(self.scales)
+        self.walk = [(i, self.dim + i, mu) for i, mu in zip(self.friction, self.scales)]
 
     @cached_property
     def splitting(self) -> "_SplittingPlan":
@@ -570,15 +578,14 @@ class _PiecePlan(_Plan):
         return _AffinePlan(self.phi, self.rel, zx, zy, self.x0, y0)
 
     def __call__(self, g, x0):
-        if np.iscomplexobj(g) and np.any(g.imag):
+        if g.dtype != np.float64 and np.any(g.imag):
             return self.splitting(g, x0)
-        d, friction = len(self.x0), self.friction
+        d, walk, tol = self.dim, self.walk, None
         if x0 is None:
-            pattern = (0,) * len(friction)
+            pattern = self.start
         else:
             warm = x0.real.tolist()
-            pattern = tuple(_sign(warm[i]) for i in friction)
-        tol = TOL_LINEAR * max(self.floor, math.sqrt(abs(np.vdot(g, g))))
+            pattern = tuple([_sign(warm[i]) for i, _, _ in walk])
         seen = set()
         while pattern not in seen and len(seen) < self.longest:
             seen.add(pattern)
@@ -587,10 +594,14 @@ class _PiecePlan(_Plan):
             except NonconvergenceError:  # a singular piece whose system is inconsistent
                 break
             values = zw.real.tolist()  # z over w, as Python floats
-            switched = tuple(
-                (_sign(values[d + i]) if abs(values[d + i]) - mu > tol else 0) if s == 0
-                else (0 if -s * values[i] > tol else s)
-                for s, i, mu in zip(pattern, friction, self.scales))
+            # what must stay within the tolerance: |w| - mu of a stick, -s z of a slip
+            excess = [abs(values[k]) - mu if s == 0 else -s * values[i] for s, (i, k, mu) in zip(pattern, walk)]
+            if max(excess, default=0.0) <= self.least:  # within every tolerance: the piece holds
+                return zw[:d], zw[d:]
+            if tol is None:
+                tol = TOL_LINEAR * max(self.floor, math.sqrt(abs(np.vdot(g, g))))
+            switched = tuple([(_sign(values[k]) if t > tol else 0) if s == 0 else (0 if t > tol else s)
+                              for s, t, (_, k, _) in zip(pattern, excess, walk)])
             if switched == pattern:
                 return zw[:d], zw[d:]
             pattern = switched

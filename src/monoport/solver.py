@@ -87,7 +87,10 @@ block, 0 without swaps); from ``C`` on one ``tbsv`` sweeps
 ``U''`` with its ``ku``, and a last one, only when ``C > 0``, sweeps the
 full-width head of ``U''``.  That head also holds the ``ku`` columns from
 ``C``, with nothing from row ``C`` down, so its sweep applies their
-couplings to the rows above ``C`` and nothing else.  ``U''`` has a unit
+couplings to the rows above ``C`` and nothing else.  The calls of the
+whole solve, their arguments included, are worked out once when the
+solver is built (:meth:`_CoreSolver._calls`), for every factor shape by
+the same code, and each step runs that list.  ``U''`` has a unit
 diagonal, stored as exactly 1 (in complex arithmetic ``d / d`` need not
 be), and both ``U`` sweeps take it as unit triangular: a ``tbsv`` that
 divides by a pivot in every column waits for each division before the
@@ -323,7 +326,7 @@ class _CoreSolver:
             raise ValueError("initial state or right-hand side must be finite")
         n, nn = ops.phs.n, ops.nnodes
         self.ops = ops
-        self.n = n
+        self.n, self.nnodes = n, nn
         self.mu = float(mu)
         self.rel = bc.port_relation
         self.real = real = (self.rel.real and not np.iscomplexobj(ops.hinv)
@@ -388,9 +391,10 @@ class _CoreSolver:
             head[kl + 1:, :j] = lu[kl + ku + 1:, :j]
             self._head = (gbtrs, head, piv[:nh].copy())
         del ab, lu
+        self._block = self._calls(0, nint)  # the whole solve's calls
 
-        # The endpoint rows and columns; solve() reads them as [:n] and [-n:].
-        ends = np.r_[0:n, nn * n - n: nn * n]
+        # The endpoint rows and columns, [:n] and [-n:].
+        self._ends = ends = np.r_[0:n, nn * n - n: nn * n]
         rows_b = amat[ends]
         a_bi = rows_b[:, n:-n]
         # The endpoint rows couple to the first and the last few interior
@@ -412,8 +416,8 @@ class _CoreSolver:
         a = -(-(int(top[-1]) + 1) // 256) * 256 if top.size else 0
         b = (half + int(bottom[0])) // 256 * 256 if bottom.size else nint
         rows = [slice(0, nint)] if a >= b else [slice(0, a), slice(b, nint)]
-        self._lift_rows = [(r, np.asfortranarray(self.lift[r])) for r in rows if r.start < r.stop]
-        self._lifted = np.empty(nint, dtype=dtype)  # lift @ beta of the last solve
+        lifted = np.empty(nint, dtype=dtype)  # lift @ beta of the last solve, by blocks
+        self._lift_rows = [(r, np.asfortranarray(self.lift[r]), lifted[r]) for r in rows if r.start < r.stop]
 
         eye = np.eye(n)
         k_full = np.zeros((3 * n, 3 * n), dtype=dtype)
@@ -436,43 +440,50 @@ class _CoreSolver:
             )
         self._plan = plan_inclusion(self.phi, self.rel)
 
-    def _sweep(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Solve with the factor on the rows ``lo:hi`` of ``x`` (a vector or
-        Fortran-ordered columns of the factor's dtype) in place; return ``x``.
+    def _calls(self, lo: int, hi: int) -> list:
+        """The calls that solve with the factor on the rows ``lo:hi`` of a
+        vector of the factor's dtype in place, each taking that vector.
 
         When ``lo = 0``, first the head (``gbtrs`` on its rows, if the factor
-        swapped any).  Then per column: the unit lower ``tbsv`` sweep of
-        ``L`` from column ``max(lo, J)``, the unit upper one of the
-        pivot-scaled ``U`` tail (``ku`` superdiagonals) from column ``max(lo,
-        C)``, then, when ``lo = 0``, that of the ``U`` head (``kl + ku``
-        superdiagonals), which also applies the tail's couplings to the rows
-        above ``C``; last, one division of the rows ``lo:hi`` by the pivots.
-        ``lo = 0, hi = N`` is the whole solve, the operations of ``gbtrs`` on
-        the pivot-scaled factor in its order, then that division (module
-        docstring).  A window ``lo > 0`` is exact on its rows when
-        the rows above it are zero in ``x`` and ``lo`` lies past the head
-        rows and ``C + ku``; a window ``hi < N``, with ``hi`` past them,
-        drops what ``U`` couples into it from the rows below.
+        swapped any).  Then the unit lower ``tbsv`` sweep of ``L`` from
+        column ``max(lo, J)``, the unit upper one of the pivot-scaled ``U``
+        tail (``ku`` superdiagonals) from column ``max(lo, C)``, then, when
+        ``lo = 0``, that of the ``U`` head (``kl + ku`` superdiagonals), which
+        also applies the tail's couplings to the rows above ``C``; last, one
+        division of the rows ``lo:hi`` by the pivots.  ``lo = 0, hi = N`` is
+        the whole solve, the operations of ``gbtrs`` on the pivot-scaled
+        factor in its order, then that division (module docstring); its
+        calls are worked out once, in :attr:`_block`.  A window ``lo > 0`` is
+        exact on its rows when the rows above it are zero in the vector and
+        ``lo`` lies past the head rows and ``C + ku``; a window ``hi < N``,
+        with ``hi`` past them, drops what ``U`` couples into it from the rows
+        below.
         """
-        j, c, kl, ku = self._j, self._c, self.kl, self.ku
+        j, c, kl, ku, tbsv = self._j, self._c, self.kl, self.ku, self._tbsv
+        start, tail, rows = max(lo, j), max(lo, c), slice(lo, hi)
+        lower, upper, upper_head = self._lower[:, start - j: hi - j], self._upper[:, tail - c: hi - c], self._upper_head
+        pivots = self._pivots[rows]
+        calls = []
         if lo == 0 and self._head is not None:
             gbtrs, head, piv = self._head
-            nh = head.shape[1]
-            x[:nh] = gbtrs(head, kl, 0, x[:nh], piv)[0]
-        start, tail = max(lo, j), max(lo, c)
-        lower = self._lower if start == j and hi == self.nint else self._lower[:, start - j: hi - j]
-        upper = self._upper if tail == c and hi == self.nint else self._upper[:, tail - c: hi - c]
-        for col in x.T if x.ndim == 2 else (x,):
-            # positional (incx, offx, lower, trans, diag, overwrite_x): keyword
-            # arguments cost a microsecond per call
-            self._tbsv(kl, lower, col, 1, start, 1, 0, 1, 1)
-            if hi > tail:
-                self._tbsv(ku, upper, col, 1, tail, 0, 0, 1, 1)
-            if c > lo:
-                self._tbsv(kl + ku, self._upper_head, col, 1, 0, 0, 0, 1, 1)
-        pivots = self._pivots[lo:hi]
-        np.divide(x[lo:hi], pivots if x.ndim == 1 else pivots[:, None], out=x[lo:hi])
-        return x
+            nh = slice(0, head.shape[1])
+
+            def head_solve(x):
+                x[nh] = gbtrs(head, kl, 0, x[nh], piv)[0]
+            calls.append(head_solve)
+        # positional (incx, offx, lower, trans, diag, overwrite_x): keyword
+        # arguments cost a microsecond per call
+        calls.append(lambda x: tbsv(kl, lower, x, 1, start, 1, 0, 1, 1))
+        if hi > tail:
+            calls.append(lambda x: tbsv(ku, upper, x, 1, tail, 0, 0, 1, 1))
+        if c > lo:
+            calls.append(lambda x: tbsv(kl + ku, upper_head, x, 1, 0, 0, 0, 1, 1))
+
+        def divide(x):
+            part = x[rows]
+            np.divide(part, pivots, part)
+        calls.append(divide)
+        return calls
 
     def _lift(self, r: np.ndarray) -> np.ndarray:
         """``a_int^{-1} r`` for the endpoint columns ``r``, with every part
@@ -516,7 +527,10 @@ class _CoreSolver:
                 hi = nint if from_end else reach
                 x = np.zeros(block.shape, dtype=lift.dtype, order="F")
                 x[lo:hi] = block[lo:hi]
-                self._sweep(x, lo, hi)
+                calls = self._calls(lo, hi)
+                for col in x.T:
+                    for call in calls:
+                        call(col)
                 parts = (x,) if x.dtype == np.float64 else (x.real, x.imag)
                 cut = LIFT_CUT * np.max([np.abs(part).max(axis=0) for part in parts], axis=0)
                 for part in parts:
@@ -538,21 +552,24 @@ class _CoreSolver:
         n = self.n
         p = np.empty(r_flat.shape[0], dtype=self.dtype) if out is None else out
         p[:] = r_flat
-        p_part = self._sweep(p[n:-n], 0, self.nint)
-        g_beta = self.endpoint_map @ p[self.gather]
+        interior = p[n:-n]
+        for call in self._block:
+            call(interior)
+        g_beta = np.dot(self.endpoint_map, p[self.gather])
         e, y = solve_inclusion(self._plan, g_beta[:n], x0=x0)
         beta = g_beta[n:]
-        beta += self.b_e @ e
-        p[:n] = beta[:n]
-        p[-n:] = beta[n: 2 * n]
-        for rows, lift in self._lift_rows:
-            p_part[rows] -= np.matmul(lift, beta[: 2 * n], out=self._lifted[rows])
+        beta += np.dot(self.b_e, e)
+        ends = beta[: 2 * n]
+        p[self._ends] = ends
+        for rows, lift, lifted in self._lift_rows:
+            part = interior[rows]
+            np.subtract(part, np.dot(lift, ends, lifted), part)
         return p, beta[2 * n:], e, -y
 
     def state(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The field ``w = H^{-1} p`` of a solved ``p``, one row per node; at
         a non-identity density written into ``out`` when it is given."""
-        w = p.reshape(self.ops.nnodes, self.n)
+        w = p.reshape(self.nnodes, self.n)
         return w if self.ops.identity_density else np.einsum("jab,jb->ja", self.ops.hinv, w, out=out)
 
     def residual(self, p: np.ndarray, s: np.ndarray, r_flat: np.ndarray,
@@ -729,10 +746,10 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
     step without ``out``; at unit density the solve itself runs there.
     """
     core, theta = stepper._core, stepper.scenario.theta
-    w = _as_field(state, stepper.scenario.phs.n)
-    if w.shape[0] != core.ops.nnodes:
-        raise ValueError(f"state does not match the grid: {w.shape[0]} rows, {core.ops.nnodes} nodes")
-    if core.real and np.iscomplexobj(w):
+    w = _as_field(state, core.n)
+    if w.shape[0] != core.nnodes:
+        raise ValueError(f"state does not match the grid: {w.shape[0]} rows, {core.nnodes} nodes")
+    if core.real and w.dtype != np.float64:  # complex128 (:func:`.phs._as_field`)
         if np.any(w.imag):
             raise ValueError("a real run steps only real states; build the Stepper from this state for a complex run")
         w = w.real
@@ -742,7 +759,7 @@ def step(state, stepper: Stepper, out: Optional[np.ndarray] = None) -> np.ndarra
     elif out.shape != w.shape or out.dtype != dtype or not out.flags.c_contiguous or np.may_share_memory(out, w):
         raise ValueError(f"out must be a C-contiguous {w.shape} array of dtype {dtype} apart from the state")
     unit = core.ops.identity_density
-    p, _, e, fhat = core.solve(w.ravel(), x0=stepper._effort, out=out.reshape(-1) if unit else None)
+    p, _, e, fhat = core.solve(w.ravel(), x0=stepper._effort, out=out.ravel() if unit else None)
     stepper.dissipation = -float(np.vdot(e, fhat).real)
     stepper._effort = e
     if not unit:

@@ -61,9 +61,10 @@ def _as_vector(x, dim: int) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype != np.float64:
         x = np.asarray(x, dtype=complex)
-    x = x.reshape(-1)
     if x.shape != (dim,):
-        raise ValueError(f"expected a vector of length {dim}, got {x.shape}")
+        x = x.reshape(-1)
+        if x.shape != (dim,):
+            raise ValueError(f"expected a vector of length {dim}, got {x.shape}")
     return x
 
 

@@ -710,6 +710,30 @@ def test_piece_plan_decides_a_tie(monkeypatch):
     assert calls == []
 
 
+def test_piece_plan_decides_a_tie_at_the_data_scale(monkeypatch):
+    """The tie above with data of about 1e9: roundoff puts the stick up to
+    about 1e-7 past its sign test, above the least tolerance (``TOL_LINEAR``
+    times 1) and within the data's (``TOL_LINEAR`` times ``|g|``), so the
+    walk decides on the data's scale, from every warm start, without
+    splitting, and each pair solves the inclusion to that scale."""
+    calls, _ = _count_splitting(monkeypatch)
+    rng = np.random.default_rng(4)
+    past = 0.0
+    for _ in range(20):
+        a, skew = rng.normal(size=(2, 2)), rng.normal()
+        phi = a @ a.T / 2 + 0.5 * np.eye(2) + np.array([[0.0, skew], [-skew, 0.0]])
+        mu, z1, r = rng.uniform(0.1, 2), 1e9 * rng.uniform(0.5, 2), rng.uniform(0.1, 2)
+        rel = direct_sum([sign_relation(mu), LinearGraph.from_matrix(C1, [[r]])])
+        g = phi @ [0.0, z1] + [mu, r * z1]
+        plan = plan_inclusion(phi, rel)
+        past = max(past, abs(plan.piece((0,)).pair(g)[2]) - mu)  # the stick's |w| - mu
+        for x0 in (None, np.array([1.0, 0.0]), np.array([-1.0, 0.0])):
+            z, w = solve_inclusion(plan, g, x0)
+            assert np.abs(z - [0.0, z1]).max() <= 1e-9 * z1 and np.abs(w - [mu, r * z1]).max() <= 1e-9 * z1
+    assert calls == []
+    assert 1e-10 < past <= 1e-10 * 1e9
+
+
 def test_piece_plan_starts_from_the_warm_starts_pattern(monkeypatch):
     """Started from any sign pattern, the plan gives the same pair; started
     from the solution, it solves one piece."""

@@ -114,3 +114,20 @@ def test_bench_pairs_summarises_result_lines_without_running_the_benchmark():
     assert "setup_s" not in summary
     assert summary["failed"] == {"parent": 1, "change": 0}
     assert summary["attempted"] == {"parent": 30, "change": 32}
+
+
+def test_step_costs_prints_one_row_per_part():
+    """``step_costs.py`` on the friction benchmark config at m = 32, one
+    repetition: a line naming the run, then one positive time in
+    microseconds per entry point, in order."""
+    config = SCRIPTS.parent / "perfbench" / "configs" / "friction_dr.cfg"
+    proc = _run("step_costs.py", config, "--m", 32, "--repeat", 1)
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = proc.stdout.splitlines()
+    assert head == f"{config}: m = 32, 1000 steps, float64, _PiecePlan, best of 1"
+    names = ["Stepper", "step", "solve", "solve_inclusion", "energy per state"]
+    assert [row[:18].rstrip() for row in rows] == names
+    for row in rows:
+        value, unit = row[18:].split()
+        assert unit == "us" and float(value) > 0.0
+    assert _run("step_costs.py", config, "--repeat", 0).returncode == 2

@@ -263,15 +263,17 @@ def test_lift_has_no_subnormal_parts_and_solve_matches_assembled_system(m, dt, s
     # A step multiplies only the rows of the lift around its zero middle,
     # cut at multiples of 256 rows, each block its own Fortran-ordered copy,
     # and gets the bits of the whole product.
-    (top, top_rows), (bottom, bottom_rows) = core._lift_rows
+    (top, _, top_out), (bottom, _, bottom_out) = core._lift_rows
     assert top.start == 0 and top.stop % 256 == 0 == bottom.start % 256 and bottom.stop == 2 * m - 2
     assert top.stop < bottom.start and not core.lift[top.stop: bottom.start].any()
-    for rows, block in core._lift_rows:
+    for rows, block, out in core._lift_rows:
         assert block.flags.f_contiguous and _bitwise(block, core.lift[rows])
+        assert out.flags.c_contiguous and out.shape == (rows.stop - rows.start,)
+    assert top_out.base is bottom_out.base  # one buffer of the product
     if m == 16384:
         assert top.stop <= 768 and bottom.stop - bottom.start <= 768
     whole = copy.copy(core)
-    whole._lift_rows = [(slice(0, 2 * m - 2), core.lift)]
+    whole._lift_rows = [(slice(0, 2 * m - 2), core.lift, np.empty(2 * m - 2, dtype=core.dtype))]
     assert _bitwise(core.solve(r_flat)[0], whole.solve(r_flat)[0])
 
 
@@ -1306,8 +1308,13 @@ def _gbtrs_reference(core, r):
 
 
 def _band_solve(core, r):
-    """The solver's whole band solve of ``r``, on a copy."""
-    return core._sweep(np.array(r, dtype=core.dtype, order="F"), 0, core.nint)
+    """The solver's whole band solve of ``r``, on a copy: the calls that
+    :meth:`_CoreSolver.solve` runs, on each column."""
+    x = np.array(r, dtype=core.dtype, order="F")
+    for col in x.T if x.ndim == 2 else (x,):
+        for call in core._block:
+            call(col)
+    return x
 
 
 def _bitwise(a, b):
@@ -1345,7 +1352,8 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, block):
     band widths come from the SBP42 stencil: 2 nodes of 2 components.
 
     The solve (head, then the ``tbsv`` sweeps of the compact factor, then
-    one division by the pivots) is bitwise ``gbtrs`` on the ``gbtrf``
+    one division by the pivots: the calls that ``solve`` runs, fixed when
+    the solver is built) is bitwise ``gbtrs`` on the ``gbtrf``
     factor with its ``U`` columns divided by their pivots and a diagonal of
     exact ones, followed by that division, right-hand sides with exact
     signed zeros included, with or without row swaps.  The compact factor
@@ -1363,6 +1371,15 @@ def test_band_factor_solves_the_interior_block(rng, phs, v, real, block):
     assert (kl, ku) == (5, 5)
     lu, piv = _refactor(core)
     nint = lu.shape[1]
+    # the shapes that the pins below cover: no swaps, a head with C > 0, swaps to J ~ N
+    if block == "no-swaps":
+        assert j == c == 0
+    elif block == "pivots-throughout":
+        assert j >= nint - 2 * kl and c > 0
+    else:
+        assert 0 < j < c
+    # what solve runs: the head (J > 0), the L sweep, the U'' tail, the U'' head (C > 0), the division
+    assert len(core._block) == 3 + (j > 0) + (c > 0)
     assert np.array_equal(piv[j:], np.arange(j, nint))
     assert j == 0 or piv[j - 1] != j - 1
     assert not lu[:kl, c:].any() and (c == 0 or lu[:kl, c - 1].any())
